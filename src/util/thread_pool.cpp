@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
+#include <latch>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,135 +14,154 @@ namespace egemm::util {
 
 namespace {
 
-/// Set for the duration of worker_loop; identifies which pool (if any) the
-/// calling thread belongs to, so nested parallel_for calls can run inline
-/// instead of deadlocking a worker on its own queue.
+/// The pool whose body the calling thread runs: a worker's own pool, or a
+/// caller's while it runs chunks or an inline range.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
-/// This thread's index in its pool; valid only when tl_worker_pool is set.
-thread_local std::size_t tl_worker_index = 0;
+/// Spin budget before an idle thread parks: it bridges the serial
+/// plan/split/pack gap between back-to-back small GEMMs (50-130 us for the
+/// 32..128 shape classes on a 4-vCPU AVX-512 Xeon VM) that a futex wakeup
+/// would stretch by ~10 us. 200 us beat 50 us by 5% on the small-GEMM
+/// median; spinning without PAUSE was slower than both.
+constexpr std::uint64_t kSpinNs = 200'000;
 
-std::uint64_t now_ns() noexcept { return obs::monotonic_ns(); }
-
-/// Waits on EVERY future before rethrowing the first exception. Bailing on
-/// the first throw would unwind the caller's frame while queued chunks
-/// still hold references into it (the chunk lambdas capture `body` — and,
-/// through it, the caller's locals — by reference).
-void join_all(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+/// Pause-spins until `ready(word)`, parking in std::atomic::wait once the
+/// spin budget is spent; returns the ready value.
+template <class Ready>
+std::uint32_t spin_then_wait(const std::atomic<std::uint32_t>& word,
+                             Ready ready) noexcept {
+  const std::uint64_t deadline = obs::monotonic_ns() + kSpinNs;
+  std::uint32_t value = word.load(std::memory_order_acquire);
+  for (unsigned i = 1; !ready(value); ++i) {
+    if (i % 16 == 0 && obs::monotonic_ns() > deadline) {
+      word.wait(value, std::memory_order_acquire);
     }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+    value = word.load(std::memory_order_acquire);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  return value;
+}
+
+/// Marks the calling thread as inside a body of `pool` until destroyed.
+struct BodyScope {
+  explicit BodyScope(const ThreadPool* pool) noexcept
+      : saved(std::exchange(tl_worker_pool, pool)) {}
+  ~BodyScope() { tl_worker_pool = saved; }
+  BodyScope(const BodyScope&) = delete;
+  BodyScope& operator=(const BodyScope&) = delete;
+  const ThreadPool* saved;
+};
+
+template <class Run>
+void call_chunk(const void* run, std::size_t chunk) {
+  (*static_cast<const Run*>(run))(chunk);
 }
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(std::size_t threads)
+    : size_(threads != 0 ? threads
+                         : std::max(1u, std::thread::hardware_concurrency())),
+      slots_(std::make_unique<WorkerSlot[]>(size_)) {
+  EGEMM_GAUGE_ADD("threadpool.workers", size_);
+  // Return only once every worker has registered with obs: a worker still
+  // registering when a short program exits races the static destructor of
+  // the trace registry ("double free or corruption" at exit).
+  std::latch ready(static_cast<std::ptrdiff_t>(size_ - 1));
+  for (std::size_t slot = 1; slot < size_; ++slot) {
+    workers_.emplace_back([this, slot, &ready] { worker_loop(slot, ready); });
   }
-  slots_ = std::make_unique<WorkerSlot[]>(threads);
-  EGEMM_GAUGE_ADD("threadpool.workers", threads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  ready.wait();
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  stopping_.store(true, std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& worker : workers_) worker.join();
-  EGEMM_GAUGE_ADD("threadpool.workers",
-                  -static_cast<std::int64_t>(workers_.size()));
+  EGEMM_GAUGE_ADD("threadpool.workers", -static_cast<std::int64_t>(size_));
 }
 
 bool ThreadPool::in_worker_thread() const noexcept {
   return tl_worker_pool == this;
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  EGEMM_EXPECTS(static_cast<bool>(task));
-  // Busy-time/task accounting lives inside the packaged task (via an RAII
-  // guard so a throwing task still counts): it is then sequenced before
-  // the future is satisfied, so a caller that joined on the future always
-  // observes the task in worker_stats().
-  std::packaged_task<void()> packaged(
-      [this, fn = std::move(task)] {
-        struct TaskAccounting {
-          WorkerSlot& slot;
-          std::uint64_t run_start = now_ns();
-          ~TaskAccounting() {
-            const std::uint64_t run_ns = now_ns() - run_start;
-            slot.busy_ns.fetch_add(run_ns, std::memory_order_relaxed);
-            slot.tasks.fetch_add(1, std::memory_order_relaxed);
-            EGEMM_COUNTER_ADD("threadpool.tasks", 1);
-            EGEMM_COUNTER_ADD("threadpool.busy_ns", run_ns);
-          }
-        } accounting{slots_[tl_worker_index]};
-        fn();
-      });
-  auto future = packaged.get_future();
-  {
-    const std::lock_guard lock(mutex_);
-    EGEMM_EXPECTS(!stopping_);
-    tasks_.push(std::move(packaged));
+bool ThreadPool::dispatch(std::size_t chunks, ChunkFn fn, const void* ctx) {
+  // Inline when nested, single-threaded or busy (see the header).
+  std::unique_lock lock(dispatch_mutex_, std::defer_lock);
+  if (in_worker_thread() || size_ <= 1 || !lock.try_lock()) {
+    slots_[0].inline_tasks.fetch_add(1, std::memory_order_relaxed);
+    EGEMM_COUNTER_ADD("threadpool.inline_tasks", 1);
+    return false;
   }
-  EGEMM_GAUGE_ADD("threadpool.queue_depth", 1);
-  cv_.notify_one();
-  return future;
+  EGEMM_EXPECTS(chunks == static_cast<std::uint32_t>(chunks));  // done_ fits
+  fn_ = fn;
+  ctx_ = ctx;
+  chunks_ = chunks;
+  error_set_.store(false, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  remaining_.store(chunks, std::memory_order_release);
+  if (chunks > 1) {
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+  }
+  {
+    const BodyScope scope(this);
+    run_claims(0);
+  }
+  spin_then_wait(done_, [chunks](auto done) { return done == chunks; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  return true;
 }
 
-void ThreadPool::record_inline_task() noexcept {
-  // tl_worker_index belongs to the caller's own pool; when an outside
-  // thread (or another pool's worker) runs inline here, bill slot 0.
-  const std::size_t slot = tl_worker_pool == this ? tl_worker_index : 0;
-  slots_[slot].inline_tasks.fetch_add(1, std::memory_order_relaxed);
-  EGEMM_COUNTER_ADD("threadpool.inline_tasks", 1);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  parallel_for(count, /*grain=*/0, body);
+void ThreadPool::run_claims(std::size_t slot) noexcept {
+  for (std::size_t left = remaining_.load(std::memory_order_acquire);
+       left != 0;) {
+    if (!remaining_.compare_exchange_weak(left, left - 1,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      continue;
+    }
+    // Holding a claim: the descriptor is this call's until done_ counts
+    // it, and everything here (stats included) happens before the return.
+    const std::size_t total = chunks_;
+    const std::uint64_t start = obs::monotonic_ns();
+    try {
+      fn_(ctx_, total - left);
+    } catch (...) {
+      if (!error_set_.exchange(true, std::memory_order_relaxed)) {
+        error_ = std::current_exception();
+      }
+    }
+    const std::uint64_t busy = obs::monotonic_ns() - start;
+    slots_[slot].tasks.fetch_add(1, std::memory_order_relaxed);
+    slots_[slot].busy_ns.fetch_add(busy, std::memory_order_relaxed);
+    EGEMM_COUNTER_ADD("threadpool.tasks", 1);
+    EGEMM_COUNTER_ADD("threadpool.busy_ns", busy);
+    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
+      done_.notify_one();
+    }
+    left = remaining_.load(std::memory_order_acquire);
+  }
 }
 
 void ThreadPool::parallel_for(
     std::size_t count, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
-  if (in_worker_thread() || size() <= 1) {
-    // Nested call from our own worker: the caller already holds one of the
-    // pool's threads, so run inline rather than blocking it on futures
-    // that this same pool has to serve. A single-worker pool runs inline
-    // for the same reason in spirit: it cannot overlap anything with the
-    // blocked caller, so the handoff (queue mutex, cv wakeup, future
-    // join) is pure cost -- on one-core hosts this is the difference
-    // between a tiny GEMM and a tiny GEMM plus a thread round-trip.
-    record_inline_task();
-    body(0, count);
-    return;
-  }
-  std::size_t chunks = std::min(count, std::max<std::size_t>(1, size() * 4));
-  if (grain > 1) {
-    chunks = std::min(chunks, (count + grain - 1) / grain);
-  }
+  std::size_t chunks = std::min(count, size() * 4);
+  if (grain > 1) chunks = std::min(chunks, (count + grain - 1) / grain);
   const std::size_t chunk = (count + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(count, begin + chunk);
-    futures.push_back(submit([&body, begin, end] { body(begin, end); }));
+  const auto run = [&](std::size_t i) {
+    body(i * chunk, std::min(count, (i + 1) * chunk));
+  };
+  if (!dispatch((count + chunk - 1) / chunk, &call_chunk<decltype(run)>,
+                &run)) {
+    const BodyScope scope(this);
+    body(0, count);
   }
-  join_all(futures);
 }
 
 void ThreadPool::parallel_for_2d(
@@ -148,11 +169,6 @@ void ThreadPool::parallel_for_2d(
     const std::function<void(std::size_t, std::size_t, std::size_t,
                              std::size_t)>& body) {
   if (rows == 0 || cols == 0) return;
-  if (in_worker_thread() || size() <= 1) {
-    record_inline_task();
-    body(0, rows, 0, cols);
-    return;
-  }
   const std::size_t cells = rows * cols;
   if (grain == 0) grain = cells / (size() * 8);
   grain = std::clamp<std::size_t>(grain, 1, cells);
@@ -168,51 +184,38 @@ void ThreadPool::parallel_for_2d(
   if (block_rows == rows) {
     block_cols = std::min(cols, std::max<std::size_t>(1, grain / block_rows));
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(((rows + block_rows - 1) / block_rows) *
-                  ((cols + block_cols - 1) / block_cols));
-  for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
-    const std::size_t r1 = std::min(rows, r0 + block_rows);
-    for (std::size_t c0 = 0; c0 < cols; c0 += block_cols) {
-      const std::size_t c1 = std::min(cols, c0 + block_cols);
-      futures.push_back(
-          submit([&body, r0, r1, c0, c1] { body(r0, r1, c0, c1); }));
-    }
+  const std::size_t col_blocks = (cols + block_cols - 1) / block_cols;
+  const std::size_t row_blocks = (rows + block_rows - 1) / block_rows;
+  const auto run = [&](std::size_t i) {
+    const std::size_t r0 = (i / col_blocks) * block_rows;
+    const std::size_t c0 = (i % col_blocks) * block_cols;
+    body(r0, std::min(rows, r0 + block_rows), c0,
+         std::min(cols, c0 + block_cols));
+  };
+  if (!dispatch(row_blocks * col_blocks, &call_chunk<decltype(run)>, &run)) {
+    const BodyScope scope(this);
+    body(0, rows, 0, cols);
   }
-  join_all(futures);
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop(std::size_t slot, std::latch& ready) {
   tl_worker_pool = this;
-  tl_worker_index = index;
-  obs::set_thread_name("pool-worker-" + std::to_string(index));
-  WorkerSlot& slot = slots_[index];
-  for (;;) {
-    std::packaged_task<void()> task;
-    const std::uint64_t wait_start = now_ns();
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    EGEMM_GAUGE_ADD("threadpool.queue_depth", -1);
-    slot.idle_ns.fetch_add(now_ns() - wait_start, std::memory_order_relaxed);
-    // Busy time and the task count are recorded inside the task wrapper
-    // (see submit()) so they are visible before the future resolves.
-    task();
+  obs::set_thread_name("pool-worker-" + std::to_string(slot));
+  ready.count_down();
+  for (std::uint32_t seen = 0;;) {
+    seen = spin_then_wait(epoch_, [seen](auto epoch) { return epoch != seen; });
+    if (stopping_.load(std::memory_order_acquire)) return;
+    run_claims(slot);
   }
 }
 
 std::vector<WorkerStats> ThreadPool::worker_stats() const {
-  std::vector<WorkerStats> stats(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
+  std::vector<WorkerStats> stats(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
     const WorkerSlot& slot = slots_[i];
     stats[i].tasks_executed = slot.tasks.load(std::memory_order_relaxed);
     stats[i].inline_tasks = slot.inline_tasks.load(std::memory_order_relaxed);
     stats[i].busy_ns = slot.busy_ns.load(std::memory_order_relaxed);
-    stats[i].idle_ns = slot.idle_ns.load(std::memory_order_relaxed);
   }
   return stats;
 }
@@ -223,14 +226,8 @@ WorkerStats ThreadPool::total_stats() const {
     total.tasks_executed += stats.tasks_executed;
     total.inline_tasks += stats.inline_tasks;
     total.busy_ns += stats.busy_ns;
-    total.idle_ns += stats.idle_ns;
   }
   return total;
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  const std::lock_guard lock(mutex_);
-  return tasks_.size();
 }
 
 ThreadPool& global_pool() {

@@ -1,121 +1,123 @@
 #pragma once
-// Minimal work-stealing-free thread pool used to parallelize functional
-// GEMM tiles and Monte-Carlo profiling sweeps across host cores.
+// Persistent-worker fork-join pool used to parallelize functional GEMM
+// tiles and Monte-Carlo profiling sweeps across host cores (DESIGN.md §18).
 //
-// Design notes (CppCoreGuidelines CP.*): all synchronization is confined to
-// this class; user tasks communicate only through their own captured state
-// and the returned futures, so callers never touch a mutex.
-//
-// Reentrancy: parallel_for / parallel_for_2d called from inside one of this
-// pool's own workers run the body inline on the calling thread instead of
-// enqueueing -- a nested call would otherwise park a worker on futures that
-// only the same (possibly single-threaded) pool can serve.
-//
-// Single-worker pools (one-core hosts) also run parallel_for /
-// parallel_for_2d inline on the caller: with the caller blocked there is
-// one runnable thread either way, so the enqueue/wakeup/join round-trip
-// buys nothing and costs a context switch per chunk. submit() still
-// enqueues (its future IS the deliverable).
+// A pool of size() n runs n-1 workers beside the calling thread. A call
+// writes one descriptor (chunk function, context, chunk count, exception
+// slot), publishes the count in the `remaining_` claim word and bumps the
+// wake epoch. Every thread claims chunks by CAS-decrementing `remaining_`
+// and reads the descriptor only while it holds an unfinished claim. The
+// call returns when `done_` reaches the count -- no thread is left in the
+// body -- and only then rethrows the first exception. Idle threads
+// pause-spin for kSpinNs, then park in std::atomic::wait. Nested calls
+// from inside a body, calls on one-thread pools and calls that find the
+// pool busy run their whole range inline on the calling thread.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
+#include <latch>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace egemm::util {
 
-/// Per-worker execution counters (DESIGN.md §12). `inline_tasks` counts
-/// parallel_for/parallel_for_2d bodies that ran inline on the calling
-/// thread -- reentrant calls from the pool's own workers (whose run time
-/// is already inside the enclosing task's `busy_ns`, so it is not
-/// re-added) and whole-range calls on single-worker pools (billed to
-/// slot 0).
+/// Per-slot execution counters (DESIGN.md §12). Slot 0 is the calling
+/// thread's -- chunks a caller runs itself are billed there -- and slots
+/// 1..size()-1 the workers'. `inline_tasks`, all in slot 0, counts bodies
+/// run inline: nested calls (their time is already in the enclosing chunk's
+/// `busy_ns`) and whole-range calls on one-thread or busy pools.
 struct WorkerStats {
   std::uint64_t tasks_executed = 0;
   std::uint64_t inline_tasks = 0;
   std::uint64_t busy_ns = 0;
-  std::uint64_t idle_ns = 0;
 };
 
 class ThreadPool {
  public:
-  /// Creates a pool with `threads` workers; 0 means hardware_concurrency().
+  /// A pool of `threads` threads counting the caller, so `threads` - 1
+  /// workers; 0 means hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const noexcept { return workers_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
-  /// True when the calling thread is one of this pool's workers.
+  /// True while the calling thread runs a body of this pool.
   bool in_worker_thread() const noexcept;
 
-  /// Enqueue a nullary task; returns a future for its completion.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Splits [0, count) into roughly even chunks, runs `body(begin, end)` on
-  /// the pool, and blocks until every chunk finished. Exceptions from tasks
-  /// propagate to the caller (first one wins). Called from a worker of this
-  /// pool, the whole range runs inline on the calling thread.
+  /// Splits [0, count) into roughly even chunks (~4 per thread), runs
+  /// `body(begin, end)` on the pool, and returns once every chunk finished.
+  /// Exceptions propagate to the caller (first one wins) after that.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t, std::size_t)>& body);
+                    const std::function<void(std::size_t, std::size_t)>& body) {
+    parallel_for(count, /*grain=*/0, body);
+  }
 
   /// parallel_for with a lower bound on items per chunk: chunks never carry
   /// fewer than `grain` items (except the last), so fine-grained streams --
   /// the batched GEMM scheduler's flattened (item x tile) index space --
   /// keep per-chunk work above the dispatch overhead. grain 0 or 1 is the
-  /// plain ~4-chunks-per-worker split above.
+  /// plain ~4-chunks-per-thread split above.
   void parallel_for(std::size_t count, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
   /// 2D blocked schedule: splits the [0, rows) x [0, cols) grid into
   /// rectangular blocks of roughly `grain` cells each (0 picks a block size
-  /// that yields ~8 blocks per worker) and runs
-  /// body(row_begin, row_end, col_begin, col_end) per block on the pool.
+  /// that yields ~8 blocks per thread) and runs
+  /// body(row_begin, row_end, col_begin, col_end) per block.
   /// Blocks are as square as the grain allows, so skewed grids (tall-skinny
   /// GEMMs) still produce enough independent blocks to load-balance.
-  /// Same blocking, exception, and reentrancy behavior as parallel_for.
+  /// Same dispatch, exception, and reentrancy behavior as parallel_for.
   void parallel_for_2d(
       std::size_t rows, std::size_t cols, std::size_t grain,
       const std::function<void(std::size_t, std::size_t, std::size_t,
                                std::size_t)>& body);
 
-  /// Point-in-time copy of every worker's counters (index = worker id).
+  /// Point-in-time copy of every slot's counters (size() entries).
   std::vector<WorkerStats> worker_stats() const;
 
-  /// All workers' counters summed.
+  /// All slots' counters summed.
   WorkerStats total_stats() const;
 
-  /// Tasks currently enqueued and not yet picked up.
-  std::size_t queue_depth() const;
-
  private:
-  /// One cache line per worker so the hot-path relaxed updates never
-  /// false-share.
+  using ChunkFn = void (*)(const void* ctx, std::size_t chunk);
+
+  /// One cache line per slot: relaxed hot-path updates never false-share.
   struct alignas(64) WorkerSlot {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> inline_tasks{0};
     std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> idle_ns{0};
   };
 
-  void worker_loop(std::size_t index);
-  void record_inline_task() noexcept;
+  /// Runs fn(ctx, i) for i in [0, chunks) on the pool. Returns false, having
+  /// counted an inline task, when the caller must run the range inline.
+  bool dispatch(std::size_t chunks, ChunkFn fn, const void* ctx);
+  void run_claims(std::size_t slot) noexcept;
+  void worker_loop(std::size_t slot, std::latch& ready);
 
+  std::size_t size_;
   std::vector<std::thread> workers_;
   std::unique_ptr<WorkerSlot[]> slots_;
-  std::queue<std::packaged_task<void()>> tasks_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
+  std::mutex dispatch_mutex_;  ///< held for the whole of one call
+
+  // The descriptor of the call in flight.
+  ChunkFn fn_ = nullptr;
+  const void* ctx_ = nullptr;
+  std::size_t chunks_ = 0;
+  std::exception_ptr error_;
+  std::atomic<bool> error_set_{false};
+
+  alignas(64) std::atomic<std::size_t> remaining_{0};  ///< unclaimed chunks
+  alignas(64) std::atomic<std::uint32_t> done_{0};     ///< finished chunks
+  alignas(64) std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<bool> stopping_{false};
 };
 
 /// Process-wide pool shared by the functional kernels.

@@ -17,10 +17,15 @@ namespace {
 
 // -- golden bit patterns -----------------------------------------------------
 
+// gtest names each case by printing the parameter's raw bytes. The explicit
+// zeroed tail fills what would otherwise be two uninitialised padding bytes,
+// which made the case names differ from one process to the next.
 struct Golden {
   float value;
   std::uint16_t bits;
+  std::uint16_t tail = 0;
 };
+static_assert(sizeof(Golden) == 8 && alignof(Golden) == 4);
 
 class HalfGoldenTest : public ::testing::TestWithParam<Golden> {};
 

@@ -93,46 +93,66 @@ TEST(ThreadPool, ExceptionsPropagate) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> value{0};
-  auto future = pool.submit([&value] { value = 42; });
-  future.get();
-  EXPECT_EQ(value.load(), 42);
+/// Holds each chunk until `n` chunks have started, so a call of n chunks
+/// provably runs them on n distinct threads -- at least one of them a pool
+/// worker, since the caller can hold only one. False if the deadline passed.
+bool rendezvous(std::atomic<int>& arrived, int n) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineInsteadOfDeadlocking) {
-  // With a single worker, a nested parallel_for that queued tasks would
-  // deadlock: the worker would block on futures only it can serve. The
-  // pool must detect the worker context and run the nested body inline.
-  // (Entry is via submit: parallel_for on a single-worker pool never
-  // reaches the worker in the first place -- it runs on the caller.)
-  ThreadPool pool(1);
+  // A nested parallel_for that dispatched again from inside a chunk would
+  // wait on a call only this pool's own (busy) threads can serve. Inside
+  // any body -- on a worker or on the caller running its share -- the
+  // pool must detect the context and run the nested range inline: one
+  // body call per nested call, on the same thread. The outer chunks
+  // rendezvous, so at least one of them runs on a worker.
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> hits(64);
   std::atomic<int> inner_calls{0};
-  pool.submit([&] {
-        EXPECT_TRUE(pool.in_worker_thread());
-        for (std::size_t o = 0; o < 4; ++o) {
-          pool.parallel_for(16, [&](std::size_t ib, std::size_t ie) {
-            inner_calls.fetch_add(1);
-            for (std::size_t i = ib; i < ie; ++i) {
-              hits[o * 16 + i].fetch_add(1);
-            }
-          });
-        }
-      })
-      .get();
+  std::atomic<int> arrived{0};
+  std::atomic<int> on_worker{0};
+  pool.parallel_for(2, [&](std::size_t b, std::size_t e) {
+    EXPECT_TRUE(rendezvous(arrived, 2));
+    EXPECT_TRUE(pool.in_worker_thread());
+    const auto self = std::this_thread::get_id();
+    if (self != caller) on_worker.fetch_add(1);
+    for (std::size_t o = 2 * b; o < 2 * e; ++o) {
+      pool.parallel_for(16, [&](std::size_t ib, std::size_t ie) {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        inner_calls.fetch_add(1);
+        for (std::size_t i = ib; i < ie; ++i) hits[o * 16 + i].fetch_add(1);
+      });
+    }
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_GT(inner_calls.load(), 0);
+  EXPECT_EQ(inner_calls.load(), 4);
+  EXPECT_GE(on_worker.load(), 1);
   EXPECT_FALSE(pool.in_worker_thread());
 }
 
 TEST(ThreadPool, InWorkerThreadDistinguishesPools) {
-  ThreadPool a(1), b(1);
-  a.submit([&] {
-     EXPECT_TRUE(a.in_worker_thread());
-     EXPECT_FALSE(b.in_worker_thread());
-   }).get();
+  ThreadPool a(2), b(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<int> on_worker{0};
+  a.parallel_for(2, [&](std::size_t, std::size_t) {
+    EXPECT_TRUE(rendezvous(arrived, 2));
+    if (std::this_thread::get_id() != caller) on_worker.fetch_add(1);
+    EXPECT_TRUE(a.in_worker_thread());
+    EXPECT_FALSE(b.in_worker_thread());
+  });
+  EXPECT_GE(on_worker.load(), 1);
+  EXPECT_FALSE(a.in_worker_thread());
+  EXPECT_FALSE(b.in_worker_thread());
 }
 
 TEST(ThreadPool, ParallelFor2dCoversGridExactlyOnce) {
@@ -188,35 +208,58 @@ TEST(ThreadPool, ParallelFor2dDegenerateGrids) {
 TEST(ThreadPool, WorkerStatsCountTasksAndBusyTime) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.total_stats().tasks_executed, 0u);
+  constexpr auto kSpin = std::chrono::microseconds(200);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&ran] {
-        // Spin long enough that busy_ns is visibly non-zero even on a
-        // coarse steady_clock.
-        const auto until =
-            std::chrono::steady_clock::now() + std::chrono::microseconds(200);
-        while (std::chrono::steady_clock::now() < until) {
-        }
-        ran.fetch_add(1);
-      }).get();
+  for (int call = 0; call < 8; ++call) {
+    // Four items on a two-thread pool: four one-item chunks per call.
+    pool.parallel_for(4, [&ran, kSpin](std::size_t b, std::size_t e) {
+      // Spin long enough that busy_ns is visibly non-zero even on a
+      // coarse steady_clock.
+      const auto until = std::chrono::steady_clock::now() + kSpin;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      ran.fetch_add(static_cast<int>(e - b));
+    });
   }
-  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(ran.load(), 32);
   const WorkerStats total = pool.total_stats();
-  EXPECT_EQ(total.tasks_executed, 8u);
+  EXPECT_EQ(total.tasks_executed, 32u);
   EXPECT_EQ(total.inline_tasks, 0u);
-  EXPECT_GT(total.busy_ns, 0u);
+  // Each chunk's spin lies inside the busy time billed for it.
+  EXPECT_GE(total.busy_ns,
+            32u * static_cast<std::uint64_t>(
+                      std::chrono::nanoseconds(kSpin).count()));
   const std::vector<WorkerStats> per_worker = pool.worker_stats();
   ASSERT_EQ(per_worker.size(), 2u);
   std::uint64_t summed = 0;
   for (const WorkerStats& stats : per_worker) summed += stats.tasks_executed;
-  EXPECT_EQ(summed, 8u);
-  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(summed, 32u);
+
+  // Billing: a three-thread pool is the caller plus two workers. Three
+  // chunks that rendezvous run one on each of them, so every slot counts
+  // exactly one chunk -- and slot 0 holds the one the caller ran itself.
+  ThreadPool three(3);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<int> on_caller{0};
+  three.parallel_for(3, [&](std::size_t, std::size_t) {
+    EXPECT_TRUE(rendezvous(arrived, 3));
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(on_caller.load(), 1);
+  const std::vector<WorkerStats> slots = three.worker_stats();
+  ASSERT_EQ(slots.size(), 3u);
+  for (const WorkerStats& stats : slots) {
+    EXPECT_EQ(stats.tasks_executed, 1u);
+    EXPECT_GT(stats.busy_ns, 0u);
+  }
+  EXPECT_EQ(three.total_stats().inline_tasks, 0u);
 }
 
 TEST(ThreadPool, StatsSurviveReentrantInlinePath) {
-  // A nested parallel_for from a worker runs inline (no enqueue); the
-  // counters must record it as an inline task without double-counting it
-  // as a queued task or losing the enclosing task's accounting.
+  // A nested parallel_for from inside a chunk runs inline (no dispatch);
+  // the counters must record it as an inline task without double-counting
+  // it as a dispatched chunk or losing the enclosing chunk's accounting.
   ThreadPool pool(2);
   std::atomic<int> inner{0};
   pool.parallel_for(4, [&](std::size_t b, std::size_t e) {
@@ -228,17 +271,17 @@ TEST(ThreadPool, StatsSurviveReentrantInlinePath) {
   });
   EXPECT_EQ(inner.load(), 8);
   const WorkerStats total = pool.total_stats();
-  // One queued task per outer chunk (two workers cap chunks at 8), one
-  // inline record per nested call.
+  // One dispatched chunk per outer item (a two-thread pool caps chunks at
+  // 8), one inline record per nested call.
   EXPECT_GT(total.tasks_executed, 0u);
   EXPECT_LE(total.tasks_executed, 8u);
   EXPECT_EQ(total.inline_tasks, 4u);
 }
 
 TEST(ThreadPool, SingleWorkerPoolRunsParallelForInline) {
-  // With one worker the caller is the only thread that can make progress
-  // while it blocks, so the whole range must run inline on the caller --
-  // no queued tasks, one inline record -- in both the 1D and 2D forms.
+  // A one-thread pool has no workers, so the whole range must run inline
+  // on the caller -- no dispatched chunks, one inline record -- in both
+  // the 1D and 2D forms.
   ThreadPool pool(1);
   std::vector<int> hits(16, 0);
   const auto caller = std::this_thread::get_id();
@@ -274,6 +317,72 @@ TEST(ThreadPool, ParallelFor2dExceptionsPropagate) {
                      if (r0 == 0 && c0 == 0) throw std::runtime_error("boom");
                    }),
                std::runtime_error);
+}
+
+/// Shared failure-path check: `run(body)` dispatches 16 unit chunks whose
+/// index is handed to `body`. Chunk 0 throws at once, chunk 1 throws 50 ms
+/// later, the rest sleep briefly and then write into a caller-stack vector.
+template <class Run>
+void expect_first_error_after_all_chunks(Run run) {
+  constexpr std::size_t kChunks = 16;
+  std::vector<int> written(kChunks, 0);
+  try {
+    run([&written](std::size_t i) {
+      if (i == 0) throw std::runtime_error("first");
+      if (i == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("second");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      written[i] = 1;
+    });
+    ADD_FAILURE() << "no exception propagated";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  // The call joined every chunk before it rethrew.
+  for (std::size_t i = 2; i < kChunks; ++i) EXPECT_EQ(written[i], 1) << i;
+}
+
+TEST(ThreadPool, ParallelForThrowLeavesDefinedStateAndPoolReusable) {
+  ThreadPool pool(4);
+  expect_first_error_after_all_chunks([&pool](auto chunk) {
+    // 16 items on a four-thread pool: sixteen one-item chunks.
+    pool.parallel_for(16, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) chunk(i);
+    });
+  });
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelFor2dThrowLeavesDefinedStateAndPoolReusable) {
+  ThreadPool pool(4);
+  expect_first_error_after_all_chunks([&pool](auto chunk) {
+    // A 4x4 grid at grain 1: sixteen 1x1 blocks, block (r, c) = chunk 4r+c.
+    pool.parallel_for_2d(
+        4, 4, 1,
+        [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
+          for (std::size_t r = r0; r < r1; ++r) {
+            for (std::size_t c = c0; c < c1; ++c) chunk(r * 4 + c);
+          }
+        });
+  });
+  constexpr std::size_t kRows = 23, kCols = 17;
+  std::vector<std::atomic<int>> hits(kRows * kCols);
+  pool.parallel_for_2d(
+      kRows, kCols, 0,
+      [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          for (std::size_t c = c0; c < c1; ++c) {
+            hits[r * kCols + c].fetch_add(1);
+          }
+        }
+      });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Cli, ParsesFlagsValuesAndLists) {
