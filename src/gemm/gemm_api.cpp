@@ -41,16 +41,31 @@ void apply_epilogue(Matrix& d, const Matrix* c, const GemmExParams& params) {
   throw std::invalid_argument(message);
 }
 
-/// Shared core of the grouped/batched entry points: materializes the
-/// transposed operands, plans every item through `make_plan(item_index,
-/// m, n, k)`, runs the whole set as one GemmContext::execute_grouped
-/// stream, then applies the per-item alpha/beta epilogues. The fast-path
-/// rules mirror gemm_ex exactly, so results stay bit-identical to the
-/// per-item loop.
-void run_grouped_items(
-    GemmContext& ctx, std::span<const GroupedGemmItem> items,
-    const std::function<std::shared_ptr<const GemmPlan>(
-        std::size_t, std::size_t, std::size_t, std::size_t)>& make_plan) {
+/// gemm_ex's fast-path rule: with alpha = 1 and beta = 0 or 1 the kernel
+/// does all the work (beta = 1 rides C on the Tensor Core accumulator,
+/// except on the SDK sample, which has no C input); every other case runs
+/// the kernel without C and applies the binary32 alpha/beta epilogue.
+bool fast_path(const GemmExParams& params, Backend backend) {
+  return params.alpha == 1.0f &&
+         (params.beta == 0.0f ||
+          (params.beta == 1.0f && backend != Backend::kSdkFp32));
+}
+
+using PlanFn = std::function<std::shared_ptr<const GemmPlan>(
+    std::size_t, std::size_t, std::size_t, std::size_t)>;
+
+/// gemm_ex-semantics items normalized for execution: op(A) and op(B)
+/// point at the caller's matrices, or at transposed copies only when
+/// asked; each item is planned and runs under the fast-path rule above.
+struct Normalized {
+  std::vector<Matrix> storage;  ///< transposed copies, never reallocated
+  std::vector<GroupedGemm> work;
+  std::vector<std::size_t> epilogue;  ///< items that take the epilogue
+};
+
+/// Normalizes `items`, planning each through `make_plan(index, m, n, k)`.
+Normalized normalize(std::span<const GroupedGemmItem> items,
+                     const PlanFn& make_plan) {
   std::size_t transposes = 0;
   for (const GroupedGemmItem& item : items) {
     EGEMM_EXPECTS(item.a != nullptr && item.b != nullptr &&
@@ -59,24 +74,22 @@ void run_grouped_items(
     if (item.params.trans_a == Transpose::kTranspose) ++transposes;
     if (item.params.trans_b == Transpose::kTranspose) ++transposes;
   }
-  // Reserved up front: the GroupedGemm work list keeps raw pointers into
-  // this storage, so it must never reallocate.
-  std::vector<Matrix> storage;
-  storage.reserve(transposes);
-  std::vector<GroupedGemm> work;
-  work.reserve(items.size());
-  std::vector<std::size_t> epilogue;
+  Normalized out;
+  // Reserved up front: the work list keeps raw pointers into this
+  // storage, so it must never reallocate.
+  out.storage.reserve(transposes);
+  out.work.reserve(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     const GroupedGemmItem& item = items[i];
     const Matrix* op_a = item.a;
     if (item.params.trans_a == Transpose::kTranspose) {
-      storage.push_back(transpose(*item.a));
-      op_a = &storage.back();
+      out.storage.push_back(transpose(*item.a));
+      op_a = &out.storage.back();
     }
     const Matrix* op_b = item.b;
     if (item.params.trans_b == Transpose::kTranspose) {
-      storage.push_back(transpose(*item.b));
-      op_b = &storage.back();
+      out.storage.push_back(transpose(*item.b));
+      op_b = &out.storage.back();
     }
     EGEMM_EXPECTS(op_a->cols() == op_b->rows());
     EGEMM_EXPECTS(item.c == nullptr ||
@@ -84,23 +97,45 @@ void run_grouped_items(
                    item.c->cols() == op_b->cols()));
     std::shared_ptr<const GemmPlan> plan =
         make_plan(i, op_a->rows(), op_b->cols(), op_a->cols());
-    // Same fast-path rules as gemm_ex: beta = 1 rides the kernel
-    // accumulator except on the SDK sample (no C input there).
-    const bool fast =
-        item.params.alpha == 1.0f &&
-        (item.params.beta == 0.0f ||
-         (item.params.beta == 1.0f &&
-          plan->backend() != Backend::kSdkFp32));
+    const bool fast = fast_path(item.params, plan->backend());
+    if (!fast) out.epilogue.push_back(i);
     const Matrix* kernel_c =
         fast && item.params.beta == 1.0f ? item.c : nullptr;
-    if (!fast) epilogue.push_back(i);
-    work.push_back(GroupedGemm{std::move(plan), op_a, op_b, kernel_c,
-                               item.d});
+    out.work.push_back(
+        GroupedGemm{std::move(plan), op_a, op_b, kernel_c, item.d});
   }
-  ctx.execute_grouped(work);
-  for (const std::size_t i : epilogue) {
+  return out;
+}
+
+void apply_epilogues(std::span<const GroupedGemmItem> items,
+                     const Normalized& normalized) {
+  for (const std::size_t i : normalized.epilogue) {
     apply_epilogue(*items[i].d, items[i].c, items[i].params);
   }
+}
+
+/// One gemm_ex call: a single GemmPlan::execute straight after planning,
+/// so its call record carries this lookup's plan-cache hit/miss.
+Matrix run_gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
+                   const Matrix* c, const GemmExParams& params,
+                   const PlanFn& make_plan) {
+  Matrix d;
+  const GroupedGemmItem item{&a, &b, c, &d, params};
+  const Normalized normalized = normalize({&item, 1}, make_plan);
+  const GroupedGemm& work = normalized.work.front();
+  work.plan->execute(ctx, *work.a, *work.b, work.c, d);
+  apply_epilogues({&item, 1}, normalized);
+  return d;
+}
+
+/// A group of gemm_ex items as one GemmContext::execute_grouped stream,
+/// bit-identical to a loop of run_gemm_ex calls.
+void run_gemm_ex_group(GemmContext& ctx,
+                       std::span<const GroupedGemmItem> items,
+                       const PlanFn& make_plan) {
+  const Normalized normalized = normalize(items, make_plan);
+  ctx.execute_grouped(normalized.work);
+  apply_epilogues(items, normalized);
 }
 
 }  // namespace
@@ -150,31 +185,10 @@ Matrix gemm_ex(Backend backend, const Matrix& a, const Matrix& b,
 
 Matrix gemm_ex(GemmContext& ctx, Backend backend, const Matrix& a,
                const Matrix& b, const Matrix* c, const GemmExParams& params) {
-  EGEMM_EXPECTS(params.beta == 0.0f || c != nullptr);
-  const Matrix op_a =
-      params.trans_a == Transpose::kTranspose ? transpose(a) : a;
-  const Matrix op_b =
-      params.trans_b == Transpose::kTranspose ? transpose(b) : b;
-  EGEMM_EXPECTS(op_a.cols() == op_b.rows());
-  EGEMM_EXPECTS(c == nullptr ||
-                (c->rows() == op_a.rows() && c->cols() == op_b.cols()));
-
-  // Fast paths keep the accumulation inside the kernel (beta = 1 rides the
-  // Tensor Core accumulator; the SDK sample has no C input).
-  if (params.alpha == 1.0f) {
-    if (params.beta == 0.0f) {
-      return run_gemm(ctx, backend, op_a, op_b, nullptr);
-    }
-    if (params.beta == 1.0f && backend != Backend::kSdkFp32) {
-      return run_gemm(ctx, backend, op_a, op_b, c);
-    }
-  }
-
-  // The (alpha, beta) scaling is a binary32 epilogue over the kernel
-  // result, in place in D -- the epilogue needs no extra scratch.
-  Matrix d = run_gemm(ctx, backend, op_a, op_b, nullptr);
-  apply_epilogue(d, c, params);
-  return d;
+  return run_gemm_ex(
+      ctx, a, b, c, params,
+      [&ctx, backend](std::size_t, std::size_t m, std::size_t n,
+                      std::size_t k) { return ctx.plan(backend, m, n, k); });
 }
 
 core::ContractResolution gemm_ex_contract_resolution(
@@ -193,9 +207,8 @@ core::ContractResolution gemm_ex_contract_resolution(
   if (resolved.c_abs <= 0.0) resolved.c_abs = use_c ? max_abs(*c) : 0.0;
   if (!use_c) resolved.c_abs = 0.0;
 
-  const bool fast = params.alpha == 1.0f &&
-                    (params.beta == 0.0f ||
-                     (params.beta == 1.0f && c != nullptr));
+  // Every rung plans on an emulated backend, which takes a C input.
+  const bool fast = fast_path(params, Backend::kEgemmTC);
   double target = contract.max_abs_error;
   double kernel_c_abs = 0.0;
   if (fast) {
@@ -230,24 +243,11 @@ Matrix gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
     throw_contract_infeasible(contract, resolution);
   }
 
-  const Matrix op_a =
-      params.trans_a == Transpose::kTranspose ? transpose(a) : a;
-  const Matrix op_b =
-      params.trans_b == Transpose::kTranspose ? transpose(b) : b;
-  EGEMM_EXPECTS(op_a.cols() == op_b.rows());
-  EGEMM_EXPECTS(c == nullptr ||
-                (c->rows() == op_a.rows() && c->cols() == op_b.cols()));
-
-  const bool fast = params.alpha == 1.0f &&
-                    (params.beta == 0.0f ||
-                     (params.beta == 1.0f && c != nullptr));
-  const std::shared_ptr<const GemmPlan> plan = ctx.plan_scheme(
-      resolution.scheme, op_a.rows(), op_b.cols(), op_a.cols());
-  Matrix d;
-  plan->execute(ctx, op_a, op_b,
-                fast && params.beta == 1.0f ? c : nullptr, d);
-  if (!fast) apply_epilogue(d, c, params);
-  return d;
+  return run_gemm_ex(ctx, a, b, c, params,
+                     [&ctx, &resolution](std::size_t, std::size_t m,
+                                         std::size_t n, std::size_t k) {
+                       return ctx.plan_scheme(resolution.scheme, m, n, k);
+                     });
 }
 
 Matrix gemm_ex(const Matrix& a, const Matrix& b, const Matrix* c,
@@ -258,11 +258,10 @@ Matrix gemm_ex(const Matrix& a, const Matrix& b, const Matrix* c,
 
 void gemm_grouped(GemmContext& ctx, Backend backend,
                   std::span<const GroupedGemmItem> items) {
-  run_grouped_items(ctx, items,
-                    [&ctx, backend](std::size_t, std::size_t m, std::size_t n,
-                                    std::size_t k) {
-                      return ctx.plan(backend, m, n, k);
-                    });
+  run_gemm_ex_group(
+      ctx, items,
+      [&ctx, backend](std::size_t, std::size_t m, std::size_t n,
+                      std::size_t k) { return ctx.plan(backend, m, n, k); });
 }
 
 void gemm_grouped(Backend backend, std::span<const GroupedGemmItem> items) {
@@ -403,7 +402,7 @@ std::vector<Matrix> gemm_batched(GemmContext& ctx, std::span<const Matrix> a,
     items[i].d = &d[i];
     items[i].params = params;
   }
-  run_grouped_items(ctx, items,
+  run_gemm_ex_group(ctx, items,
                     [&ctx, &resolution](std::size_t, std::size_t m,
                                         std::size_t n, std::size_t k) {
                       return ctx.plan_scheme(resolution.scheme, m, n, k);
@@ -435,7 +434,7 @@ void gemm_grouped(GemmContext& ctx, std::span<const GroupedGemmItem> items,
     }
     schemes.push_back(resolution.scheme);
   }
-  run_grouped_items(ctx, items,
+  run_gemm_ex_group(ctx, items,
                     [&ctx, &schemes](std::size_t i, std::size_t m,
                                      std::size_t n, std::size_t k) {
                       return ctx.plan_scheme(schemes[i], m, n, k);

@@ -38,28 +38,17 @@ void count_workspace_allocation() noexcept {
 #endif
 }
 
-/// Worker-side stage attribution for one engine invocation (DESIGN.md
-/// §17). Each pool chunk adds its locally accumulated combine time and its
-/// own wall clock's remainder as mma -- one relaxed fetch_add pair per
-/// chunk, read by the issuing thread after the pool join. Chunks overlap
-/// in time across workers, so the totals are *weights*: execute() scales
-/// the single-threaded engine wall segment by mma/(mma+combine) to get
-/// per-stage nanoseconds that sum to the wall time. Engines take the
-/// accumulator as a nullable pointer so the disabled path costs one
-/// predictable branch per chunk.
-struct StageAccum {
-  std::atomic<std::uint64_t> mma{0};
-  std::atomic<std::uint64_t> combine{0};
-};
-
-#if EGEMM_OBSERVABILITY_ENABLED
 /// Thread-local breadcrumb from plan_for to execute: when a caller runs a
 /// plan immediately after looking it up (the GemmContext::run / gemm_ex
 /// path), the record can say whether that lookup hit the plan cache.
 /// Consumed on first use; a plan held across calls reports kUnknown.
 thread_local const void* tl_last_plan = nullptr;
 thread_local obs::PlanLookup tl_last_lookup = obs::PlanLookup::kUnknown;
-#endif
+
+void leave_breadcrumb(const void* plan, obs::PlanLookup lookup) noexcept {
+  tl_last_plan = plan;
+  tl_last_lookup = lookup;
+}
 
 /// NaN canonicalization at the D store, as the modeled hardware does: the
 /// Tensor Core emits a canonical quiet NaN, never an input payload. Without
@@ -117,20 +106,17 @@ void compute_c_tile(float acc[kTile][kTile], std::span<const Matrix> ap,
 
 /// One 16-row output band (all column tiles) of the scalar reference
 /// driver -- the seed's execution path, kept as the semantics oracle the
-/// packed engine is pinned against (tests/test_packed_gemm.cpp). Shared
-/// verbatim by the single-GEMM schedule and the grouped flattened stream,
-/// so both are bit-identical by construction. Returns the combine
-/// (writeback) nanoseconds when `timed`.
-std::uint64_t reference_row_block(Matrix& d, std::span<const Matrix> ap,
-                                  std::span<const Matrix> bp,
-                                  std::span<const PlaneCombo> combos,
-                                  ComboOrder order, std::size_t rb,
-                                  bool timed) {
+/// packed engine is pinned against (tests/test_packed_gemm.cpp). `d`
+/// arrives initialized with C (or zeros); writeback time is added to a
+/// non-null `combine`.
+void reference_row_block(Matrix& d, std::span<const Matrix> ap,
+                         std::span<const Matrix> bp,
+                         std::span<const PlaneCombo> combos, ComboOrder order,
+                         std::size_t rb, std::uint64_t* combine) {
   const std::size_t m = d.rows();
   const std::size_t n = d.cols();
   const std::size_t i0 = rb * kTile;
   const std::size_t mt = std::min(kTile, m - i0);
-  std::uint64_t combine_local = 0;
   for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
     const std::size_t nt = std::min(kTile, n - j0);
     float acc[kTile][kTile];
@@ -140,48 +126,13 @@ std::uint64_t reference_row_block(Matrix& d, std::span<const Matrix> ap,
       }
     }
     compute_c_tile(acc, ap, bp, i0, j0, mt, nt, combos, order);
-    EGEMM_TRACE_SCOPE("combine");
-    const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
+    const obs::StageTimer timer("combine", combine);
     for (std::size_t i = 0; i < mt; ++i) {
       for (std::size_t j = 0; j < nt; ++j) {
         d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
       }
     }
-    if (timed) combine_local += obs::monotonic_ns() - t0;
   }
-  return combine_local;
-}
-
-/// Retained scalar reference driver: D += sum over combos of Aplane x
-/// Bplane, tiled and parallelized over row blocks (or run inline when
-/// `serial`, for sub-threshold shapes). `d` arrives initialized with C
-/// (or zeros).
-void reference_engine(Matrix& d, std::span<const Matrix> ap,
-                      std::span<const Matrix> bp,
-                      std::span<const PlaneCombo> combos, ComboOrder order,
-                      bool serial, StageAccum* stages) {
-  const std::size_t row_blocks = (d.rows() + kTile - 1) / kTile;
-  const auto run_range = [&](std::size_t rb0, std::size_t rb1) {
-    EGEMM_TRACE_SCOPE("mma");
-    const std::uint64_t chunk_start =
-        stages != nullptr ? obs::monotonic_ns() : 0;
-    std::uint64_t combine_local = 0;
-    for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      combine_local += reference_row_block(d, ap, bp, combos, order, rb,
-                                           stages != nullptr);
-    }
-    if (stages != nullptr) {
-      const std::uint64_t wall = obs::monotonic_ns() - chunk_start;
-      stages->combine.fetch_add(combine_local, std::memory_order_relaxed);
-      stages->mma.fetch_add(wall > combine_local ? wall - combine_local : 0,
-                            std::memory_order_relaxed);
-    }
-  };
-  if (serial) {
-    run_range(0, row_blocks);
-    return;
-  }
-  util::global_pool().parallel_for(row_blocks, run_range);
 }
 
 /// k-slab length for the kSeparatePasses combo order. Any EVEN value is
@@ -194,19 +145,21 @@ void reference_engine(Matrix& d, std::span<const Matrix> ap,
 constexpr int kSeparateSlab = 512;
 static_assert(kSeparateSlab % 2 == 0);
 
-/// One 16x16 output tile of the packed engine: the whole combo x k-slab
-/// recipe runs in ONE dispatched tcsim::mma_tile_recipe call over the
-/// workspace's pre-packed planes, so the SIMD variants keep the
-/// accumulator in registers across the entire k extent. Shared verbatim by
-/// the single-GEMM 2D schedule and the grouped flattened stream. Returns
-/// the combine (writeback) nanoseconds when `timed`.
-std::uint64_t packed_tile(Matrix& d, const PackedPlanesA& apack,
-                          const PackedPlanesB& bpack, std::size_t k,
-                          std::span<const PlaneCombo> combos, int k_slab,
-                          bool fused, std::size_t rb, std::size_t cb,
-                          bool timed) {
+/// One 16x16 output tile of the packed engine (DESIGN.md §10): the whole
+/// combo x k-slab recipe runs in ONE dispatched tcsim::mma_tile_recipe call
+/// over the workspace's pre-packed planes, so the SIMD variants keep the
+/// accumulator in registers across the entire k extent. Per output element
+/// the operation sequence is identical to the reference driver, so the
+/// result is bit-identical. `d` arrives initialized with C (or zeros);
+/// writeback time is added to a non-null `combine`.
+void packed_tile(Matrix& d, const PackedPlanesA& apack,
+                 const PackedPlanesB& bpack, std::size_t k,
+                 std::span<const PlaneCombo> combos, ComboOrder order,
+                 std::size_t rb, std::size_t cb, std::uint64_t* combine) {
   const std::size_t m = d.rows();
   const std::size_t n = d.cols();
+  const bool fused = order == ComboOrder::kFusedPerTile;
+  const int k_slab = fused ? static_cast<int>(kTile) : kSeparateSlab;
   const auto ncombos = static_cast<int>(combos.size());
   const std::size_t i0 = rb * kTile;
   const std::size_t mt = std::min(kTile, m - i0);
@@ -238,53 +191,12 @@ std::uint64_t packed_tile(Matrix& d, const PackedPlanesA& apack,
     tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks, ncombos, k,
                            static_cast<int>(k), k_slab, fused);
   }
-  EGEMM_TRACE_SCOPE("combine");
-  const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
+  const obs::StageTimer timer("combine", combine);
   for (std::size_t i = 0; i < mt; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
       d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
     }
   }
-  return timed ? obs::monotonic_ns() - t0 : 0;
-}
-
-/// Packed engine (DESIGN.md §10): walks the output tiles on a 2D block
-/// schedule (or inline when `serial`, for sub-threshold shapes). `grain`
-/// is the tuned block size in output tiles (0 = pool default). Per output
-/// element the operation sequence is identical to the reference driver, so
-/// the result is bit-identical. `d` arrives initialized with C (or zeros).
-void packed_engine(Matrix& d, const PackedPlanesA& apack,
-                   const PackedPlanesB& bpack, std::size_t k,
-                   std::span<const PlaneCombo> combos, ComboOrder order,
-                   std::size_t grain, bool serial, StageAccum* stages) {
-  const bool fused = order == ComboOrder::kFusedPerTile;
-  const int k_slab = fused ? static_cast<int>(kTile) : kSeparateSlab;
-  const auto run_block = [&](std::size_t rb0, std::size_t rb1,
-                             std::size_t cb0, std::size_t cb1) {
-    EGEMM_TRACE_SCOPE("mma");
-    EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
-    const std::uint64_t chunk_start =
-        stages != nullptr ? obs::monotonic_ns() : 0;
-    std::uint64_t combine_local = 0;
-    for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      for (std::size_t cb = cb0; cb < cb1; ++cb) {
-        combine_local += packed_tile(d, apack, bpack, k, combos, k_slab,
-                                     fused, rb, cb, stages != nullptr);
-      }
-    }
-    if (stages != nullptr) {
-      const std::uint64_t wall = obs::monotonic_ns() - chunk_start;
-      stages->combine.fetch_add(combine_local, std::memory_order_relaxed);
-      stages->mma.fetch_add(wall > combine_local ? wall - combine_local : 0,
-                            std::memory_order_relaxed);
-    }
-  };
-  if (serial) {
-    run_block(0, apack.row_blocks(), 0, bpack.col_blocks());
-    return;
-  }
-  util::global_pool().parallel_for_2d(apack.row_blocks(), bpack.col_blocks(),
-                                      grain, run_block);
 }
 
 /// Grows `m` to (rows x cols), counting an actual storage growth.
@@ -404,15 +316,6 @@ std::uint64_t encode_combos(std::span<const PlaneCombo> combos, int planes) {
   return seq;
 }
 
-void set_key_tile(PlanKey& key, const TileConfig& tile) {
-  key.bm = tile.bm;
-  key.bn = tile.bn;
-  key.bk = tile.bk;
-  key.wm = tile.wm;
-  key.wn = tile.wn;
-  key.wk = tile.wk;
-}
-
 /// Maps an executable recipe onto the emulation-precision ladder
 /// (core/scheme.hpp): the SchemeId whose split method and term grid the
 /// recipe realizes, or -1 for custom recipes that match no named rung.
@@ -446,15 +349,55 @@ std::int8_t classify_combos(core::SplitMethod split, int planes,
   return id ? static_cast<std::int8_t>(*id) : std::int8_t{-1};
 }
 
-void set_key_recipe(PlanKey& key, core::SplitMethod split,
-                    std::span<const PlaneCombo> combos, ComboOrder order,
-                    int planes) {
-  key.split = split;
-  key.order = order;
-  key.planes = static_cast<std::uint8_t>(planes);
-  key.combo_count = static_cast<std::uint8_t>(combos.size());
-  key.combo_seq = encode_combos(combos, planes);
-  key.scheme = classify_combos(split, planes, combos);
+/// An emulated plan's executable recipe: split, ordered combos over
+/// `planes` planes, and combo order.
+struct Recipe {
+  core::SplitMethod split;
+  std::span<const PlaneCombo> combos;
+  ComboOrder order;
+  int planes;
+};
+
+struct KeyedSchedule {
+  PlanKey key;
+  std::size_t grain = 0;
+};
+
+/// The one PlanKey builder behind every planning entry point: shape,
+/// backend, engine, resolved tile, then the recipe. A null `recipe` is a
+/// direct binary32 backend: its engine is canonicalized (engines do not
+/// apply) and it skips the tuning consult -- its tile only feeds the
+/// timing model, so a tune.{hit,miss} there would be noise.
+KeyedSchedule plan_key(Backend backend, std::size_t m, std::size_t n,
+                       std::size_t k, ExecEngine engine,
+                       const TileConfig& tile, const Recipe* recipe) {
+  KeyedSchedule out;
+  PlanKey& key = out.key;
+  key.m = m;
+  key.n = n;
+  key.k = k;
+  key.backend = backend;
+  key.direct = recipe == nullptr;
+  key.engine = key.direct ? ExecEngine::kPacked : engine;
+  const ResolvedSchedule sched =
+      key.direct ? ResolvedSchedule{analytic_tile(tile), 0}
+                 : resolve_schedule(tile, m, n, k);
+  out.grain = sched.grain;
+  key.bm = sched.tile.bm;
+  key.bn = sched.tile.bn;
+  key.bk = sched.tile.bk;
+  key.wm = sched.tile.wm;
+  key.wn = sched.tile.wn;
+  key.wk = sched.tile.wk;
+  if (recipe != nullptr) {
+    key.split = recipe->split;
+    key.order = recipe->order;
+    key.planes = static_cast<std::uint8_t>(recipe->planes);
+    key.combo_count = static_cast<std::uint8_t>(recipe->combos.size());
+    key.combo_seq = encode_combos(recipe->combos, recipe->planes);
+    key.scheme = classify_combos(recipe->split, recipe->planes, recipe->combos);
+  }
+  return out;
 }
 
 /// Bumps the per-scheme execute counter: gemm.scheme.<name>, with custom
@@ -480,56 +423,383 @@ void count_scheme_execute(std::int8_t scheme) {
   }
 }
 
-#if EGEMM_OBSERVABILITY_ENABLED
-/// Assembles and deposits the per-call telemetry for one execute: the
-/// egemm.execute.latency histogram sample plus a structured CallRecord.
-/// `engine_ns` is the wall segment spent inside the engine; the worker
-/// StageAccum weights apportion it between mma and combine so the four
-/// stage fields sum to at most total_ns. Direct backends pass engine_ns =
-/// 0 and a null accumulator (total only).
-void record_execute_call(const PlanKey& key, std::uint64_t workspace_bytes,
-                         bool with_c, std::uint64_t start_ns,
-                         std::uint64_t split_ns, std::uint64_t pack_ns,
-                         std::uint64_t engine_ns, const StageAccum* stages,
-                         obs::PlanLookup lookup) {
-  const std::uint64_t now = obs::monotonic_ns();
-  const std::uint64_t total = now > start_ns ? now - start_ns : 0;
-  EGEMM_LATENCY_RECORD("egemm.execute.latency", total);
-  obs::CallRecord rec;
-  rec.start_ns = start_ns;
-  rec.total_ns = total;
-  rec.split_ns = split_ns;
-  rec.pack_ns = pack_ns;
-  if (stages != nullptr) {
-    const std::uint64_t wm = stages->mma.load(std::memory_order_relaxed);
-    const std::uint64_t wc = stages->combine.load(std::memory_order_relaxed);
-    if (wm + wc > 0) {
-      rec.mma_ns = static_cast<std::uint64_t>(
-          static_cast<double>(engine_ns) * static_cast<double>(wm) /
-          static_cast<double>(wm + wc));
-      rec.combine_ns = engine_ns - rec.mma_ns;
-    } else {
-      rec.mma_ns = engine_ns;
+/// One GEMM of an execute: its operands, its workspace, its place in the
+/// block stream, and the stage weights its call record is built from. A
+/// block is one packed 16x16 output tile, or one 16-row band of the
+/// reference engine (whose col_blocks is then 1).
+struct ItemRun {
+  struct Operands {
+    const GemmPlan* plan = nullptr;
+    const Matrix* a = nullptr;
+    const Matrix* b = nullptr;
+    const Matrix* c = nullptr;
+    Matrix* d = nullptr;
+  } op;
+  Workspace* ws = nullptr;
+  std::size_t row_blocks = 0;
+  std::size_t col_blocks = 0;
+  std::size_t first = 0;  ///< offset into the flattened block stream
+  // Stage weights in ns, filled only while call records are on. prep_ns
+  // spans the whole prep (split, output init, pack) on whichever thread
+  // ran it; direct_ns is a direct backend's kernel on the calling thread.
+  // Engine stretches of one item run on many pool threads at once, so
+  // their weights are atomic.
+  std::uint64_t prep_ns = 0;
+  std::uint64_t split_ns = 0;
+  std::uint64_t pack_ns = 0;
+  std::uint64_t direct_ns = 0;
+  std::atomic<std::uint64_t> engine_ns{0};
+  std::atomic<std::uint64_t> combine_ns{0};
+
+  const PlanKey& key() const noexcept { return op.plan->key(); }
+  bool packed() const noexcept { return key().engine == ExecEngine::kPacked; }
+  std::size_t blocks() const noexcept { return row_blocks * col_blocks; }
+};
+
+/// Wall segments of one execute on the calling thread, which the records
+/// apportion by the item weights.
+struct Walls {
+  std::uint64_t start = 0;
+  std::uint64_t prep = 0;
+  std::uint64_t engine = 0;
+};
+
+void run_direct(const ItemRun::Operands& op) {
+  switch (op.plan->backend()) {
+    case Backend::kCublasFp32:
+      sgemm_fp32_into(*op.a, *op.b, op.c, *op.d);
+      break;
+    case Backend::kSdkFp32:
+      EGEMM_EXPECTS(op.c == nullptr);
+      sdk_gemm_fp32_into(*op.a, *op.b, *op.d);
+      break;
+    case Backend::kDekker:
+      gemm_dekker_into(*op.a, *op.b, op.c, *op.d);
+      break;
+    default:
+      EGEMM_EXPECTS(!"unreachable direct backend");
+      break;
+  }
+}
+
+/// Per-item prep into `run.ws`: split, output init (C or zeros), pack.
+void prep_item(ItemRun& run, bool timed) {
+  const obs::StageTimer prep(nullptr, timed ? &run.prep_ns : nullptr);
+  const PlanKey& key = run.key();
+  Workspace& ws = *run.ws;
+  ws.ensure(key.m, key.n, key.k, key.planes);
+  {
+    // The O(N^2) data-split pass (runs on CUDA cores in the real kernel).
+    const obs::StageTimer split("split", timed ? &run.split_ns : nullptr);
+    split_into_workspace(ws, *run.op.a, *run.op.b, key);
+  }
+  Matrix& d = *run.op.d;
+  d.resize(key.m, key.n);
+  if (run.op.c != nullptr) {
+    std::copy(run.op.c->data().begin(), run.op.c->data().end(),
+              d.data().begin());
+  } else {
+    d.fill(0.0f);
+  }
+  if (run.packed()) {
+    const obs::StageTimer pack("pack", timed ? &run.pack_ns : nullptr);
+    ws.pack();
+  }
+  EGEMM_COUNTER_ADD("egemm.calls", 1);
+  count_scheme_execute(key.scheme);
+}
+
+void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
+               std::uint64_t* combine) {
+  const PlanKey& key = run.key();
+  if (run.packed()) {
+    packed_tile(*run.op.d, run.ws->packed_a(), run.ws->packed_b(), key.k,
+                run.op.plan->combos(), key.order, rb, cb, combine);
+  } else {
+    reference_row_block(*run.op.d, run.ws->a_planes(), run.ws->b_planes(),
+                        run.op.plan->combos(), key.order, rb, combine);
+  }
+}
+
+/// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
+/// caller opens the "mma" span and counts the tiles once per pool chunk.
+/// When `timed`, the stretch's wall time and its writeback time join the
+/// item's engine weights.
+template <typename Walk>
+void run_stretch(ItemRun& run, bool timed, const Walk& walk) {
+  std::uint64_t wall = 0;
+  std::uint64_t combine = 0;
+  {
+    const obs::StageTimer stretch(nullptr, timed ? &wall : nullptr);
+    walk(timed ? &combine : nullptr);
+  }
+  if (timed) {
+    run.engine_ns.fetch_add(wall, std::memory_order_relaxed);
+    run.combine_ns.fetch_add(combine, std::memory_order_relaxed);
+  }
+}
+
+/// Blocks [l0, l1) of one item in row-major order.
+void run_linear(ItemRun& run, bool timed, std::size_t l0, std::size_t l1) {
+  if (l0 == l1) return;
+  run_stretch(run, timed, [&](std::uint64_t* combine) {
+    std::size_t rb = l0 / run.col_blocks;
+    std::size_t cb = l0 % run.col_blocks;
+    for (std::size_t l = l0; l < l1; ++l) {
+      run_block(run, rb, cb, combine);
+      if (++cb == run.col_blocks) {
+        cb = 0;
+        ++rb;
+      }
+    }
+  });
+}
+
+/// Builds and deposits the CallRecords of one execute (DESIGN.md §17): one
+/// per distinct plan, tagged with `batch_id` (0 for a single call) and
+/// the plan's item count. The calling thread's wall segments are
+/// apportioned by the item weights -- split and pack by their share of
+/// all prep time, mma and combine by their share of all engine time -- so
+/// work that overlapped on pool threads is never counted twice. Wall time
+/// outside every segment is spread by item count. Each record's stages
+/// therefore sum to at most its total_ns, and the records' total_ns to at
+/// most the call's wall time.
+void record_calls(std::span<const ItemRun> runs, const Walls& walls,
+                  std::uint32_t batch_id, obs::PlanLookup lookup) {
+  const std::uint64_t wall = obs::monotonic_ns() - walls.start;
+  EGEMM_LATENCY_RECORD("egemm.execute.latency", wall);
+  std::uint64_t prep = 0;
+  std::uint64_t engine = 0;
+  std::uint64_t direct = 0;
+  for (const ItemRun& run : runs) {
+    prep += run.prep_ns;
+    engine += run.engine_ns.load(std::memory_order_relaxed);
+    direct += run.direct_ns;
+  }
+  const auto scale = [](std::uint64_t segment, std::uint64_t weights) {
+    return weights == 0 ? 0.0
+                        : static_cast<double>(segment) /
+                              static_cast<double>(weights);
+  };
+  const double prep_scale = scale(walls.prep, prep);
+  const double engine_scale = scale(walls.engine, engine);
+  const auto apportion = [](std::uint64_t weight, double factor) {
+    return static_cast<std::uint64_t>(static_cast<double>(weight) * factor);
+  };
+  const std::uint64_t measured = walls.prep + walls.engine + direct;
+  const std::uint64_t other = wall > measured ? wall - measured : 0;
+
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    const GemmPlan* plan = runs[j].op.plan;
+    const auto same_plan = [plan](const ItemRun& r) {
+      return r.op.plan == plan;
+    };
+    if (std::ranges::any_of(runs.first(j), same_plan)) {
+      continue;  // the plan's first item already recorded it
+    }
+    const PlanKey& key = plan->key();
+    const std::size_t d_elems = key.m * key.n;
+    obs::CallRecord rec;
+    std::uint64_t items = 0;
+    std::uint64_t class_prep = 0;
+    std::uint64_t class_engine = 0;
+    std::uint64_t class_direct = 0;
+    std::uint64_t class_combine = 0;
+    for (const ItemRun& run : runs.subspan(j)) {
+      if (!same_plan(run)) continue;
+      ++items;
+      class_prep += run.prep_ns;
+      rec.split_ns += run.split_ns;
+      rec.pack_ns += run.pack_ns;
+      class_engine += run.engine_ns.load(std::memory_order_relaxed);
+      class_combine += run.combine_ns.load(std::memory_order_relaxed);
+      class_direct += run.direct_ns;
+      rec.bytes_moved += (key.m * key.k + key.k * key.n + d_elems +
+                          (run.op.c != nullptr ? d_elems : 0)) *
+                             sizeof(float) +
+                         plan->workspace_bytes();
+    }
+    rec.split_ns = apportion(rec.split_ns, prep_scale);
+    rec.pack_ns = apportion(rec.pack_ns, prep_scale);
+    const std::uint64_t engine_ns = apportion(class_engine, engine_scale);
+    rec.combine_ns = apportion(class_combine, engine_scale);
+    rec.mma_ns = engine_ns - rec.combine_ns;
+    rec.total_ns = apportion(class_prep, prep_scale) + engine_ns +
+                   class_direct + other * items / runs.size();
+    rec.start_ns = walls.start;
+    rec.flops = items * 2ULL * key.m * key.n * key.k;
+    rec.m = static_cast<std::uint32_t>(key.m);
+    rec.n = static_cast<std::uint32_t>(key.n);
+    rec.k = static_cast<std::uint32_t>(key.k);
+    rec.tid = obs::current_thread_id();
+    rec.batch_id = batch_id;
+    rec.batch = static_cast<std::uint32_t>(items);
+    rec.scheme = key.scheme;
+    rec.backend = static_cast<std::uint8_t>(key.backend);
+    rec.engine = static_cast<std::uint8_t>(key.engine);
+    rec.isa = static_cast<std::uint8_t>(simd::active_isa());
+    rec.lookup = lookup;
+    obs::record_call(rec);
+  }
+}
+
+/// The one execute pipeline (DESIGN.md §13, §18), behind both
+/// GemmPlan::execute (one item, batch_id 0) and
+/// GemmContext::execute_grouped. Direct items run first, inline. Emulated
+/// items are prepped (split, output init, pack), then their blocks run
+/// through the tile kernels, in one of three shapes:
+///  * serial -- a one-thread pool, or total work under the small-GEMM
+///    inline threshold: each item is prepped and run back-to-back on the
+///    calling thread, all on ONE recycled workspace, so the hot planes
+///    stay cache-resident exactly as in a loop of singles;
+///  * one item -- prepped on the calling thread, then its blocks go
+///    through parallel_for_2d with the plan's tuned grain;
+///  * several items -- one workspace each, prepped in parallel over
+///    items, then every block of every item enters ONE flattened 1D
+///    stream whose grain targets kMinChunkFlops per chunk, so tiny items
+///    coalesce and large ones still fan out.
+/// Every shape runs each block through the same tile kernel, so results
+/// are bit-identical across shapes.
+void run_items(GemmContext& ctx, std::span<ItemRun> runs,
+               std::uint32_t batch_id, obs::PlanLookup lookup) {
+  for (const ItemRun& run : runs) {
+    const ItemRun::Operands& op = run.op;
+    EGEMM_EXPECTS(op.plan != nullptr && op.a != nullptr && op.b != nullptr &&
+                  op.d != nullptr);
+    const PlanKey& key = op.plan->key();
+    EGEMM_EXPECTS(op.a->rows() == key.m && op.a->cols() == key.k);
+    EGEMM_EXPECTS(op.b->rows() == key.k && op.b->cols() == key.n);
+    EGEMM_EXPECTS(op.c == nullptr ||
+                  (op.c->rows() == key.m && op.c->cols() == key.n));
+    EGEMM_EXPECTS(op.a != op.d && op.b != op.d && op.c != op.d);
+  }
+#ifndef NDEBUG
+  // Outputs must not alias across items: the stream writes every item's
+  // blocks concurrently.
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = i + 1; j < runs.size(); ++j) {
+      EGEMM_EXPECTS(runs[i].op.d != runs[j].op.d);
     }
   }
-  rec.flops = 2ULL * key.m * key.n * key.k;
-  const std::size_t d_elems = key.m * key.n;
-  rec.bytes_moved =
-      (key.m * key.k + key.k * key.n + d_elems + (with_c ? d_elems : 0)) *
-          sizeof(float) +
-      workspace_bytes;
-  rec.m = static_cast<std::uint32_t>(key.m);
-  rec.n = static_cast<std::uint32_t>(key.n);
-  rec.k = static_cast<std::uint32_t>(key.k);
-  rec.tid = obs::current_thread_id();
-  rec.scheme = key.scheme;
-  rec.backend = static_cast<std::uint8_t>(key.backend);
-  rec.engine = static_cast<std::uint8_t>(key.engine);
-  rec.isa = static_cast<std::uint8_t>(simd::active_isa());
-  rec.lookup = lookup;
-  obs::record_call(rec);
+#endif
+  const bool timed = obs::kEnabled && obs::call_records_enabled();
+  Walls walls;
+  walls.start = timed ? obs::monotonic_ns() : 0;
+
+  std::size_t emulated = 0;
+  std::size_t blocks = 0;
+  std::uint64_t work = 0;  // multiply-adds
+  for (ItemRun& run : runs) {
+    const PlanKey& key = run.key();
+    run.first = blocks;
+    if (key.direct) {
+      const obs::StageTimer direct(nullptr, timed ? &run.direct_ns : nullptr);
+      run_direct(run.op);
+      continue;
+    }
+    ++emulated;
+    run.row_blocks = (key.m + kTile - 1) / kTile;
+    run.col_blocks =
+        run.packed() ? (key.n + kTile - 1) / kTile : (key.n > 0 ? 1 : 0);
+    blocks += run.blocks();
+    work += key.m * key.n * key.k;
+  }
+
+  if (emulated > 0) {
+    const obs::ScopedSpan span(batch_id == 0 ? "egemm_multiply"
+                                             : "egemm_grouped");
+#ifndef NDEBUG
+    const std::uint64_t split_before = core::debug_split_elements();
+#endif
+    util::ThreadPool& pool = util::global_pool();
+    const bool serial =
+        pool.size() <= 1 || work < small_gemm_inline_threshold();
+    if (serial || emulated == 1) {
+      WorkspaceLease lease = ctx.lease_workspace();
+      for (ItemRun& run : runs) {
+        if (run.key().direct) continue;
+        run.ws = &*lease;
+        prep_item(run, timed);
+        walls.prep += run.prep_ns;
+        if (serial) {
+          const obs::ScopedSpan mma("mma");
+          if (run.packed()) EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
+          run_linear(run, timed, 0, run.blocks());
+          walls.engine += run.engine_ns.load(std::memory_order_relaxed);
+        } else {
+          const obs::StageTimer engine(nullptr,
+                                       timed ? &walls.engine : nullptr);
+          pool.parallel_for_2d(
+              run.row_blocks, run.col_blocks, run.op.plan->schedule_grain(),
+              [&](std::size_t rb0, std::size_t rb1, std::size_t cb0,
+                  std::size_t cb1) {
+                const obs::ScopedSpan mma("mma");
+                if (run.packed()) {
+                  EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
+                }
+                run_stretch(run, timed, [&](std::uint64_t* combine) {
+                  for (std::size_t rb = rb0; rb < rb1; ++rb) {
+                    for (std::size_t cb = cb0; cb < cb1; ++cb) {
+                      run_block(run, rb, cb, combine);
+                    }
+                  }
+                });
+              });
+        }
+      }
+    } else {
+      // Leases are taken serially so the pool stays contention-free.
+      std::vector<WorkspaceLease> leases;
+      leases.reserve(emulated);
+      for (ItemRun& run : runs) {
+        if (run.key().direct) continue;
+        leases.push_back(ctx.lease_workspace());
+        run.ws = &*leases.back();
+      }
+      {
+        const obs::StageTimer prep(nullptr, timed ? &walls.prep : nullptr);
+        pool.parallel_for(runs.size(), [&](std::size_t j0, std::size_t j1) {
+          for (std::size_t j = j0; j < j1; ++j) {
+            if (!runs[j].key().direct) prep_item(runs[j], timed);
+          }
+        });
+      }
+      const std::uint64_t avg_block_flops =
+          blocks == 0 ? 1 : std::max<std::uint64_t>(1, 2 * work / blocks);
+      const auto grain = static_cast<std::size_t>(
+          std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
+      const obs::StageTimer engine(nullptr, timed ? &walls.engine : nullptr);
+      pool.parallel_for(blocks, grain, [&](std::size_t g0, std::size_t g1) {
+        const obs::ScopedSpan mma("mma");
+        std::size_t tiles = 0;
+        // The last item starting at or before g0 owns it (items with no
+        // blocks, direct ones included, share their successor's offset).
+        auto it = std::ranges::upper_bound(runs, g0, {}, &ItemRun::first) - 1;
+        for (std::size_t g = g0; g < g1; ++it) {
+          const std::size_t end = std::min(g1, it->first + it->blocks());
+          run_linear(*it, timed, g - it->first, end - it->first);
+          if (it->packed()) tiles += end - g;
+          g = end;
+        }
+        if (tiles != 0) EGEMM_COUNTER_ADD("egemm.tiles", tiles);
+      });
+    }
+#ifndef NDEBUG
+    // Each input element must be split exactly once per GEMM -- the plane
+    // cache is the point of the packed engine, so re-splitting anywhere
+    // downstream is a bug.
+    std::uint64_t expected_split = 0;
+    for (const ItemRun& run : runs) {
+      if (!run.key().direct) {
+        expected_split += run.op.a->data().size() + run.op.b->data().size();
+      }
+    }
+    EGEMM_ENSURES(core::debug_split_elements() - split_before ==
+                  expected_split);
+#endif
+  }
+  if (timed) record_calls(runs, walls, batch_id, lookup);
 }
-#endif  // EGEMM_OBSERVABILITY_ENABLED
 
 }  // namespace
 
@@ -640,136 +910,15 @@ GemmPlan::GemmPlan(const PlanKey& key, std::size_t grain)
 
 void GemmPlan::execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
                        const Matrix* c, Matrix& d) const {
-  EGEMM_EXPECTS(a.rows() == key_.m && a.cols() == key_.k);
-  EGEMM_EXPECTS(b.rows() == key_.k && b.cols() == key_.n);
-  EGEMM_EXPECTS(c == nullptr ||
-                (c->rows() == key_.m && c->cols() == key_.n));
-  EGEMM_EXPECTS(&a != &d && &b != &d && c != &d);
-
-#if EGEMM_OBSERVABILITY_ENABLED
   // Consume the plan_for breadcrumb whether or not recording is on, so a
   // stale hit/miss never attaches to a later call through a held plan.
   obs::PlanLookup lookup = obs::PlanLookup::kUnknown;
   if (tl_last_plan == this) {
     lookup = tl_last_lookup;
-    tl_last_plan = nullptr;
-    tl_last_lookup = obs::PlanLookup::kUnknown;
+    leave_breadcrumb(nullptr, obs::PlanLookup::kUnknown);
   }
-  const bool telemetry = obs::call_records_enabled();
-  const std::uint64_t t_start = telemetry ? obs::monotonic_ns() : 0;
-#endif
-
-  if (key_.direct) {
-    switch (key_.backend) {
-      case Backend::kCublasFp32:
-        sgemm_fp32_into(a, b, c, d);
-        break;
-      case Backend::kSdkFp32:
-        EGEMM_EXPECTS(c == nullptr);
-        sdk_gemm_fp32_into(a, b, d);
-        break;
-      case Backend::kDekker:
-        gemm_dekker_into(a, b, c, d);
-        break;
-      default:
-        EGEMM_EXPECTS(!"unreachable direct backend");
-        break;
-    }
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) {
-      record_execute_call(key_, workspace_bytes_, c != nullptr, t_start,
-                          /*split_ns=*/0, /*pack_ns=*/0, /*engine_ns=*/0,
-                          /*stages=*/nullptr, lookup);
-    }
-#endif
-    return;
-  }
-
-  EGEMM_TRACE_SCOPE("egemm_multiply");
-  EGEMM_COUNTER_ADD("egemm.calls", 1);
-  count_scheme_execute(key_.scheme);
-
-  WorkspaceLease lease = ctx.lease_workspace();
-  Workspace& ws = *lease;
-  ws.ensure(key_.m, key_.n, key_.k, key_.planes);
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  std::uint64_t split_ns = 0;
-  std::uint64_t pack_ns = 0;
-  StageAccum stage_accum;
-  StageAccum* const stages = telemetry ? &stage_accum : nullptr;
-#else
-  StageAccum* const stages = nullptr;
-#endif
-
-  // The O(N^2) data-split pass (runs on CUDA cores in the real kernel).
-  // Plane 0 = lo; for three-way splits: lo, mid, hi.
-#ifndef NDEBUG
-  const std::uint64_t split_before = core::debug_split_elements();
-#endif
-  {
-    EGEMM_TRACE_SCOPE("split");
-#if EGEMM_OBSERVABILITY_ENABLED
-    const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-#endif
-    split_into_workspace(ws, a, b, key_);
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) split_ns = obs::monotonic_ns() - t0;
-#endif
-  }
-#ifndef NDEBUG
-  // Each input element must be split exactly once per GEMM call -- the
-  // plane cache is the point of the packed engine, so re-splitting
-  // anywhere downstream is a bug.
-  EGEMM_ENSURES(core::debug_split_elements() - split_before ==
-                a.data().size() + b.data().size());
-#endif
-
-  d.resize(key_.m, key_.n);
-  if (c != nullptr) {
-    std::copy(c->data().begin(), c->data().end(), d.data().begin());
-  } else {
-    d.fill(0.0f);
-  }
-
-  // Sub-threshold shapes run the engine inline: the pool round-trip costs
-  // more than the work it would distribute (satellite knob; DESIGN.md §18).
-  const bool serial =
-      key_.m * key_.n * key_.k < small_gemm_inline_threshold();
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  std::uint64_t t_engine = 0;
-#endif
-  if (key_.engine == ExecEngine::kPacked) {
-    {
-      EGEMM_TRACE_SCOPE("pack");
-#if EGEMM_OBSERVABILITY_ENABLED
-      const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-#endif
-      ws.pack();
-#if EGEMM_OBSERVABILITY_ENABLED
-      if (telemetry) pack_ns = obs::monotonic_ns() - t0;
-#endif
-    }
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) t_engine = obs::monotonic_ns();
-#endif
-    packed_engine(d, ws.packed_a(), ws.packed_b(), key_.k, combos_,
-                  key_.order, grain_, serial, stages);
-  } else {
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) t_engine = obs::monotonic_ns();
-#endif
-    reference_engine(d, ws.a_planes(), ws.b_planes(), combos_, key_.order,
-                     serial, stages);
-  }
-#if EGEMM_OBSERVABILITY_ENABLED
-  if (telemetry) {
-    record_execute_call(key_, workspace_bytes_, c != nullptr, t_start,
-                        split_ns, pack_ns, obs::monotonic_ns() - t_engine,
-                        stages, lookup);
-  }
-#endif
+  ItemRun run{{this, &a, &b, c, &d}};
+  run_items(ctx, {&run, 1}, /*batch_id=*/0, lookup);
 }
 
 KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
@@ -821,55 +970,39 @@ std::shared_ptr<const GemmPlan> GemmContext::plan(Backend backend,
                                            {0, 2}, {1, 1}, {2, 0},
                                            {1, 2}, {2, 1}, {2, 2}};
 
-  PlanKey key;
-  key.m = m;
-  key.n = n;
-  key.k = k;
-  key.backend = backend;
-  key.engine = opts.engine;
-  const bool direct = backend == Backend::kCublasFp32 ||
-                      backend == Backend::kSdkFp32 ||
-                      backend == Backend::kDekker;
-  // Direct binary32 backends skip the tuning consult -- their tile only
-  // feeds the timing model, so a tune.{hit,miss} there would be noise.
-  const ResolvedSchedule sched =
-      direct ? ResolvedSchedule{analytic_tile(opts.tile), 0}
-             : resolve_schedule(opts.tile, m, n, k);
-  set_key_tile(key, sched.tile);
-
+  std::optional<Recipe> recipe;  // empty: direct binary32 backend
   switch (backend) {
     case Backend::kCublasFp32:
     case Backend::kSdkFp32:
     case Backend::kDekker:
-      key.direct = true;
-      key.engine = ExecEngine::kPacked;  // canonical; engines do not apply
-      return plan_for(key, sched.grain);
+      break;
     case Backend::kEgemmTC:
       if (opts.emulation_instructions == 9) {
         // Three-way split: opts.split selects the rung -- round-split is
         // the FP32-recovery scheme (exact decomposition, the default),
         // truncate-split the Ozaki-style one-signed word slices.
-        set_key_recipe(key, opts.split, k3Split, ComboOrder::kFusedPerTile,
-                       3);
+        recipe = Recipe{opts.split, k3Split, ComboOrder::kFusedPerTile, 3};
       } else {
         EGEMM_EXPECTS(opts.emulation_instructions == 4);
-        set_key_recipe(key, opts.split, kAlg1, ComboOrder::kFusedPerTile, 2);
+        recipe = Recipe{opts.split, kAlg1, ComboOrder::kFusedPerTile, 2};
       }
       break;
     case Backend::kCublasTcHalf:
-      set_key_recipe(key, core::SplitMethod::kRoundSplit, kHalfOnly,
-                     ComboOrder::kFusedPerTile, 2);
+      recipe = Recipe{core::SplitMethod::kRoundSplit, kHalfOnly,
+                      ComboOrder::kFusedPerTile, 2};
       break;
     case Backend::kCublasTcEmulation:
-      set_key_recipe(key, core::SplitMethod::kRoundSplit, kAlg1,
-                     ComboOrder::kSeparatePasses, 2);
+      recipe = Recipe{core::SplitMethod::kRoundSplit, kAlg1,
+                      ComboOrder::kSeparatePasses, 2};
       break;
     case Backend::kMarkidis:
-      set_key_recipe(key, core::SplitMethod::kTruncateSplit, kMarkidis,
-                     ComboOrder::kFusedPerTile, 2);
+      recipe = Recipe{core::SplitMethod::kTruncateSplit, kMarkidis,
+                      ComboOrder::kFusedPerTile, 2};
       break;
   }
-  return plan_for(key, sched.grain);
+  const auto [key, grain] = plan_key(backend, m, n, k, opts.engine, opts.tile,
+                                     recipe ? &*recipe : nullptr);
+  return plan_for(key, grain);
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
@@ -877,16 +1010,10 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
     std::span<const PlaneCombo> combos, ComboOrder order, ExecEngine engine,
     int planes, const TileConfig& tile) {
   EGEMM_EXPECTS(planes == 2 || planes == 3);
-  PlanKey key;
-  key.m = m;
-  key.n = n;
-  key.k = k;
-  key.backend = Backend::kEgemmTC;
-  key.engine = engine;
-  const ResolvedSchedule sched = resolve_schedule(tile, m, n, k);
-  set_key_tile(key, sched.tile);
-  set_key_recipe(key, split, combos, order, planes);
-  return plan_for(key, sched.grain);
+  const Recipe recipe{split, combos, order, planes};
+  const auto [key, grain] =
+      plan_key(Backend::kEgemmTC, m, n, k, engine, tile, &recipe);
+  return plan_for(key, grain);
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
@@ -898,25 +1025,18 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
       lru_.splice(lru_.begin(), lru_, it->second);
       ++hits_;
       EGEMM_COUNTER_ADD("gemm.plan.hit", 1);
-#if EGEMM_OBSERVABILITY_ENABLED
-      tl_last_plan = lru_.front().plan.get();
-      tl_last_lookup = obs::PlanLookup::kHit;
-#endif
+      leave_breadcrumb(lru_.front().plan.get(), obs::PlanLookup::kHit);
       return lru_.front().plan;
     }
   }
 
   std::shared_ptr<const GemmPlan> created;
+  std::uint64_t build_ns = 0;
   {
-    EGEMM_TRACE_SCOPE("plan");
-#if EGEMM_OBSERVABILITY_ENABLED
-    const std::uint64_t t0 = obs::monotonic_ns();
-#endif
+    const obs::StageTimer timer("plan", obs::kEnabled ? &build_ns : nullptr);
     created = std::shared_ptr<const GemmPlan>(new GemmPlan(key, grain));
-#if EGEMM_OBSERVABILITY_ENABLED
-    EGEMM_LATENCY_RECORD("gemm.plan.build.latency", obs::monotonic_ns() - t0);
-#endif
   }
+  EGEMM_LATENCY_RECORD("gemm.plan.build.latency", build_ns);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   ++misses_;
@@ -927,10 +1047,7 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-#if EGEMM_OBSERVABILITY_ENABLED
-    tl_last_plan = lru_.front().plan.get();
-    tl_last_lookup = obs::PlanLookup::kMiss;
-#endif
+    leave_breadcrumb(lru_.front().plan.get(), obs::PlanLookup::kMiss);
     return lru_.front().plan;
   }
   lru_.push_front(CacheEntry{key, created});
@@ -943,10 +1060,7 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
   }
   EGEMM_GAUGE_SET("gemm.plan.cache.size",
                   static_cast<std::int64_t>(lru_.size()));
-#if EGEMM_OBSERVABILITY_ENABLED
-  tl_last_plan = created.get();
-  tl_last_lookup = obs::PlanLookup::kMiss;
-#endif
+  leave_breadcrumb(created.get(), obs::PlanLookup::kMiss);
   return created;
 }
 
@@ -1014,298 +1128,17 @@ GemmContext::ContractPlan GemmContext::plan_contract(
 
 void GemmContext::execute_grouped(std::span<const GroupedGemm> items) {
   if (items.empty()) return;
-  for (const GroupedGemm& item : items) {
-    EGEMM_EXPECTS(item.plan != nullptr && item.a != nullptr &&
-                  item.b != nullptr && item.d != nullptr);
-    const PlanKey& key = item.plan->key_;
-    EGEMM_EXPECTS(item.a->rows() == key.m && item.a->cols() == key.k);
-    EGEMM_EXPECTS(item.b->rows() == key.k && item.b->cols() == key.n);
-    EGEMM_EXPECTS(item.c == nullptr ||
-                  (item.c->rows() == key.m && item.c->cols() == key.n));
-    EGEMM_EXPECTS(item.a != item.d && item.b != item.d && item.c != item.d);
-  }
-#ifndef NDEBUG
-  // Outputs must not alias across items: the flattened stream writes every
-  // item's tiles concurrently.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    for (std::size_t j = i + 1; j < items.size(); ++j) {
-      EGEMM_EXPECTS(items[i].d != items[j].d);
-    }
-  }
-#endif
-
   EGEMM_COUNTER_ADD("gemm.batch.calls", 1);
   EGEMM_COUNTER_ADD("gemm.batch.items",
                     static_cast<std::int64_t>(items.size()));
-
-  // Direct binary32 items have no plane pipeline to flatten; run them as
-  // plain executes and group only the emulated items.
-  std::vector<std::size_t> emulated;
-  emulated.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].plan->key_.direct) {
-      items[i].plan->execute(*this, *items[i].a, *items[i].b, items[i].c,
-                             *items[i].d);
-    } else {
-      emulated.push_back(i);
-    }
+  std::vector<ItemRun> runs(items.size());
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    const GroupedGemm& item = items[j];
+    runs[j].op = {item.plan.get(), item.a, item.b, item.c, item.d};
   }
-  if (emulated.empty()) return;
-
-  EGEMM_TRACE_SCOPE("egemm_grouped");
-#if EGEMM_OBSERVABILITY_ENABLED
-  const bool telemetry = obs::call_records_enabled();
-#else
-  constexpr bool telemetry = false;
-#endif
-  [[maybe_unused]] const std::uint64_t t_start =
-      telemetry ? obs::monotonic_ns() : 0;
-  const std::uint32_t batch_id =
-      g_batch_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  static_cast<void>(batch_id);
-
-  // The flattened (item x block) stream layout. A "block" is one packed
-  // output tile, or one 16-row reference band; `first[j]` is item j's
-  // offset into the stream, so workers binary-search their chunk's start.
-  // (Each run's workspace is attached below, once the execution mode --
-  // pipelined or serial-fused -- has decided how many leases exist.)
-  struct ItemRun {
-    const GemmPlan* plan = nullptr;
-    Matrix* d = nullptr;
-    Workspace* ws = nullptr;
-    std::size_t col_blocks = 1;  ///< packed engine only
-    int k_slab = 0;
-    bool fused = false;
-    bool packed = false;
-  };
-  std::vector<ItemRun> runs(emulated.size());
-  std::vector<std::size_t> first(emulated.size() + 1, 0);
-  std::uint64_t total_flops = 0;
-  for (std::size_t j = 0; j < emulated.size(); ++j) {
-    const GroupedGemm& item = items[emulated[j]];
-    const PlanKey& key = item.plan->key_;
-    ItemRun& run = runs[j];
-    run.plan = item.plan.get();
-    run.d = item.d;
-    run.packed = key.engine == ExecEngine::kPacked;
-    run.fused = key.order == ComboOrder::kFusedPerTile;
-    run.k_slab = run.fused ? static_cast<int>(kTile) : kSeparateSlab;
-    const std::size_t row_blocks = (key.m + kTile - 1) / kTile;
-    std::size_t blocks = row_blocks;
-    if (run.packed) {
-      run.col_blocks = (key.n + kTile - 1) / kTile;
-      blocks = key.n == 0 ? 0 : row_blocks * run.col_blocks;
-    } else if (key.n == 0) {
-      blocks = 0;
-    }
-    first[j + 1] = first[j] + blocks;
-    total_flops += 2ULL * key.m * key.n * key.k;
-  }
-  const std::size_t total_blocks = first.back();
-
-  std::vector<std::uint64_t> split_ns(emulated.size(), 0);
-  std::vector<std::uint64_t> pack_ns(emulated.size(), 0);
-#ifndef NDEBUG
-  const std::uint64_t split_before = core::debug_split_elements();
-  std::uint64_t expected_split = 0;
-  for (const std::size_t i : emulated) {
-    expected_split += items[i].a->data().size() + items[i].b->data().size();
-  }
-#endif
-  // Per-item prep: workspace split, output init, pack.
-  const auto prep_one = [&](std::size_t j, Workspace& ws) {
-    const GroupedGemm& item = items[emulated[j]];
-    const PlanKey& key = item.plan->key_;
-    ws.ensure(key.m, key.n, key.k, key.planes);
-    {
-      EGEMM_TRACE_SCOPE("split");
-      const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-      split_into_workspace(ws, *item.a, *item.b, key);
-      if (telemetry) split_ns[j] = obs::monotonic_ns() - t0;
-    }
-    item.d->resize(key.m, key.n);
-    if (item.c != nullptr) {
-      std::copy(item.c->data().begin(), item.c->data().end(),
-                item.d->data().begin());
-    } else {
-      item.d->fill(0.0f);
-    }
-    if (key.engine == ExecEngine::kPacked) {
-      EGEMM_TRACE_SCOPE("pack");
-      const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-      ws.pack();
-      if (telemetry) pack_ns[j] = obs::monotonic_ns() - t0;
-    }
-    EGEMM_COUNTER_ADD("egemm.calls", 1);
-    count_scheme_execute(key.scheme);
-  };
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  StageAccum stage_accum;
-  StageAccum* const stages = telemetry ? &stage_accum : nullptr;
-#else
-  StageAccum* const stages = nullptr;
-#endif
-  const auto run_blocks = [&](std::size_t g0, std::size_t g1) {
-    EGEMM_TRACE_SCOPE("mma");
-    const std::uint64_t chunk_start =
-        stages != nullptr ? obs::monotonic_ns() : 0;
-    std::uint64_t combine_local = 0;
-    auto idx = static_cast<std::size_t>(
-        std::upper_bound(first.begin(), first.end(), g0) - first.begin() - 1);
-    for (std::size_t g = g0; g < g1; ++idx) {
-      const ItemRun& run = runs[idx];
-      const std::size_t end = std::min(g1, first[idx + 1]);
-      const PlanKey& key = run.plan->key_;
-      if (run.packed) {
-        EGEMM_COUNTER_ADD("egemm.tiles", end - g);
-        for (; g < end; ++g) {
-          const std::size_t local = g - first[idx];
-          combine_local += packed_tile(
-              *run.d, run.ws->packed_a(), run.ws->packed_b(), key.k,
-              run.plan->combos_, run.k_slab, run.fused,
-              local / run.col_blocks, local % run.col_blocks,
-              stages != nullptr);
-        }
-      } else {
-        for (; g < end; ++g) {
-          combine_local += reference_row_block(
-              *run.d, run.ws->a_planes(), run.ws->b_planes(),
-              run.plan->combos_, key.order, g - first[idx],
-              stages != nullptr);
-        }
-      }
-    }
-    if (stages != nullptr) {
-      const std::uint64_t wall = obs::monotonic_ns() - chunk_start;
-      stages->combine.fetch_add(combine_local, std::memory_order_relaxed);
-      stages->mma.fetch_add(wall > combine_local ? wall - combine_local : 0,
-                            std::memory_order_relaxed);
-    }
-  };
-
-  // Serial fusion: when the stream runs on one thread anyway -- a
-  // single-worker pool, or a sub-threshold batch (same inline knob as
-  // single executes, applied to the aggregate work) -- prep and run each
-  // item back-to-back on ONE recycled workspace. The two-stage pipeline
-  // leases a workspace per item, trading cache locality for parallelism;
-  // with no parallelism to buy, fusing keeps the hot split/pack planes
-  // resident across items exactly as a loop of single executes would,
-  // while still amortizing the per-call costs the batch API exists to
-  // amortize.
-  const bool fuse_serial =
-      util::global_pool().size() <= 1 ||
-      total_flops / 2 < small_gemm_inline_threshold();
-  [[maybe_unused]] std::uint64_t t_engine = 0;  // read by telemetry only
-  std::vector<WorkspaceLease> leases;
-  if (fuse_serial) {
-    WorkspaceLease lease = lease_workspace();
-    for (std::size_t j = 0; j < emulated.size(); ++j) {
-      runs[j].ws = &*lease;
-      prep_one(j, *lease);
-      run_blocks(first[j], first[j + 1]);
-    }
-  } else {
-    // Stage A: per-item prep, parallel over items. Leases are taken
-    // serially so the pool stays contention-free.
-    leases.reserve(emulated.size());
-    for (std::size_t j = 0; j < emulated.size(); ++j) {
-      leases.push_back(lease_workspace());
-      runs[j].ws = &*leases[j];
-    }
-    util::global_pool().parallel_for(
-        emulated.size(), [&](std::size_t j0, std::size_t j1) {
-          for (std::size_t j = j0; j < j1; ++j) prep_one(j, *runs[j].ws);
-        });
-    // Stage B: the whole stream through one pool dispatch with a
-    // batch-aware grain (~kMinChunkFlops of work per chunk).
-    t_engine = telemetry ? obs::monotonic_ns() : 0;
-    const std::uint64_t avg_block_flops =
-        total_blocks == 0 ? 1
-                          : std::max<std::uint64_t>(
-                                1, total_flops / total_blocks);
-    const auto grain = static_cast<std::size_t>(
-        std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
-    util::global_pool().parallel_for(total_blocks, grain, run_blocks);
-  }
-#ifndef NDEBUG
-  // Every input element of the batch is split exactly once (aggregate
-  // form of the per-call guard in GemmPlan::execute).
-  EGEMM_ENSURES(core::debug_split_elements() - split_before ==
-                expected_split);
-#endif
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  if (!telemetry) return;
-  // One CallRecord per shape class (= per distinct plan), all tagged with
-  // this batch's id. The batch wall and the engine wall are apportioned by
-  // each class's FLOP share; split/pack are exact per-class sums.
-  const std::uint64_t now = obs::monotonic_ns();
-  const std::uint64_t batch_wall = now > t_start ? now - t_start : 0;
-  EGEMM_LATENCY_RECORD("egemm.execute.latency", batch_wall);
-  const std::uint64_t wm = stage_accum.mma.load(std::memory_order_relaxed);
-  const std::uint64_t wc =
-      stage_accum.combine.load(std::memory_order_relaxed);
-  // Fused mode interleaves prep and engine work, so the engine wall is the
-  // sum of the per-chunk walls (serial chunks never overlap); pipelined
-  // mode reads it off the stage B dispatch window.
-  const std::uint64_t engine_wall =
-      fuse_serial ? wm + wc : (now > t_engine ? now - t_engine : 0);
-  std::vector<const GemmPlan*> seen;
-  seen.reserve(runs.size());
-  for (const ItemRun& head : runs) {
-    if (std::find(seen.begin(), seen.end(), head.plan) != seen.end()) {
-      continue;
-    }
-    seen.push_back(head.plan);
-    const PlanKey& key = head.plan->key_;
-    obs::CallRecord rec;
-    rec.start_ns = t_start;
-    std::uint64_t class_items = 0;
-    for (std::size_t j = 0; j < runs.size(); ++j) {
-      if (runs[j].plan != head.plan) continue;
-      ++class_items;
-      rec.split_ns += split_ns[j];
-      rec.pack_ns += pack_ns[j];
-      const GroupedGemm& item = items[emulated[j]];
-      const std::size_t d_elems = key.m * key.n;
-      rec.bytes_moved += (key.m * key.k + key.k * key.n + d_elems +
-                          (item.c != nullptr ? d_elems : 0)) *
-                             sizeof(float) +
-                         head.plan->workspace_bytes_;
-    }
-    rec.flops = class_items * 2ULL * key.m * key.n * key.k;
-    const double share =
-        total_flops == 0
-            ? 1.0 / static_cast<double>(emulated.size())
-            : static_cast<double>(rec.flops) /
-                  static_cast<double>(total_flops);
-    rec.total_ns = static_cast<std::uint64_t>(
-        static_cast<double>(batch_wall) * share);
-    const auto engine_share = static_cast<std::uint64_t>(
-        static_cast<double>(engine_wall) * share);
-    if (wm + wc > 0) {
-      rec.mma_ns = static_cast<std::uint64_t>(
-          static_cast<double>(engine_share) * static_cast<double>(wm) /
-          static_cast<double>(wm + wc));
-      rec.combine_ns = engine_share - rec.mma_ns;
-    } else {
-      rec.mma_ns = engine_share;
-    }
-    rec.m = static_cast<std::uint32_t>(key.m);
-    rec.n = static_cast<std::uint32_t>(key.n);
-    rec.k = static_cast<std::uint32_t>(key.k);
-    rec.tid = obs::current_thread_id();
-    rec.batch_id = batch_id;
-    rec.batch = static_cast<std::uint32_t>(class_items);
-    rec.scheme = key.scheme;
-    rec.backend = static_cast<std::uint8_t>(key.backend);
-    rec.engine = static_cast<std::uint8_t>(key.engine);
-    rec.isa = static_cast<std::uint8_t>(simd::active_isa());
-    rec.lookup = obs::PlanLookup::kUnknown;
-    obs::record_call(rec);
-  }
-#endif  // EGEMM_OBSERVABILITY_ENABLED
+  run_items(*this, runs,
+            g_batch_counter.fetch_add(1, std::memory_order_relaxed) + 1,
+            obs::PlanLookup::kUnknown);
 }
 
 WorkspaceLease GemmContext::lease_workspace() {

@@ -126,10 +126,11 @@ class Workspace {
   PackedPlanesB bpack_;
 };
 
-/// Work threshold (in m*n*k multiply-adds) below which a single GEMM
-/// executes inline on the calling thread instead of dispatching to the
-/// pool: under ~64^3 the per-GEMM 2D schedule produces more chunks than
-/// useful work per chunk, so the pool round-trip costs more than it buys.
+/// Work threshold (in m*n*k multiply-adds, summed over a grouped call's
+/// items) below which an execute runs inline on the calling thread
+/// instead of dispatching to the pool: under ~64^3 the per-GEMM 2D
+/// schedule produces more chunks than useful work per chunk, so the pool
+/// round-trip costs more than it buys.
 /// The effective value is, in order: the last set_ value (when nonzero),
 /// the loaded tuning file's small_gemm_inline_threshold
 /// (model/tuning_cache.hpp), else 64^3. Set 1 to never inline.
@@ -213,7 +214,8 @@ class GemmPlan {
 
   /// Runs the plan: D = A x B (+ C) into caller-owned `d` (resized in
   /// place). A/B/C extents must match the planned shape. Allocation-free
-  /// once `d` and the context's workspace pool have warmed up.
+  /// once `d` and the context's workspace pool have warmed up. This is
+  /// the one-item case of the pipeline execute_grouped runs.
   void execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
                const Matrix* c, Matrix& d) const;
 
@@ -234,8 +236,9 @@ class GemmPlan {
 };
 
 /// One item of a grouped execute (GemmContext::execute_grouped): a planned
-/// GEMM plus its operands. Plans may mix shapes, schemes, and engines
-/// freely; direct-backend items fall back to a per-item execute.
+/// GEMM plus its operands. Plans may mix shapes, schemes, engines and
+/// backends freely; direct-backend items run inline, ahead of the
+/// emulated stream, and record under the batch's id.
 struct GroupedGemm {
   std::shared_ptr<const GemmPlan> plan;
   const Matrix* a = nullptr;
@@ -306,14 +309,15 @@ class GemmContext {
                              const core::AccuracyContract& contract,
                              ExecEngine engine = ExecEngine::kPacked);
 
-  /// Executes a batch of planned GEMMs as ONE flattened (item x tile) task
-  /// stream (DESIGN.md §18): per-item prep (split, output init, pack) runs
-  /// parallel over items, then every output tile of every item enters a
-  /// single pool dispatch with a batch-aware grain, so small items no
-  /// longer serialize behind each other. Results are bit-identical to
-  /// calling item.plan->execute() in a loop (each output tile runs the
-  /// exact same operation sequence; only the schedule changes). Per-call
-  /// telemetry deposits one CallRecord per shape class, tagged with a
+  /// Executes a batch of planned GEMMs through the same item pipeline as
+  /// GemmPlan::execute (DESIGN.md §18). With several emulated items, their
+  /// prep (split, output init, pack) runs parallel over items, then every
+  /// output tile of every item enters ONE flattened (item x tile) pool
+  /// dispatch with a batch-aware grain, so small items no longer
+  /// serialize behind each other. Results are bit-identical to calling
+  /// item.plan->execute() in a loop (each output tile runs the exact same
+  /// operation sequence; only the schedule changes). Per-call telemetry
+  /// deposits one CallRecord per shape class, tagged with a
   /// process-unique batch id and the class's item count.
   void execute_grouped(std::span<const GroupedGemm> items);
 

@@ -37,12 +37,13 @@ enum class PlanLookup : std::uint8_t { kUnknown = 0, kHit = 1, kMiss = 2 };
 /// One GemmPlan::execute -- or one shape class of a grouped batch -- in
 /// 96 bytes. Stage fields cover the emulated pipeline
 /// (split/pack/mma/combine); direct binary32 backends carry only
-/// total_ns. mma/combine are the engine wall segment apportioned by
-/// worker-side accumulation, so split+pack+mma+combine approaches total_ns
-/// from below (the residual is workspace lease/resize bookkeeping).
-/// Grouped executes deposit one record per shape class sharing the batch's
-/// process-unique batch_id, with `batch` counting the class's items and
-/// total_ns the batch wall scaled by the class's FLOP share.
+/// total_ns. The stages are the calling thread's prep and engine wall
+/// segments apportioned by per-item weights (split/pack by prep time,
+/// mma/combine by engine time), so split+pack+mma+combine approaches
+/// total_ns from below (the residual is workspace lease, output init and
+/// bookkeeping). Grouped executes deposit one record per shape class
+/// sharing the batch's process-unique batch_id, with `batch` counting the
+/// class's items; the records' total_ns sum to at most the batch wall.
 struct CallRecord {
   std::uint64_t start_ns = 0;    ///< obs::monotonic_ns() at entry
   std::uint64_t total_ns = 0;    ///< wall time of the whole execute

@@ -82,11 +82,11 @@ void clear_trace();
 
 /// RAII span: records [construction, destruction) under `name` when
 /// tracing was enabled at construction. `name` must outlive the trace
-/// (pass a string literal).
+/// (pass a string literal); a null `name` records nothing.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) noexcept {
-    if (tracing_enabled()) {
+    if (name != nullptr && tracing_enabled()) {
       name_ = name;
       start_ns_ = monotonic_ns();
     }
@@ -108,6 +108,27 @@ class ScopedSpan {
     name                                                              \
   }
 
+/// RAII pipeline-stage timer (DESIGN.md §17): opens the stage's span (none
+/// for a null `name`) and, when `sink` is non-null, adds the elapsed
+/// nanoseconds to `*sink` on destruction. A null sink costs one branch and
+/// no clock read.
+class StageTimer {
+ public:
+  StageTimer(const char* name, std::uint64_t* sink) noexcept
+      : span_(name), sink_(sink), start_ns_(sink != nullptr ? monotonic_ns()
+                                                            : 0) {}
+  ~StageTimer() {
+    if (sink_ != nullptr) *sink_ += monotonic_ns() - start_ns_;
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  ScopedSpan span_;
+  std::uint64_t* sink_;
+  std::uint64_t start_ns_;
+};
+
 #else  // EGEMM_OBSERVABILITY_ENABLED
 
 /// Disabled build: empty type, macro compiles to nothing.
@@ -116,6 +137,14 @@ class ScopedSpan {
   explicit ScopedSpan(const char*) noexcept {}
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
+};
+
+/// Disabled build: empty type, no span and no clock read.
+class StageTimer {
+ public:
+  StageTimer(const char*, std::uint64_t*) noexcept {}
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
 };
 
 #define EGEMM_TRACE_SCOPE(name) static_cast<void>(0)

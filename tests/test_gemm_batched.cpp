@@ -1,14 +1,18 @@
 // Tests for the batched/grouped GEMM entry points (DESIGN.md §18): bit
 // identity with the loop-of-singles path per emulation-ladder rung and
 // forced ISA tier, empty batches, mixed transpose/epilogue parameters,
-// batches mixing every solver-feasible tiling, the strided convenience
-// form, the contract overloads, the small-GEMM inline-threshold knob, and
-// the batch-tagged telemetry records the flattened stream deposits.
+// batches mixing every solver-feasible tiling, direct-backend items at
+// any position of a pool-dispatched batch, the strided convenience
+// form, the contract overloads (including an infeasible item, which must
+// leave the whole batch unexecuted), the small-GEMM inline-threshold knob,
+// and the batch-tagged telemetry records the flattened stream deposits,
+// whose stage attribution must stay inside the batch's wall time.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/scheme.hpp"
@@ -19,9 +23,11 @@
 #include "model/tuning_cache.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/isa.hpp"
 #include "tcsim/gpu_spec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace egemm::gemm {
 namespace {
@@ -217,6 +223,42 @@ TEST(GemmBatched, GroupedMixesEveryFeasibleTilingBitIdentically) {
   }
 }
 
+TEST(GemmBatched, GroupedMixesDirectAndEmulatedItemsInAnyOrder) {
+  if (util::global_pool().size() <= 1) {
+    GTEST_SKIP() << "needs a pool of more than one thread";
+  }
+  // Direct-backend items run inline and own no blocks of the flattened
+  // stream; wherever they sit in the batch, every emulated block must
+  // still reach its own item. 2 x 128^3 is above the inline threshold,
+  // so the stream is dispatched on the pool.
+  constexpr std::size_t kDim = 128;
+  GemmContext ctx;
+  const auto emulated = ctx.plan(Backend::kEgemmTC, kDim, kDim, kDim);
+  const auto direct = ctx.plan(Backend::kCublasFp32, kDim, kDim, kDim);
+  ASSERT_TRUE(direct->key().direct);
+  std::vector<Matrix> a, b;
+  for (unsigned i = 0; i < 3; ++i) {
+    a.push_back(random_matrix(kDim, kDim, -1.0f, 1.0f, 1500 + 2 * i));
+    b.push_back(random_matrix(kDim, kDim, -1.0f, 1.0f, 1501 + 2 * i));
+  }
+  for (const std::size_t direct_at : {std::size_t{2}, std::size_t{1},
+                                      std::size_t{0}}) {
+    std::vector<std::shared_ptr<const GemmPlan>> plans(3, emulated);
+    plans[direct_at] = direct;
+    std::vector<Matrix> single(3), grouped(3);
+    std::vector<GroupedGemm> work(3);
+    for (std::size_t i = 0; i < 3; ++i) {
+      plans[i]->execute(ctx, a[i], b[i], nullptr, single[i]);
+      work[i] = GroupedGemm{plans[i], &a[i], &b[i], nullptr, &grouped[i]};
+    }
+    ctx.execute_grouped(work);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(bitwise_equal(grouped[i], single[i]))
+          << "direct item at " << direct_at << ", item " << i;
+    }
+  }
+}
+
 TEST(GemmBatched, StridedFormMatchesSpanForm) {
   constexpr std::size_t kBatch = 3;
   constexpr std::size_t kM = 16, kN = 12, kK = 20;
@@ -364,6 +406,107 @@ TEST(GemmBatched, GroupedDepositsBatchTaggedCallRecords) {
     EXPECT_EQ(cls.batched_records, 1u);
   }
   EXPECT_TRUE(found_class) << "batch class missing from summary";
+}
+
+TEST(GemmBatched, GroupedStageAttributionStaysInsideTheBatchWall) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  if (util::global_pool().size() <= 1) {
+    GTEST_SKIP() << "needs a pool of more than one thread";
+  }
+  // Sixteen small items beside one large one: the small items' prep runs
+  // on parallel pool threads, so per-item stage times summed across
+  // threads would exceed the small class's share of the batch wall.
+  constexpr std::size_t kSmall = 16;
+  constexpr std::size_t kSmallDim = 32;
+  constexpr std::size_t kLargeDim = 256;
+  GemmContext ctx;
+  const auto small = ctx.plan(Backend::kEgemmTC, kSmallDim, kSmallDim,
+                              kSmallDim);
+  const auto large = ctx.plan(Backend::kEgemmTC, kLargeDim, kLargeDim,
+                              kLargeDim);
+  std::vector<Matrix> a, b, d(kSmall + 1);
+  for (std::size_t i = 0; i <= kSmall; ++i) {
+    const std::size_t dim = i < kSmall ? kSmallDim : kLargeDim;
+    const auto seed = static_cast<unsigned>(1700 + 2 * i);
+    a.push_back(random_matrix(dim, dim, -1.0f, 1.0f, seed));
+    b.push_back(random_matrix(dim, dim, -1.0f, 1.0f, seed + 1));
+  }
+  std::vector<GroupedGemm> work;
+  for (std::size_t i = 0; i <= kSmall; ++i) {
+    work.push_back(GroupedGemm{i < kSmall ? small : large, &a[i], &b[i],
+                               nullptr, &d[i]});
+  }
+  ctx.execute_grouped(work);  // warm the workspaces
+
+  obs::clear_call_records();
+  const std::uint64_t t0 = obs::monotonic_ns();
+  ctx.execute_grouped(work);
+  const std::uint64_t wall = obs::monotonic_ns() - t0;
+  const std::vector<obs::CallRecord> records = obs::drain_call_records();
+  ASSERT_EQ(records.size(), 2u);  // one per shape class
+  std::uint64_t totals = 0;
+  for (const obs::CallRecord& rec : records) {
+    EXPECT_NE(rec.batch_id, 0u);
+    EXPECT_EQ(rec.batch, rec.m == kSmallDim ? kSmall : 1u);
+    EXPECT_LE(rec.split_ns + rec.pack_ns + rec.mma_ns + rec.combine_ns,
+              rec.total_ns)
+        << "class m=" << rec.m;
+    EXPECT_GT(rec.mma_ns, 0u) << "class m=" << rec.m;
+    totals += rec.total_ns;
+  }
+  EXPECT_LE(totals, wall);
+}
+
+// -- failure paths -----------------------------------------------------------
+
+TEST(GemmBatched, InfeasibleContractItemLeavesTheBatchUnexecuted) {
+  // One item's data is 10^4 times larger, so no rung's bound meets the
+  // contract for it; the promise is that no item executes at all.
+  constexpr std::size_t kItems = 3;
+  constexpr std::size_t kDim = 32;
+  constexpr float kSentinel = -7.25f;
+  core::AccuracyContract contract;
+  contract.max_abs_error = 1e-3;
+  std::vector<Matrix> a, b, d;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    const float range = i == 1 ? 1e4f : 1.0f;
+    const auto seed = static_cast<unsigned>(1900 + 2 * i);
+    a.push_back(random_matrix(kDim, kDim, -range, range, seed));
+    b.push_back(random_matrix(kDim, kDim, -range, range, seed + 1));
+    d.emplace_back(kDim, kDim);
+    d.back().fill(kSentinel);
+  }
+  ASSERT_TRUE(
+      gemm_ex_contract_resolution(a[0], b[0], nullptr, {}, contract).feasible);
+  ASSERT_FALSE(
+      gemm_ex_contract_resolution(a[1], b[1], nullptr, {}, contract).feasible);
+  std::vector<GroupedGemmItem> items(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    items[i].a = &a[i];
+    items[i].b = &b[i];
+    items[i].d = &d[i];
+  }
+
+  GemmContext ctx;
+  const auto count = [](const char* name) {
+    return obs::registry().counter(name).value();
+  };
+  const std::uint64_t batch_calls = count("gemm.batch.calls");
+  const std::uint64_t egemm_calls = count("egemm.calls");
+  obs::clear_call_records();
+  EXPECT_THROW(gemm_grouped(ctx, items, contract), std::invalid_argument);
+
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(d[i].rows(), kDim);
+    ASSERT_EQ(d[i].cols(), kDim);
+    for (const float value : d[i].data()) {
+      ASSERT_EQ(value, kSentinel) << "item=" << i;
+    }
+  }
+  EXPECT_EQ(count("gemm.batch.calls"), batch_calls);
+  EXPECT_EQ(count("egemm.calls"), egemm_calls);
+  EXPECT_EQ(ctx.cached_plans(), 0u);
+  EXPECT_TRUE(obs::drain_call_records().empty());
 }
 
 // -- plan-cache occupancy/eviction observability -----------------------------
