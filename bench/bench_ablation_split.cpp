@@ -5,6 +5,7 @@
 #include "core/emulation.hpp"
 #include "fp/error_stats.hpp"
 #include "gemm/baselines.hpp"
+#include "gemm/plan.hpp"
 
 using namespace egemm;
 
@@ -69,12 +70,16 @@ int main(int argc, char** argv) {
 
   {
     // Negative result: going past the two-way split buys nothing under a
-    // binary32 accumulator (see gemm/egemm.hpp for the analysis).
+    // binary32 accumulator (see the recovery-3term rung in core/scheme.hpp
+    // for the analysis).
     const std::size_t n = 256;
     const gemm::Matrix a = gemm::random_matrix(n, 64, -1, 1, seed + 77);
     const gemm::Matrix b = gemm::random_matrix(64, n, -1, 1, seed + 78);
     const gemm::Matrix alg1 = gemm::egemm_multiply(a, b);
-    const gemm::Matrix three = gemm::egemm_multiply_3split(a, b);
+    gemm::GemmContext& ctx = gemm::default_context();
+    gemm::Matrix three;
+    ctx.plan_scheme(core::SchemeId::kRecovery3, n, n, 64)
+        ->execute(ctx, a, b, nullptr, three);
     const double diff = gemm::max_abs_error(alg1, three);
     const tcsim::GpuSpec t4 = tcsim::tesla_t4();
     util::Table ablation("Ablation: three-way split (9 instructions) vs Alg. 1");
@@ -86,7 +91,9 @@ int main(int argc, char** argv) {
                           gemm::egemm_timing(8192, 8192, 8192, t4).tflops, 2)});
     ablation.add_row({"modeled TFLOPS (3-split, 8192^3, T4)",
                       util::fmt_fixed(
-                          gemm::egemm_3split_timing(8192, 8192, 8192, t4)
+                          ctx.plan_scheme(core::SchemeId::kRecovery3, 8192,
+                                          8192, 8192)
+                              ->timing(t4)
                               .tflops,
                           2)});
     ablation.add_footnote(

@@ -79,15 +79,6 @@ inline obs::CallJsonNames call_json_names() {
                ? gemm::backend_name(static_cast<gemm::Backend>(b))
                : "?";
   };
-  names.engine = [](std::uint8_t e) -> const char* {
-    switch (static_cast<gemm::ExecEngine>(e)) {
-      case gemm::ExecEngine::kPacked:
-        return "packed";
-      case gemm::ExecEngine::kReference:
-        return "reference";
-    }
-    return "?";
-  };
   names.isa = [](std::uint8_t i) -> const char* {
     return i < static_cast<std::uint8_t>(simd::kIsaLevelCount)
                ? simd::isa_name(static_cast<simd::IsaLevel>(i))

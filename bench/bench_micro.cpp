@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the CPU-side primitives: binary16
 // conversion, data splits, the functional Tensor Core tile, the emulated
-// tile algorithms, the pipeline simulator and an end-to-end GEMM on both
-// execution engines. These measure the *substrate's* host performance
-// (useful when extending the library), not the simulated GPU numbers of
-// the fig/table benches.
+// tile algorithms, the pipeline simulator and the end-to-end GEMM (one-shot,
+// planned, cold-plan and batched). These measure the *substrate's* host
+// performance (useful when extending the library), not the simulated GPU
+// numbers of the fig/table benches.
 //
 // Extra flags on top of google-benchmark's own:
 //   --smoke        drop the 1024^3 GEMM sizes and shorten the min time (CI)
@@ -16,8 +16,8 @@
 //                  JSON (chrome://tracing, ui.perfetto.dev)
 //   --metrics      dump the observability registry to stdout at exit
 //   --tune=PATH    skip the benchmarks and run the offline autotuning
-//                  sweep instead: profile engine x scheduler grain x
-//                  available ISA tier per shape class and write the
+//                  sweep instead: profile scheduler grain x available
+//                  ISA tier per shape class and write the
 //                  winners as a versioned tuning file (DESIGN.md §18;
 //                  consumed via EGEMM_TUNING_FILE)
 #include <benchmark/benchmark.h>
@@ -205,14 +205,12 @@ void BM_PipelineSimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineSimulate)->Arg(32)->Arg(256);
 
-void BM_EgemmMultiply(benchmark::State& state, gemm::ExecEngine engine) {
+void BM_EgemmMultiply(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const gemm::Matrix a = gemm::random_matrix(n, n, -1, 1, 5);
   const gemm::Matrix b = gemm::random_matrix(n, n, -1, 1, 6);
-  gemm::EgemmOptions opts;
-  opts.engine = engine;
   for (auto _ : state) {
-    const gemm::Matrix d = gemm::egemm_multiply(a, b, nullptr, opts);
+    const gemm::Matrix d = gemm::egemm_multiply(a, b);
     benchmark::DoNotOptimize(d.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 *
@@ -352,7 +350,7 @@ BENCHMARK(BM_SgemmFp32)->Arg(128)->Arg(256);
 /// The offline autotuning sweep behind --tune=PATH (DESIGN.md §18).
 ///
 /// For every shape class it times warm plan->execute() calls across
-/// engine x scheduler-grain x available ISA tier and records the winner
+/// scheduler-grain x available ISA tier and records the winner
 /// as a model::TuningEntry. The candidate grain reaches the plan the same
 /// way a production consult does: the candidate is installed in the
 /// process-wide TuningCache and the plan is built in a fresh context (the
@@ -368,13 +366,6 @@ int run_tuning_sweep(const std::string& path, bool smoke) {
   // Grain 0 = the pool's own chunking; nonzero = output tiles per chunk.
   constexpr std::array<std::size_t, 5> kGrains = {0, 1, 4, 16, 64};
   const double budget_ns = smoke ? 2e6 : 2e7;  // per configuration
-  struct EngineChoice {
-    gemm::ExecEngine engine;
-    const char* name;
-  };
-  constexpr std::array<EngineChoice, 2> kEngines = {
-      {{gemm::ExecEngine::kPacked, "packed"},
-       {gemm::ExecEngine::kReference, "reference"}}};
 
   std::vector<model::TuningEntry> winners;
   for (int level = 0; level < simd::kIsaLevelCount; ++level) {
@@ -385,47 +376,41 @@ int run_tuning_sweep(const std::string& path, bool smoke) {
       const gemm::Matrix a = gemm::random_matrix(n, n, -1, 1, 21);
       const gemm::Matrix b = gemm::random_matrix(n, n, -1, 1, 22);
       model::TuningEntry best;
-      for (const EngineChoice& choice : kEngines) {
-        for (const std::size_t grain : kGrains) {
-          model::TuningEntry candidate;
-          candidate.shape = model::tuning_shape_class(n, n, n);
-          candidate.grain = grain;
-          candidate.engine = choice.name;
-          candidate.isa = simd::isa_name(isa);
-          model::TuningCache::global().set_entries({candidate});
-          gemm::GemmContext ctx(4);
-          gemm::EgemmOptions opts;
-          opts.engine = choice.engine;
-          const std::shared_ptr<const gemm::GemmPlan> plan =
-              ctx.plan(gemm::Backend::kEgemmTC, n, n, n, opts);
-          gemm::Matrix d;
-          // Warm call: allocates the workspaces and calibrates the reps.
-          const std::uint64_t w0 = obs::monotonic_ns();
-          plan->execute(ctx, a, b, nullptr, d);
-          const std::uint64_t w1 = obs::monotonic_ns();
-          const auto reps = static_cast<int>(std::max<double>(
-              3.0, budget_ns / static_cast<double>(std::max<std::uint64_t>(
-                                   1, w1 - w0))));
-          const std::uint64_t t0 = obs::monotonic_ns();
-          for (int r = 0; r < reps; ++r) plan->execute(ctx, a, b, nullptr, d);
-          const std::uint64_t t1 = obs::monotonic_ns();
-          candidate.tile = plan->tile();
-          candidate.ns_per_call =
-              static_cast<double>(t1 - t0) / static_cast<double>(reps);
-          candidate.gflops = 2.0 * static_cast<double>(n * n * n) /
-                             candidate.ns_per_call;
-          if (best.engine.empty() ||
-              candidate.ns_per_call < best.ns_per_call) {
-            best = candidate;
-          }
+      for (const std::size_t grain : kGrains) {
+        model::TuningEntry candidate;
+        candidate.shape = model::tuning_shape_class(n, n, n);
+        candidate.grain = grain;
+        candidate.isa = simd::isa_name(isa);
+        model::TuningCache::global().set_entries({candidate});
+        gemm::GemmContext ctx(4);
+        const std::shared_ptr<const gemm::GemmPlan> plan =
+            ctx.plan(gemm::Backend::kEgemmTC, n, n, n);
+        gemm::Matrix d;
+        // Warm call: allocates the workspaces and calibrates the reps.
+        const std::uint64_t w0 = obs::monotonic_ns();
+        plan->execute(ctx, a, b, nullptr, d);
+        const std::uint64_t w1 = obs::monotonic_ns();
+        const auto reps = static_cast<int>(std::max<double>(
+            3.0, budget_ns / static_cast<double>(std::max<std::uint64_t>(
+                                 1, w1 - w0))));
+        const std::uint64_t t0 = obs::monotonic_ns();
+        for (int r = 0; r < reps; ++r) plan->execute(ctx, a, b, nullptr, d);
+        const std::uint64_t t1 = obs::monotonic_ns();
+        candidate.tile = plan->tile();
+        candidate.ns_per_call =
+            static_cast<double>(t1 - t0) / static_cast<double>(reps);
+        candidate.gflops =
+            2.0 * static_cast<double>(n * n * n) / candidate.ns_per_call;
+        if (best.isa.empty() || candidate.ns_per_call < best.ns_per_call) {
+          best = candidate;
         }
       }
       std::fprintf(stderr,
-                   "tune: %s isa=%s -> engine=%s grain=%zu %.0f ns/call "
+                   "tune: %s isa=%s -> grain=%zu %.0f ns/call "
                    "(%.2f GFLOP/s)\n",
                    model::tuning_shape_class_name(best.shape).c_str(),
-                   best.isa.c_str(), best.engine.c_str(), best.grain,
-                   best.ns_per_call, best.gflops);
+                   best.isa.c_str(), best.grain, best.ns_per_call,
+                   best.gflops);
       winners.push_back(std::move(best));
     }
   }
@@ -532,13 +517,11 @@ int main(int argc, char** argv) {
   // and writes a tuning file instead of BENCH_micro.json.
   if (!tune_path.empty()) return run_tuning_sweep(tune_path, smoke);
 
-  // The end-to-end GEMM sweep runs both engines at each size so the JSON
-  // artifact always carries the packed-vs-reference ratio. The 32^3 size
-  // is where the one-shot API's per-call overhead (plan lookup, output
-  // allocation) is the largest fraction of the work, making the
-  // plan-execute comparison meaningful. The full sweep adds the 1024^3
-  // headline size (README's perf table; several seconds on the reference
-  // engine).
+  // The end-to-end GEMM sweep runs the one-shot, planned and cold-plan
+  // paths at each size. The 32^3 size is where the one-shot API's per-call
+  // overhead (plan lookup, output allocation) is the largest fraction of
+  // the work, making the plan-execute comparison meaningful. The full
+  // sweep adds the 1024^3 headline size (README's perf table).
   // One row per compiled-in, machine-executable ISA tier for the two
   // dispatched hot loops (DESIGN.md §15). The scalar row is the seed
   // baseline; the spread to the widest row is what runtime dispatch buys.
@@ -559,17 +542,7 @@ int main(int argc, char** argv) {
   std::vector<std::int64_t> sizes = {32, 64, 128, 256};
   if (!smoke) sizes.push_back(1024);
   for (const std::int64_t n : sizes) {
-    benchmark::RegisterBenchmark("BM_EgemmMultiply",
-                                 [](benchmark::State& state) {
-                                   BM_EgemmMultiply(
-                                       state, gemm::ExecEngine::kPacked);
-                                 })
-        ->Arg(n);
-    benchmark::RegisterBenchmark("BM_EgemmMultiplyReference",
-                                 [](benchmark::State& state) {
-                                   BM_EgemmMultiply(
-                                       state, gemm::ExecEngine::kReference);
-                                 })
+    benchmark::RegisterBenchmark("BM_EgemmMultiply", BM_EgemmMultiply)
         ->Arg(n);
     benchmark::RegisterBenchmark("BM_EgemmPlanExecute", BM_EgemmPlanExecute)
         ->Arg(n);

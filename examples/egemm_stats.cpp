@@ -16,7 +16,6 @@
 //                       single call; the table then attributes latency
 //                       per batch class (batch id tagged records) and
 //                       shows the covered GEMM count (default 0 = single)
-//   --engine=E          packed | reference (default packed)
 //   --seed=N            input RNG seed (default 1)
 //   --json              print the summary as JSON instead of the table
 //   --metrics-format=F  also export the metrics registry: json|openmetrics
@@ -97,11 +96,6 @@ obs::CallJsonNames stats_json_names() {
                ? gemm::backend_name(static_cast<gemm::Backend>(b))
                : "?";
   };
-  names.engine = [](std::uint8_t e) -> const char* {
-    return static_cast<gemm::ExecEngine>(e) == gemm::ExecEngine::kPacked
-               ? "packed"
-               : "reference";
-  };
   names.isa = [](std::uint8_t i) -> const char* {
     return i < static_cast<std::uint8_t>(simd::kIsaLevelCount)
                ? simd::isa_name(static_cast<simd::IsaLevel>(i))
@@ -134,19 +128,6 @@ int main(int argc, char** argv) {
   }
   const auto seed =
       static_cast<std::uint64_t>(args.value_or("seed", std::int64_t{1}));
-
-  const std::string engine_text =
-      args.value_or("engine", std::string("packed"));
-  gemm::ExecEngine engine = gemm::ExecEngine::kPacked;
-  if (engine_text == "reference") {
-    engine = gemm::ExecEngine::kReference;
-  } else if (engine_text != "packed") {
-    std::fprintf(stderr,
-                 "egemm_stats: unknown --engine \"%s\" "
-                 "(expected packed or reference)\n",
-                 engine_text.c_str());
-    return 2;
-  }
 
   std::vector<Shape> shapes;
   for (const std::string& token :
@@ -224,7 +205,7 @@ int main(int argc, char** argv) {
         // deposits carry a batch id and the per-class item count, which is
         // what the batch/gemms columns below attribute.
         const std::shared_ptr<const gemm::GemmPlan> plan =
-            ctx.plan_scheme(scheme, shape.m, shape.n, shape.k, engine);
+            ctx.plan_scheme(scheme, shape.m, shape.n, shape.k);
         std::vector<gemm::Matrix> d(static_cast<std::size_t>(batch));
         std::vector<gemm::GroupedGemm> work(d.size());
         for (std::size_t i = 0; i < d.size(); ++i) {
@@ -235,8 +216,7 @@ int main(int argc, char** argv) {
         }
       } else {
         for (std::int64_t rep = 0; rep < reps; ++rep) {
-          const gemm::Matrix d =
-              ctx.run_scheme(scheme, a, b, nullptr, engine);
+          const gemm::Matrix d = ctx.run_scheme(scheme, a, b, nullptr);
           static_cast<void>(d);
         }
       }
@@ -254,8 +234,7 @@ int main(int argc, char** argv) {
     std::fwrite(out.data(), 1, out.size(), stdout);
   } else {
     util::Table table("per-call telemetry (" + std::to_string(reps) +
-                      " reps per shape x scheme, engine " + engine_text +
-                      ")");
+                      " reps per shape x scheme)");
     table.set_header({"shape", "scheme", "batch", "calls", "gemms", "hit%",
                       "p50 us", "p90 us", "p99 us", "GFLOP/s", "split%",
                       "pack%", "mma%", "comb%", "cov%"});

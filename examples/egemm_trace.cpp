@@ -3,8 +3,7 @@
 // prints a per-stage wall-time summary straight from the recorded spans,
 // dumps the metrics registry, and writes the Chrome trace_event JSON.
 //
-//   build/examples/egemm_trace [--n=512] [--engine=packed|reference]
-//                              [--trace=egemm_trace.json]
+//   build/examples/egemm_trace [--n=512] [--trace=egemm_trace.json]
 //
 // Open the emitted file in chrome://tracing or https://ui.perfetto.dev to
 // see split -> pack -> mma -> combine laid out per worker-thread track.
@@ -23,13 +22,8 @@ int main(int argc, char** argv) {
   using namespace egemm;
   const util::CliArgs args(argc, argv);
   const auto n = static_cast<std::size_t>(args.value_or("n", std::int64_t{512}));
-  const std::string engine = args.value_or("engine", std::string("packed"));
   const std::string trace_path =
       args.value_or("trace", std::string("egemm_trace.json"));
-  if (engine != "packed" && engine != "reference") {
-    std::fprintf(stderr, "egemm_trace: --engine must be packed|reference\n");
-    return 2;
-  }
   if (!obs::kEnabled) {
     std::fprintf(stderr,
                  "egemm_trace: built with EGEMM_OBSERVABILITY=OFF; "
@@ -42,15 +36,11 @@ int main(int argc, char** argv) {
   const gemm::Matrix a = gemm::random_matrix(n, n, -1.0f, 1.0f, /*seed=*/1);
   const gemm::Matrix b = gemm::random_matrix(n, n, -1.0f, 1.0f, /*seed=*/2);
 
-  gemm::EgemmOptions options;
-  options.engine = engine == "packed" ? gemm::ExecEngine::kPacked
-                                      : gemm::ExecEngine::kReference;
-
   obs::set_tracing(true);
-  const gemm::Matrix d = gemm::egemm_multiply(a, b, nullptr, options);
+  const gemm::Matrix d = gemm::egemm_multiply(a, b);
   obs::set_tracing(false);
-  std::printf("EGEMM %zu^3 on the %s engine, d(0,0) = %g\n\n", n,
-              engine.c_str(), static_cast<double>(d.at(0, 0)));
+  std::printf("EGEMM %zu^3, d(0,0) = %g\n\n", n,
+              static_cast<double>(d.at(0, 0)));
 
   // Per-stage roll-up straight from the recorded spans: the same events the
   // Chrome trace carries, aggregated by name across all thread tracks.

@@ -45,7 +45,16 @@ enum class SchemeId : int {
   kTruncate2,  ///< 2-plane truncate split, all 4 terms
   kRound2,     ///< 2-plane round split, all 4 terms (the paper's scheme)
   kSlice3,     ///< 3-plane truncate slices, all 9 terms
-  kRecovery3,  ///< 3-plane round split, all 9 terms
+  /// 3-plane round split, all 9 terms: each input decomposes *exactly*
+  /// into three binary16 planes. Measured finding (Split3.* in
+  /// tests/test_extensions.cpp, bench_ablation_split): for inputs in the
+  /// usual [-1, 1] range this rung is BIT-IDENTICAL to round-2term. The hi
+  /// and mid planes coincide with the two-way hi/lo, and the third plane's
+  /// products sit ~2^-23 below the operand scale, under the binary32
+  /// accumulator's ulp, so they are absorbed. Past 21 bits the precision
+  /// bottleneck is the *accumulator*, not the split -- exactly why
+  /// integer-accumulating schemes (Ozaki-style int8 emulation) exist.
+  kRecovery3,
   kCount
 };
 

@@ -1,8 +1,6 @@
 #include "gemm/egemm.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 #ifndef NDEBUG
 #include <mutex>
 #include <set>
@@ -17,9 +15,9 @@
 #include "util/assert.hpp"
 
 // The functional path lives in gemm/plan.cpp since the plan/context
-// refactor (DESIGN.md §13): the entry points here are thin wrappers that
-// plan against default_context() and execute into a fresh D, preserving
-// the original one-shot signatures bit-for-bit. This file keeps the timed
+// refactor (DESIGN.md §13): egemm_multiply here is a thin wrapper that
+// plans against default_context() and executes into a fresh D, preserving
+// the original one-shot signature bit-for-bit. This file keeps the timed
 // path (SASS stream -> SM pipeline -> occupancy composition).
 
 namespace egemm::gemm {
@@ -60,57 +58,6 @@ void debug_lint_kernel(const TileConfig& tile, const EgemmOptions& opts) {
 #endif
 
 }  // namespace
-
-Matrix emulated_gemm(const Matrix& a, const Matrix& b, const Matrix* c,
-                     core::SplitMethod split, std::span<const Combo> combos,
-                     ComboOrder order, ExecEngine engine) {
-  EGEMM_EXPECTS(a.cols() == b.rows());
-  EGEMM_EXPECTS(c == nullptr ||
-                (c->rows() == a.rows() && c->cols() == b.cols()));
-  EGEMM_EXPECTS(!combos.empty());
-
-  std::vector<PlaneCombo> plane_combos;
-  plane_combos.reserve(combos.size());
-  for (const Combo& combo : combos) {
-    plane_combos.push_back(PlaneCombo{combo.a_hi ? 1 : 0, combo.b_hi ? 1 : 0});
-  }
-  GemmContext& ctx = default_context();
-  const auto plan = ctx.plan_emulated(a.rows(), b.cols(), a.cols(), split,
-                                      plane_combos, order, engine);
-  Matrix d;
-  plan->execute(ctx, a, b, c, d);
-  return d;
-}
-
-Matrix egemm_multiply_3split(const Matrix& a, const Matrix& b, const Matrix* c,
-                             ExecEngine engine) {
-  EGEMM_EXPECTS(a.cols() == b.rows());
-  EGEMM_EXPECTS(c == nullptr ||
-                (c->rows() == a.rows() && c->cols() == b.cols()));
-
-  GemmContext& ctx = default_context();
-  EgemmOptions opts;
-  opts.emulation_instructions = 9;
-  opts.engine = engine;
-  const auto plan =
-      ctx.plan(Backend::kEgemmTC, a.rows(), b.cols(), a.cols(), opts);
-  Matrix d;
-  plan->execute(ctx, a, b, c, d);
-  return d;
-}
-
-KernelTiming egemm_3split_timing(std::uint64_t m, std::uint64_t n,
-                                 std::uint64_t k, const tcsim::GpuSpec& spec) {
-  EgemmOptions opts;
-  opts.emulation_instructions = 9;
-  KernelTiming timing = egemm_timing(m, n, k, spec, opts);
-  // Three half planes instead of two: the split pass writes 1.5x the
-  // bytes (the main loop's global traffic is handled by the stream shape).
-  timing.seconds += timing.split_pass_seconds * 0.5;
-  timing.split_pass_seconds *= 1.5;
-  timing.tflops = gemm_tflops(m, n, k, timing.seconds);
-  return timing;
-}
 
 Matrix egemm_multiply(const Matrix& a, const Matrix& b, const Matrix* c,
                       const EgemmOptions& opts) {

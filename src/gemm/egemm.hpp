@@ -11,7 +11,6 @@
 //    performance experiment).
 
 #include <cstdint>
-#include <span>
 
 #include "core/split.hpp"
 #include "gemm/matrix.hpp"
@@ -21,21 +20,12 @@
 
 namespace egemm::gemm {
 
-/// Which host-side execution engine the functional path runs on
-/// (DESIGN.md §10). Both are bit-identical by construction and by test;
-/// the reference engine is retained as the semantics oracle.
-enum class ExecEngine {
-  kPacked,     ///< plane-cached, tile-packed, vectorized block kernel
-  kReference,  ///< the seed's scalar per-tile dot-product path
-};
-
 struct EgemmOptions {
   core::SplitMethod split = core::SplitMethod::kRoundSplit;
   bool latency_hiding = true;   ///< §5.1 register-enhanced scheduling
   bool frag_caching = true;     ///< §4 intra-warp FRAG caching
   int emulation_instructions = 4;  ///< Alg. 1; 16 models a Dekker schedule
   TileConfig tile = table4_config();
-  ExecEngine engine = ExecEngine::kPacked;  ///< functional-path engine
 };
 
 /// Functional extended-precision GEMM: D = A x B (+ C).
@@ -49,38 +39,6 @@ enum class ComboOrder {
   kFusedPerTile,    ///< EGEMM-TC: all combos inside each k-tile (one kernel)
   kSeparatePasses,  ///< cuBLAS-TC-Emulation: one full GEMM per combo
 };
-
-/// A split-product term: which plane of A and of B it multiplies.
-struct Combo {
-  bool a_hi;
-  bool b_hi;
-};
-
-/// Generic emulated-GEMM driver shared with the baselines: computes
-/// D = sum over combos of Aplane x Bplane (+ C) on the Tensor Core model.
-/// Splits + widens each input matrix exactly once, then runs the
-/// requested engine over the cached planes.
-Matrix emulated_gemm(const Matrix& a, const Matrix& b, const Matrix* c,
-                     core::SplitMethod split, std::span<const Combo> combos,
-                     ComboOrder order,
-                     ExecEngine engine = ExecEngine::kPacked);
-
-/// Extension ablation (DESIGN.md §4 "optional/extension features"): the
-/// three-way split generalization of Alg. 1 -- each input decomposes
-/// *exactly* into three binary16 planes, and all 9 cross products run on
-/// the Tensor Core.
-///
-/// Measured finding (tests/test_extensions.cpp, bench_ablation_split): for
-/// inputs in the usual [-1, 1] range this is BIT-IDENTICAL to Alg. 1. The
-/// third plane's products sit ~2^-23 below the operand scale, under the
-/// binary32 accumulator's ulp, so they are absorbed; the hi and mid planes
-/// coincide with Alg. 1's hi/lo. The precision bottleneck past 21 bits is
-/// the *accumulator*, not the split -- exactly why integer-accumulating
-/// schemes (Ozaki-style int8 emulation) exist. Kept as a public API so the
-/// negative result stays reproducible.
-Matrix egemm_multiply_3split(const Matrix& a, const Matrix& b,
-                             const Matrix* c = nullptr,
-                             ExecEngine engine = ExecEngine::kPacked);
 
 /// Result of the timed path.
 struct KernelTiming {
@@ -101,10 +59,6 @@ struct KernelTiming {
 KernelTiming egemm_timing(std::uint64_t m, std::uint64_t n, std::uint64_t k,
                           const tcsim::GpuSpec& spec,
                           const EgemmOptions& opts = {});
-
-/// Timed path for the 9-instruction (three-way split) schedule.
-KernelTiming egemm_3split_timing(std::uint64_t m, std::uint64_t n,
-                                 std::uint64_t k, const tcsim::GpuSpec& spec);
 
 /// Eq. 9: TFLOPS from problem shape and seconds.
 double gemm_tflops(std::uint64_t m, std::uint64_t n, std::uint64_t k,

@@ -53,86 +53,11 @@ void leave_breadcrumb(const void* plan, obs::PlanLookup lookup) noexcept {
 /// NaN canonicalization at the D store, as the modeled hardware does: the
 /// Tensor Core emits a canonical quiet NaN, never an input payload. Without
 /// this, x86 NaN propagation picks the *first* operand's payload, so the
-/// packed and reference engines could return bitwise-different NaNs for the
-/// same case purely from compiler register allocation.
+/// packed engine and the scalar oracle (verify/reference_execute.hpp) could
+/// return bitwise-different NaNs for the same case purely from compiler
+/// register allocation.
 inline float canonical_store(float x) noexcept {
   return std::isnan(x) ? std::numeric_limits<float>::quiet_NaN() : x;
-}
-
-/// Computes one 16x16 C tile over plane decompositions of A and B:
-/// iterates k-tiles and, per the requested order, the split-product
-/// combos; every dot runs with Tensor Core accumulation semantics. `acc`
-/// is the fp32 accumulator tile.
-void compute_c_tile(float acc[kTile][kTile], std::span<const Matrix> ap,
-                    std::span<const Matrix> bp, std::size_t i0,
-                    std::size_t j0, std::size_t mt, std::size_t nt,
-                    std::span<const PlaneCombo> combos, ComboOrder order) {
-  const std::size_t k = ap[0].cols();
-
-  auto k_tile_pass = [&](std::size_t k0, const PlaneCombo& combo) {
-    const std::size_t kt = std::min(kTile, k - k0);
-    // Transpose the B tile plane into a contiguous [j][k] buffer so the
-    // inner dot walks unit strides.
-    float bt[kTile][kTile];
-    const Matrix& bplane = bp[static_cast<std::size_t>(combo.b_plane)];
-    for (std::size_t kk = 0; kk < kt; ++kk) {
-      const float* brow = bplane.row(k0 + kk) + j0;
-      for (std::size_t j = 0; j < nt; ++j) bt[j][kk] = brow[j];
-    }
-    const Matrix& aplane = ap[static_cast<std::size_t>(combo.a_plane)];
-    for (std::size_t i = 0; i < mt; ++i) {
-      const float* arow = aplane.row(i0 + i) + k0;
-      for (std::size_t j = 0; j < nt; ++j) {
-        acc[i][j] = tcsim::tc_dot_f32(arow, bt[j], static_cast<int>(kt),
-                                      acc[i][j]);
-      }
-    }
-  };
-
-  if (order == ComboOrder::kFusedPerTile) {
-    // Alg. 1: inside each k-tile all combos accumulate before moving on.
-    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      for (const PlaneCombo& combo : combos) k_tile_pass(k0, combo);
-    }
-  } else {
-    // cuBLAS-TC-Emulation: one full-K GEMM per combo, D re-read between
-    // passes (numerically identical to staying in registers, since D is
-    // binary32 either way).
-    for (const PlaneCombo& combo : combos) {
-      for (std::size_t k0 = 0; k0 < k; k0 += kTile) k_tile_pass(k0, combo);
-    }
-  }
-}
-
-/// One 16-row output band (all column tiles) of the scalar reference
-/// driver -- the seed's execution path, kept as the semantics oracle the
-/// packed engine is pinned against (tests/test_packed_gemm.cpp). `d`
-/// arrives initialized with C (or zeros); writeback time is added to a
-/// non-null `combine`.
-void reference_row_block(Matrix& d, std::span<const Matrix> ap,
-                         std::span<const Matrix> bp,
-                         std::span<const PlaneCombo> combos, ComboOrder order,
-                         std::size_t rb, std::uint64_t* combine) {
-  const std::size_t m = d.rows();
-  const std::size_t n = d.cols();
-  const std::size_t i0 = rb * kTile;
-  const std::size_t mt = std::min(kTile, m - i0);
-  for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
-    const std::size_t nt = std::min(kTile, n - j0);
-    float acc[kTile][kTile];
-    for (std::size_t i = 0; i < mt; ++i) {
-      for (std::size_t j = 0; j < nt; ++j) {
-        acc[i][j] = d.at(i0 + i, j0 + j);
-      }
-    }
-    compute_c_tile(acc, ap, bp, i0, j0, mt, nt, combos, order);
-    const obs::StageTimer timer("combine", combine);
-    for (std::size_t i = 0; i < mt; ++i) {
-      for (std::size_t j = 0; j < nt; ++j) {
-        d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
-      }
-    }
-  }
 }
 
 /// k-slab length for the kSeparatePasses combo order. Any EVEN value is
@@ -149,9 +74,10 @@ static_assert(kSeparateSlab % 2 == 0);
 /// combo x k-slab recipe runs in ONE dispatched tcsim::mma_tile_recipe call
 /// over the workspace's pre-packed planes, so the SIMD variants keep the
 /// accumulator in registers across the entire k extent. Per output element
-/// the operation sequence is identical to the reference driver, so the
-/// result is bit-identical. `d` arrives initialized with C (or zeros);
-/// writeback time is added to a non-null `combine`.
+/// the operation sequence is identical to the scalar oracle's
+/// (verify::reference_execute), so the result is bit-identical. `d`
+/// arrives initialized with C (or zeros); writeback time is added to a
+/// non-null `combine`.
 void packed_tile(Matrix& d, const PackedPlanesA& apack,
                  const PackedPlanesB& bpack, std::size_t k,
                  std::span<const PlaneCombo> combos, ComboOrder order,
@@ -364,13 +290,12 @@ struct KeyedSchedule {
 };
 
 /// The one PlanKey builder behind every planning entry point: shape,
-/// backend, engine, resolved tile, then the recipe. A null `recipe` is a
-/// direct binary32 backend: its engine is canonicalized (engines do not
-/// apply) and it skips the tuning consult -- its tile only feeds the
-/// timing model, so a tune.{hit,miss} there would be noise.
+/// backend, resolved tile, then the recipe. A null `recipe` is a direct
+/// binary32 backend: it skips the tuning consult -- its tile only feeds
+/// the timing model, so a tune.{hit,miss} there would be noise.
 KeyedSchedule plan_key(Backend backend, std::size_t m, std::size_t n,
-                       std::size_t k, ExecEngine engine,
-                       const TileConfig& tile, const Recipe* recipe) {
+                       std::size_t k, const TileConfig& tile,
+                       const Recipe* recipe) {
   KeyedSchedule out;
   PlanKey& key = out.key;
   key.m = m;
@@ -378,7 +303,6 @@ KeyedSchedule plan_key(Backend backend, std::size_t m, std::size_t n,
   key.k = k;
   key.backend = backend;
   key.direct = recipe == nullptr;
-  key.engine = key.direct ? ExecEngine::kPacked : engine;
   const ResolvedSchedule sched =
       key.direct ? ResolvedSchedule{analytic_tile(tile), 0}
                  : resolve_schedule(tile, m, n, k);
@@ -424,9 +348,8 @@ void count_scheme_execute(std::int8_t scheme) {
 }
 
 /// One GEMM of an execute: its operands, its workspace, its place in the
-/// block stream, and the stage weights its call record is built from. A
-/// block is one packed 16x16 output tile, or one 16-row band of the
-/// reference engine (whose col_blocks is then 1).
+/// block stream (a block is one 16x16 output tile), and the stage weights
+/// its call record is built from.
 struct ItemRun {
   struct Operands {
     const GemmPlan* plan = nullptr;
@@ -452,7 +375,6 @@ struct ItemRun {
   std::atomic<std::uint64_t> combine_ns{0};
 
   const PlanKey& key() const noexcept { return op.plan->key(); }
-  bool packed() const noexcept { return key().engine == ExecEngine::kPacked; }
   std::size_t blocks() const noexcept { return row_blocks * col_blocks; }
 };
 
@@ -501,7 +423,7 @@ void prep_item(ItemRun& run, bool timed) {
   } else {
     d.fill(0.0f);
   }
-  if (run.packed()) {
+  {
     const obs::StageTimer pack("pack", timed ? &run.pack_ns : nullptr);
     ws.pack();
   }
@@ -511,14 +433,8 @@ void prep_item(ItemRun& run, bool timed) {
 
 void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
                std::uint64_t* combine) {
-  const PlanKey& key = run.key();
-  if (run.packed()) {
-    packed_tile(*run.op.d, run.ws->packed_a(), run.ws->packed_b(), key.k,
-                run.op.plan->combos(), key.order, rb, cb, combine);
-  } else {
-    reference_row_block(*run.op.d, run.ws->a_planes(), run.ws->b_planes(),
-                        run.op.plan->combos(), key.order, rb, combine);
-  }
+  packed_tile(*run.op.d, run.ws->packed_a(), run.ws->packed_b(), run.key().k,
+              run.op.plan->combos(), run.key().order, rb, cb, combine);
 }
 
 /// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
@@ -636,7 +552,6 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
     rec.batch = static_cast<std::uint32_t>(items);
     rec.scheme = key.scheme;
     rec.backend = static_cast<std::uint8_t>(key.backend);
-    rec.engine = static_cast<std::uint8_t>(key.engine);
     rec.isa = static_cast<std::uint8_t>(simd::active_isa());
     rec.lookup = lookup;
     obs::record_call(rec);
@@ -699,8 +614,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
     }
     ++emulated;
     run.row_blocks = (key.m + kTile - 1) / kTile;
-    run.col_blocks =
-        run.packed() ? (key.n + kTile - 1) / kTile : (key.n > 0 ? 1 : 0);
+    run.col_blocks = (key.n + kTile - 1) / kTile;
     blocks += run.blocks();
     work += key.m * key.n * key.k;
   }
@@ -723,7 +637,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
         walls.prep += run.prep_ns;
         if (serial) {
           const obs::ScopedSpan mma("mma");
-          if (run.packed()) EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
+          EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
           run_linear(run, timed, 0, run.blocks());
           walls.engine += run.engine_ns.load(std::memory_order_relaxed);
         } else {
@@ -734,9 +648,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
               [&](std::size_t rb0, std::size_t rb1, std::size_t cb0,
                   std::size_t cb1) {
                 const obs::ScopedSpan mma("mma");
-                if (run.packed()) {
-                  EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
-                }
+                EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
                 run_stretch(run, timed, [&](std::uint64_t* combine) {
                   for (std::size_t rb = rb0; rb < rb1; ++rb) {
                     for (std::size_t cb = cb0; cb < cb1; ++cb) {
@@ -771,17 +683,15 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
       const obs::StageTimer engine(nullptr, timed ? &walls.engine : nullptr);
       pool.parallel_for(blocks, grain, [&](std::size_t g0, std::size_t g1) {
         const obs::ScopedSpan mma("mma");
-        std::size_t tiles = 0;
+        EGEMM_COUNTER_ADD("egemm.tiles", g1 - g0);
         // The last item starting at or before g0 owns it (items with no
         // blocks, direct ones included, share their successor's offset).
         auto it = std::ranges::upper_bound(runs, g0, {}, &ItemRun::first) - 1;
         for (std::size_t g = g0; g < g1; ++it) {
           const std::size_t end = std::min(g1, it->first + it->blocks());
           run_linear(*it, timed, g - it->first, end - it->first);
-          if (it->packed()) tiles += end - g;
           g = end;
         }
-        if (tiles != 0) EGEMM_COUNTER_ADD("egemm.tiles", tiles);
       });
     }
 #ifndef NDEBUG
@@ -837,7 +747,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
   h = mix(h, static_cast<std::uint64_t>(key.backend));
   h = mix(h, key.direct ? 1u : 0u);
   h = mix(h, static_cast<std::uint64_t>(key.split));
-  h = mix(h, static_cast<std::uint64_t>(key.engine));
   h = mix(h, static_cast<std::uint64_t>(key.order));
   h = mix(h, static_cast<std::uint64_t>(key.planes));
   h = mix(h, static_cast<std::uint64_t>(key.combo_count));
@@ -896,15 +805,13 @@ GemmPlan::GemmPlan(const PlanKey& key, std::size_t grain)
                                  static_cast<int>(enc & 3)});
   }
   if (!key.direct) {
-    const std::size_t planes = key.planes;
-    const std::size_t plane_elems = key.m * key.k + key.k * key.n;
-    workspace_bytes_ = planes * plane_elems * sizeof(float);
-    if (key.engine == ExecEngine::kPacked) {
-      const std::size_t row_blocks = (key.m + kTile - 1) / kTile;
-      const std::size_t col_blocks = (key.n + kTile - 1) / kTile;
-      workspace_bytes_ += planes * (row_blocks + col_blocks) * kTile * key.k *
-                          sizeof(float);
-    }
+    // Split planes plus their tile-packed copies.
+    const std::size_t row_blocks = (key.m + kTile - 1) / kTile;
+    const std::size_t col_blocks = (key.n + kTile - 1) / kTile;
+    workspace_bytes_ = key.planes *
+                       (key.m * key.k + key.k * key.n +
+                        (row_blocks + col_blocks) * kTile * key.k) *
+                       sizeof(float);
   }
 }
 
@@ -928,11 +835,21 @@ KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
   const auto k = static_cast<std::uint64_t>(key_.k);
   switch (key_.backend) {
     case Backend::kEgemmTC: {
-      if (key_.planes == 3) return egemm_3split_timing(m, n, k, spec);
       EgemmOptions opts;
       opts.split = key_.split;
-      opts.tile = tile_;
-      return egemm_timing(m, n, k, spec, opts);
+      if (key_.planes != 3) {
+        opts.tile = tile_;
+        return egemm_timing(m, n, k, spec, opts);
+      }
+      // The 9-product three-way-split schedule on the Table 4 tiling. The
+      // split pass writes three half planes instead of two, 1.5x the bytes
+      // (the main loop's global traffic is handled by the stream shape).
+      opts.emulation_instructions = 9;
+      KernelTiming timing = egemm_timing(m, n, k, spec, opts);
+      timing.seconds += timing.split_pass_seconds * 0.5;
+      timing.split_pass_seconds *= 1.5;
+      timing.tflops = gemm_tflops(m, n, k, timing.seconds);
+      return timing;
     }
     case Backend::kDekker: {
       EgemmOptions opts;
@@ -1000,19 +917,19 @@ std::shared_ptr<const GemmPlan> GemmContext::plan(Backend backend,
                       ComboOrder::kFusedPerTile, 2};
       break;
   }
-  const auto [key, grain] = plan_key(backend, m, n, k, opts.engine, opts.tile,
-                                     recipe ? &*recipe : nullptr);
+  const auto [key, grain] =
+      plan_key(backend, m, n, k, opts.tile, recipe ? &*recipe : nullptr);
   return plan_for(key, grain);
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
     std::size_t m, std::size_t n, std::size_t k, core::SplitMethod split,
-    std::span<const PlaneCombo> combos, ComboOrder order, ExecEngine engine,
-    int planes, const TileConfig& tile) {
+    std::span<const PlaneCombo> combos, ComboOrder order, int planes,
+    const TileConfig& tile) {
   EGEMM_EXPECTS(planes == 2 || planes == 3);
   const Recipe recipe{split, combos, order, planes};
   const auto [key, grain] =
-      plan_key(Backend::kEgemmTC, m, n, k, engine, tile, &recipe);
+      plan_key(Backend::kEgemmTC, m, n, k, tile, &recipe);
   return plan_for(key, grain);
 }
 
@@ -1076,9 +993,8 @@ Matrix GemmContext::run(Backend backend, const Matrix& a, const Matrix& b,
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_scheme(
     core::SchemeId scheme, std::size_t m, std::size_t n, std::size_t k,
-    ExecEngine engine, const TileConfig& tile) {
+    const TileConfig& tile) {
   EgemmOptions opts;
-  opts.engine = engine;
   opts.tile = tile;
   switch (scheme) {
     case core::SchemeId::kHalf:
@@ -1105,11 +1021,10 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_scheme(
 }
 
 Matrix GemmContext::run_scheme(core::SchemeId scheme, const Matrix& a,
-                               const Matrix& b, const Matrix* c,
-                               ExecEngine engine) {
+                               const Matrix& b, const Matrix* c) {
   EGEMM_EXPECTS(a.cols() == b.rows());
   const std::shared_ptr<const GemmPlan> p =
-      plan_scheme(scheme, a.rows(), b.cols(), a.cols(), engine);
+      plan_scheme(scheme, a.rows(), b.cols(), a.cols());
   Matrix d;
   p->execute(*this, a, b, c, d);
   return d;
@@ -1117,11 +1032,11 @@ Matrix GemmContext::run_scheme(core::SchemeId scheme, const Matrix& a,
 
 GemmContext::ContractPlan GemmContext::plan_contract(
     std::size_t m, std::size_t n, std::size_t k,
-    const core::AccuracyContract& contract, ExecEngine engine) {
+    const core::AccuracyContract& contract) {
   ContractPlan result;
   result.resolution = core::resolve_contract(contract, k);
   if (result.resolution.feasible) {
-    result.plan = plan_scheme(result.resolution.scheme, m, n, k, engine);
+    result.plan = plan_scheme(result.resolution.scheme, m, n, k);
   }
   return result;
 }

@@ -11,8 +11,8 @@
 //
 //   GemmPlan     an immutable, fully-normalized execution recipe for one
 //                (shape, options, backend): split method, plane count, the
-//                ordered split-product combos, engine, and the tile
-//                configuration resolved through the §6 analytic solver.
+//                ordered split-product combos, and the tile configuration
+//                resolved through the §6 analytic solver.
 //                execute(ctx, A, B, C, D) runs it into a caller-owned D
 //                with zero per-call heap allocation once the leased
 //                workspace has warmed up (guarded in debug builds).
@@ -22,11 +22,11 @@
 //                Cache behaviour is observable as the gemm.plan.{hit,miss}
 //                counters and a "plan" span around plan construction.
 //
-// The one-shot APIs (egemm_multiply, emulated_gemm, run_gemm, gemm_ex)
-// are thin wrappers over default_context(), so every caller shares one
-// warm cache unless it opts into its own context. Both engines remain
-// bit-identical: a plan executes the exact operation sequence of the
-// pre-plan code paths.
+// The one-shot APIs (egemm_multiply, run_gemm, gemm_ex) are thin wrappers
+// over default_context(), so every caller shares one warm cache unless it
+// opts into its own context. A plan executes on one engine, the packed
+// tile kernel; the seed's scalar driver survives only as the test oracle
+// verify::reference_execute, which the packed engine matches bitwise.
 
 #include <cstddef>
 #include <cstdint>
@@ -74,7 +74,6 @@ struct PlanKey {
   Backend backend = Backend::kEgemmTC;  ///< timing dispatch + direct target
   bool direct = false;  ///< plain binary32 path, no plane decomposition
   core::SplitMethod split = core::SplitMethod::kRoundSplit;
-  ExecEngine engine = ExecEngine::kPacked;
   ComboOrder order = ComboOrder::kFusedPerTile;
   std::uint8_t planes = 2;
   std::uint8_t combo_count = 0;
@@ -189,7 +188,6 @@ class GemmPlan {
   bool direct() const noexcept { return key_.direct; }
   /// The backend the recipe was normalized from (timing dispatch target).
   Backend backend() const noexcept { return key_.backend; }
-  ExecEngine engine() const noexcept { return key_.engine; }
   ComboOrder order() const noexcept { return key_.order; }
   core::SplitMethod split() const noexcept { return key_.split; }
   int planes() const noexcept { return key_.planes; }
@@ -236,8 +234,8 @@ class GemmPlan {
 };
 
 /// One item of a grouped execute (GemmContext::execute_grouped): a planned
-/// GEMM plus its operands. Plans may mix shapes, schemes, engines and
-/// backends freely; direct-backend items run inline, ahead of the
+/// GEMM plus its operands. Plans may mix shapes, schemes and backends
+/// freely; direct-backend items run inline, ahead of the
 /// emulated stream, and record under the batch's id.
 struct GroupedGemm {
   std::shared_ptr<const GemmPlan> plan;
@@ -260,18 +258,16 @@ class GemmContext {
   /// Plan for a Table 5 backend: normalizes (backend, opts) into the
   /// recipe the backend's one-shot path executes. For Backend::kEgemmTC,
   /// opts.emulation_instructions selects Alg. 1 (4) or the three-way-split
-  /// ablation (9); other emulated backends ignore the EGEMM-specific
-  /// options except the engine.
+  /// rungs (9); other emulated backends ignore the EGEMM-specific options.
   std::shared_ptr<const GemmPlan> plan(Backend backend, std::size_t m,
                                        std::size_t n, std::size_t k,
                                        const EgemmOptions& opts = {});
 
-  /// Plan for a custom emulated recipe (the generalized emulated_gemm):
-  /// `combos` is the ordered split-product sequence over `planes` planes.
+  /// Plan for a custom emulated recipe: `combos` is the ordered
+  /// split-product sequence over `planes` planes.
   std::shared_ptr<const GemmPlan> plan_emulated(
       std::size_t m, std::size_t n, std::size_t k, core::SplitMethod split,
-      std::span<const PlaneCombo> combos, ComboOrder order,
-      ExecEngine engine = ExecEngine::kPacked, int planes = 2,
+      std::span<const PlaneCombo> combos, ComboOrder order, int planes = 2,
       const TileConfig& tile = table4_config());
 
   /// Convenience: plan (cached) + execute in one call.
@@ -283,13 +279,11 @@ class GemmContext {
   /// whose plan classifies back to `scheme` (plan->scheme_id()).
   std::shared_ptr<const GemmPlan> plan_scheme(
       core::SchemeId scheme, std::size_t m, std::size_t n, std::size_t k,
-      ExecEngine engine = ExecEngine::kPacked,
       const TileConfig& tile = table4_config());
 
   /// plan_scheme + execute in one call.
   Matrix run_scheme(core::SchemeId scheme, const Matrix& a, const Matrix& b,
-                    const Matrix* c = nullptr,
-                    ExecEngine engine = ExecEngine::kPacked);
+                    const Matrix* c = nullptr);
 
   /// A resolved accuracy contract: the per-rung bound table plus (when
   /// feasible) the plan for the cheapest provably sufficient rung.
@@ -306,8 +300,7 @@ class GemmContext {
   /// resolution.feasible is false (no throw: planning is noexcept-ish by
   /// convention; the executing APIs raise the error).
   ContractPlan plan_contract(std::size_t m, std::size_t n, std::size_t k,
-                             const core::AccuracyContract& contract,
-                             ExecEngine engine = ExecEngine::kPacked);
+                             const core::AccuracyContract& contract);
 
   /// Executes a batch of planned GEMMs through the same item pipeline as
   /// GemmPlan::execute (DESIGN.md §18). With several emulated items, their

@@ -252,13 +252,6 @@ bool parse_entry(const JsonValue& v, TuningEntry* out, std::string* error) {
     *error = "entry " + shape->string + " has an invalid grain";
     return false;
   }
-  const JsonValue* engine = v.find("engine");
-  if (engine == nullptr || engine->kind != JsonValue::Kind::kString ||
-      (engine->string != "packed" && engine->string != "reference")) {
-    *error = "entry " + shape->string + " has an invalid engine";
-    return false;
-  }
-  out->engine = engine->string;
   const JsonValue* isa = v.find("isa");
   if (isa == nullptr || isa->kind != JsonValue::Kind::kString ||
       !simd::parse_isa_name(isa->string)) {
@@ -514,7 +507,6 @@ std::string TuningCache::to_json(std::span<const TuningEntry> entries,
            ", \"wn\": " + std::to_string(e.tile.wn) +
            ", \"wk\": " + std::to_string(e.tile.wk) + "},\n";
     out += "     \"grain\": " + std::to_string(e.grain);
-    out += ", \"engine\": \"" + e.engine + "\"";
     out += ", \"isa\": \"" + e.isa + "\"";
     out += ", \"ns_per_call\": ";
     append_json_double(out, e.ns_per_call);

@@ -3,9 +3,9 @@
 //
 // The analytic model (§6) predicts a good tiling from first principles;
 // this layer complements it with *measured* winners, cuGemmProf-style:
-// an offline sweep (bench_micro --tune) profiles engines x ISA tiers x
-// scheduler grains per shape class and persists the winners to a
-// versioned JSON tuning file. At plan time GemmPlan consults the cache
+// an offline sweep (bench_micro --tune) profiles ISA tiers x scheduler
+// grains per shape class and persists the winners to a versioned JSON
+// tuning file. At plan time GemmPlan consults the cache
 // first and falls back to the analytic model when the file is absent,
 // stale (schema/version mismatch), or has no entry for the class --
 // observable as the gemm.tune.{hit,miss,fallback} counters.
@@ -51,13 +51,13 @@ std::string tuning_shape_class_name(const TuningShapeClass& cls);
 /// One measured winner for a shape class. `tile` is the §6 tiling the
 /// sweep ran under (informational on the host: the simulated-GPU timing
 /// depends on it, host wall time does not); `grain` is the 2D scheduler
-/// block size in output tiles (0 = pool default); `engine`/`isa` name the
-/// configuration that won the sweep.
+/// block size in output tiles (0 = pool default); `isa` names the tier the
+/// sweep ran under. Fields are looked up by name, so unknown keys (older
+/// sweeps also wrote an "engine") are ignored.
 struct TuningEntry {
   TuningShapeClass shape;
   gemm::TileConfig tile{};
   std::size_t grain = 0;
-  std::string engine;  ///< "packed" | "reference"
   std::string isa;     ///< "scalar" | "avx2" | "avx512"
   double ns_per_call = 0.0;
   double gflops = 0.0;

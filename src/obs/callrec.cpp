@@ -119,13 +119,12 @@ CallSummary summarize_calls(std::span<const CallRecord> records) {
   summary.dropped = dropped_call_records();
   const auto key_of = [](const CallClassSummary& c) {
     return std::make_tuple(c.m, c.n, c.k, c.batch, c.scheme, c.backend,
-                           c.engine, c.isa);
+                           c.isa);
   };
   for (const CallRecord& rec : records) {
     CallClassSummary* cls = nullptr;
     const auto key = std::make_tuple(rec.m, rec.n, rec.k, rec.batch,
-                                     rec.scheme, rec.backend, rec.engine,
-                                     rec.isa);
+                                     rec.scheme, rec.backend, rec.isa);
     for (CallClassSummary& existing : summary.classes) {
       if (key_of(existing) == key) {
         cls = &existing;
@@ -140,7 +139,6 @@ CallSummary summarize_calls(std::span<const CallRecord> records) {
       fresh.batch = rec.batch;
       fresh.scheme = rec.scheme;
       fresh.backend = rec.backend;
-      fresh.engine = rec.engine;
       fresh.isa = rec.isa;
       summary.classes.push_back(fresh);
       cls = &summary.classes.back();
@@ -148,8 +146,13 @@ CallSummary summarize_calls(std::span<const CallRecord> records) {
     ++cls->calls;
     cls->gemms += rec.batch;
     if (rec.batch_id != 0) ++cls->batched_records;
-    if (rec.lookup == PlanLookup::kHit) ++cls->plan_hits;
-    if (rec.lookup == PlanLookup::kMiss) ++cls->plan_misses;
+    if (rec.lookup == PlanLookup::kHit) {
+      ++cls->plan_hits;
+    } else if (rec.lookup == PlanLookup::kMiss) {
+      ++cls->plan_misses;
+    } else {
+      ++cls->plan_unknown;
+    }
     cls->total_ns += rec.total_ns;
     cls->split_ns += rec.split_ns;
     cls->pack_ns += rec.pack_ns;
@@ -217,11 +220,9 @@ std::string call_summary_json_block(const CallSummary& summary,
     append_u64(out, cls.k);
     char buf[64];
     std::snprintf(buf, sizeof(buf),
-                  ", \"scheme\": %d, \"backend\": %u, \"engine\": %u, "
-                  "\"isa\": %u",
+                  ", \"scheme\": %d, \"backend\": %u, \"isa\": %u",
                   static_cast<int>(cls.scheme),
                   static_cast<unsigned>(cls.backend),
-                  static_cast<unsigned>(cls.engine),
                   static_cast<unsigned>(cls.isa));
     out += buf;
     if (names.scheme != nullptr) {
@@ -229,9 +230,6 @@ std::string call_summary_json_block(const CallSummary& summary,
     }
     if (names.backend != nullptr) {
       append_name_field(out, "backend_name", names.backend(cls.backend));
-    }
-    if (names.engine != nullptr) {
-      append_name_field(out, "engine_name", names.engine(cls.engine));
     }
     if (names.isa != nullptr) {
       append_name_field(out, "isa_name", names.isa(cls.isa));
@@ -250,6 +248,8 @@ std::string call_summary_json_block(const CallSummary& summary,
     append_u64(out, cls.plan_hits);
     out += ", \"plan_misses\": ";
     append_u64(out, cls.plan_misses);
+    out += ", \"plan_unknown\": ";
+    append_u64(out, cls.plan_unknown);
     out += ", \"flops\": ";
     append_u64(out, cls.flops);
     out += ", \"bytes_moved\": ";

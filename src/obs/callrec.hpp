@@ -48,7 +48,7 @@ struct CallRecord {
   std::uint64_t start_ns = 0;    ///< obs::monotonic_ns() at entry
   std::uint64_t total_ns = 0;    ///< wall time of the whole execute
   std::uint64_t split_ns = 0;    ///< plane-decomposition pass
-  std::uint64_t pack_ns = 0;     ///< tile packing (packed engine only)
+  std::uint64_t pack_ns = 0;     ///< tile packing
   std::uint64_t mma_ns = 0;      ///< emulated Tensor Core compute
   std::uint64_t combine_ns = 0;  ///< accumulator writeback
   std::uint64_t flops = 0;       ///< effective FLOPs (2 m n k)
@@ -59,13 +59,12 @@ struct CallRecord {
   std::uint32_t batch = 1;       ///< GEMMs this record covers (1 = single)
   std::int8_t scheme = -1;       ///< core::SchemeId, -1 direct/custom
   std::uint8_t backend = 0;      ///< gemm::Backend value
-  std::uint8_t engine = 0;       ///< gemm::ExecEngine value
   std::uint8_t isa = 0;          ///< simd::IsaLevel value
   PlanLookup lookup = PlanLookup::kUnknown;
 };
 
 /// Runtime switch for call recording (default on; the producer cost is one
-/// ring store plus the per-stage clock reads in the engines).
+/// ring store plus the per-stage clock reads in the execute path).
 bool call_records_enabled() noexcept;
 void set_call_records(bool enabled) noexcept;
 
@@ -94,7 +93,6 @@ struct CallClassSummary {
   std::uint32_t batch = 1;  ///< items per record in this class
   std::int8_t scheme = -1;
   std::uint8_t backend = 0;
-  std::uint8_t engine = 0;
   std::uint8_t isa = 0;
 
   std::uint64_t calls = 0;
@@ -102,6 +100,9 @@ struct CallClassSummary {
   std::uint64_t batched_records = 0; ///< records with a nonzero batch_id
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
+  /// Records whose plan lookup is PlanLookup::kUnknown (held plans,
+  /// grouped batches); hits + misses + unknown == calls.
+  std::uint64_t plan_unknown = 0;
   std::uint64_t total_ns = 0;
   std::uint64_t split_ns = 0;
   std::uint64_t pack_ns = 0;
@@ -134,7 +135,7 @@ struct CallSummary {
   std::uint64_t dropped = 0;              ///< dropped_call_records() at build
 };
 
-/// Groups records by (m, n, k, batch, scheme, backend, engine, isa) and
+/// Groups records by (m, n, k, batch, scheme, backend, isa) and
 /// reduces each group, so batched traffic is attributed per batch class
 /// rather than folded into the single-call rows. `dropped` is stamped from
 /// the live dropped count.
@@ -147,7 +148,6 @@ CallSummary summarize_calls(std::span<const CallRecord> records);
 struct CallJsonNames {
   const char* (*scheme)(std::int8_t) = nullptr;
   const char* (*backend)(std::uint8_t) = nullptr;
-  const char* (*engine)(std::uint8_t) = nullptr;
   const char* (*isa)(std::uint8_t) = nullptr;
 };
 

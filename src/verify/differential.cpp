@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "verify/oracle.hpp"
+#include "verify/reference_execute.hpp"
 
 namespace egemm::verify {
 
@@ -197,20 +198,20 @@ CaseResult run_case(const FuzzCase& fuzz, gemm::GemmContext& ctx) {
   result.special = inputs_special(inputs);
 
   // Engine differential: the packed engine's contract is bitwise equality
-  // with the scalar reference for EVERY input class, specials included --
-  // run under the case's ladder rung so every scheme's packed path gets
-  // soaked, not just the round-2term default.
+  // with the scalar oracle (reference_execute) for EVERY input class,
+  // specials included -- run under the case's ladder rung so every
+  // scheme's packed path gets soaked, not just the round-2term default.
   const Path engine_path = scheme_path(fuzz.scheme);
   const auto engine_index = static_cast<std::size_t>(engine_path);
   count_path_case(engine_path);
   const double packed_start = now_seconds();
-  const gemm::Matrix packed =
-      ctx.run_scheme(fuzz.scheme, inputs.a, inputs.b, inputs.c_ptr());
+  const std::shared_ptr<const gemm::GemmPlan> plan = ctx.plan_scheme(
+      fuzz.scheme, inputs.a.rows(), inputs.b.cols(), inputs.a.cols());
+  gemm::Matrix packed;
+  plan->execute(ctx, inputs.a, inputs.b, inputs.c_ptr(), packed);
   result.path_seconds[engine_index] = now_seconds() - packed_start;
-  const gemm::Matrix reference =
-      ctx.run_scheme(fuzz.scheme, inputs.a, inputs.b, inputs.c_ptr(),
-                     gemm::ExecEngine::kReference);
-  result.engine_match = bitwise_equal(packed, reference);
+  result.engine_match = bitwise_equal(
+      packed, reference_execute(*plan, inputs.a, inputs.b, inputs.c_ptr()));
 
   if (result.special) {
     EGEMM_COUNTER_ADD("verify.special_cases", 1);

@@ -6,8 +6,9 @@
 // Three kinds of checks per fuzz case:
 //  * engine differential -- the case's emulation scheme (FuzzCase::scheme,
 //    round-robined across the whole ladder by fuzz_plan) on the packed
-//    engine must be bitwise identical to the retained scalar reference
-//    engine, for every input class including non-finite values;
+//    engine must be bitwise identical to the scalar oracle
+//    (verify/reference_execute.hpp), for every input class including
+//    non-finite values;
 //  * oracle differential -- for finite cases, each path's per-element error
 //    against the oracle must stay below its own scheme's worst-case bound
 //    (a violation is a harness failure: either the kernel or the model is
@@ -15,7 +16,7 @@
 //  * special-value cases (any NaN/Inf or split-overflow input) skip the
 //    numeric bounds -- IEEE propagation makes the "exact" value a
 //    convention, not a number -- but still run every path to prove the
-//    kernels neither crash nor disagree between engines.
+//    kernels neither crash nor disagree with the scalar oracle.
 //
 // Every reported failure carries the replayable one-line case descriptor
 // (verify/fuzzer.hpp) so a nightly fuzz hit can be turned into a corpus
@@ -95,7 +96,7 @@ struct PathObservation {
 struct CaseResult {
   FuzzCase fuzz;
   bool special = false;      ///< non-finite or split-overflow inputs
-  bool engine_match = true;  ///< packed == reference, bitwise
+  bool engine_match = true;  ///< packed == reference_execute, bitwise
   std::array<PathObservation, kPathCount> paths;  ///< empty when special
   double oracle_seconds = 0.0;  ///< wall time in the oracle (0 when special)
   std::array<double, kPathCount> path_seconds{};  ///< wall time per path

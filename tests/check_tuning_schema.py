@@ -12,8 +12,10 @@ analytic model. Checks:
 
   * top-level schema tag and version match the C++ constants,
   * every entry carries a power-of-two-bucketed shape_class (axes <= 2048),
-    a 6-field positive tile, a non-negative grain, a known engine and ISA
-    name, and non-negative measurements,
+    a 6-field positive tile, a non-negative grain, a known ISA name, and
+    non-negative measurements (other keys, such as the "engine" that files
+    from before the engine axis was dropped carry, are ignored, as the
+    loader ignores them),
   * (shape_class, isa) pairs are unique -- duplicates would make lookup
     order-dependent,
   * the optional small_gemm_inline_threshold is a positive integer.
@@ -27,7 +29,6 @@ import sys
 
 SCHEMA_NAME = "egemm-tuning"
 SCHEMA_VERSION = 1
-ENGINES = {"packed", "reference"}
 ISAS = {"scalar", "avx2", "avx512"}
 TILE_FIELDS = ("bm", "bn", "bk", "wm", "wn", "wk")
 LARGE_BUCKET = 2048
@@ -62,9 +63,6 @@ def check_entry(index, entry, errors):
     grain = entry.get("grain")
     if not isinstance(grain, int) or grain < 0:
         errors.append(f"{where} ({shape}): grain must be a non-negative integer")
-    if entry.get("engine") not in ENGINES:
-        errors.append(f"{where} ({shape}): engine {entry.get('engine')!r} "
-                      f"not in {sorted(ENGINES)}")
     if entry.get("isa") not in ISAS:
         errors.append(f"{where} ({shape}): isa {entry.get('isa')!r} "
                       f"not in {sorted(ISAS)}")

@@ -8,6 +8,7 @@
 #include "core/split.hpp"
 #include "fp/error_stats.hpp"
 #include "gemm/gemm_api.hpp"
+#include "gemm/plan.hpp"
 #include "util/rng.hpp"
 
 namespace egemm {
@@ -53,15 +54,17 @@ TEST(Split3, SpanVariantMatchesScalar) {
 }
 
 TEST(Split3, ThirdPlaneIsAbsorbedByTheFp32Accumulator) {
-  // The documented negative result (egemm.hpp): for inputs in [-1, 1] the
-  // 9-product three-way-split GEMM is BIT-IDENTICAL to Alg. 1 -- the hi
-  // and mid planes coincide with Alg. 1's hi/lo, and the third plane's
-  // products fall below the binary32 accumulator's ulp. Past 21 bits the
-  // bottleneck is the accumulator, not the split.
+  // The documented negative result (the recovery-3term rung in
+  // core/scheme.hpp): for inputs in [-1, 1] the 9-product three-way-split
+  // GEMM is BIT-IDENTICAL to Alg. 1 -- the hi and mid planes coincide with
+  // Alg. 1's hi/lo, and the third plane's products fall below the binary32
+  // accumulator's ulp. Past 21 bits the bottleneck is the accumulator, not
+  // the split.
   const gemm::Matrix a = gemm::random_matrix(256, 64, -1, 1, 11);
   const gemm::Matrix b = gemm::random_matrix(64, 256, -1, 1, 12);
   const gemm::Matrix alg1 = gemm::egemm_multiply(a, b);
-  const gemm::Matrix three = gemm::egemm_multiply_3split(a, b);
+  const gemm::Matrix three = gemm::default_context().run_scheme(
+      core::SchemeId::kRecovery3, a, b);
   for (std::size_t i = 0; i < alg1.size(); ++i) {
     EXPECT_EQ(alg1.data()[i], three.data()[i]) << i;
   }
@@ -84,7 +87,8 @@ TEST(Split3, HandlesEdgeTilesAndC) {
   const gemm::Matrix b = gemm::random_matrix(47, 29, -1, 1, 16);
   gemm::Matrix c(33, 29);
   c.fill(2.0f);
-  const gemm::Matrix d = gemm::egemm_multiply_3split(a, b, &c);
+  const gemm::Matrix d =
+      gemm::default_context().run_scheme(core::SchemeId::kRecovery3, a, b, &c);
   const gemm::MatrixD ref = gemm::gemm_reference(a, b, &c);
   EXPECT_LT(gemm::max_abs_error(ref, d), 1e-5);
 }
@@ -93,7 +97,9 @@ TEST(Split3, TimingCostsRoughly9Over4) {
   const tcsim::GpuSpec spec = tcsim::tesla_t4();
   const double alg1 = gemm::egemm_timing(8192, 8192, 8192, spec).seconds;
   const gemm::KernelTiming three =
-      gemm::egemm_3split_timing(8192, 8192, 8192, spec);
+      gemm::default_context()
+          .plan_scheme(core::SchemeId::kRecovery3, 8192, 8192, 8192)
+          ->timing(spec);
   EXPECT_GT(three.seconds / alg1, 1.8);
   EXPECT_LT(three.seconds / alg1, 2.6);
   // Even the 9-instruction schedule stays ahead of CUDA-core FP32.

@@ -198,7 +198,7 @@ TEST(GemmBatched, GroupedMixesEveryFeasibleTilingBitIdentically) {
   plans.reserve(result.feasible.size());
   for (const model::SolverCandidate& candidate : result.feasible) {
     plans.push_back(ctx.plan_scheme(core::SchemeId::kRound2, 48, 36, 32,
-                                    ExecEngine::kPacked, candidate.config));
+                                    candidate.config));
   }
   const std::size_t batch = plans.size();
   std::vector<Matrix> a, b;

@@ -1,8 +1,8 @@
 // The packed execution engine's contract (DESIGN.md §10): bit-identical to
-// the retained scalar reference across every shape, split method, combo
-// order, and C-accumulation variant -- including shapes smaller than one
-// tile, odd k, and k = 1, where the padding and remainder paths differ most
-// between the two engines.
+// the scalar oracle (verify::reference_execute) across every shape, split
+// method, combo order, ladder rung, and C-accumulation variant -- including
+// shapes smaller than one tile, odd k, and k = 1, where the padding and
+// remainder paths differ most between the engine and the oracle.
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scheme.hpp"
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
+#include "gemm/plan.hpp"
+#include "verify/reference_execute.hpp"
 
 namespace egemm::gemm {
 namespace {
@@ -23,6 +26,20 @@ bool bitwise_equal(const Matrix& x, const Matrix& y) {
          (x.data().empty() ||
           std::memcmp(x.data().data(), y.data().data(),
                       x.data().size() * sizeof(float)) == 0);
+}
+
+/// Executes `plan` on the packed engine (default context).
+Matrix run_packed(const GemmPlan& plan, const Matrix& a, const Matrix& b,
+                  const Matrix* c) {
+  Matrix d;
+  plan.execute(default_context(), a, b, c, d);
+  return d;
+}
+
+/// The default EGEMM-TC plan egemm_multiply runs for these operands.
+std::shared_ptr<const GemmPlan> egemm_plan(const Matrix& a, const Matrix& b) {
+  return default_context().plan(Backend::kEgemmTC, a.rows(), b.cols(),
+                                a.cols());
 }
 
 struct Shape {
@@ -45,24 +62,35 @@ TEST_P(PackedEngineTest, BitIdenticalAcrossSplitsOrdersAndC) {
   const Matrix b = random_matrix(s.k, s.n, -1, 1, 2000 + s.n + s.k);
   const Matrix c = random_matrix(s.m, s.n, -1, 1, 3000 + s.m + s.n);
 
-  static constexpr Combo kAlg1[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
+  static constexpr PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  GemmContext& ctx = default_context();
   for (const auto split : {core::SplitMethod::kRoundSplit,
                            core::SplitMethod::kTruncateSplit}) {
     for (const auto order :
          {ComboOrder::kFusedPerTile, ComboOrder::kSeparatePasses}) {
+      const auto plan =
+          ctx.plan_emulated(s.m, s.n, s.k, split, kAlg1, order);
       for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
-        const Matrix packed = emulated_gemm(a, b, cp, split, kAlg1, order,
-                                            ExecEngine::kPacked);
-        const Matrix reference = emulated_gemm(a, b, cp, split, kAlg1, order,
-                                               ExecEngine::kReference);
-        EXPECT_TRUE(bitwise_equal(packed, reference))
+        EXPECT_TRUE(bitwise_equal(run_packed(*plan, a, b, cp),
+                                  verify::reference_execute(*plan, a, b, cp)))
             << "shape " << s.m << "x" << s.n << "x" << s.k
             << " split=" << core::split_method_name(split)
             << " order=" << (order == ComboOrder::kFusedPerTile ? "fused"
                                                                 : "separate")
             << " c=" << (cp != nullptr);
       }
+    }
+  }
+  // Every rung of the emulation ladder, as plan_scheme builds it.
+  for (std::size_t r = 0; r < core::kSchemeCount; ++r) {
+    const auto scheme = static_cast<core::SchemeId>(r);
+    const auto plan = ctx.plan_scheme(scheme, s.m, s.n, s.k);
+    for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
+      EXPECT_TRUE(bitwise_equal(run_packed(*plan, a, b, cp),
+                                verify::reference_execute(*plan, a, b, cp)))
+          << "shape " << s.m << "x" << s.n << "x" << s.k
+          << " scheme=" << core::scheme_name(scheme)
+          << " c=" << (cp != nullptr);
     }
   }
 }
@@ -72,9 +100,10 @@ TEST_P(PackedEngineTest, ThreeSplitBitIdentical) {
   const Matrix a = random_matrix(s.m, s.k, -1, 1, 4000 + s.m);
   const Matrix b = random_matrix(s.k, s.n, -1, 1, 5000 + s.n);
   const Matrix c = random_matrix(s.m, s.n, -1, 1, 6000 + s.k);
-  EXPECT_TRUE(
-      bitwise_equal(egemm_multiply_3split(a, b, &c, ExecEngine::kPacked),
-                    egemm_multiply_3split(a, b, &c, ExecEngine::kReference)));
+  const auto plan = default_context().plan_scheme(core::SchemeId::kRecovery3,
+                                                  s.m, s.n, s.k);
+  EXPECT_TRUE(bitwise_equal(run_packed(*plan, a, b, &c),
+                            verify::reference_execute(*plan, a, b, &c)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,11 +117,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PackedEngine, EgemmMultiplyUsesPackedByDefault) {
   const Matrix a = random_matrix(40, 24, -1, 1, 7);
   const Matrix b = random_matrix(24, 56, -1, 1, 8);
-  EgemmOptions reference;
-  reference.engine = ExecEngine::kReference;
-  EXPECT_TRUE(
-      bitwise_equal(egemm_multiply(a, b), egemm_multiply(a, b, nullptr,
-                                                         reference)));
+  EXPECT_TRUE(bitwise_equal(
+      egemm_multiply(a, b),
+      verify::reference_execute(*egemm_plan(a, b), a, b, nullptr)));
 }
 
 TEST(PackedEngine, WideValueRangeStaysBitIdentical) {
@@ -104,17 +131,16 @@ TEST(PackedEngine, WideValueRangeStaysBitIdentical) {
   a.at(0, 0) = 0.0f;
   a.at(1, 1) = -0.0f;
   b.at(0, 0) = -0.0f;
-  EgemmOptions packed, reference;
-  reference.engine = ExecEngine::kReference;
-  EXPECT_TRUE(bitwise_equal(egemm_multiply(a, b, nullptr, packed),
-                            egemm_multiply(a, b, nullptr, reference)));
+  EXPECT_TRUE(bitwise_equal(
+      egemm_multiply(a, b),
+      verify::reference_execute(*egemm_plan(a, b), a, b, nullptr)));
 }
 
 TEST(PackedEngine, SpecialValuesStayBitIdentical) {
-  // NaN/Inf/signed-zero/denormal inputs: both engines must produce the
-  // same bits, including the canonical NaN the modeled hardware emits
-  // (payload-propagation differences between scalar and vector x86 code
-  // are exactly what the canonicalizing store erases).
+  // NaN/Inf/signed-zero/denormal inputs: the engine and the oracle must
+  // produce the same bits, including the canonical NaN the modeled
+  // hardware emits (payload-propagation differences between scalar and
+  // vector x86 code are exactly what the canonicalizing store erases).
   constexpr float kInf = std::numeric_limits<float>::infinity();
   const float kNan = std::nanf("");
   Matrix a = random_matrix(21, 19, -2, 2, 31);
@@ -133,12 +159,11 @@ TEST(PackedEngine, SpecialValuesStayBitIdentical) {
   c.at(0, 5) = kNan;
   c.at(1, 6) = -kInf;
 
-  EgemmOptions reference;
-  reference.engine = ExecEngine::kReference;
   for (const Matrix* cp :
        {static_cast<const Matrix*>(nullptr), static_cast<const Matrix*>(&c)}) {
     const Matrix packed = egemm_multiply(a, b, cp);
-    const Matrix scalar = egemm_multiply(a, b, cp, reference);
+    const Matrix scalar =
+        verify::reference_execute(*egemm_plan(a, b), a, b, cp);
     EXPECT_TRUE(bitwise_equal(packed, scalar)) << "c=" << (cp != nullptr);
     // And the NaNs that do appear are canonical (positive quiet NaN).
     for (const float v : packed.data()) {
@@ -152,18 +177,17 @@ TEST(PackedEngine, SpecialValuesStayBitIdentical) {
 }
 
 TEST(PackedEngine, EmptyShapesAgreeAndHaveTheRightSize) {
-  // m*n*k = 0: every combination of an empty extent must work on both
-  // engines and agree bitwise (k = 0 means D is a copy of C).
+  // m*n*k = 0: every combination of an empty extent must work on the
+  // engine and the oracle and agree bitwise (k = 0 means D is a copy of C).
   for (const auto [m, n, k] :
        {std::array<std::size_t, 3>{0, 4, 3}, std::array<std::size_t, 3>{4, 0, 3},
         std::array<std::size_t, 3>{4, 3, 0}, std::array<std::size_t, 3>{0, 0, 0}}) {
     const Matrix a = random_matrix(m, k, -1, 1, 41);
     const Matrix b = random_matrix(k, n, -1, 1, 42);
     const Matrix c = random_matrix(m, n, -1, 1, 43);
-    EgemmOptions reference;
-    reference.engine = ExecEngine::kReference;
     const Matrix packed = egemm_multiply(a, b, &c);
-    const Matrix scalar = egemm_multiply(a, b, &c, reference);
+    const Matrix scalar =
+        verify::reference_execute(*egemm_plan(a, b), a, b, &c);
     EXPECT_EQ(packed.rows(), m);
     EXPECT_EQ(packed.cols(), n);
     EXPECT_TRUE(bitwise_equal(packed, scalar))
@@ -185,8 +209,10 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   EXPECT_EQ(core::debug_split_elements() - before,
             a.data().size() + b.data().size());
 
+  const auto plan3 = default_context().plan_scheme(
+      core::SchemeId::kRecovery3, a.rows(), b.cols(), a.cols());
   const std::uint64_t before3 = core::debug_split_elements();
-  (void)egemm_multiply_3split(a, b);
+  (void)run_packed(*plan3, a, b, nullptr);
   EXPECT_EQ(core::debug_split_elements() - before3,
             a.data().size() + b.data().size());
 }

@@ -1,6 +1,7 @@
 // Tests for the plan/workspace execution layer (gemm/plan.hpp): cache
 // hit/miss accounting, LRU eviction, bit-identity of the planned path with
-// the one-shot APIs and the scalar reference engine, caller-owned output
+// the one-shot APIs and the scalar oracle (verify::reference_execute),
+// caller-owned output
 // reuse, and the debug allocation guard (a reused plan performs no heap
 // allocation on its second execute).
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
 #include "tcsim/gpu_spec.hpp"
+#include "verify/reference_execute.hpp"
 
 namespace egemm::gemm {
 namespace {
@@ -87,9 +89,7 @@ TEST(GemmPlanExecute, MatchesOneShotAndReferenceBitwise) {
   plan->execute(ctx, a, b, &c, d);
   EXPECT_TRUE(bitwise_equal(d, egemm_multiply(a, b, &c)));
 
-  EgemmOptions reference;
-  reference.engine = ExecEngine::kReference;
-  EXPECT_TRUE(bitwise_equal(d, egemm_multiply(a, b, &c, reference)));
+  EXPECT_TRUE(bitwise_equal(d, verify::reference_execute(*plan, a, b, &c)));
 }
 
 TEST(GemmPlanExecute, AllBackendsMatchTheOneShotApi) {

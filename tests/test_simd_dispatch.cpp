@@ -16,10 +16,12 @@
 
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
+#include "gemm/plan.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/half_convert_core.hpp"
 #include "simd/isa.hpp"
+#include "verify/reference_execute.hpp"
 
 namespace egemm {
 namespace {
@@ -408,10 +410,26 @@ bool bitwise_equal(const gemm::Matrix& x, const gemm::Matrix& y) {
                       x.data().size() * sizeof(float)) == 0);
 }
 
+/// Alg. 1's four round-split products in `order`, planned on the default
+/// context for the operands' shape.
+std::shared_ptr<const gemm::GemmPlan> alg1_plan(const gemm::Matrix& a,
+                                                const gemm::Matrix& b,
+                                                gemm::ComboOrder order) {
+  static constexpr gemm::PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  return gemm::default_context().plan_emulated(
+      a.rows(), b.cols(), a.cols(), core::SplitMethod::kRoundSplit, kAlg1,
+      order);
+}
+
+gemm::Matrix run_packed(const gemm::GemmPlan& plan, const gemm::Matrix& a,
+                        const gemm::Matrix& b, const gemm::Matrix* c) {
+  gemm::Matrix d;
+  plan.execute(gemm::default_context(), a, b, c, d);
+  return d;
+}
+
 TEST(SimdDispatchEndToEnd, PackedEngineMatchesReferenceUnderEveryIsa) {
   const IsaGuard guard;
-  static constexpr gemm::Combo kAlg1[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
   const gemm::Matrix a = gemm::random_matrix(33, 47, -1, 1, 7001);
   const gemm::Matrix b = gemm::random_matrix(47, 65, -1, 1, 7002);
   const gemm::Matrix c = gemm::random_matrix(33, 65, -1, 1, 7003);
@@ -419,12 +437,10 @@ TEST(SimdDispatchEndToEnd, PackedEngineMatchesReferenceUnderEveryIsa) {
     simd::force_isa(level);
     for (const auto order : {gemm::ComboOrder::kFusedPerTile,
                              gemm::ComboOrder::kSeparatePasses}) {
-      const gemm::Matrix packed =
-          gemm::emulated_gemm(a, b, &c, core::SplitMethod::kRoundSplit, kAlg1,
-                              order, gemm::ExecEngine::kPacked);
+      const auto plan = alg1_plan(a, b, order);
+      const gemm::Matrix packed = run_packed(*plan, a, b, &c);
       const gemm::Matrix reference =
-          gemm::emulated_gemm(a, b, &c, core::SplitMethod::kRoundSplit, kAlg1,
-                              order, gemm::ExecEngine::kReference);
+          verify::reference_execute(*plan, a, b, &c);
       EXPECT_TRUE(bitwise_equal(packed, reference))
           << simd::isa_name(level) << " order="
           << (order == gemm::ComboOrder::kFusedPerTile ? "fused" : "separate");
@@ -433,25 +449,19 @@ TEST(SimdDispatchEndToEnd, PackedEngineMatchesReferenceUnderEveryIsa) {
 }
 
 TEST(SimdDispatchEndToEnd, EveryIsaProducesTheSameGemmBits) {
-  // Stronger than packed == reference per level: the RESULT itself must not
-  // depend on the level (the reference engine never dispatches its inner
-  // dot, so this pins the dispatched converters + MMA jointly).
+  // Stronger than packed == oracle per level: the RESULT itself must not
+  // depend on the level (the oracle never dispatches its inner dot, so this
+  // pins the dispatched converters + MMA jointly).
   const IsaGuard guard;
-  static constexpr gemm::Combo kAlg1[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
   const gemm::Matrix a = gemm::random_matrix(40, 100, -1, 1, 8001);
   const gemm::Matrix b = gemm::random_matrix(100, 24, -1, 1, 8002);
   simd::force_isa(IsaLevel::kScalar);
-  const gemm::Matrix want =
-      gemm::emulated_gemm(a, b, nullptr, core::SplitMethod::kRoundSplit,
-                          kAlg1, gemm::ComboOrder::kFusedPerTile,
-                          gemm::ExecEngine::kPacked);
+  const gemm::Matrix want = run_packed(
+      *alg1_plan(a, b, gemm::ComboOrder::kFusedPerTile), a, b, nullptr);
   for (const IsaLevel level : available_levels()) {
     simd::force_isa(level);
-    const gemm::Matrix got =
-        gemm::emulated_gemm(a, b, nullptr, core::SplitMethod::kRoundSplit,
-                            kAlg1, gemm::ComboOrder::kFusedPerTile,
-                            gemm::ExecEngine::kPacked);
+    const gemm::Matrix got = run_packed(
+        *alg1_plan(a, b, gemm::ComboOrder::kFusedPerTile), a, b, nullptr);
     EXPECT_TRUE(bitwise_equal(got, want)) << simd::isa_name(level);
   }
 }

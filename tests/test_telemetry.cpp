@@ -192,7 +192,6 @@ TEST(CallRecords, RoundTripPreservesFields) {
   rec.tid = current_thread_id();
   rec.scheme = 3;
   rec.backend = 0;
-  rec.engine = 1;
   rec.isa = 2;
   rec.lookup = PlanLookup::kMiss;
   record_call(rec);
@@ -202,7 +201,6 @@ TEST(CallRecords, RoundTripPreservesFields) {
   EXPECT_EQ(drained[0].total_ns, 456u);
   EXPECT_EQ(drained[0].mma_ns, 300u);
   EXPECT_EQ(drained[0].scheme, 3);
-  EXPECT_EQ(drained[0].engine, 1);
   EXPECT_EQ(drained[0].lookup, PlanLookup::kMiss);
   EXPECT_TRUE(drain_call_records().empty());
 }
@@ -389,6 +387,42 @@ TEST(CallRecords, DirectBackendRecordsTotalOnly) {
   EXPECT_EQ(records[0].pack_ns, 0u);
   EXPECT_EQ(records[0].mma_ns, 0u);
   EXPECT_EQ(records[0].scheme, -1);
+}
+
+TEST(CallRecords, HeldPlanCountsAsUnknownLookup) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  clear_call_records();
+  gemm::GemmContext ctx;
+  const gemm::Matrix a = gemm::random_matrix(40, 24, -1.0f, 1.0f, 5);
+  const gemm::Matrix b = gemm::random_matrix(24, 20, -1.0f, 1.0f, 6);
+  const auto held = ctx.plan_scheme(core::SchemeId::kRound2, 40, 20, 24);
+  // A later lookup on this thread supersedes the held plan's breadcrumb,
+  // so none of the held plan's executes can claim a hit or a miss.
+  static_cast<void>(ctx.run_scheme(core::SchemeId::kHalf, a, b));  // miss
+  constexpr std::uint64_t kHeldCalls = 5;
+  gemm::Matrix d;
+  for (std::uint64_t i = 0; i < kHeldCalls; ++i) {
+    held->execute(ctx, a, b, nullptr, d);
+  }
+  static_cast<void>(ctx.run_scheme(core::SchemeId::kHalf, a, b));  // hit
+
+  const std::vector<CallRecord> records = drain_call_records();
+  const CallSummary summary =
+      summarize_calls({records.data(), records.size()});
+  ASSERT_EQ(summary.classes.size(), 2u);
+  for (const CallClassSummary& cls : summary.classes) {
+    EXPECT_EQ(cls.plan_hits + cls.plan_misses + cls.plan_unknown, cls.calls);
+    if (cls.scheme == static_cast<std::int8_t>(core::SchemeId::kRound2)) {
+      EXPECT_EQ(cls.calls, kHeldCalls);
+      EXPECT_EQ(cls.plan_unknown, kHeldCalls);
+    } else {
+      EXPECT_EQ(cls.plan_hits, 1u);
+      EXPECT_EQ(cls.plan_misses, 1u);
+      EXPECT_EQ(cls.plan_unknown, 0u);
+    }
+  }
+  const std::string json = call_summary_json_block(summary, "");
+  EXPECT_NE(json.find("\"plan_unknown\": 5"), std::string::npos);
 }
 
 // -- registry latency histograms ---------------------------------------------

@@ -69,7 +69,6 @@ TuningEntry make_entry(std::size_t m, std::size_t n, std::size_t k,
   entry.shape = tuning_shape_class(m, n, k);
   entry.tile = gemm::table4_config();
   entry.grain = grain;
-  entry.engine = "packed";
   entry.isa = isa;
   entry.ns_per_call = 1000.0;
   entry.gflops = 1.0;
@@ -156,9 +155,9 @@ TEST(TuningCacheLoad, RejectedLoadClearsAPreviouslyGoodTable) {
 
 TEST(TuningCacheRoundTrip, ToJsonLoadsBackWithEveryField) {
   const GlobalTuningGuard guard;
-  std::vector<TuningEntry> entries = {make_entry(64, 64, 64, 7, "scalar"),
-                                      make_entry(128, 128, 128, 2, "scalar")};
-  entries[1].engine = "reference";
+  const std::vector<TuningEntry> entries = {
+      make_entry(64, 64, 64, 7, "scalar"),
+      make_entry(128, 128, 128, 2, "scalar")};
   const std::string json =
       TuningCache::to_json(entries, "test-writer", std::size_t{4096});
   const TempFile file(json);
@@ -176,13 +175,25 @@ TEST(TuningCacheRoundTrip, ToJsonLoadsBackWithEveryField) {
   TuningEntry out;
   ASSERT_EQ(cache.lookup(60, 50, 40, &out), TuningLookup::kHit);
   EXPECT_EQ(out.grain, 7u);
-  EXPECT_EQ(out.engine, "packed");
   EXPECT_EQ(out.tile, gemm::table4_config());
   ASSERT_EQ(cache.lookup(100, 128, 90, &out), TuningLookup::kHit);
   EXPECT_EQ(out.grain, 2u);
-  EXPECT_EQ(out.engine, "reference");
   // A class the file does not cover is a miss, not a fallback.
   EXPECT_EQ(cache.lookup(512, 512, 512), TuningLookup::kMiss);
+
+  // Files written while the sweep still had an engine axis carry an
+  // "engine" key per entry; fields are looked up by name, so they load.
+  const TempFile legacy(R"({"schema": "egemm-tuning", "version": 1,
+    "entries": [
+      {"shape_class": "256x256x256",
+       "tile": {"bm": 128, "bn": 128, "bk": 32, "wm": 64, "wn": 32, "wk": 8},
+       "grain": 16, "engine": "reference", "isa": "avx2",
+       "ns_per_call": 1000.0, "gflops": 1.0}]})");
+  TuningCache legacy_cache;
+  ASSERT_TRUE(legacy_cache.load_file(legacy.path, &error)) << error;
+  ASSERT_EQ(legacy_cache.lookup(256, 256, 256, &out), TuningLookup::kHit);
+  EXPECT_EQ(out.grain, 16u);
+  EXPECT_EQ(out.isa, "avx2");
 }
 
 TEST(TuningCacheRoundTrip, LookupPrefersTheActiveIsaTier) {
