@@ -1,7 +1,6 @@
 #include "apps/kmeans.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace egemm::apps {
 
@@ -28,22 +28,30 @@ gemm::Matrix seed_centroids(const gemm::Matrix& points, int clusters,
   std::vector<double> best_dist(n, std::numeric_limits<double>::max());
   std::size_t chosen = rng.below(n);
   for (int c = 0; c < clusters; ++c) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      centroids.at(static_cast<std::size_t>(c), d) = points.at(chosen, d);
-    }
+    float* centroid = centroids.row(static_cast<std::size_t>(c));
+    std::copy(points.row(chosen), points.row(chosen) + dim, centroid);
     if (c + 1 == clusters) break;
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t d = 0; d < dim; ++d) {
-        const double diff =
-            static_cast<double>(points.at(i, d)) -
-            static_cast<double>(centroids.at(static_cast<std::size_t>(c), d));
-        acc += diff * diff;
+    // Points run on the pool, four per step as interleaved chains that each
+    // sum over d in order (a short tail repeats its last point); the total
+    // below stays serial.
+    util::global_pool().parallel_for(n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; i += 4) {
+        double acc[4] = {};
+        for (std::size_t d = 0; d < dim; ++d) {
+          for (std::size_t l = 0; l < 4; ++l) {
+            const double diff =
+                static_cast<double>(points.at(std::min(i + l, e - 1), d)) -
+                static_cast<double>(centroid[d]);
+            acc[l] += diff * diff;
+          }
+        }
+        for (std::size_t l = 0; l < std::min<std::size_t>(4, e - i); ++l) {
+          best_dist[i + l] = std::min(best_dist[i + l], acc[l]);
+        }
       }
-      best_dist[i] = std::min(best_dist[i], acc);
-      total += best_dist[i];
-    }
+    });
+    double total = 0.0;
+    for (const double dist : best_dist) total += dist;
     // Sample proportional to best_dist.
     double target = rng.uniform_double(0.0, total);
     chosen = n - 1;
@@ -56,19 +64,6 @@ gemm::Matrix seed_centroids(const gemm::Matrix& points, int clusters,
     }
   }
   return centroids;
-}
-
-std::vector<float> row_norms(const gemm::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    float acc = 0.0f;
-    const float* row = m.row(i);
-    for (std::size_t d = 0; d < m.cols(); ++d) {
-      acc = std::fmaf(row[d], row[d], acc);
-    }
-    norms[i] = acc;
-  }
-  return norms;
 }
 
 }  // namespace
@@ -84,7 +79,7 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
   result.centroids = seed_centroids(points, opts.clusters, opts.seed);
   result.assignment.assign(n, 0);
 
-  const std::vector<float> pn = row_norms(points);
+  const std::vector<float> pn = gemm::row_norms(points);
   double prev_inertia = std::numeric_limits<double>::max();
 
   // Every iteration runs the same (n x dim) x (dim x clusters) GEMM: plan
@@ -96,9 +91,10 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
   // Centroids are convex combinations of points, so both GEMM operands
   // share the points' scale context for the a-priori bound. Shared by
   // every chunk of the grouped path, so all chunks resolve to one scheme.
+  // Only a contract reads it, so the scan is skipped without one.
   core::AccuracyContract contract;
   contract.max_abs_error = opts.precision_target;
-  contract.a_scale = gemm::max_abs(points);
+  contract.a_scale = opts.precision_target > 0.0 ? gemm::max_abs(points) : 0.0;
   contract.b_scale = contract.a_scale;
   const auto plan_shape =
       [&](std::size_t rows) -> std::shared_ptr<const gemm::GemmPlan> {
@@ -149,6 +145,7 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
                                  &cross_chunks[ci]};
   }
 
+  std::vector<float> point_dist(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     // Assignment step: distance matrix through the GEMM backend.
     gemm::transpose_into(result.centroids, ct);
@@ -157,23 +154,30 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
     } else {
       plans[0]->execute(ctx, points, ct, nullptr, cross);
     }
-    const std::vector<float> cn = row_norms(result.centroids);
+    const std::vector<float> cn = gemm::row_norms(result.centroids);
 
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* cross_row =
-          grouped ? cross_chunks[i / group].row(i % group) : cross.row(i);
-      int best = 0;
-      float best_dist = std::numeric_limits<float>::max();
-      for (std::size_t c = 0; c < clusters; ++c) {
-        const float dist = pn[i] + cn[c] - 2.0f * cross_row[c];
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = static_cast<int>(c);
+    // Points are independent, so the assignment runs on the pool; the
+    // inertia sum over the points stays serial.
+    util::global_pool().parallel_for(n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        const float* cross_row =
+            grouped ? cross_chunks[i / group].row(i % group) : cross.row(i);
+        int best = 0;
+        float best_dist = std::numeric_limits<float>::max();
+        for (std::size_t c = 0; c < clusters; ++c) {
+          const float dist = pn[i] + cn[c] - 2.0f * cross_row[c];
+          if (dist < best_dist) {
+            best_dist = dist;
+            best = static_cast<int>(c);
+          }
         }
+        result.assignment[i] = best;
+        point_dist[i] = best_dist;
       }
-      result.assignment[i] = best;
-      inertia += std::max(0.0, static_cast<double>(best_dist));
+    });
+    double inertia = 0.0;
+    for (const float dist : point_dist) {
+      inertia += std::max(0.0, static_cast<double>(dist));
     }
     result.inertia = inertia;
     result.iterations = iter + 1;

@@ -1,7 +1,6 @@
 #include "apps/knn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <numeric>
@@ -10,27 +9,14 @@
 
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace egemm::apps {
 
 namespace {
 
-/// Squared L2 norms of each row.
-std::vector<float> row_norms(const gemm::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    float acc = 0.0f;
-    const float* row = m.row(i);
-    for (std::size_t d = 0; d < m.cols(); ++d) {
-      acc = std::fmaf(row[d], row[d], acc);
-    }
-    norms[i] = acc;
-  }
-  return norms;
-}
-
 /// Partial selection of the k smallest entries of `row`, ties broken by
-/// index (deterministic across backends).
+/// index (deterministic across backends): the oracle's selection.
 void select_k(const float* row, std::size_t n, int k,
               std::int32_t* out_idx, float* out_dist) {
   std::vector<std::int32_t> order(n);
@@ -64,11 +50,14 @@ KnnResult knn_search(const gemm::Matrix& queries,
 
   KnnResult result;
   // Explicit scale context shared by the single GEMM and every grouped
-  // chunk, so the grouped path resolves to the same scheme.
+  // chunk, so the grouped path resolves to the same scheme. Only a
+  // contract reads it, so the scans are skipped without one.
   core::AccuracyContract contract;
   contract.max_abs_error = opts.precision_target;
-  contract.a_scale = gemm::max_abs(queries);
-  contract.b_scale = gemm::max_abs(references);
+  if (opts.precision_target > 0.0) {
+    contract.a_scale = gemm::max_abs(queries);
+    contract.b_scale = gemm::max_abs(references);
+  }
   const auto plan_shape =
       [&](std::size_t rows) -> std::shared_ptr<const gemm::GemmPlan> {
     if (opts.precision_target <= 0.0) {
@@ -117,23 +106,36 @@ KnnResult knn_search(const gemm::Matrix& queries,
     plan_shape(m)->execute(ctx, queries, rt, nullptr, cross);
   }
 
-  const std::vector<float> qn = row_norms(queries);
-  const std::vector<float> rn = row_norms(references);
-  result.indices = gemm::BasicMatrix<std::int32_t>(
-      m, static_cast<std::size_t>(opts.k));
-  result.distances = gemm::Matrix(m, static_cast<std::size_t>(opts.k));
+  const std::vector<float> qn = gemm::row_norms(queries);
+  const std::vector<float> rn = gemm::row_norms(references);
+  const auto k = static_cast<std::size_t>(opts.k);
+  result.indices = gemm::BasicMatrix<std::int32_t>(m, k);
+  result.distances = gemm::Matrix(m, k);
 
-  std::vector<float> dist_row(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* cross_row =
-        grouped ? cross_chunks[i / group].row(i % group) : cross.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      // Clamp: rounding can push tiny true distances slightly negative.
-      dist_row[j] = std::max(0.0f, qn[i] + rn[j] - 2.0f * cross_row[j]);
+  // Query rows run on the pool, each through a sorted k-slot insertion that
+  // rejects most candidates with one compare. j ascends, so an equal distance
+  // never displaces a kept index: ranks match select_k's (distance, index).
+  util::global_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const float* cross_row =
+          grouped ? cross_chunks[i / group].row(i % group) : cross.row(i);
+      std::int32_t* idx = result.indices.row(i);
+      float* dist = result.distances.row(i);
+      std::size_t kept = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        // Clamp: rounding can push tiny true distances slightly negative.
+        const float d = std::max(0.0f, qn[i] + rn[j] - 2.0f * cross_row[j]);
+        if (kept == k && !(d < dist[k - 1])) continue;
+        std::size_t slot = kept < k ? kept++ : k - 1;
+        for (; slot > 0 && dist[slot - 1] > d; --slot) {
+          dist[slot] = dist[slot - 1];
+          idx[slot] = idx[slot - 1];
+        }
+        dist[slot] = d;
+        idx[slot] = static_cast<std::int32_t>(j);
+      }
     }
-    select_k(dist_row.data(), n, opts.k, result.indices.row(i),
-             result.distances.row(i));
-  }
+  });
   return result;
 }
 

@@ -6,23 +6,26 @@
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace egemm::apps {
 
 namespace {
 
-/// C . v for a symmetric dim x dim matrix in binary64 (the small
-/// per-iteration work; the GEMM-heavy part is the covariance itself).
-std::vector<double> matvec(const gemm::Matrix& c,
+/// C . v in binary64 over `ct` = C^T: blocks of outputs accumulate across j
+/// in registers, so each out[i] still sums C(i, j) v[j] over j in order.
+std::vector<double> matvec(const gemm::MatrixD& ct,
                            const std::vector<double>& v) {
-  std::vector<double> out(c.rows(), 0.0);
-  for (std::size_t i = 0; i < c.rows(); ++i) {
-    double acc = 0.0;
-    const float* row = c.row(i);
-    for (std::size_t j = 0; j < c.cols(); ++j) {
-      acc += static_cast<double>(row[j]) * v[j];
+  constexpr std::size_t kLanes = 8;
+  std::vector<double> out(ct.cols());
+  for (std::size_t i0 = 0; i0 < ct.cols(); i0 += kLanes) {
+    const std::size_t lanes = std::min(kLanes, ct.cols() - i0);
+    double acc[kLanes] = {};
+    for (std::size_t j = 0; j < ct.rows(); ++j) {
+      const double* col = ct.row(j) + i0;
+      for (std::size_t l = 0; l < lanes; ++l) acc[l] += col[l] * v[j];
     }
-    out[i] = acc;
+    std::copy(acc, acc + lanes, out.begin() + static_cast<std::ptrdiff_t>(i0));
   }
   return out;
 }
@@ -59,25 +62,44 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
           static_cast<float>(sums[d] / static_cast<double>(n));
     }
   }
+  // One pool pass over row blocks writes X_c, its transpose (the
+  // covariance GEMM's A operand) and each block's max |X_c|.
+  constexpr std::size_t kBlock = 32;
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
   gemm::Matrix centered(n, dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* src = points.row(i);
-    float* dst = centered.row(i);
-    for (std::size_t d = 0; d < dim; ++d) dst[d] = src[d] - result.mean[d];
-  }
+  gemm::Matrix xt(dim, n);
+  std::vector<double> block_max(blocks, 0.0);
+  util::global_pool().parallel_for(blocks, [&](std::size_t b0,
+                                               std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::size_t i0 = b * kBlock;
+      const std::size_t i1 = std::min(n, i0 + kBlock);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const float* src = points.row(i);
+        float* dst = centered.row(i);
+        for (std::size_t d = 0; d < dim; ++d) {
+          dst[d] = src[d] - result.mean[d];
+          block_max[b] =
+              std::max(block_max[b], std::fabs(static_cast<double>(dst[d])));
+        }
+      }
+      for (std::size_t d = 0; d < dim; ++d) {
+        for (std::size_t i = i0; i < i1; ++i) xt.at(d, i) = centered.at(i, d);
+      }
+    }
+  });
 
   // Covariance via the backend: C = (1/(n-1)) X_c^T x X_c -- the O(n dim^2)
   // GEMM this application exists for.
   gemm::GemmContext& ctx =
       opts.context != nullptr ? *opts.context : gemm::default_context();
   gemm::GemmExParams params;
-  params.trans_a = gemm::Transpose::kTranspose;
   params.alpha = 1.0f / static_cast<float>(n - 1);
   // Explicit scale context so the contract resolves identically for the
   // single call and for every chunk of the grouped path below.
   core::AccuracyContract contract;
   contract.max_abs_error = opts.precision_target;
-  contract.a_scale = gemm::max_abs(centered);
+  contract.a_scale = *std::max_element(block_max.begin(), block_max.end());
   contract.b_scale = contract.a_scale;
 
   // Grouped path (DESIGN.md §18): partition the rows of X_c^T -- each
@@ -89,7 +111,6 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
   const std::size_t chunk_count = (dim + group - 1) / group;
   gemm::Matrix covariance;
   if (chunk_count > 1) {
-    const gemm::Matrix xt = gemm::transpose(centered);
     std::vector<gemm::Matrix> xt_chunks(chunk_count);
     std::vector<gemm::Matrix> cov_chunks(chunk_count);
     std::vector<gemm::GroupedGemmItem> items(chunk_count);
@@ -103,12 +124,11 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
       items[ci].b = &centered;
       items[ci].d = &cov_chunks[ci];
       items[ci].params = params;
-      items[ci].params.trans_a = gemm::Transpose::kNone;  // pre-transposed
     }
     if (opts.precision_target > 0.0) {
       const core::ContractResolution resolution =
-          gemm::gemm_ex_contract_resolution(centered, centered, nullptr,
-                                            params, contract);
+          gemm::gemm_ex_contract_resolution(xt, centered, nullptr, params,
+                                            contract);
       // The grouped overload re-resolves per item (same explicit scales,
       // same k = n, same alpha -> same rung) and throws the detailed
       // invalid_argument itself when infeasible.
@@ -124,16 +144,15 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
     }
   } else if (opts.precision_target > 0.0) {
     const core::ContractResolution resolution =
-        gemm::gemm_ex_contract_resolution(centered, centered, nullptr, params,
+        gemm::gemm_ex_contract_resolution(xt, centered, nullptr, params,
                                           contract);
     // The contract overload re-resolves and throws the detailed
     // invalid_argument itself when infeasible.
-    covariance =
-        gemm::gemm_ex(ctx, centered, centered, nullptr, params, contract);
+    covariance = gemm::gemm_ex(ctx, xt, centered, nullptr, params, contract);
     result.scheme = core::scheme_name(resolution.scheme);
   } else {
     covariance =
-        gemm::gemm_ex(ctx, opts.backend, centered, centered, nullptr, params);
+        gemm::gemm_ex(ctx, opts.backend, xt, centered, nullptr, params);
   }
 
   // Power iteration with deflation on the dim x dim covariance.
@@ -141,11 +160,12 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
   result.components = gemm::Matrix(static_cast<std::size_t>(opts.components),
                                    dim);
   for (int component = 0; component < opts.components; ++component) {
+    const gemm::MatrixD ct = gemm::widen(gemm::transpose(covariance));
     std::vector<double> v(dim);
     for (double& x : v) x = rng.uniform_double(-1.0, 1.0);
     double lambda = 0.0;
     for (int iter = 0; iter < opts.power_iterations; ++iter) {
-      std::vector<double> w = matvec(covariance, v);
+      std::vector<double> w = matvec(ct, v);
       const double w_norm = norm(w);
       if (w_norm == 0.0) break;
       for (double& x : w) x /= w_norm;

@@ -5,6 +5,7 @@
 
 #include "fp/twofold.hpp"
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace egemm::gemm {
 
@@ -25,18 +26,25 @@ MatrixD widen(const Matrix& m) {
 }
 
 Matrix transpose(const Matrix& m) {
-  Matrix t(m.cols(), m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) t.at(j, i) = m.at(i, j);
-  }
+  Matrix t;
+  transpose_into(m, t);
   return t;
 }
 
 void transpose_into(const Matrix& m, Matrix& out) {
   EGEMM_EXPECTS(&m != &out);
   out.resize(m.cols(), m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) out.at(j, i) = m.at(i, j);
+  // 32x32 blocks: a block's strided reads stay in cache while each output
+  // row segment is written contiguously.
+  constexpr std::size_t kBlock = 32;
+  for (std::size_t i0 = 0; i0 < m.rows(); i0 += kBlock) {
+    const std::size_t i1 = std::min(m.rows(), i0 + kBlock);
+    for (std::size_t j0 = 0; j0 < m.cols(); j0 += kBlock) {
+      const std::size_t j1 = std::min(m.cols(), j0 + kBlock);
+      for (std::size_t j = j0; j < j1; ++j) {
+        for (std::size_t i = i0; i < i1; ++i) out.at(j, i) = m.at(i, j);
+      }
+    }
   }
 }
 
@@ -97,6 +105,21 @@ double max_abs(const Matrix& m) noexcept {
     max_mag = std::max(max_mag, std::fabs(static_cast<double>(value)));
   }
   return max_mag;
+}
+
+std::vector<float> row_norms(const Matrix& m) {
+  std::vector<float> norms(m.rows());
+  util::global_pool().parallel_for(m.rows(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      float acc = 0.0f;
+      const float* row = m.row(i);
+      for (std::size_t d = 0; d < m.cols(); ++d) {
+        acc = std::fmaf(row[d], row[d], acc);
+      }
+      norms[i] = acc;
+    }
+  });
+  return norms;
 }
 
 double max_abs_error(const Matrix& reference, const Matrix& candidate) {

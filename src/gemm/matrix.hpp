@@ -71,7 +71,7 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, float lo, float hi,
 /// Widens a binary32 matrix to binary64 (exact).
 MatrixD widen(const Matrix& m);
 
-/// Out-of-place transpose.
+/// Out-of-place transpose (transpose_into a fresh matrix).
 Matrix transpose(const Matrix& m);
 
 /// transpose() into caller-owned storage (`out` is resized in place):
@@ -94,5 +94,9 @@ double max_abs_error(const Matrix& reference, const Matrix& candidate);
 /// Max |x| over all elements (0 for an empty matrix): the scale context
 /// the accuracy-contract resolution derives a-priori bounds from.
 double max_abs(const Matrix& m) noexcept;
+
+/// Squared L2 norm of each row, fmaf-accumulated in column order: the
+/// ||x||^2 terms of the apps' GEMM-based distances.
+std::vector<float> row_norms(const Matrix& m);
 
 }  // namespace egemm::gemm

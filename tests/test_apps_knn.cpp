@@ -1,6 +1,7 @@
 // Tests for GEMM-based kNN (apps/knn.hpp).
 #include "apps/knn.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -97,6 +98,47 @@ TEST(Knn, KEqualsReferenceCount) {
       seen.insert(result.indices.at(i, static_cast<std::size_t>(j)));
     }
     EXPECT_EQ(seen.size(), 8u);  // a permutation of all references
+  }
+}
+
+TEST(Knn, EqualDistancesRankTheLowerReferenceFirst) {
+  // Every base point appears three times (rows r, r + 40, r + 80), so each
+  // query sees exact three-way distance ties: the streaming top-k must break
+  // them by index exactly as the oracle's partial_sort comparator does.
+  const PointCloud base = uniform_cloud(40, 6, -1.0f, 1.0f, 10);
+  const PointCloud queries = uniform_cloud(16, 6, -1.0f, 1.0f, 11);
+  gemm::Matrix refs(120, 6);
+  for (std::size_t r = 0; r < refs.rows(); ++r) {
+    std::copy(base.points.row(r % 40), base.points.row(r % 40) + 6,
+              refs.row(r));
+  }
+  for (const int k : {1, 8, 120}) {
+    KnnOptions opts;
+    opts.k = k;
+    const KnnResult fast = knn_search(queries.points, refs, opts);
+    const KnnResult oracle = knn_bruteforce(queries.points, refs, k);
+    EXPECT_EQ(knn_agreement(fast, oracle), 1.0) << "k = " << k;
+    for (std::size_t i = 0; i < queries.points.rows(); ++i) {
+      const auto ku = static_cast<std::size_t>(k);
+      for (std::size_t j = 1; j < ku; ++j) {
+        const float prev = fast.distances.at(i, j - 1);
+        const float cur = fast.distances.at(i, j);
+        ASSERT_LE(prev, cur) << "query " << i << " rank " << j;
+        if (prev == cur) {
+          EXPECT_LT(fast.indices.at(i, j - 1), fast.indices.at(i, j))
+              << "query " << i << " rank " << j;
+        }
+      }
+      // The nearest point's three copies fill the first ranks in index
+      // order, at exactly equal distances.
+      const std::int32_t first = fast.indices.at(i, 0);
+      EXPECT_LT(first, 40);
+      for (std::size_t copy = 1; copy < std::min<std::size_t>(3, ku); ++copy) {
+        EXPECT_EQ(fast.indices.at(i, copy),
+                  first + static_cast<std::int32_t>(40 * copy));
+        EXPECT_EQ(fast.distances.at(i, copy), fast.distances.at(i, 0));
+      }
+    }
   }
 }
 

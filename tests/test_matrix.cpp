@@ -2,6 +2,8 @@
 #include "gemm/matrix.hpp"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +51,57 @@ TEST(Matrix, TransposeRoundTrips) {
   const Matrix back = transpose(t);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(back.data()[i], a.data()[i]);
+  }
+}
+
+TEST(Matrix, TransposeEdgeShapesMatchNaiveLoop) {
+  // Empty shapes and shapes that are not multiples of the 32x32 block.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 5}, {1, 1}, {1, 70}, {33, 65}, {4097, 3}};
+  for (const auto& [rows, cols] : shapes) {
+    const Matrix a = random_matrix(rows, cols, -1.0f, 1.0f, rows + cols);
+    Matrix naive(cols, rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) naive.at(j, i) = a.at(i, j);
+    }
+    // transpose_into must fully overwrite a previously larger buffer.
+    Matrix reused(100, 100);
+    reused.fill(-7.0f);
+    transpose_into(a, reused);
+    for (const Matrix& t : {transpose(a), reused}) {
+      ASSERT_EQ(t.rows(), cols);
+      ASSERT_EQ(t.cols(), rows);
+      ASSERT_EQ(t.size(), naive.size());
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        ASSERT_EQ(t.data()[i], naive.data()[i])
+            << rows << "x" << cols << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(Matrix, MaxAbsMatchesSerialScanForEveryTailLength) {
+  EXPECT_EQ(max_abs(Matrix()), 0.0);
+  for (std::size_t size = 1; size <= 9; ++size) {
+    for (std::size_t peak = 0; peak < size; ++peak) {
+      Matrix m = random_matrix(1, size, -0.5f, 0.5f, size);
+      m.at(0, peak) = -3.25f;
+      EXPECT_EQ(max_abs(m), 3.25) << "size " << size << " peak " << peak;
+    }
+  }
+}
+
+TEST(Matrix, RowNormsMatchSerialFmafChain) {
+  EXPECT_TRUE(row_norms(Matrix(0, 4)).empty());
+  const Matrix m = random_matrix(70, 33, -2.0f, 2.0f, 5);
+  const std::vector<float> norms = row_norms(m);
+  ASSERT_EQ(norms.size(), m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    float acc = 0.0f;
+    for (std::size_t d = 0; d < m.cols(); ++d) {
+      acc = std::fmaf(m.at(i, d), m.at(i, d), acc);
+    }
+    EXPECT_EQ(norms[i], acc) << "row " << i;
   }
 }
 
