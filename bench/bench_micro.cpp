@@ -15,14 +15,8 @@
 //   --trace=PATH   record pipeline spans and write a Chrome trace_event
 //                  JSON (chrome://tracing, ui.perfetto.dev)
 //   --metrics      dump the observability registry to stdout at exit
-//   --tune=PATH    skip the benchmarks and run the offline autotuning
-//                  sweep instead: profile scheduler grain x available
-//                  ISA tier per shape class and write the
-//                  winners as a versioned tuning file (DESIGN.md §18;
-//                  consumed via EGEMM_TUNING_FILE)
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -38,8 +32,6 @@
 #include "gemm/egemm.hpp"
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
-#include "model/tuning_cache.hpp"
-#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/isa.hpp"
 #include "tcsim/instruction.hpp"
@@ -347,89 +339,6 @@ void BM_SgemmFp32(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmFp32)->Arg(128)->Arg(256);
 
-/// The offline autotuning sweep behind --tune=PATH (DESIGN.md §18).
-///
-/// For every shape class it times warm plan->execute() calls across
-/// scheduler-grain x available ISA tier and records the winner
-/// as a model::TuningEntry. The candidate grain reaches the plan the same
-/// way a production consult does: the candidate is installed in the
-/// process-wide TuningCache and the plan is built in a fresh context (the
-/// plan cache would otherwise pin the first grain seen for the shape).
-/// TileConfig deliberately is NOT a sweep axis: it feeds the simulated-GPU
-/// timing model, not host wall time, so the solver's pick is recorded
-/// informationally and the swept dimensions are the ones the host
-/// scheduler actually feels.
-int run_tuning_sweep(const std::string& path, bool smoke) {
-  const std::vector<std::size_t> shapes =
-      smoke ? std::vector<std::size_t>{64, 128}
-            : std::vector<std::size_t>{32, 64, 128, 256};
-  // Grain 0 = the pool's own chunking; nonzero = output tiles per chunk.
-  constexpr std::array<std::size_t, 5> kGrains = {0, 1, 4, 16, 64};
-  const double budget_ns = smoke ? 2e6 : 2e7;  // per configuration
-
-  std::vector<model::TuningEntry> winners;
-  for (int level = 0; level < simd::kIsaLevelCount; ++level) {
-    const auto isa = static_cast<simd::IsaLevel>(level);
-    if (!simd::isa_available(isa)) continue;
-    simd::force_isa(isa);
-    for (const std::size_t n : shapes) {
-      const gemm::Matrix a = gemm::random_matrix(n, n, -1, 1, 21);
-      const gemm::Matrix b = gemm::random_matrix(n, n, -1, 1, 22);
-      model::TuningEntry best;
-      for (const std::size_t grain : kGrains) {
-        model::TuningEntry candidate;
-        candidate.shape = model::tuning_shape_class(n, n, n);
-        candidate.grain = grain;
-        candidate.isa = simd::isa_name(isa);
-        model::TuningCache::global().set_entries({candidate});
-        gemm::GemmContext ctx(4);
-        const std::shared_ptr<const gemm::GemmPlan> plan =
-            ctx.plan(gemm::Backend::kEgemmTC, n, n, n);
-        gemm::Matrix d;
-        // Warm call: allocates the workspaces and calibrates the reps.
-        const std::uint64_t w0 = obs::monotonic_ns();
-        plan->execute(ctx, a, b, nullptr, d);
-        const std::uint64_t w1 = obs::monotonic_ns();
-        const auto reps = static_cast<int>(std::max<double>(
-            3.0, budget_ns / static_cast<double>(std::max<std::uint64_t>(
-                                 1, w1 - w0))));
-        const std::uint64_t t0 = obs::monotonic_ns();
-        for (int r = 0; r < reps; ++r) plan->execute(ctx, a, b, nullptr, d);
-        const std::uint64_t t1 = obs::monotonic_ns();
-        candidate.tile = plan->tile();
-        candidate.ns_per_call =
-            static_cast<double>(t1 - t0) / static_cast<double>(reps);
-        candidate.gflops =
-            2.0 * static_cast<double>(n * n * n) / candidate.ns_per_call;
-        if (best.isa.empty() || candidate.ns_per_call < best.ns_per_call) {
-          best = candidate;
-        }
-      }
-      std::fprintf(stderr,
-                   "tune: %s isa=%s -> grain=%zu %.0f ns/call "
-                   "(%.2f GFLOP/s)\n",
-                   model::tuning_shape_class_name(best.shape).c_str(),
-                   best.isa.c_str(), best.grain, best.ns_per_call,
-                   best.gflops);
-      winners.push_back(std::move(best));
-    }
-  }
-  simd::reset_isa();
-  model::TuningCache::global().clear();
-
-  const std::string json = model::TuningCache::to_json(
-      winners, "bench_micro --tune", gemm::small_gemm_inline_threshold());
-  std::ofstream out(path);
-  out << json;
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write tuning file %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "wrote %s (%zu shape classes)\n", path.c_str(),
-               winners.size());
-  return 0;
-}
-
 /// Console reporter that also captures every per-iteration run so main()
 /// can persist the results as JSON after the sweep.
 class CapturingReporter : public benchmark::ConsoleReporter {
@@ -476,7 +385,6 @@ int main(int argc, char** argv) {
   std::string compare_path;
   double compare_threshold = 0.3;
   std::string trace_path;
-  std::string tune_path;
   bool dump_metrics = false;
   std::string metrics_format;
   std::string metrics_out;
@@ -494,8 +402,6 @@ int main(int argc, char** argv) {
       compare_threshold = std::strtod(argv[i] + 20, nullptr);
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--tune=", 7) == 0) {
-      tune_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       dump_metrics = true;
     } else if (std::strncmp(argv[i], "--metrics-format=", 17) == 0) {
@@ -512,10 +418,6 @@ int main(int argc, char** argv) {
   // The smoke sweep is a CI regression canary: tiny min time, no 1024^3.
   std::string min_time_arg = "--benchmark_min_time=0.05";
   if (smoke && !min_time_given) passthrough.push_back(min_time_arg.data());
-
-  // --tune replaces the benchmark run entirely: it has its own timing loop
-  // and writes a tuning file instead of BENCH_micro.json.
-  if (!tune_path.empty()) return run_tuning_sweep(tune_path, smoke);
 
   // The end-to-end GEMM sweep runs the one-shot, planned and cold-plan
   // paths at each size. The 32^3 size is where the one-shot API's per-call

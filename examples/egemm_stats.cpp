@@ -280,22 +280,6 @@ int main(int argc, char** argv) {
           " misses (" + pct(hits, hits + misses) + "% hit rate), " +
           std::to_string(ctx.plan_evictions()) + " evictions");
     }
-    // Tuning-cache consults (gemm.tune.* counters): nonzero hit means a
-    // tuning file steered these plans; fallback names why not.
-    {
-      std::uint64_t tune_hit = 0, tune_miss = 0, tune_fallback = 0;
-      for (const obs::CounterSample& counter :
-           obs::registry().snapshot().counters) {
-        if (counter.name == "gemm.tune.hit") tune_hit = counter.value;
-        if (counter.name == "gemm.tune.miss") tune_miss = counter.value;
-        if (counter.name == "gemm.tune.fallback") {
-          tune_fallback = counter.value;
-        }
-      }
-      table.add_footnote("tuning cache: " + std::to_string(tune_hit) +
-                         " hits, " + std::to_string(tune_miss) + " misses, " +
-                         std::to_string(tune_fallback) + " fallbacks");
-    }
     table.add_footnote(std::string("active ISA tier: ") +
                        simd::active_isa_name());
     table.add_footnote(

@@ -9,9 +9,6 @@
 #include <utility>
 
 #include "gemm/baselines.hpp"
-#include "model/analytic_model.hpp"
-#include "model/solver.hpp"
-#include "model/tuning_cache.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -131,64 +128,7 @@ void grow_matrix(Matrix& m, std::size_t rows, std::size_t cols) {
   m.resize(rows, cols);
 }
 
-/// The analytic solver's pick over the T4 budget (reproduces Table 4
-/// exactly, so this is behavior-neutral by the solver's own tests).
-const TileConfig& solver_default_tile() {
-  static const TileConfig solved = [] {
-    const model::SolverResult result =
-        model::solve(model::budget_from_spec(tcsim::tesla_t4()));
-    return result.found ? result.best : table4_config();
-  }();
-  return solved;
-}
-
-/// True when `tile` is in the solver's feasible set. A tuned tile is
-/// applied only if the analytic model admits it, so a hand-edited tuning
-/// file can never smuggle an unschedulable tiling into the plans (debug
-/// builds lint every distinct tiling).
-bool tile_is_feasible(const TileConfig& tile) {
-  static const std::vector<TileConfig> feasible = [] {
-    const model::SolverResult result =
-        model::solve(model::budget_from_spec(tcsim::tesla_t4()));
-    std::vector<TileConfig> tiles;
-    tiles.reserve(result.feasible.size());
-    for (const model::SolverCandidate& candidate : result.feasible) {
-      tiles.push_back(candidate.config);
-    }
-    return tiles;
-  }();
-  return std::find(feasible.begin(), feasible.end(), tile) != feasible.end();
-}
-
-/// Tile resolution for direct backends and explicit tiles: the analytic
-/// solver applies whenever the caller left the tile at the paper's
-/// default; an explicitly chosen tile is honored as-is.
-TileConfig analytic_tile(const TileConfig& requested) {
-  return requested == table4_config() ? solver_default_tile() : requested;
-}
-
-/// Tile + scheduler-grain resolution for emulated plans (DESIGN.md §18):
-/// an explicitly chosen tile is honored as-is; otherwise the shape class's
-/// tuning-cache entry wins (gemm.tune.hit), and absent a usable entry the
-/// analytic solver decides (gemm.tune.{miss,fallback} name why not).
-struct ResolvedSchedule {
-  TileConfig tile;
-  std::size_t grain = 0;
-};
-
-ResolvedSchedule resolve_schedule(const TileConfig& requested, std::size_t m,
-                                  std::size_t n, std::size_t k) {
-  if (!(requested == table4_config())) return {requested, 0};
-  model::TuningEntry entry;
-  if (model::TuningCache::global().lookup(m, n, k, &entry) ==
-      model::TuningLookup::kHit) {
-    return {tile_is_feasible(entry.tile) ? entry.tile : solver_default_tile(),
-            entry.grain};
-  }
-  return {solver_default_tile(), 0};
-}
-
-/// Automatic small-GEMM inline threshold override; 0 = automatic.
+/// Small-GEMM inline threshold override; 0 = the default below.
 std::atomic<std::size_t> g_inline_threshold{0};
 /// Default m*n*k below which execute skips the pool: the measured
 /// break-even of serial vs pooled gemm_ex over the 36 small-stream classes
@@ -284,35 +224,24 @@ struct Recipe {
   int planes;
 };
 
-struct KeyedSchedule {
-  PlanKey key;
-  std::size_t grain = 0;
-};
-
 /// The one PlanKey builder behind every planning entry point: shape,
-/// backend, resolved tile, then the recipe. A null `recipe` is a direct
-/// binary32 backend: it skips the tuning consult -- its tile only feeds
-/// the timing model, so a tune.{hit,miss} there would be noise.
-KeyedSchedule plan_key(Backend backend, std::size_t m, std::size_t n,
-                       std::size_t k, const TileConfig& tile,
-                       const Recipe* recipe) {
-  KeyedSchedule out;
-  PlanKey& key = out.key;
+/// backend, the caller's tile, then the recipe (null for a direct binary32
+/// backend). The tile only feeds GemmPlan::timing; the host engine always
+/// runs 16x16 blocks.
+PlanKey plan_key(Backend backend, std::size_t m, std::size_t n, std::size_t k,
+                 const TileConfig& tile, const Recipe* recipe) {
+  PlanKey key;
   key.m = m;
   key.n = n;
   key.k = k;
   key.backend = backend;
   key.direct = recipe == nullptr;
-  const ResolvedSchedule sched =
-      key.direct ? ResolvedSchedule{analytic_tile(tile), 0}
-                 : resolve_schedule(tile, m, n, k);
-  out.grain = sched.grain;
-  key.bm = sched.tile.bm;
-  key.bn = sched.tile.bn;
-  key.bk = sched.tile.bk;
-  key.wm = sched.tile.wm;
-  key.wn = sched.tile.wn;
-  key.wk = sched.tile.wk;
+  key.bm = tile.bm;
+  key.bn = tile.bn;
+  key.bk = tile.bk;
+  key.wm = tile.wm;
+  key.wn = tile.wn;
+  key.wk = tile.wk;
   if (recipe != nullptr) {
     key.split = recipe->split;
     key.order = recipe->order;
@@ -321,7 +250,7 @@ KeyedSchedule plan_key(Backend backend, std::size_t m, std::size_t n,
     key.combo_seq = encode_combos(recipe->combos, recipe->planes);
     key.scheme = classify_combos(recipe->split, recipe->planes, recipe->combos);
   }
-  return out;
+  return key;
 }
 
 /// Bumps the per-scheme execute counter: gemm.scheme.<name>, with custom
@@ -568,7 +497,7 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
 ///    calling thread, all on ONE recycled workspace, so the hot planes
 ///    stay cache-resident exactly as in a loop of singles;
 ///  * one item -- prepped on the calling thread, then its blocks go
-///    through parallel_for_2d with the plan's tuned grain;
+///    through parallel_for_2d with the pool's default grain;
 ///  * several items -- one workspace each, prepped in parallel over
 ///    items, then every block of every item enters ONE flattened 1D
 ///    stream whose grain targets kMinChunkFlops per chunk, so tiny items
@@ -644,7 +573,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
           const obs::StageTimer engine(nullptr,
                                        timed ? &walls.engine : nullptr);
           pool.parallel_for_2d(
-              run.row_blocks, run.col_blocks, run.op.plan->schedule_grain(),
+              run.row_blocks, run.col_blocks, /*grain=*/0,
               [&](std::size_t rb0, std::size_t rb1, std::size_t cb0,
                   std::size_t cb1) {
                 const obs::ScopedSpan mma("mma");
@@ -723,12 +652,7 @@ std::uint64_t debug_workspace_allocations() noexcept {
 
 std::size_t small_gemm_inline_threshold() noexcept {
   const std::size_t forced = g_inline_threshold.load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  if (const std::optional<std::size_t> file =
-          model::TuningCache::global().inline_threshold()) {
-    return *file;
-  }
-  return kDefaultInlineThreshold;
+  return forced != 0 ? forced : kDefaultInlineThreshold;
 }
 
 void set_small_gemm_inline_threshold(std::size_t work) noexcept {
@@ -795,9 +719,8 @@ void Workspace::pack() {
 // GemmPlan
 // ---------------------------------------------------------------------------
 
-GemmPlan::GemmPlan(const PlanKey& key, std::size_t grain)
-    : key_(key), grain_(grain) {
-  tile_ = TileConfig{key.bm, key.bn, key.bk, key.wm, key.wn, key.wk};
+GemmPlan::GemmPlan(const PlanKey& key)
+    : key_(key), tile_{key.bm, key.bn, key.bk, key.wm, key.wn, key.wk} {
   combos_.reserve(key.combo_count);
   for (std::uint8_t i = 0; i < key.combo_count; ++i) {
     const std::uint64_t enc = (key.combo_seq >> (4 * i)) & 0xF;
@@ -917,9 +840,8 @@ std::shared_ptr<const GemmPlan> GemmContext::plan(Backend backend,
                       ComboOrder::kFusedPerTile, 2};
       break;
   }
-  const auto [key, grain] =
-      plan_key(backend, m, n, k, opts.tile, recipe ? &*recipe : nullptr);
-  return plan_for(key, grain);
+  return plan_for(
+      plan_key(backend, m, n, k, opts.tile, recipe ? &*recipe : nullptr));
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
@@ -928,13 +850,10 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
     const TileConfig& tile) {
   EGEMM_EXPECTS(planes == 2 || planes == 3);
   const Recipe recipe{split, combos, order, planes};
-  const auto [key, grain] =
-      plan_key(Backend::kEgemmTC, m, n, k, tile, &recipe);
-  return plan_for(key, grain);
+  return plan_for(plan_key(Backend::kEgemmTC, m, n, k, tile, &recipe));
 }
 
-std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
-                                                      std::size_t grain) {
+std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
@@ -951,7 +870,7 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
   std::uint64_t build_ns = 0;
   {
     const obs::StageTimer timer("plan", obs::kEnabled ? &build_ns : nullptr);
-    created = std::shared_ptr<const GemmPlan>(new GemmPlan(key, grain));
+    created = std::shared_ptr<const GemmPlan>(new GemmPlan(key));
   }
   EGEMM_LATENCY_RECORD("gemm.plan.build.latency", build_ns);
 

@@ -11,8 +11,8 @@
 //
 //   GemmPlan     an immutable, fully-normalized execution recipe for one
 //                (shape, options, backend): split method, plane count, the
-//                ordered split-product combos, and the tile configuration
-//                resolved through the §6 analytic solver.
+//                ordered split-product combos, and the caller's tile
+//                configuration (Table 4 unless chosen otherwise).
 //                execute(ctx, A, B, C, D) runs it into a caller-owned D
 //                with zero per-call heap allocation once the leased
 //                workspace has warmed up (guarded in debug builds).
@@ -84,7 +84,7 @@ struct PlanKey {
   /// carried in the key so scheme identity is part of the cached plan's
   /// observable contract (obs counters, plan introspection).
   std::int8_t scheme = -1;
-  int bm = 0, bn = 0, bk = 0, wm = 0, wn = 0, wk = 0;  ///< resolved tile
+  int bm = 0, bn = 0, bk = 0, wm = 0, wn = 0, wk = 0;  ///< caller's tile
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
@@ -130,13 +130,11 @@ class Workspace {
 /// instead of dispatching to the pool: under ~64^3 the per-GEMM 2D
 /// schedule produces more chunks than useful work per chunk, so the pool
 /// round-trip costs more than it buys.
-/// The effective value is, in order: the last set_ value (when nonzero),
-/// the loaded tuning file's small_gemm_inline_threshold
-/// (model/tuning_cache.hpp), else 64^3. Set 1 to never inline.
+/// The effective value is the last set_ value when nonzero, else 64^3.
+/// Set 1 to never inline.
 std::size_t small_gemm_inline_threshold() noexcept;
 
-/// Overrides the threshold process-wide; 0 restores the automatic value
-/// (tuning file, else the 64^3 default).
+/// Overrides the threshold process-wide; 0 restores the 64^3 default.
 void set_small_gemm_inline_threshold(std::size_t work) noexcept;
 
 /// Process-wide count of workspace buffer growths. Debug builds only: in
@@ -199,13 +197,10 @@ class GemmPlan {
     return static_cast<core::SchemeId>(key_.scheme);
   }
   std::span<const PlaneCombo> combos() const noexcept { return combos_; }
-  /// Tile configuration after consulting the tuning cache (DESIGN.md §18)
-  /// and then the §6 analytic solver.
+  /// The caller's tile configuration, unchanged: table4_config() (the §6
+  /// solver's pick) unless an explicit tile was planned. It feeds only
+  /// timing(); the host engine always runs 16x16 blocks.
   const TileConfig& tile() const noexcept { return tile_; }
-  /// Scheduler grain (output tiles per 2D block) from the tuning cache;
-  /// 0 = the pool's default heuristic. Scheduling only -- results are
-  /// bit-identical for every grain, so it is not part of the plan key.
-  std::size_t schedule_grain() const noexcept { return grain_; }
   /// Steady-state workspace footprint of one execute() (planes + packs).
   std::size_t workspace_bytes() const noexcept { return workspace_bytes_; }
   const PlanKey& key() const noexcept { return key_; }
@@ -224,13 +219,12 @@ class GemmPlan {
 
  private:
   friend class GemmContext;
-  GemmPlan(const PlanKey& key, std::size_t grain);
+  explicit GemmPlan(const PlanKey& key);
 
   PlanKey key_;
   TileConfig tile_;
   std::vector<PlaneCombo> combos_;
   std::size_t workspace_bytes_ = 0;
-  std::size_t grain_ = 0;
 };
 
 /// One item of a grouped execute (GemmContext::execute_grouped): a planned
@@ -331,8 +325,7 @@ class GemmContext {
  private:
   friend class WorkspaceLease;
 
-  std::shared_ptr<const GemmPlan> plan_for(const PlanKey& key,
-                                           std::size_t grain);
+  std::shared_ptr<const GemmPlan> plan_for(const PlanKey& key);
   void recycle(std::unique_ptr<Workspace> ws);
 
   struct CacheEntry {

@@ -9,7 +9,6 @@
 // whose stage attribution must stay inside the batch's wall time.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -20,7 +19,6 @@
 #include "gemm/plan.hpp"
 #include "model/analytic_model.hpp"
 #include "model/solver.hpp"
-#include "model/tuning_cache.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -324,17 +322,10 @@ TEST(GemmBatched, ContractBatchedMatchesContractLoop) {
 
 TEST(GemmBatched, InlineThresholdKnobRoundTripsAndPreservesResults) {
   const ThresholdGuard guard;
-  // The automatic threshold consults the loaded tuning file; make sure
-  // this process resolves against the built-in default instead.
-  ::unsetenv("EGEMM_TUNING_FILE");
-  model::TuningCache::global().clear();
   set_small_gemm_inline_threshold(12345);
   EXPECT_EQ(small_gemm_inline_threshold(), 12345u);
-  set_small_gemm_inline_threshold(0);
-  // No tuning file is loaded in this test binary, so 0 restores the 64^3
-  // built-in default.
-  EXPECT_EQ(small_gemm_inline_threshold(),
-            std::size_t{64} * 64 * 64);
+  set_small_gemm_inline_threshold(0);  // restores the 64^3 default
+  EXPECT_EQ(small_gemm_inline_threshold(), std::size_t{64} * 64 * 64);
 
   // Both extreme settings must leave batched results bit-identical to the
   // singles loop: the threshold selects a schedule (fused/serial vs

@@ -1,7 +1,7 @@
 // Tests for the plan/workspace execution layer (gemm/plan.hpp): cache
-// hit/miss accounting, LRU eviction, bit-identity of the planned path with
-// the one-shot APIs and the scalar oracle (verify::reference_execute),
-// caller-owned output
+// hit/miss accounting, LRU eviction, plan properties (recipe and the
+// caller's tile), bit-identity of the planned path with the one-shot APIs
+// and the scalar oracle (verify::reference_execute), caller-owned output
 // reuse, and the debug allocation guard (a reused plan performs no heap
 // allocation on its second execute).
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
+#include "model/analytic_model.hpp"
+#include "model/solver.hpp"
 #include "tcsim/gpu_spec.hpp"
 #include "verify/reference_execute.hpp"
 
@@ -111,6 +113,20 @@ TEST(GemmPlanExecute, PlanPropertiesReflectTheRecipe) {
   EXPECT_FALSE(egemm->direct());
   EXPECT_EQ(egemm->combos().size(), 4u);
   EXPECT_GT(egemm->workspace_bytes(), 0u);
+  EXPECT_TRUE(egemm->tile() == table4_config());
+
+  // An explicit solver-feasible tile other than Table 4 is honored exactly
+  // and keys a distinct plan.
+  const model::SolverResult solved =
+      model::solve(model::budget_from_spec(tcsim::tesla_t4()));
+  ASSERT_GE(solved.feasible.size(), 2u);
+  const TileConfig other = solved.feasible.back().config;
+  ASSERT_FALSE(other == table4_config());
+  const auto tiled =
+      ctx.plan_scheme(core::SchemeId::kRound2, 64, 64, 64, other);
+  EXPECT_TRUE(tiled->tile() == other);
+  EXPECT_NE(tiled.get(), egemm.get());
+  EXPECT_EQ(ctx.cached_plans(), 2u);
 
   const auto half = ctx.plan(Backend::kCublasTcHalf, 64, 64, 64);
   EXPECT_EQ(half->combos().size(), 1u);
