@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "fp/error_stats.hpp"
 #include "gemm/baselines.hpp"
+#include "gemm/gemm_api.hpp"
 
 using namespace egemm;
 
@@ -34,10 +35,11 @@ int main(int argc, char** argv) {
     const gemm::Matrix single = gemm::sgemm_fp32(a, b);
     const double egemm_err =
         gemm::max_abs_error(single, gemm::egemm_multiply(a, b));
-    const double markidis_err =
-        gemm::max_abs_error(single, gemm::gemm_markidis(a, b));
-    const double half_err =
-        gemm::max_abs_error(single, gemm::gemm_tc_half(a, b));
+    const double markidis_err = gemm::max_abs_error(
+        single, gemm::gemm_ex(gemm::Backend::kMarkidis, a, b, nullptr, {}));
+    const double half_err = gemm::max_abs_error(
+        single,
+        gemm::gemm_ex(gemm::Backend::kCublasTcHalf, a, b, nullptr, {}));
 
     half_ratios.push_back(half_err / egemm_err);
     markidis_ratios.push_back(markidis_err / egemm_err);
@@ -62,7 +64,9 @@ int main(int argc, char** argv) {
     const gemm::Matrix b = gemm::random_matrix(n, n, -1.0f, 1.0f, seed + 2);
     const gemm::Matrix single = gemm::sgemm_fp32(a, b);
     const double emu = gemm::max_abs_error(single, gemm::egemm_multiply(a, b));
-    const double half = gemm::max_abs_error(single, gemm::gemm_tc_half(a, b));
+    const double half = gemm::max_abs_error(
+        single,
+        gemm::gemm_ex(gemm::Backend::kCublasTcHalf, a, b, nullptr, {}));
     std::printf("m*n*k: %zu.\n", n);
     std::printf("max Emulation Error: %.8f\n", emu);
     std::printf("max Half cuBLAS Error: %.8f\n", half);

@@ -239,7 +239,8 @@ void BM_EgemmColdPlan(benchmark::State& state) {
   const gemm::Matrix b = gemm::random_matrix(n, n, -1, 1, 6);
   for (auto _ : state) {
     gemm::GemmContext fresh;
-    const gemm::Matrix d = fresh.run(gemm::Backend::kEgemmTC, a, b);
+    const gemm::Matrix d =
+        gemm::gemm_ex(fresh, gemm::Backend::kEgemmTC, a, b, nullptr, {});
     benchmark::DoNotOptimize(d.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 *

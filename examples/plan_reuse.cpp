@@ -3,8 +3,8 @@
 //
 //   build/examples/plan_reuse [--n=256] [--calls=50] [--metrics]
 //
-// A GemmPlan freezes everything shape-dependent -- tile configuration,
-// combo schedule, workspace sizing -- so repeated same-shape calls skip
+// A GemmPlan freezes everything shape-dependent -- split, combo
+// schedule, workspace sizing -- so repeated same-shape calls skip
 // plan resolution, reuse the split/pack workspaces through the context
 // pool, and write into a caller-owned output matrix with no per-call heap
 // allocation. This program times three variants of the same GEMM sequence:
@@ -44,15 +44,16 @@ int main(int argc, char** argv) {
   const gemm::Matrix a = gemm::random_matrix(n, n, -1.0f, 1.0f, /*seed=*/1);
   const gemm::Matrix b = gemm::random_matrix(n, n, -1.0f, 1.0f, /*seed=*/2);
 
-  // Cold plan: a fresh context per call pays plan construction (tile
-  // resolution against the analytic model, workspace sizing) every time.
+  // Cold plan: a fresh context per call pays plan construction (recipe
+  // normalization, workspace sizing) and cold workspaces every time.
   double cold_seconds = 0.0;
   gemm::Matrix cold_result;
   {
     const double start = now_seconds();
     for (int i = 0; i < calls; ++i) {
       gemm::GemmContext fresh;
-      cold_result = fresh.run(gemm::Backend::kEgemmTC, a, b);
+      cold_result =
+          gemm::gemm_ex(fresh, gemm::Backend::kEgemmTC, a, b, nullptr, {});
     }
     cold_seconds = now_seconds() - start;
   }

@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
   // obvious alternatives.
   const gemm::MatrixD reference = gemm::gemm_reference(a, b, nullptr);
   const double egemm_err = gemm::max_abs_error(reference, d);
-  const double half_err =
-      gemm::max_abs_error(reference, gemm::gemm_tc_half(a, b));
+  const double half_err = gemm::max_abs_error(
+      reference,
+      gemm::gemm_ex(gemm::Backend::kCublasTcHalf, a, b, nullptr, {}));
   const double fp32_err =
       gemm::max_abs_error(reference, gemm::sgemm_fp32(a, b));
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/emulation.hpp"
-#include "gemm/plan.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -110,28 +109,6 @@ Matrix sdk_gemm_fp32(const Matrix& a, const Matrix& b) {
   Matrix d;
   sdk_gemm_fp32_into(a, b, d);
   return d;
-}
-
-// The emulated baselines route through the shared plan cache so that the
-// one-shot calls and run_gemm land on the same cached plan (the recipes
-// themselves are normalized in GemmContext::plan and stay exactly what
-// the pre-plan implementations executed).
-
-Matrix gemm_tc_half(const Matrix& a, const Matrix& b, const Matrix* c) {
-  // The hi plane of a round-split is exactly RN16(x): a single-combo
-  // emulated GEMM reproduces cublasGemmEx with binary16 inputs.
-  return default_context().run(Backend::kCublasTcHalf, a, b, c);
-}
-
-Matrix gemm_markidis(const Matrix& a, const Matrix& b, const Matrix* c) {
-  // Markidis [20]: truncate-split, the Alo x Blo term dropped.
-  return default_context().run(Backend::kMarkidis, a, b, c);
-}
-
-Matrix gemm_cublas_tc_emulation(const Matrix& a, const Matrix& b,
-                                const Matrix* c) {
-  // Alg. 1 via 4 separate vendor GEMM calls: same combos, separate passes.
-  return default_context().run(Backend::kCublasTcEmulation, a, b, c);
 }
 
 void gemm_dekker_into(const Matrix& a, const Matrix& b, const Matrix* c,

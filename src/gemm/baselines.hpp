@@ -8,6 +8,12 @@
 //   SDK-CUDA-FP32         the CUDA-SDK matrixMul sample (naive 16x16 tiles)
 //   Markidis              truncate-split, 3 wmma products, CUDA-level code
 //   Dekker                classical 16-instruction half-only emulation
+//
+// Only the binary32 and Dekker kernels live here: the direct plans
+// (gemm/plan.hpp) execute them. The three emulated baselines are recipes
+// of the packed engine -- GemmContext::plan maps cuBLAS-TC-Half and
+// Markidis to their ladder rungs and cuBLAS-TC-Emulation to Alg. 1 as
+// separate passes -- and run through gemm_ex like any other backend.
 
 #include <cstdint>
 
@@ -32,18 +38,6 @@ Matrix sdk_gemm_fp32(const Matrix& a, const Matrix& b);
 
 /// sdk_gemm_fp32 into caller-owned `d`.
 void sdk_gemm_fp32_into(const Matrix& a, const Matrix& b, Matrix& d);
-
-/// cublasGemmEx stand-in: inputs rounded to binary16, Tensor Core compute.
-Matrix gemm_tc_half(const Matrix& a, const Matrix& b,
-                    const Matrix* c = nullptr);
-
-/// Markidis emulation: truncate-split, 3 products (drops Alo x Blo).
-Matrix gemm_markidis(const Matrix& a, const Matrix& b,
-                     const Matrix* c = nullptr);
-
-/// Algorithm 1 via 4 separate vendor GEMM calls (cuBLAS-TC-Emulation).
-Matrix gemm_cublas_tc_emulation(const Matrix& a, const Matrix& b,
-                                const Matrix* c = nullptr);
 
 /// Dekker 16-instruction half-only emulation (slow; small sizes).
 /// `instruction_count`, when non-null, accumulates emitted binary16 ops.

@@ -66,9 +66,14 @@ Matrix egemm_multiply(const Matrix& a, const Matrix& b, const Matrix* c,
   EGEMM_EXPECTS(c == nullptr ||
                 (c->rows() == a.rows() && c->cols() == b.cols()));
 
+  // Only the split changes the bits; the tile, latency hiding and FRAG
+  // caching decide modeled GPU time (egemm_timing), so they share a plan.
   GemmContext& ctx = default_context();
-  const auto plan =
-      ctx.plan(Backend::kEgemmTC, a.rows(), b.cols(), a.cols(), opts);
+  const auto plan = ctx.plan_scheme(
+      opts.split == core::SplitMethod::kTruncateSplit
+          ? core::SchemeId::kTruncate2
+          : core::SchemeId::kRound2,
+      a.rows(), b.cols(), a.cols());
   Matrix d;
   plan->execute(ctx, a, b, c, d);
   return d;

@@ -31,6 +31,9 @@ struct EgemmOptions {
 /// Functional extended-precision GEMM: D = A x B (+ C).
 /// A is m x k, B is k x n, C (optional) m x n; any sizes >= 1 are accepted
 /// (edge tiles are clipped, equivalent to the kernel's zero padding).
+/// Of `opts` only the split reaches the numerics (the round-2term or
+/// truncate-2term rung); the tiling, latency hiding and FRAG caching shape
+/// egemm_timing alone.
 Matrix egemm_multiply(const Matrix& a, const Matrix& b,
                       const Matrix* c = nullptr, const EgemmOptions& opts = {});
 

@@ -71,9 +71,14 @@ Normalized normalize(std::span<const GroupedGemmItem> items,
     EGEMM_EXPECTS(item.a != nullptr && item.b != nullptr &&
                   item.d != nullptr);
     EGEMM_EXPECTS(item.params.beta == 0.0f || item.c != nullptr);
+    // D is zero-filled or overwritten before the epilogue reads C, and a
+    // transposed copy would hide D as A or B from the execute's own check.
+    EGEMM_EXPECTS(item.d != item.a && item.d != item.b && item.d != item.c);
     if (item.params.trans_a == Transpose::kTranspose) ++transposes;
     if (item.params.trans_b == Transpose::kTranspose) ++transposes;
   }
+  // On the caller's pointers, before any transposed copy hides a chain.
+  expect_unchained(items);
   Normalized out;
   // Reserved up front: the work list keeps raw pointers into this
   // storage, so it must never reallocate.
@@ -165,17 +170,6 @@ std::vector<Backend> all_backends() {
           Backend::kCublasTcHalf,  Backend::kCublasTcEmulation,
           Backend::kSdkFp32,       Backend::kMarkidis,
           Backend::kDekker};
-}
-
-Matrix run_gemm(Backend backend, const Matrix& a, const Matrix& b,
-                const Matrix* c) {
-  return run_gemm(default_context(), backend, a, b, c);
-}
-
-Matrix run_gemm(GemmContext& ctx, Backend backend, const Matrix& a,
-                const Matrix& b, const Matrix* c) {
-  if (backend == Backend::kSdkFp32) EGEMM_EXPECTS(c == nullptr);
-  return ctx.run(backend, a, b, c);
 }
 
 Matrix gemm_ex(Backend backend, const Matrix& a, const Matrix& b,
@@ -299,59 +293,6 @@ std::vector<Matrix> gemm_batched(Backend backend, std::span<const Matrix> a,
                                  std::span<const Matrix> c,
                                  const GemmExParams& params) {
   return gemm_batched(default_context(), backend, a, b, c, params);
-}
-
-namespace {
-
-/// Copies item `index` out of a (batch * rows) x cols row-major stack.
-Matrix strided_slice(const Matrix& stack, std::size_t index,
-                     std::size_t rows) {
-  Matrix out(rows, stack.cols());
-  const float* from = stack.row(index * rows);
-  std::copy(from, from + rows * stack.cols(), out.data().begin());
-  return out;
-}
-
-}  // namespace
-
-Matrix gemm_batched_strided(GemmContext& ctx, Backend backend,
-                            std::size_t batch, const Matrix& a,
-                            const Matrix& b, const Matrix* c,
-                            const GemmExParams& params) {
-  if (batch == 0) return Matrix();
-  EGEMM_EXPECTS(a.rows() % batch == 0);
-  EGEMM_EXPECTS(b.rows() % batch == 0);
-  EGEMM_EXPECTS(c == nullptr || c->rows() % batch == 0);
-  const std::size_t rows_a = a.rows() / batch;
-  const std::size_t rows_b = b.rows() / batch;
-  std::vector<Matrix> a_items, b_items, c_items;
-  a_items.reserve(batch);
-  b_items.reserve(batch);
-  if (c != nullptr) c_items.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    a_items.push_back(strided_slice(a, i, rows_a));
-    b_items.push_back(strided_slice(b, i, rows_b));
-    if (c != nullptr) {
-      c_items.push_back(strided_slice(*c, i, c->rows() / batch));
-    }
-  }
-  const std::vector<Matrix> d_items =
-      gemm_batched(ctx, backend, a_items, b_items, c_items, params);
-  const std::size_t m = d_items[0].rows();
-  const std::size_t n = d_items[0].cols();
-  Matrix d(batch * m, n);
-  for (std::size_t i = 0; i < batch; ++i) {
-    std::copy(d_items[i].data().begin(), d_items[i].data().end(),
-              d.row(i * m));
-  }
-  return d;
-}
-
-Matrix gemm_batched_strided(Backend backend, std::size_t batch,
-                            const Matrix& a, const Matrix& b, const Matrix* c,
-                            const GemmExParams& params) {
-  return gemm_batched_strided(default_context(), backend, batch, a, b, c,
-                              params);
 }
 
 std::vector<Matrix> gemm_batched(GemmContext& ctx, std::span<const Matrix> a,

@@ -2,6 +2,13 @@
 // Unified backend registry: every kernel of Table 5 behind one functional
 // and one timed entry point. The benchmark harness and the applications
 // select kernels through this API.
+//
+// Functional calls come in three shapes -- one GEMM (gemm_ex), a
+// heterogeneous group (gemm_grouped) and a uniform batch (gemm_batched) --
+// each on a chosen backend or under an accuracy contract. All of them
+// plan through a GemmContext (gemm/plan.hpp; the default_context() unless
+// one is passed) and run on the same execute pipeline, so a one-shot call
+// and a held plan produce the same bits.
 
 #include <cstdint>
 #include <span>
@@ -29,17 +36,6 @@ enum class Backend {
 const char* backend_name(Backend backend) noexcept;
 std::vector<Backend> all_backends();
 
-/// Functional D = A x B (+ C) on the chosen backend's numerics. Plans
-/// against default_context(), so repeated same-shape calls hit the plan
-/// cache; pass an explicit context (overload below) to isolate or warm a
-/// cache of your own.
-Matrix run_gemm(Backend backend, const Matrix& a, const Matrix& b,
-                const Matrix* c = nullptr);
-
-/// run_gemm against an explicit plan/workspace context (gemm/plan.hpp).
-Matrix run_gemm(GemmContext& ctx, Backend backend, const Matrix& a,
-                const Matrix& b, const Matrix* c = nullptr);
-
 /// Simulated execution time/TFLOPS of the backend on `spec`.
 /// Backend::kDekker is timed as an EGEMM schedule with 16 emulation
 /// instructions (a Dekker-style Tensor Core schedule), since the original
@@ -59,15 +55,19 @@ struct GemmExParams {
   float beta = 0.0f;
 };
 
-/// BLAS-style GEMM on any backend. Dimensions follow the ops: with
-/// trans_a, A is stored k x m; with trans_b, B is stored n x k. When
+/// BLAS-style GEMM on any backend's numerics. Dimensions follow the ops:
+/// with trans_a, A is stored k x m; with trans_b, B is stored n x k. When
 /// alpha == 1 and beta is 0 or 1 the accumulation happens inside the
-/// kernel (same numerics as run_gemm); otherwise the scaling is a binary32
-/// epilogue pass, as cuBLAS does it.
+/// kernel (exactly plan(backend, ...)->execute with C on the accumulator
+/// for beta == 1); otherwise the scaling is a binary32 epilogue pass, as
+/// cuBLAS does it. D = A x B (+ C) is gemm_ex(backend, a, b, c,
+/// {.beta = c ? 1.0f : 0.0f}). Plans against default_context(), so
+/// repeated same-shape calls hit the plan cache; pass an explicit context
+/// (overload below) to isolate or warm a cache of your own.
 Matrix gemm_ex(Backend backend, const Matrix& a, const Matrix& b,
                const Matrix* c, const GemmExParams& params);
 
-/// gemm_ex against an explicit plan/workspace context.
+/// gemm_ex against an explicit plan/workspace context (gemm/plan.hpp).
 Matrix gemm_ex(GemmContext& ctx, Backend backend, const Matrix& a,
                const Matrix& b, const Matrix* c, const GemmExParams& params);
 
@@ -89,7 +89,10 @@ struct GroupedGemmItem {
 /// stream through GemmContext::execute_grouped, so many small GEMMs stop
 /// serializing behind each other. Items with equal op-shapes share one
 /// cached GemmPlan. Results are bit-identical to calling gemm_ex per item
-/// in order.
+/// in order. Items must not chain: a batch where an item's D is any
+/// item's A, B or C (its own included: there is no in-place C == D), or
+/// two items share a D, aborts before anything executes, release builds
+/// included (expect_unchained in gemm/plan.hpp). Shared inputs are fine.
 void gemm_grouped(GemmContext& ctx, Backend backend,
                   std::span<const GroupedGemmItem> items);
 
@@ -111,23 +114,6 @@ std::vector<Matrix> gemm_batched(Backend backend, std::span<const Matrix> a,
                                  std::span<const Matrix> b,
                                  std::span<const Matrix> c = {},
                                  const GemmExParams& params = {});
-
-/// Strided convenience form: the batch is packed into tall row-major
-/// stacks -- A is (batch * m_a) x k_a, B is (batch * k_b) x n_b, C (when
-/// present) (batch * m) x n -- and the result D comes back as one
-/// (batch * m) x n stack. Matrices are owning (no view type), so the
-/// items are sliced by copy before dispatch; prefer the span form when the
-/// operands already exist as separate matrices.
-Matrix gemm_batched_strided(GemmContext& ctx, Backend backend,
-                            std::size_t batch, const Matrix& a,
-                            const Matrix& b, const Matrix* c = nullptr,
-                            const GemmExParams& params = {});
-
-/// gemm_batched_strided against the shared default context.
-Matrix gemm_batched_strided(Backend backend, std::size_t batch,
-                            const Matrix& a, const Matrix& b,
-                            const Matrix* c = nullptr,
-                            const GemmExParams& params = {});
 
 // -- accuracy-contract entry points (core/scheme.hpp, DESIGN.md §16) ---------
 

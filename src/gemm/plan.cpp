@@ -224,24 +224,53 @@ struct Recipe {
   int planes;
 };
 
+// Alg. 1's term order: low-order products first.
+constexpr PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+// The hi plane of a round-split is exactly RN16(x), so the single hi x hi
+// product reproduces cublasGemmEx with binary16 inputs.
+constexpr PlaneCombo kHalfOnly[] = {{1, 1}};
+// Markidis [20]: the Alo x Blo term dropped.
+constexpr PlaneCombo kMarkidis[] = {{0, 1}, {1, 0}, {1, 1}};
+// All 9 three-way-split products, smallest-magnitude terms first so they
+// are absorbed before the dominant hi x hi partial product.
+constexpr PlaneCombo k3Split[] = {{0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1},
+                                  {2, 0}, {1, 2}, {2, 1}, {2, 2}};
+
+/// A named rung of the emulation-precision ladder as the plan layer runs
+/// it: the backend its plans time as, and its fused-per-tile recipe.
+struct Rung {
+  Backend backend;
+  core::SplitMethod split;
+  std::span<const PlaneCombo> combos;
+  int planes;
+};
+
+/// Every rung's recipe, indexed by core::SchemeId. The three-way rungs
+/// differ only in split: round-split is the FP32-recovery scheme (an exact
+/// decomposition), truncate-split the Ozaki-style one-signed word slices.
+constexpr std::array<Rung, core::kSchemeCount> kRungs = {{
+    // kHalf, kMarkidis
+    {Backend::kCublasTcHalf, core::SplitMethod::kRoundSplit, kHalfOnly, 2},
+    {Backend::kMarkidis, core::SplitMethod::kTruncateSplit, kMarkidis, 2},
+    // kTruncate2, kRound2
+    {Backend::kEgemmTC, core::SplitMethod::kTruncateSplit, kAlg1, 2},
+    {Backend::kEgemmTC, core::SplitMethod::kRoundSplit, kAlg1, 2},
+    // kSlice3, kRecovery3
+    {Backend::kEgemmTC, core::SplitMethod::kTruncateSplit, k3Split, 3},
+    {Backend::kEgemmTC, core::SplitMethod::kRoundSplit, k3Split, 3},
+}};
+static_assert(!kRungs.back().combos.empty(), "a SchemeId has no rung");
+
 /// The one PlanKey builder behind every planning entry point: shape,
-/// backend, the caller's tile, then the recipe (null for a direct binary32
-/// backend). The tile only feeds GemmPlan::timing; the host engine always
-/// runs 16x16 blocks.
+/// backend, then the recipe (null for a direct binary32 backend).
 PlanKey plan_key(Backend backend, std::size_t m, std::size_t n, std::size_t k,
-                 const TileConfig& tile, const Recipe* recipe) {
+                 const Recipe* recipe) {
   PlanKey key;
   key.m = m;
   key.n = n;
   key.k = k;
   key.backend = backend;
   key.direct = recipe == nullptr;
-  key.bm = tile.bm;
-  key.bn = tile.bn;
-  key.bk = tile.bk;
-  key.wm = tile.wm;
-  key.wn = tile.wn;
-  key.wk = tile.wk;
   if (recipe != nullptr) {
     key.split = recipe->split;
     key.order = recipe->order;
@@ -517,15 +546,6 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
                   (op.c->rows() == key.m && op.c->cols() == key.n));
     EGEMM_EXPECTS(op.a != op.d && op.b != op.d && op.c != op.d);
   }
-#ifndef NDEBUG
-  // Outputs must not alias across items: the stream writes every item's
-  // blocks concurrently.
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    for (std::size_t j = i + 1; j < runs.size(); ++j) {
-      EGEMM_EXPECTS(runs[i].op.d != runs[j].op.d);
-    }
-  }
-#endif
   const bool timed = obs::kEnabled && obs::call_records_enabled();
   Walls walls;
   walls.start = timed ? obs::monotonic_ns() : 0;
@@ -677,12 +697,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
   h = mix(h, key.combo_seq);
   h = mix(h, static_cast<std::uint64_t>(
                  static_cast<std::uint8_t>(key.scheme)));
-  h = mix(h, static_cast<std::uint64_t>(key.bm));
-  h = mix(h, static_cast<std::uint64_t>(key.bn));
-  h = mix(h, static_cast<std::uint64_t>(key.bk));
-  h = mix(h, static_cast<std::uint64_t>(key.wm));
-  h = mix(h, static_cast<std::uint64_t>(key.wn));
-  h = mix(h, static_cast<std::uint64_t>(key.wk));
   return h;
 }
 
@@ -719,8 +733,7 @@ void Workspace::pack() {
 // GemmPlan
 // ---------------------------------------------------------------------------
 
-GemmPlan::GemmPlan(const PlanKey& key)
-    : key_(key), tile_{key.bm, key.bn, key.bk, key.wm, key.wn, key.wk} {
+GemmPlan::GemmPlan(const PlanKey& key) : key_(key) {
   combos_.reserve(key.combo_count);
   for (std::uint8_t i = 0; i < key.combo_count; ++i) {
     const std::uint64_t enc = (key.combo_seq >> (4 * i)) & 0xF;
@@ -760,10 +773,7 @@ KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
     case Backend::kEgemmTC: {
       EgemmOptions opts;
       opts.split = key_.split;
-      if (key_.planes != 3) {
-        opts.tile = tile_;
-        return egemm_timing(m, n, k, spec, opts);
-      }
+      if (key_.planes != 3) return egemm_timing(m, n, k, spec, opts);
       // The 9-product three-way-split schedule on the Table 4 tiling. The
       // split pass writes three half planes instead of two, 1.5x the bytes
       // (the main loop's global traffic is handled by the stream shape).
@@ -777,7 +787,6 @@ KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
     case Backend::kDekker: {
       EgemmOptions opts;
       opts.emulation_instructions = 16;
-      opts.tile = tile_;
       return egemm_timing(m, n, k, spec, opts);
     }
     default:
@@ -797,60 +806,48 @@ GemmContext::GemmContext(std::size_t plan_capacity)
 
 std::shared_ptr<const GemmPlan> GemmContext::plan(Backend backend,
                                                   std::size_t m, std::size_t n,
-                                                  std::size_t k,
-                                                  const EgemmOptions& opts) {
-  // Alg. 1's term order: low-order products first. The other recipes
-  // mirror the one-shot baselines exactly (gemm/baselines.cpp).
-  static constexpr PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-  static constexpr PlaneCombo kHalfOnly[] = {{1, 1}};
-  static constexpr PlaneCombo kMarkidis[] = {{0, 1}, {1, 0}, {1, 1}};
-  // All 9 three-way-split products, smallest-magnitude terms first so they
-  // are absorbed before the dominant hi x hi partial product.
-  static constexpr PlaneCombo k3Split[] = {{0, 0}, {0, 1}, {1, 0},
-                                           {0, 2}, {1, 1}, {2, 0},
-                                           {1, 2}, {2, 1}, {2, 2}};
-
-  std::optional<Recipe> recipe;  // empty: direct binary32 backend
+                                                  std::size_t k) {
   switch (backend) {
     case Backend::kCublasFp32:
     case Backend::kSdkFp32:
     case Backend::kDekker:
-      break;
+      return plan_for(plan_key(backend, m, n, k, nullptr));
+    case Backend::kCublasTcEmulation: {
+      // Alg. 1 via 4 separate vendor GEMM calls: same combos, separate
+      // passes.
+      const Recipe recipe{core::SplitMethod::kRoundSplit, kAlg1,
+                          ComboOrder::kSeparatePasses, 2};
+      return plan_for(plan_key(backend, m, n, k, &recipe));
+    }
     case Backend::kEgemmTC:
-      if (opts.emulation_instructions == 9) {
-        // Three-way split: opts.split selects the rung -- round-split is
-        // the FP32-recovery scheme (exact decomposition, the default),
-        // truncate-split the Ozaki-style one-signed word slices.
-        recipe = Recipe{opts.split, k3Split, ComboOrder::kFusedPerTile, 3};
-      } else {
-        EGEMM_EXPECTS(opts.emulation_instructions == 4);
-        recipe = Recipe{opts.split, kAlg1, ComboOrder::kFusedPerTile, 2};
-      }
-      break;
+      return plan_scheme(core::SchemeId::kRound2, m, n, k);
     case Backend::kCublasTcHalf:
-      recipe = Recipe{core::SplitMethod::kRoundSplit, kHalfOnly,
-                      ComboOrder::kFusedPerTile, 2};
-      break;
-    case Backend::kCublasTcEmulation:
-      recipe = Recipe{core::SplitMethod::kRoundSplit, kAlg1,
-                      ComboOrder::kSeparatePasses, 2};
-      break;
+      return plan_scheme(core::SchemeId::kHalf, m, n, k);
     case Backend::kMarkidis:
-      recipe = Recipe{core::SplitMethod::kTruncateSplit, kMarkidis,
-                      ComboOrder::kFusedPerTile, 2};
-      break;
+      return plan_scheme(core::SchemeId::kMarkidis, m, n, k);
   }
-  return plan_for(
-      plan_key(backend, m, n, k, opts.tile, recipe ? &*recipe : nullptr));
+  EGEMM_EXPECTS(!"invalid Backend");
+  return nullptr;
+}
+
+std::shared_ptr<const GemmPlan> GemmContext::plan_scheme(core::SchemeId scheme,
+                                                         std::size_t m,
+                                                         std::size_t n,
+                                                         std::size_t k) {
+  const auto index = static_cast<std::size_t>(scheme);
+  EGEMM_EXPECTS(index < kRungs.size());
+  const Rung& rung = kRungs[index];
+  const Recipe recipe{rung.split, rung.combos, ComboOrder::kFusedPerTile,
+                      rung.planes};
+  return plan_for(plan_key(rung.backend, m, n, k, &recipe));
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
     std::size_t m, std::size_t n, std::size_t k, core::SplitMethod split,
-    std::span<const PlaneCombo> combos, ComboOrder order, int planes,
-    const TileConfig& tile) {
+    std::span<const PlaneCombo> combos, ComboOrder order, int planes) {
   EGEMM_EXPECTS(planes == 2 || planes == 3);
   const Recipe recipe{split, combos, order, planes};
-  return plan_for(plan_key(Backend::kEgemmTC, m, n, k, tile, &recipe));
+  return plan_for(plan_key(Backend::kEgemmTC, m, n, k, &recipe));
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key) {
@@ -900,55 +897,6 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key) {
   return created;
 }
 
-Matrix GemmContext::run(Backend backend, const Matrix& a, const Matrix& b,
-                        const Matrix* c, const EgemmOptions& opts) {
-  EGEMM_EXPECTS(a.cols() == b.rows());
-  const std::shared_ptr<const GemmPlan> p =
-      plan(backend, a.rows(), b.cols(), a.cols(), opts);
-  Matrix d;
-  p->execute(*this, a, b, c, d);
-  return d;
-}
-
-std::shared_ptr<const GemmPlan> GemmContext::plan_scheme(
-    core::SchemeId scheme, std::size_t m, std::size_t n, std::size_t k,
-    const TileConfig& tile) {
-  EgemmOptions opts;
-  opts.tile = tile;
-  switch (scheme) {
-    case core::SchemeId::kHalf:
-      return plan(Backend::kCublasTcHalf, m, n, k, opts);
-    case core::SchemeId::kMarkidis:
-      return plan(Backend::kMarkidis, m, n, k, opts);
-    case core::SchemeId::kTruncate2:
-      opts.split = core::SplitMethod::kTruncateSplit;
-      return plan(Backend::kEgemmTC, m, n, k, opts);
-    case core::SchemeId::kRound2:
-      return plan(Backend::kEgemmTC, m, n, k, opts);
-    case core::SchemeId::kSlice3:
-      opts.split = core::SplitMethod::kTruncateSplit;
-      opts.emulation_instructions = 9;
-      return plan(Backend::kEgemmTC, m, n, k, opts);
-    case core::SchemeId::kRecovery3:
-      opts.emulation_instructions = 9;
-      return plan(Backend::kEgemmTC, m, n, k, opts);
-    case core::SchemeId::kCount:
-      break;
-  }
-  EGEMM_EXPECTS(!"invalid SchemeId");
-  return nullptr;
-}
-
-Matrix GemmContext::run_scheme(core::SchemeId scheme, const Matrix& a,
-                               const Matrix& b, const Matrix* c) {
-  EGEMM_EXPECTS(a.cols() == b.rows());
-  const std::shared_ptr<const GemmPlan> p =
-      plan_scheme(scheme, a.rows(), b.cols(), a.cols());
-  Matrix d;
-  p->execute(*this, a, b, c, d);
-  return d;
-}
-
 GemmContext::ContractPlan GemmContext::plan_contract(
     std::size_t m, std::size_t n, std::size_t k,
     const core::AccuracyContract& contract) {
@@ -962,6 +910,7 @@ GemmContext::ContractPlan GemmContext::plan_contract(
 
 void GemmContext::execute_grouped(std::span<const GroupedGemm> items) {
   if (items.empty()) return;
+  expect_unchained(items);
   EGEMM_COUNTER_ADD("gemm.batch.calls", 1);
   EGEMM_COUNTER_ADD("gemm.batch.items",
                     static_cast<std::int64_t>(items.size()));

@@ -3,31 +3,35 @@
 //
 // The repository's iterative callers (kMeans/kNN Lloyd loops, the fuzz
 // harness, the benchmarks) run the same (m, n, k) GEMM hundreds of times,
-// yet the one-shot entry points re-derive the tile configuration,
-// re-allocate split planes and packed tile buffers, and re-size the output
-// on every call. Production GEMM stacks (cuBLAS handles, cuDNN execution
-// plans) separate *planning* from *execution*; this layer adopts that
-// architecture:
+// yet a one-shot call re-derives its recipe, re-allocates split planes and
+// packed tile buffers, and re-sizes the output every time. Production GEMM
+// stacks (cuBLAS handles, cuDNN execution plans) separate *planning* from
+// *execution*; this layer adopts that architecture:
 //
-//   GemmPlan     an immutable, fully-normalized execution recipe for one
-//                (shape, options, backend): split method, plane count, the
-//                ordered split-product combos, and the caller's tile
-//                configuration (Table 4 unless chosen otherwise).
-//                execute(ctx, A, B, C, D) runs it into a caller-owned D
-//                with zero per-call heap allocation once the leased
-//                workspace has warmed up (guarded in debug builds).
+//   GemmPlan     an immutable execution recipe for one (shape, recipe):
+//                backend, split method, plane count and the ordered
+//                split-product combos -- everything that decides the bits
+//                and nothing else (the GPU tiling only decides modeled
+//                time; see timing()). execute(ctx, A, B, C, D) runs it into
+//                a caller-owned D with zero per-call heap allocation once
+//                the leased workspace has warmed up (guarded in debug
+//                builds).
 //   GemmContext  owns the reusable workspaces (LIFO free list, so
 //                back-to-back same-shape calls get the same warm buffers)
-//                and an LRU plan cache keyed by the normalized recipe.
-//                Cache behaviour is observable as the gemm.plan.{hit,miss}
+//                and an LRU plan cache keyed by the recipe. Cache
+//                behaviour is observable as the gemm.plan.{hit,miss}
 //                counters and a "plan" span around plan construction.
 //
-// The one-shot APIs (egemm_multiply, run_gemm, gemm_ex) are thin wrappers
-// over default_context(), so every caller shares one warm cache unless it
-// opts into its own context. A plan executes on one engine, the packed
+// There is one way to plan each kind of call: plan() for a Table 5
+// backend, plan_scheme() for a named ladder rung, plan_emulated() for a
+// custom recipe, plan_contract() for an accuracy contract. The one-shot
+// APIs (egemm_multiply, gemm_ex and its grouped/batched forms) plan
+// against default_context(), so every caller shares one warm cache unless
+// it opts into its own context. A plan executes on one engine, the packed
 // tile kernel; the seed's scalar driver survives only as the test oracle
 // verify::reference_execute, which the packed engine matches bitwise.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -43,8 +47,8 @@
 #include "gemm/gemm_api.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/packing.hpp"
-#include "gemm/tiling.hpp"
 #include "tcsim/gpu_spec.hpp"
+#include "util/assert.hpp"
 
 namespace egemm::gemm {
 
@@ -66,9 +70,9 @@ struct PlaneCombo {
 inline constexpr std::size_t kMaxPlanCombos = 16;
 
 /// The normalized identity of a plan: problem shape plus every knob that
-/// changes the executed operation sequence. Two requests with equal keys
-/// are interchangeable by construction, which is what makes the LRU cache
-/// sound.
+/// changes the executed operation sequence (and the backend, which picks
+/// the timing model). Two requests with equal keys are interchangeable by
+/// construction, which is what makes the LRU cache sound.
 struct PlanKey {
   std::size_t m = 0, n = 0, k = 0;
   Backend backend = Backend::kEgemmTC;  ///< timing dispatch + direct target
@@ -84,7 +88,6 @@ struct PlanKey {
   /// carried in the key so scheme identity is part of the cached plan's
   /// observable contract (obs counters, plan introspection).
   std::int8_t scheme = -1;
-  int bm = 0, bn = 0, bk = 0, wm = 0, wn = 0, wk = 0;  ///< caller's tile
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
@@ -173,10 +176,10 @@ class WorkspaceLease {
   std::unique_ptr<Workspace> ws_;
 };
 
-/// An immutable execution recipe, created once per (shape, options,
-/// backend) by a GemmContext and shared via the cache. Thread-safe to
-/// execute concurrently (all mutable state lives in the leased workspace
-/// and the caller-owned D).
+/// An immutable execution recipe, created once per (shape, recipe) by a
+/// GemmContext and shared via the cache. Thread-safe to execute
+/// concurrently (all mutable state lives in the leased workspace and the
+/// caller-owned D).
 class GemmPlan {
  public:
   std::size_t m() const noexcept { return key_.m; }
@@ -197,10 +200,6 @@ class GemmPlan {
     return static_cast<core::SchemeId>(key_.scheme);
   }
   std::span<const PlaneCombo> combos() const noexcept { return combos_; }
-  /// The caller's tile configuration, unchanged: table4_config() (the §6
-  /// solver's pick) unless an explicit tile was planned. It feeds only
-  /// timing(); the host engine always runs 16x16 blocks.
-  const TileConfig& tile() const noexcept { return tile_; }
   /// Steady-state workspace footprint of one execute() (planes + packs).
   std::size_t workspace_bytes() const noexcept { return workspace_bytes_; }
   const PlanKey& key() const noexcept { return key_; }
@@ -213,8 +212,10 @@ class GemmPlan {
                const Matrix* c, Matrix& d) const;
 
   /// Simulated execution time on `spec` for the planned shape, dispatched
-  /// like time_gemm. Custom emulated recipes (plan_emulated) are modeled
-  /// as the Alg. 1 EGEMM schedule. Requires a non-degenerate shape.
+  /// like time_gemm, on the Table 4 tiling (table4_config(), the §6
+  /// solver's pick; egemm_timing with EgemmOptions::tile models any
+  /// other). Custom emulated recipes (plan_emulated) are modeled as the
+  /// Alg. 1 EGEMM schedule. Requires a non-degenerate shape.
   KernelTiming timing(const tcsim::GpuSpec& spec) const;
 
  private:
@@ -222,7 +223,6 @@ class GemmPlan {
   explicit GemmPlan(const PlanKey& key);
 
   PlanKey key_;
-  TileConfig tile_;
   std::vector<PlaneCombo> combos_;
   std::size_t workspace_bytes_ = 0;
 };
@@ -239,6 +239,29 @@ struct GroupedGemm {
   Matrix* d = nullptr;        ///< caller-owned output, resized in place
 };
 
+/// Aborts, in release builds too, when an item's output is any item's A,
+/// B or C, or two items share an output. A loop of single calls would let
+/// a later item read what an earlier one wrote; a grouped call preps and
+/// writes every item concurrently, so such a chain cannot keep the loop's
+/// meaning and is rejected before anything executes. (An item's output
+/// aliasing its own inputs is checked per item by the callers.) Shared
+/// inputs are fine. `Item` is any {a, b, c, d} operand set (GroupedGemm,
+/// GroupedGemmItem).
+template <typename Item>
+void expect_unchained(std::span<const Item> items) {
+  if (items.size() < 2) return;
+  std::vector<const Matrix*> outputs;
+  outputs.reserve(items.size());
+  for (const Item& item : items) outputs.push_back(item.d);
+  std::ranges::sort(outputs);
+  EGEMM_EXPECTS(std::ranges::adjacent_find(outputs) == outputs.end());
+  for (const Item& item : items) {
+    for (const Matrix* input : {item.a, item.b, item.c}) {
+      EGEMM_EXPECTS(!std::ranges::binary_search(outputs, input));
+    }
+  }
+}
+
 /// Owns the plan cache and the workspace pool. Create one per long-lived
 /// pipeline (or use default_context()); all members are thread-safe.
 class GemmContext {
@@ -249,35 +272,25 @@ class GemmContext {
   GemmContext(const GemmContext&) = delete;
   GemmContext& operator=(const GemmContext&) = delete;
 
-  /// Plan for a Table 5 backend: normalizes (backend, opts) into the
-  /// recipe the backend's one-shot path executes. For Backend::kEgemmTC,
-  /// opts.emulation_instructions selects Alg. 1 (4) or the three-way-split
-  /// rungs (9); other emulated backends ignore the EGEMM-specific options.
+  /// Plan for a Table 5 backend: the recipe the backend executes. The
+  /// binary32 backends plan direct; kCublasTcEmulation plans Alg. 1 as
+  /// separate passes; every other emulated backend plans its ladder rung
+  /// (kEgemmTC: round-2term, kCublasTcHalf: half, kMarkidis: markidis).
   std::shared_ptr<const GemmPlan> plan(Backend backend, std::size_t m,
-                                       std::size_t n, std::size_t k,
-                                       const EgemmOptions& opts = {});
+                                       std::size_t n, std::size_t k);
+
+  /// Plan a named rung of the emulation-precision ladder
+  /// (core/scheme.hpp) for the shape: the canonical executable recipe
+  /// whose plan classifies back to `scheme` (plan->scheme_id()).
+  std::shared_ptr<const GemmPlan> plan_scheme(core::SchemeId scheme,
+                                              std::size_t m, std::size_t n,
+                                              std::size_t k);
 
   /// Plan for a custom emulated recipe: `combos` is the ordered
   /// split-product sequence over `planes` planes.
   std::shared_ptr<const GemmPlan> plan_emulated(
       std::size_t m, std::size_t n, std::size_t k, core::SplitMethod split,
-      std::span<const PlaneCombo> combos, ComboOrder order, int planes = 2,
-      const TileConfig& tile = table4_config());
-
-  /// Convenience: plan (cached) + execute in one call.
-  Matrix run(Backend backend, const Matrix& a, const Matrix& b,
-             const Matrix* c = nullptr, const EgemmOptions& opts = {});
-
-  /// Plan a named rung of the emulation-precision ladder
-  /// (core/scheme.hpp) for the shape: the canonical executable recipe
-  /// whose plan classifies back to `scheme` (plan->scheme_id()).
-  std::shared_ptr<const GemmPlan> plan_scheme(
-      core::SchemeId scheme, std::size_t m, std::size_t n, std::size_t k,
-      const TileConfig& tile = table4_config());
-
-  /// plan_scheme + execute in one call.
-  Matrix run_scheme(core::SchemeId scheme, const Matrix& a, const Matrix& b,
-                    const Matrix* c = nullptr);
+      std::span<const PlaneCombo> combos, ComboOrder order, int planes = 2);
 
   /// A resolved accuracy contract: the per-rung bound table plus (when
   /// feasible) the plan for the cheapest provably sufficient rung.
@@ -303,9 +316,10 @@ class GemmContext {
   /// dispatch with a batch-aware grain, so small items no longer
   /// serialize behind each other. Results are bit-identical to calling
   /// item.plan->execute() in a loop (each output tile runs the exact same
-  /// operation sequence; only the schedule changes). Per-call telemetry
-  /// deposits one CallRecord per shape class, tagged with a
-  /// process-unique batch id and the class's item count.
+  /// operation sequence; only the schedule changes). Items must not chain
+  /// (expect_unchained). Per-call telemetry deposits one CallRecord per
+  /// shape class, tagged with a process-unique batch id and the class's
+  /// item count.
   void execute_grouped(std::span<const GroupedGemm> items);
 
   /// Leases a warm workspace (LIFO, so repeated same-shape calls reuse the

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <limits>
 
-#include "gemm/baselines.hpp"
-#include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -152,29 +150,17 @@ gemm::Matrix run_path(Path path, gemm::GemmContext& ctx, const gemm::Matrix& a,
                       const gemm::Matrix& b, const gemm::Matrix* c) {
   // path_name returns string literals, so the span name outlives the trace.
   const obs::ScopedSpan span(path_name(path));
-  switch (path) {
-    case Path::kEgemmRound:
-      return ctx.run(gemm::Backend::kEgemmTC, a, b, c);
-    case Path::kEgemmTruncate: {
-      gemm::EgemmOptions options;
-      options.split = core::SplitMethod::kTruncateSplit;
-      return ctx.run(gemm::Backend::kEgemmTC, a, b, c, options);
-    }
-    case Path::kSeparatePasses:
-      return ctx.run(gemm::Backend::kCublasTcEmulation, a, b, c);
-    case Path::kMarkidis:
-      return ctx.run(gemm::Backend::kMarkidis, a, b, c);
-    case Path::kTcHalf:
-      return ctx.run(gemm::Backend::kCublasTcHalf, a, b, c);
-    case Path::kRecovery3:
-      return ctx.run_scheme(core::SchemeId::kRecovery3, a, b, c);
-    case Path::kSlice3:
-      return ctx.run_scheme(core::SchemeId::kSlice3, a, b, c);
-    case Path::kCount:
-      break;
-  }
-  EGEMM_EXPECTS(false && "invalid Path");
-  return gemm::Matrix();
+  EGEMM_EXPECTS(a.cols() == b.rows());
+  const std::size_t m = a.rows(), n = b.cols(), k = a.cols();
+  // Separate passes shares round-2term's rung but not its recipe: it has a
+  // backend plan of its own. Every other path is its rung's plan.
+  const std::shared_ptr<const gemm::GemmPlan> plan =
+      path == Path::kSeparatePasses
+          ? ctx.plan(gemm::Backend::kCublasTcEmulation, m, n, k)
+          : ctx.plan_scheme(path_scheme(path), m, n, k);
+  gemm::Matrix d;
+  plan->execute(ctx, a, b, c, d);
+  return d;
 }
 
 void PathObservation::merge(const PathObservation& other) {

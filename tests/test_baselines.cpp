@@ -1,5 +1,6 @@
 // Tests for the Table 5 baseline kernels (gemm/baselines.hpp).
 #include "gemm/baselines.hpp"
+#include "gemm/gemm_api.hpp"
 
 #include <cmath>
 
@@ -33,7 +34,8 @@ TEST(BaselineFunctional, HalfGemmHasHalfScaleError) {
   const Matrix a = random_matrix(128, 128, -1, 1, 5);
   const Matrix b = random_matrix(128, 128, -1, 1, 6);
   const MatrixD ref = gemm_reference(a, b, nullptr);
-  const double err = max_abs_error(ref, gemm_tc_half(a, b));
+  const double err =
+      max_abs_error(ref, gemm_ex(Backend::kCublasTcHalf, a, b, nullptr, {}));
   // Input quantization to 2^-11 relative over k=128 products in [-1,1]:
   // order 1e-2 (cuBLAS-TC-Half row of Fig. 7).
   EXPECT_GT(err, 1e-3);
@@ -45,8 +47,10 @@ TEST(BaselineFunctional, MarkidisBetweenHalfAndEgemm) {
   const Matrix b = random_matrix(128, 128, -1, 1, 8);
   const MatrixD ref = gemm_reference(a, b, nullptr);
   const double egemm_err = max_abs_error(ref, egemm_multiply(a, b));
-  const double markidis_err = max_abs_error(ref, gemm_markidis(a, b));
-  const double half_err = max_abs_error(ref, gemm_tc_half(a, b));
+  const double markidis_err =
+      max_abs_error(ref, gemm_ex(Backend::kMarkidis, a, b, nullptr, {}));
+  const double half_err =
+      max_abs_error(ref, gemm_ex(Backend::kCublasTcHalf, a, b, nullptr, {}));
   EXPECT_LT(egemm_err, markidis_err);   // Fig. 7: 2.33x better on average
   EXPECT_LT(markidis_err, half_err);    // still extended-ish precision
   EXPECT_GT(half_err, 20.0 * markidis_err);
@@ -59,7 +63,8 @@ TEST(BaselineFunctional, TcEmulationMatchesEgemmPrecisionClass) {
   const Matrix b = random_matrix(128, 128, -1, 1, 10);
   const MatrixD ref = gemm_reference(a, b, nullptr);
   const double egemm_err = max_abs_error(ref, egemm_multiply(a, b));
-  const double emu_err = max_abs_error(ref, gemm_cublas_tc_emulation(a, b));
+  const double emu_err = max_abs_error(
+      ref, gemm_ex(Backend::kCublasTcEmulation, a, b, nullptr, {}));
   EXPECT_LT(emu_err, 4.0 * egemm_err);
   EXPECT_LT(egemm_err, 4.0 * emu_err);
 }
@@ -70,7 +75,8 @@ TEST(BaselineFunctional, DekkerIsExtendedPrecision) {
   const MatrixD ref = gemm_reference(a, b, nullptr);
   long ops = 0;
   const Matrix d = gemm_dekker(a, b, nullptr, &ops);
-  const double half_err = max_abs_error(ref, gemm_tc_half(a, b));
+  const double half_err =
+      max_abs_error(ref, gemm_ex(Backend::kCublasTcHalf, a, b, nullptr, {}));
   const double dekker_err = max_abs_error(ref, d);
   EXPECT_LT(dekker_err, half_err);
   // 16 binary16 instructions per scalar multiply-accumulate (§1).
@@ -82,9 +88,11 @@ TEST(BaselineFunctional, CAccumulationConsistency) {
   const Matrix b = random_matrix(32, 48, -1, 1, 14);
   Matrix c(48, 48);
   c.fill(-2.0f);
-  const Matrix results[] = {sgemm_fp32(a, b, &c), gemm_tc_half(a, b, &c),
-                            gemm_markidis(a, b, &c),
-                            gemm_cublas_tc_emulation(a, b, &c)};
+  const Matrix results[] = {
+      sgemm_fp32(a, b, &c),
+      gemm_ex(Backend::kCublasTcHalf, a, b, &c, {.beta = 1.0f}),
+      gemm_ex(Backend::kMarkidis, a, b, &c, {.beta = 1.0f}),
+      gemm_ex(Backend::kCublasTcEmulation, a, b, &c, {.beta = 1.0f})};
   const MatrixD ref = gemm_reference(a, b, &c);
   for (const Matrix& result : results) {
     EXPECT_EQ(result.rows(), 48u);

@@ -8,6 +8,7 @@
 
 #include "fp/error_stats.hpp"
 #include "gemm/baselines.hpp"
+#include "gemm/gemm_api.hpp"
 
 namespace egemm::gemm {
 namespace {
@@ -39,7 +40,8 @@ TEST_P(EgemmFunctionalTest, FarBetterThanHalfGemm) {
   const Matrix b = random_matrix(s.k, s.n, -1, 1, 400 + s.n);
   const MatrixD ref = gemm_reference(a, b, nullptr);
   const double emu_err = max_abs_error(ref, egemm_multiply(a, b));
-  const double half_err = max_abs_error(ref, gemm_tc_half(a, b));
+  const double half_err =
+      max_abs_error(ref, gemm_ex(Backend::kCublasTcHalf, a, b, nullptr, {}));
   EXPECT_GT(half_err, 30.0 * emu_err);
 }
 

@@ -230,7 +230,9 @@ TEST(SchemeBounds, DominateMeasuredErrorOnCorpusForEveryRung) {
       }
     }
     for (const SchemeId rung : core::scheme_ladder()) {
-      const gemm::Matrix d = ctx.run_scheme(rung, in.a, in.b, in.c_ptr());
+      gemm::Matrix d;
+      ctx.plan_scheme(rung, in.a.rows(), in.b.cols(), in.a.cols())
+          ->execute(ctx, in.a, in.b, in.c_ptr(), d);
       const core::SchemeProfile profile = core::scheme_profile(rung);
       for (std::size_t i = 0; i < d.rows(); ++i) {
         for (std::size_t j = 0; j < d.cols(); ++j) {
@@ -410,7 +412,8 @@ TEST(SchemePlans, ExecuteBumpsThePerSchemeCounter) {
     const std::string name = std::string("gemm.scheme.") +
                              core::scheme_name(id);
     const std::uint64_t before = obs::registry().counter(name).value();
-    (void)ctx.run_scheme(id, a, b);
+    gemm::Matrix d;
+    ctx.plan_scheme(id, 8, 8, 8)->execute(ctx, a, b, nullptr, d);
     EXPECT_EQ(obs::registry().counter(name).value(), before + 1) << name;
   }
   const std::uint64_t custom_before =

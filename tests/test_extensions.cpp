@@ -63,8 +63,10 @@ TEST(Split3, ThirdPlaneIsAbsorbedByTheFp32Accumulator) {
   const gemm::Matrix a = gemm::random_matrix(256, 64, -1, 1, 11);
   const gemm::Matrix b = gemm::random_matrix(64, 256, -1, 1, 12);
   const gemm::Matrix alg1 = gemm::egemm_multiply(a, b);
-  const gemm::Matrix three = gemm::default_context().run_scheme(
-      core::SchemeId::kRecovery3, a, b);
+  gemm::Matrix three;
+  gemm::default_context()
+      .plan_scheme(core::SchemeId::kRecovery3, 256, 256, 64)
+      ->execute(gemm::default_context(), a, b, nullptr, three);
   for (std::size_t i = 0; i < alg1.size(); ++i) {
     EXPECT_EQ(alg1.data()[i], three.data()[i]) << i;
   }
@@ -87,8 +89,10 @@ TEST(Split3, HandlesEdgeTilesAndC) {
   const gemm::Matrix b = gemm::random_matrix(47, 29, -1, 1, 16);
   gemm::Matrix c(33, 29);
   c.fill(2.0f);
-  const gemm::Matrix d =
-      gemm::default_context().run_scheme(core::SchemeId::kRecovery3, a, b, &c);
+  gemm::Matrix d;
+  gemm::default_context()
+      .plan_scheme(core::SchemeId::kRecovery3, 33, 29, 47)
+      ->execute(gemm::default_context(), a, b, &c, d);
   const gemm::MatrixD ref = gemm::gemm_reference(a, b, &c);
   EXPECT_LT(gemm::max_abs_error(ref, d), 1e-5);
 }
@@ -148,17 +152,24 @@ TEST(GemmEx, FastPathMatchesRunGemm) {
   const gemm::Matrix b = gemm::random_matrix(32, 48, -1, 1, 26);
   gemm::Matrix c(48, 48);
   c.fill(0.25f);
+  // The kernel alone: the backend's plan executed directly, no epilogue.
+  const auto kernel = [&](const gemm::Matrix* acc) {
+    gemm::GemmContext& ctx = gemm::default_context();
+    gemm::Matrix d;
+    ctx.plan(gemm::Backend::kEgemmTC, 48, 48, 32)->execute(ctx, a, b, acc, d);
+    return d;
+  };
   gemm::GemmExParams params;  // alpha 1, beta 0
   const gemm::Matrix d0 =
       gemm::gemm_ex(gemm::Backend::kEgemmTC, a, b, nullptr, params);
-  const gemm::Matrix r0 = gemm::run_gemm(gemm::Backend::kEgemmTC, a, b);
+  const gemm::Matrix r0 = kernel(nullptr);
   for (std::size_t i = 0; i < d0.size(); ++i) {
     EXPECT_EQ(d0.data()[i], r0.data()[i]);
   }
   params.beta = 1.0f;
   const gemm::Matrix d1 =
       gemm::gemm_ex(gemm::Backend::kEgemmTC, a, b, &c, params);
-  const gemm::Matrix r1 = gemm::run_gemm(gemm::Backend::kEgemmTC, a, b, &c);
+  const gemm::Matrix r1 = kernel(&c);
   for (std::size_t i = 0; i < d1.size(); ++i) {
     EXPECT_EQ(d1.data()[i], r1.data()[i]);
   }

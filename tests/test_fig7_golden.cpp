@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "gemm/baselines.hpp"
+#include "gemm/gemm_api.hpp"
 #include "gemm/egemm.hpp"
 #include "gemm/matrix.hpp"
 
@@ -48,8 +49,10 @@ TEST_P(Fig7GoldenTest, MaxErrorMatchesToTheBit) {
   const Matrix single = sgemm_fp32(a, b);
 
   const double egemm_err = max_abs_error(single, egemm_multiply(a, b));
-  const double markidis_err = max_abs_error(single, gemm_markidis(a, b));
-  const double half_err = max_abs_error(single, gemm_tc_half(a, b));
+  const double markidis_err =
+      max_abs_error(single, gemm_ex(Backend::kMarkidis, a, b, nullptr, {}));
+  const double half_err = max_abs_error(
+      single, gemm_ex(Backend::kCublasTcHalf, a, b, nullptr, {}));
 
   EXPECT_EQ(egemm_err, golden.egemm)
       << std::string(64, '-') << "\n  re-capture: egemm=" << std::hexfloat

@@ -1,9 +1,8 @@
 // Tests for the batched/grouped GEMM entry points (DESIGN.md §18): bit
 // identity with the loop-of-singles path per emulation-ladder rung and
 // forced ISA tier, empty batches, mixed transpose/epilogue parameters,
-// batches mixing every solver-feasible tiling, direct-backend items at
-// any position of a pool-dispatched batch, the strided convenience
-// form, the contract overloads (including an infeasible item, which must
+// direct-backend items at any position of a pool-dispatched batch, the
+// contract overloads (including an infeasible item, which must
 // leave the whole batch unexecuted), the small-GEMM inline-threshold knob,
 // and the batch-tagged telemetry records the flattened stream deposits,
 // whose stage attribution must stay inside the batch's wall time.
@@ -17,14 +16,11 @@
 #include "core/scheme.hpp"
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
-#include "model/analytic_model.hpp"
-#include "model/solver.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/isa.hpp"
-#include "tcsim/gpu_spec.hpp"
 #include "util/thread_pool.hpp"
 
 namespace egemm::gemm {
@@ -183,44 +179,6 @@ TEST(GemmBatched, GroupedMixedTransposeAndEpilogueMatchesGemmEx) {
   }
 }
 
-TEST(GemmBatched, GroupedMixesEveryFeasibleTilingBitIdentically) {
-  // One batch carrying a plan per solver-feasible tiling: the flattened
-  // stream interleaves blocks of every tile shape and must still match
-  // the per-item execute loop exactly.
-  const model::SolverResult result =
-      model::solve(model::budget_from_spec(tcsim::tesla_t4()));
-  ASSERT_TRUE(result.found);
-  ASSERT_GE(result.feasible.size(), 2u);
-  GemmContext ctx;
-  std::vector<std::shared_ptr<const GemmPlan>> plans;
-  plans.reserve(result.feasible.size());
-  for (const model::SolverCandidate& candidate : result.feasible) {
-    plans.push_back(ctx.plan_scheme(core::SchemeId::kRound2, 48, 36, 32,
-                                    candidate.config));
-  }
-  const std::size_t batch = plans.size();
-  std::vector<Matrix> a, b;
-  std::vector<Matrix> single(batch), grouped(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    const auto seed = static_cast<unsigned>(700 + 2 * i);
-    a.push_back(random_matrix(48, 32, -1.0f, 1.0f, seed));
-    b.push_back(random_matrix(32, 36, -1.0f, 1.0f, seed + 1));
-  }
-  for (std::size_t i = 0; i < batch; ++i) {
-    plans[i]->execute(ctx, a[i], b[i], nullptr, single[i]);
-  }
-  std::vector<GroupedGemm> work(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    work[i] = GroupedGemm{plans[i], &a[i], &b[i], nullptr, &grouped[i]};
-  }
-  ctx.execute_grouped(work);
-  for (std::size_t i = 0; i < batch; ++i) {
-    EXPECT_TRUE(bitwise_equal(grouped[i], single[i]))
-        << "tiling index " << i << " (bm=" << plans[i]->tile().bm
-        << " bn=" << plans[i]->tile().bn << ")";
-  }
-}
-
 TEST(GemmBatched, GroupedMixesDirectAndEmulatedItemsInAnyOrder) {
   if (util::global_pool().size() <= 1) {
     GTEST_SKIP() << "needs a pool of more than one thread";
@@ -254,39 +212,6 @@ TEST(GemmBatched, GroupedMixesDirectAndEmulatedItemsInAnyOrder) {
       EXPECT_TRUE(bitwise_equal(grouped[i], single[i]))
           << "direct item at " << direct_at << ", item " << i;
     }
-  }
-}
-
-TEST(GemmBatched, StridedFormMatchesSpanForm) {
-  constexpr std::size_t kBatch = 3;
-  constexpr std::size_t kM = 16, kN = 12, kK = 20;
-  std::vector<Matrix> a, b;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    const auto seed = static_cast<unsigned>(900 + 2 * i);
-    a.push_back(random_matrix(kM, kK, -1.0f, 1.0f, seed));
-    b.push_back(random_matrix(kK, kN, -1.0f, 1.0f, seed + 1));
-  }
-  // Row-major stacks: item i occupies rows [i*m, (i+1)*m) of A and
-  // [i*k, (i+1)*k) of B, i.e. contiguous element blocks.
-  Matrix a_stack(kBatch * kM, kK);
-  Matrix b_stack(kBatch * kK, kN);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    std::memcpy(a_stack.data().data() + i * kM * kK, a[i].data().data(),
-                kM * kK * sizeof(float));
-    std::memcpy(b_stack.data().data() + i * kK * kN, b[i].data().data(),
-                kK * kN * sizeof(float));
-  }
-  GemmContext ctx;
-  const Matrix d_stack =
-      gemm_batched_strided(ctx, Backend::kEgemmTC, kBatch, a_stack, b_stack);
-  ASSERT_EQ(d_stack.rows(), kBatch * kM);
-  ASSERT_EQ(d_stack.cols(), kN);
-  const std::vector<Matrix> d = gemm_batched(ctx, Backend::kEgemmTC, a, b);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    EXPECT_EQ(std::memcmp(d_stack.data().data() + i * kM * kN,
-                          d[i].data().data(), kM * kN * sizeof(float)),
-              0)
-        << "item=" << i;
   }
 }
 

@@ -2,8 +2,9 @@
 // against the double-double oracle (verify/): every element must land
 // within the a-priori kernel bound scaled by the epilogue, for each
 // scaling configuration. The fast paths (alpha = 1, beta in {0, 1}) are
-// additionally required to be bitwise identical to run_gemm -- they must
-// ride the kernel accumulator, not the epilogue.
+// additionally required to be bitwise identical to the backend's plan
+// executed directly -- they must ride the kernel accumulator, not the
+// epilogue.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -140,9 +141,18 @@ TEST(GemmExGrid, FastPathsAreBitwiseIdenticalToRunGemm) {
   GemmExParams params;
   params.trans_b = Transpose::kTranspose;
 
+  const auto kernel = [&](const Matrix* c) {
+    GemmContext& ctx = default_context();
+    Matrix d;
+    ctx.plan(Backend::kEgemmTC, in.op_a.rows(), in.op_b.cols(),
+             in.op_a.cols())
+        ->execute(ctx, in.op_a, in.op_b, c, d);
+    return d;
+  };
+
   // alpha = 1, beta = 0: pure kernel call.
   const Matrix d0 = gemm_ex(Backend::kEgemmTC, in.a, in.b, nullptr, params);
-  const Matrix r0 = run_gemm(Backend::kEgemmTC, in.op_a, in.op_b);
+  const Matrix r0 = kernel(nullptr);
   ASSERT_EQ(d0.size(), r0.size());
   EXPECT_EQ(std::memcmp(d0.data().data(), r0.data().data(),
                         d0.size() * sizeof(float)),
@@ -151,7 +161,7 @@ TEST(GemmExGrid, FastPathsAreBitwiseIdenticalToRunGemm) {
   // alpha = 1, beta = 1: C rides the kernel accumulator.
   params.beta = 1.0f;
   const Matrix d1 = gemm_ex(Backend::kEgemmTC, in.a, in.b, &in.c, params);
-  const Matrix r1 = run_gemm(Backend::kEgemmTC, in.op_a, in.op_b, &in.c);
+  const Matrix r1 = kernel(&in.c);
   ASSERT_EQ(d1.size(), r1.size());
   EXPECT_EQ(std::memcmp(d1.data().data(), r1.data().data(),
                         d1.size() * sizeof(float)),

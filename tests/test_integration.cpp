@@ -46,11 +46,13 @@ TEST(Integration, Fig7ErrorOrderingAcrossSizes) {
     const gemm::Matrix b = gemm::random_matrix(n, n, -1, 1, 71 + n);
     const gemm::MatrixD ref = gemm::gemm_reference(a, b, nullptr);
     const gemm::Matrix egemm_d = gemm::egemm_multiply(a, b);
-    const gemm::Matrix markidis_d = gemm::gemm_markidis(a, b);
+    const gemm::Matrix markidis_d =
+        gemm::gemm_ex(gemm::Backend::kMarkidis, a, b, nullptr, {});
     const double egemm_err = gemm::max_abs_error(ref, egemm_d);
     const double markidis_err = gemm::max_abs_error(ref, markidis_d);
     const double half_err =
-        gemm::max_abs_error(ref, gemm::gemm_tc_half(a, b));
+        gemm::max_abs_error(ref, gemm::gemm_ex(gemm::Backend::kCublasTcHalf,
+                                               a, b, nullptr, {}));
     const double egemm_mean =
         fp::compare(ref.data(), egemm_d.data()).mean_abs();
     const double markidis_mean =

@@ -1,9 +1,10 @@
 // Tests for the plan/workspace execution layer (gemm/plan.hpp): cache
-// hit/miss accounting, LRU eviction, plan properties (recipe and the
-// caller's tile), bit-identity of the planned path with the one-shot APIs
-// and the scalar oracle (verify::reference_execute), caller-owned output
-// reuse, and the debug allocation guard (a reused plan performs no heap
-// allocation on its second execute).
+// hit/miss accounting, LRU eviction, plan properties (the recipe; options
+// that only shape modeled time share a plan), bit-identity of the planned
+// path with the one-shot APIs and the scalar oracle
+// (verify::reference_execute), caller-owned output reuse, and the debug
+// allocation guard (a reused plan performs no heap allocation on its
+// second execute).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -45,9 +46,7 @@ TEST(GemmPlanCache, HitAndMissAccounting) {
 TEST(GemmPlanCache, DistinctOptionsAreDistinctPlans) {
   GemmContext ctx;
   const auto round = ctx.plan(Backend::kEgemmTC, 32, 32, 32);
-  EgemmOptions truncate;
-  truncate.split = core::SplitMethod::kTruncateSplit;
-  const auto trunc = ctx.plan(Backend::kEgemmTC, 32, 32, 32, truncate);
+  const auto trunc = ctx.plan_scheme(core::SchemeId::kTruncate2, 32, 32, 32);
   EXPECT_EQ(ctx.plan_misses(), 2u);
   EXPECT_NE(round.get(), trunc.get());
   EXPECT_EQ(round->split(), core::SplitMethod::kRoundSplit);
@@ -102,7 +101,7 @@ TEST(GemmPlanExecute, AllBackendsMatchTheOneShotApi) {
     const auto plan = ctx.plan(backend, 33, 18, 29);
     Matrix d;
     plan->execute(ctx, a, b, nullptr, d);
-    EXPECT_TRUE(bitwise_equal(d, run_gemm(backend, a, b)))
+    EXPECT_TRUE(bitwise_equal(d, gemm_ex(backend, a, b, nullptr, {})))
         << backend_name(backend);
   }
 }
@@ -113,20 +112,6 @@ TEST(GemmPlanExecute, PlanPropertiesReflectTheRecipe) {
   EXPECT_FALSE(egemm->direct());
   EXPECT_EQ(egemm->combos().size(), 4u);
   EXPECT_GT(egemm->workspace_bytes(), 0u);
-  EXPECT_TRUE(egemm->tile() == table4_config());
-
-  // An explicit solver-feasible tile other than Table 4 is honored exactly
-  // and keys a distinct plan.
-  const model::SolverResult solved =
-      model::solve(model::budget_from_spec(tcsim::tesla_t4()));
-  ASSERT_GE(solved.feasible.size(), 2u);
-  const TileConfig other = solved.feasible.back().config;
-  ASSERT_FALSE(other == table4_config());
-  const auto tiled =
-      ctx.plan_scheme(core::SchemeId::kRound2, 64, 64, 64, other);
-  EXPECT_TRUE(tiled->tile() == other);
-  EXPECT_NE(tiled.get(), egemm.get());
-  EXPECT_EQ(ctx.cached_plans(), 2u);
 
   const auto half = ctx.plan(Backend::kCublasTcHalf, 64, 64, 64);
   EXPECT_EQ(half->combos().size(), 1u);
@@ -187,9 +172,9 @@ TEST(GemmPlanExecute, WorkspacesRecycleThroughTheContextPool) {
   GemmContext ctx;
   const Matrix a = random_matrix(16, 16, -1.0f, 1.0f, 61);
   const Matrix b = random_matrix(16, 16, -1.0f, 1.0f, 62);
-  (void)ctx.run(Backend::kEgemmTC, a, b);
+  (void)gemm_ex(ctx, Backend::kEgemmTC, a, b, nullptr, {});
   EXPECT_EQ(ctx.pooled_workspaces(), 1u);
-  (void)ctx.run(Backend::kEgemmTC, a, b);
+  (void)gemm_ex(ctx, Backend::kEgemmTC, a, b, nullptr, {});
   EXPECT_EQ(ctx.pooled_workspaces(), 1u);  // reused, not duplicated
 }
 
@@ -215,11 +200,37 @@ TEST(GemmContextRun, SharesPlansWithTheOneShotWrappers) {
   GemmContext ctx;
   const Matrix a = random_matrix(20, 28, -1.0f, 1.0f, 71);
   const Matrix b = random_matrix(28, 12, -1.0f, 1.0f, 72);
-  EXPECT_TRUE(bitwise_equal(ctx.run(Backend::kMarkidis, a, b),
-                            gemm_markidis(a, b)));
-  EXPECT_TRUE(bitwise_equal(run_gemm(ctx, Backend::kCublasTcHalf, a, b),
-                            gemm_tc_half(a, b)));
+  for (const Backend backend : {Backend::kMarkidis, Backend::kCublasTcHalf}) {
+    EXPECT_TRUE(bitwise_equal(gemm_ex(ctx, backend, a, b, nullptr, {}),
+                              gemm_ex(backend, a, b, nullptr, {})))
+        << backend_name(backend);
+  }
   EXPECT_EQ(ctx.plan_misses(), 2u);
+}
+
+TEST(GemmContextRun, TimingOnlyOptionsShareTheDefaultPlan) {
+  // Of EgemmOptions only the split reaches the bits: another tiling, or
+  // switching off latency hiding or FRAG caching, changes modeled GPU time
+  // alone, so egemm_multiply must land on the warm default plan.
+  const Matrix a = random_matrix(40, 24, -1.0f, 1.0f, 81);
+  const Matrix b = random_matrix(24, 36, -1.0f, 1.0f, 82);
+  const Matrix expected = egemm_multiply(a, b);  // warms default_context()
+  const model::SolverResult solved =
+      model::solve(model::budget_from_spec(tcsim::tesla_t4()));
+  ASSERT_GE(solved.feasible.size(), 2u);
+  EgemmOptions tiled;
+  tiled.tile = solved.feasible.back().config;
+  ASSERT_FALSE(tiled.tile == table4_config());
+  EgemmOptions naive;
+  naive.latency_hiding = false;
+  EgemmOptions uncached;
+  uncached.frag_caching = false;
+  GemmContext& ctx = default_context();
+  const std::uint64_t misses = ctx.plan_misses();
+  for (const EgemmOptions& opts : {tiled, naive, uncached}) {
+    EXPECT_TRUE(bitwise_equal(egemm_multiply(a, b, nullptr, opts), expected));
+  }
+  EXPECT_EQ(ctx.plan_misses(), misses);
 }
 
 }  // namespace

@@ -340,12 +340,12 @@ TEST(CallRecords, ExecuteEmitsHitMissAndStageAttribution) {
   gemm::GemmContext ctx;
   const gemm::Matrix a = gemm::random_matrix(33, 29, -1.0f, 1.0f, 1);
   const gemm::Matrix b = gemm::random_matrix(29, 31, -1.0f, 1.0f, 2);
-  const gemm::Matrix d1 =
-      ctx.run_scheme(core::SchemeId::kRound2, a, b, nullptr);
-  const gemm::Matrix d2 =
-      ctx.run_scheme(core::SchemeId::kRound2, a, b, nullptr);
-  static_cast<void>(d1);
-  static_cast<void>(d2);
+  gemm::Matrix d1;
+  gemm::Matrix d2;
+  ctx.plan_scheme(core::SchemeId::kRound2, 33, 31, 29)
+      ->execute(ctx, a, b, nullptr, d1);
+  ctx.plan_scheme(core::SchemeId::kRound2, 33, 31, 29)
+      ->execute(ctx, a, b, nullptr, d2);
   const std::vector<CallRecord> records = drain_call_records();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].lookup, PlanLookup::kMiss);
@@ -378,7 +378,8 @@ TEST(CallRecords, DirectBackendRecordsTotalOnly) {
   gemm::GemmContext ctx;
   const gemm::Matrix a = gemm::random_matrix(24, 24, -1.0f, 1.0f, 3);
   const gemm::Matrix b = gemm::random_matrix(24, 24, -1.0f, 1.0f, 4);
-  const gemm::Matrix d = ctx.run(gemm::Backend::kCublasFp32, a, b);
+  const gemm::Matrix d =
+      gemm::gemm_ex(ctx, gemm::Backend::kCublasFp32, a, b, nullptr, {});
   static_cast<void>(d);
   const std::vector<CallRecord> records = drain_call_records();
   ASSERT_EQ(records.size(), 1u);
@@ -398,13 +399,15 @@ TEST(CallRecords, HeldPlanCountsAsUnknownLookup) {
   const auto held = ctx.plan_scheme(core::SchemeId::kRound2, 40, 20, 24);
   // A later lookup on this thread supersedes the held plan's breadcrumb,
   // so none of the held plan's executes can claim a hit or a miss.
-  static_cast<void>(ctx.run_scheme(core::SchemeId::kHalf, a, b));  // miss
-  constexpr std::uint64_t kHeldCalls = 5;
   gemm::Matrix d;
+  ctx.plan_scheme(core::SchemeId::kHalf, 40, 20, 24)
+      ->execute(ctx, a, b, nullptr, d);  // miss
+  constexpr std::uint64_t kHeldCalls = 5;
   for (std::uint64_t i = 0; i < kHeldCalls; ++i) {
     held->execute(ctx, a, b, nullptr, d);
   }
-  static_cast<void>(ctx.run_scheme(core::SchemeId::kHalf, a, b));  // hit
+  ctx.plan_scheme(core::SchemeId::kHalf, 40, 20, 24)
+      ->execute(ctx, a, b, nullptr, d);  // hit
 
   const std::vector<CallRecord> records = drain_call_records();
   const CallSummary summary =
