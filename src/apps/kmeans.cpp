@@ -1,10 +1,8 @@
 #include "apps/kmeans.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
@@ -89,79 +87,39 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
       opts.context != nullptr ? *opts.context : gemm::default_context();
 
   // Centroids are convex combinations of points, so both GEMM operands
-  // share the points' scale context for the a-priori bound. Shared by
-  // every chunk of the grouped path, so all chunks resolve to one scheme.
-  // Only a contract reads it, so the scan is skipped without one.
-  core::AccuracyContract contract;
-  contract.max_abs_error = opts.precision_target;
-  contract.a_scale = opts.precision_target > 0.0 ? gemm::max_abs(points) : 0.0;
-  contract.b_scale = contract.a_scale;
-  const auto plan_shape =
-      [&](std::size_t rows) -> std::shared_ptr<const gemm::GemmPlan> {
-    if (opts.precision_target <= 0.0) {
-      return ctx.plan(opts.backend, rows, clusters, dim);
-    }
+  // share the points' scale context for the a-priori bound. Only a
+  // contract reads it, so the scan is skipped without one.
+  std::shared_ptr<const gemm::GemmPlan> plan;
+  if (opts.precision_target > 0.0) {
+    core::AccuracyContract contract;
+    contract.max_abs_error = opts.precision_target;
+    contract.a_scale = gemm::max_abs(points);
+    contract.b_scale = contract.a_scale;
     const gemm::GemmContext::ContractPlan cp =
-        ctx.plan_contract(rows, clusters, dim, contract);
+        ctx.plan_contract(n, clusters, dim, contract);
     if (!cp.resolution.feasible) {
-      char message[192];
-      std::snprintf(message, sizeof(message),
-                    "kmeans: no emulation scheme meets the accuracy contract: "
-                    "target %.6g, tightest rung (%s) only proves %.6g",
-                    opts.precision_target,
-                    core::scheme_name(cp.resolution.tightest),
-                    cp.resolution.tightest_worst_abs);
-      throw std::invalid_argument(message);
+      gemm::throw_contract_infeasible(contract, cp.resolution);
     }
     result.scheme = core::scheme_name(cp.resolution.scheme);
-    return cp.plan;
-  };
-
-  // Grouped path (DESIGN.md §18): the distance GEMM row-partitions into
-  // point chunks that execute as one flattened stream. The chunks, their
-  // plans, and the work list are built once; iterations reuse them.
-  const std::size_t group =
-      opts.group_rows == 0 ? n : std::min(opts.group_rows, n);
-  const std::size_t chunk_count = (n + group - 1) / group;
-  const bool grouped = chunk_count > 1;
-  std::vector<std::shared_ptr<const gemm::GemmPlan>> plans(chunk_count);
-  std::vector<gemm::Matrix> point_chunks(grouped ? chunk_count : 0);
-  std::vector<gemm::Matrix> cross_chunks(grouped ? chunk_count : 0);
-  for (std::size_t ci = 0; ci < chunk_count; ++ci) {
-    const std::size_t start = ci * group;
-    const std::size_t rows = std::min(group, n - start);
-    plans[ci] = plan_shape(rows);
-    if (grouped) {
-      point_chunks[ci].resize(rows, dim);
-      std::copy(points.row(start), points.row(start) + rows * dim,
-                point_chunks[ci].data().begin());
-    }
+    plan = cp.plan;
+  } else {
+    plan = ctx.plan(opts.backend, n, clusters, dim);
   }
+
   gemm::Matrix ct;
   gemm::Matrix cross;
-  std::vector<gemm::GroupedGemm> work(grouped ? chunk_count : 0);
-  for (std::size_t ci = 0; ci < work.size(); ++ci) {
-    work[ci] = gemm::GroupedGemm{plans[ci], &point_chunks[ci], &ct, nullptr,
-                                 &cross_chunks[ci]};
-  }
-
   std::vector<float> point_dist(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     // Assignment step: distance matrix through the GEMM backend.
     gemm::transpose_into(result.centroids, ct);
-    if (grouped) {
-      ctx.execute_grouped(work);
-    } else {
-      plans[0]->execute(ctx, points, ct, nullptr, cross);
-    }
+    plan->execute(ctx, points, ct, nullptr, cross);
     const std::vector<float> cn = gemm::row_norms(result.centroids);
 
     // Points are independent, so the assignment runs on the pool; the
     // inertia sum over the points stays serial.
     util::global_pool().parallel_for(n, [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
-        const float* cross_row =
-            grouped ? cross_chunks[i / group].row(i % group) : cross.row(i);
+        const float* cross_row = cross.row(i);
         int best = 0;
         float best_dist = std::numeric_limits<float>::max();
         for (std::size_t c = 0; c < clusters; ++c) {

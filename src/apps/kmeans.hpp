@@ -30,13 +30,6 @@ struct KMeansOptions {
   /// the shared default_context() when null. The Lloyd loop plans once and
   /// executes into reused buffers, so iterations stay allocation-free.
   gemm::GemmContext* context = nullptr;
-  /// When > 0, each iteration's distance GEMM is row-partitioned into
-  /// chunks of this many points and executed as ONE grouped stream
-  /// (gemm::GemmContext::execute_grouped, DESIGN.md §18). A row partition
-  /// of A partitions D by rows with an unchanged per-row operation
-  /// sequence, so the result is bit-identical to the single GEMM. 0 = one
-  /// unpartitioned GEMM.
-  std::size_t group_rows = 0;
 };
 
 struct KMeansResult {

@@ -1,10 +1,8 @@
 #include "apps/knn.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "gemm/plan.hpp"
@@ -49,62 +47,24 @@ KnnResult knn_search(const gemm::Matrix& queries,
       opts.context != nullptr ? *opts.context : gemm::default_context();
 
   KnnResult result;
-  // Explicit scale context shared by the single GEMM and every grouped
-  // chunk, so the grouped path resolves to the same scheme. Only a
-  // contract reads it, so the scans are skipped without one.
-  core::AccuracyContract contract;
-  contract.max_abs_error = opts.precision_target;
+  std::shared_ptr<const gemm::GemmPlan> plan;
   if (opts.precision_target > 0.0) {
+    core::AccuracyContract contract;
+    contract.max_abs_error = opts.precision_target;
     contract.a_scale = gemm::max_abs(queries);
     contract.b_scale = gemm::max_abs(references);
-  }
-  const auto plan_shape =
-      [&](std::size_t rows) -> std::shared_ptr<const gemm::GemmPlan> {
-    if (opts.precision_target <= 0.0) {
-      return ctx.plan(opts.backend, rows, n, queries.cols());
-    }
     const gemm::GemmContext::ContractPlan cp =
-        ctx.plan_contract(rows, n, queries.cols(), contract);
+        ctx.plan_contract(m, n, queries.cols(), contract);
     if (!cp.resolution.feasible) {
-      char message[192];
-      std::snprintf(message, sizeof(message),
-                    "knn: no emulation scheme meets the accuracy contract: "
-                    "target %.6g, tightest rung (%s) only proves %.6g",
-                    opts.precision_target,
-                    core::scheme_name(cp.resolution.tightest),
-                    cp.resolution.tightest_worst_abs);
-      throw std::invalid_argument(message);
+      gemm::throw_contract_infeasible(contract, cp.resolution);
     }
     result.scheme = core::scheme_name(cp.resolution.scheme);
-    return cp.plan;
-  };
-  const gemm::Matrix rt = gemm::transpose(references);
-
-  // Grouped path (DESIGN.md §18): query chunks execute as one flattened
-  // stream, bit-identical to the single (m x n) GEMM.
-  const std::size_t group =
-      opts.group_rows == 0 ? m : std::min(opts.group_rows, m);
-  const std::size_t chunk_count = m == 0 ? 0 : (m + group - 1) / group;
-  const bool grouped = chunk_count > 1;
-  gemm::Matrix cross;
-  std::vector<gemm::Matrix> query_chunks(grouped ? chunk_count : 0);
-  std::vector<gemm::Matrix> cross_chunks(grouped ? chunk_count : 0);
-  if (grouped) {
-    std::vector<gemm::GroupedGemm> work(chunk_count);
-    for (std::size_t ci = 0; ci < chunk_count; ++ci) {
-      const std::size_t start = ci * group;
-      const std::size_t rows = std::min(group, m - start);
-      query_chunks[ci].resize(rows, queries.cols());
-      std::copy(queries.row(start),
-                queries.row(start) + rows * queries.cols(),
-                query_chunks[ci].data().begin());
-      work[ci] = gemm::GroupedGemm{plan_shape(rows), &query_chunks[ci], &rt,
-                                   nullptr, &cross_chunks[ci]};
-    }
-    ctx.execute_grouped(work);
+    plan = cp.plan;
   } else {
-    plan_shape(m)->execute(ctx, queries, rt, nullptr, cross);
+    plan = ctx.plan(opts.backend, m, n, queries.cols());
   }
+  gemm::Matrix cross;
+  plan->execute(ctx, queries, gemm::transpose(references), nullptr, cross);
 
   const std::vector<float> qn = gemm::row_norms(queries);
   const std::vector<float> rn = gemm::row_norms(references);
@@ -117,8 +77,7 @@ KnnResult knn_search(const gemm::Matrix& queries,
   // never displaces a kept index: ranks match select_k's (distance, index).
   util::global_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const float* cross_row =
-          grouped ? cross_chunks[i / group].row(i % group) : cross.row(i);
+      const float* cross_row = cross.row(i);
       std::int32_t* idx = result.indices.row(i);
       float* dist = result.distances.row(i);
       std::size_t kept = 0;

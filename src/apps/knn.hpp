@@ -37,11 +37,6 @@ struct KnnOptions {
   /// shared default_context() when null. Batched searches over same-shape
   /// query sets reuse the cached plan and its workspaces.
   gemm::GemmContext* context = nullptr;
-  /// When > 0, the cross-term GEMM is row-partitioned into query chunks of
-  /// this size and executed as ONE grouped stream (gemm_grouped, DESIGN.md
-  /// §18) -- bit-identical to the single GEMM (a row partition of Q
-  /// partitions the cross matrix by rows). 0 = one unpartitioned GEMM.
-  std::size_t group_rows = 0;
 };
 
 /// queries: m x d, references: n x d. Requires k <= n.

@@ -95,54 +95,12 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
       opts.context != nullptr ? *opts.context : gemm::default_context();
   gemm::GemmExParams params;
   params.alpha = 1.0f / static_cast<float>(n - 1);
-  // Explicit scale context so the contract resolves identically for the
-  // single call and for every chunk of the grouped path below.
-  core::AccuracyContract contract;
-  contract.max_abs_error = opts.precision_target;
-  contract.a_scale = *std::max_element(block_max.begin(), block_max.end());
-  contract.b_scale = contract.a_scale;
-
-  // Grouped path (DESIGN.md §18): partition the rows of X_c^T -- each
-  // chunk produces a band of covariance rows through the same operation
-  // sequence (alpha epilogue included), so the assembled result is
-  // bit-identical to the single gemm_ex call.
-  const std::size_t group =
-      opts.group_rows == 0 ? dim : std::min(opts.group_rows, dim);
-  const std::size_t chunk_count = (dim + group - 1) / group;
   gemm::Matrix covariance;
-  if (chunk_count > 1) {
-    std::vector<gemm::Matrix> xt_chunks(chunk_count);
-    std::vector<gemm::Matrix> cov_chunks(chunk_count);
-    std::vector<gemm::GroupedGemmItem> items(chunk_count);
-    for (std::size_t ci = 0; ci < chunk_count; ++ci) {
-      const std::size_t start = ci * group;
-      const std::size_t rows = std::min(group, dim - start);
-      xt_chunks[ci].resize(rows, n);
-      std::copy(xt.row(start), xt.row(start) + rows * n,
-                xt_chunks[ci].data().begin());
-      items[ci].a = &xt_chunks[ci];
-      items[ci].b = &centered;
-      items[ci].d = &cov_chunks[ci];
-      items[ci].params = params;
-    }
-    if (opts.precision_target > 0.0) {
-      const core::ContractResolution resolution =
-          gemm::gemm_ex_contract_resolution(xt, centered, nullptr, params,
-                                            contract);
-      // The grouped overload re-resolves per item (same explicit scales,
-      // same k = n, same alpha -> same rung) and throws the detailed
-      // invalid_argument itself when infeasible.
-      gemm::gemm_grouped(ctx, items, contract);
-      result.scheme = core::scheme_name(resolution.scheme);
-    } else {
-      gemm::gemm_grouped(ctx, opts.backend, items);
-    }
-    covariance.resize(dim, dim);
-    for (std::size_t ci = 0; ci < chunk_count; ++ci) {
-      std::copy(cov_chunks[ci].data().begin(), cov_chunks[ci].data().end(),
-                covariance.row(ci * group));
-    }
-  } else if (opts.precision_target > 0.0) {
+  if (opts.precision_target > 0.0) {
+    core::AccuracyContract contract;
+    contract.max_abs_error = opts.precision_target;
+    contract.a_scale = *std::max_element(block_max.begin(), block_max.end());
+    contract.b_scale = contract.a_scale;
     const core::ContractResolution resolution =
         gemm::gemm_ex_contract_resolution(xt, centered, nullptr, params,
                                           contract);

@@ -36,12 +36,6 @@ struct PcaOptions {
   /// Plan/workspace context for the covariance GEMM (gemm/plan.hpp); the
   /// shared default_context() when null.
   gemm::GemmContext* context = nullptr;
-  /// When > 0, the covariance GEMM is row-partitioned (over the rows of
-  /// X_c^T, i.e. the covariance rows) into chunks of this size and
-  /// executed as ONE grouped stream (gemm_grouped, DESIGN.md §18) --
-  /// bit-identical to the single gemm_ex call, including the 1/(n-1)
-  /// alpha epilogue. 0 = one unpartitioned GEMM.
-  std::size_t group_rows = 0;
 };
 
 struct PcaResult {

@@ -28,19 +28,6 @@ void apply_epilogue(Matrix& d, const Matrix* c, const GemmExParams& params) {
   }
 }
 
-[[noreturn]] void throw_contract_infeasible(
-    const core::AccuracyContract& contract,
-    const core::ContractResolution& resolution) {
-  char message[192];
-  std::snprintf(message, sizeof(message),
-                "no emulation scheme meets the accuracy contract: target "
-                "%.6g, tightest rung (%s) only proves %.6g",
-                contract.max_abs_error,
-                core::scheme_name(resolution.tightest),
-                resolution.tightest_worst_abs);
-  throw std::invalid_argument(message);
-}
-
 /// gemm_ex's fast-path rule: with alpha = 1 and beta = 0 or 1 the kernel
 /// does all the work (beta = 1 rides C on the Tensor Core accumulator,
 /// except on the SDK sample, which has no C input); every other case runs
@@ -144,6 +131,19 @@ void run_gemm_ex_group(GemmContext& ctx,
 }
 
 }  // namespace
+
+[[noreturn]] void throw_contract_infeasible(
+    const core::AccuracyContract& contract,
+    const core::ContractResolution& resolution) {
+  char message[192];
+  std::snprintf(message, sizeof(message),
+                "no emulation scheme meets the accuracy contract: target "
+                "%.6g, tightest rung (%s) only proves %.6g",
+                contract.max_abs_error,
+                core::scheme_name(resolution.tightest),
+                resolution.tightest_worst_abs);
+  throw std::invalid_argument(message);
+}
 
 const char* backend_name(Backend backend) noexcept {
   switch (backend) {

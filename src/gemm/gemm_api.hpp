@@ -128,6 +128,13 @@ core::ContractResolution gemm_ex_contract_resolution(
     const Matrix& a, const Matrix& b, const Matrix* c,
     const GemmExParams& params, const core::AccuracyContract& contract);
 
+/// Throws the std::invalid_argument every contract entry point raises when
+/// `resolution` is infeasible: the message names the target and the
+/// tightest rung's proven bound.
+[[noreturn]] void throw_contract_infeasible(
+    const core::AccuracyContract& contract,
+    const core::ContractResolution& resolution);
+
 /// gemm_ex under an accuracy contract: instead of a caller-chosen
 /// backend, the planner selects the cheapest emulation scheme whose sound
 /// a-priori element-wise bound meets contract.max_abs_error for this

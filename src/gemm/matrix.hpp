@@ -8,19 +8,40 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace egemm::gemm {
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// growing a vector of arithmetic elements leaves them unwritten.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 template <typename T>
 class BasicMatrix {
  public:
   BasicMatrix() = default;
+  /// A zero-filled rows x cols matrix.
   BasicMatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols) {}
+      : rows_(rows), cols_(cols), data_(rows * cols, T{}) {}
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -43,8 +64,11 @@ class BasicMatrix {
 
   /// Reshapes in place, reusing the existing storage; allocates only when
   /// the new extent exceeds capacity(). Element values are unspecified
-  /// afterwards. Plan workspaces (gemm/plan.hpp) rely on this staying
-  /// allocation-free for repeated same-shape calls.
+  /// afterwards, and grown storage is not written here: a fresh output is
+  /// first touched by whichever threads fill it (the execute pipeline's
+  /// prep chunks) instead of being zeroed serially. Plan workspaces
+  /// (gemm/plan.hpp) rely on this staying allocation-free for repeated
+  /// same-shape calls.
   void resize(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -57,7 +81,7 @@ class BasicMatrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 using Matrix = BasicMatrix<float>;

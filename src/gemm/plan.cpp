@@ -128,19 +128,6 @@ void grow_matrix(Matrix& m, std::size_t rows, std::size_t cols) {
   m.resize(rows, cols);
 }
 
-/// Small-GEMM inline threshold override; 0 = the default below.
-std::atomic<std::size_t> g_inline_threshold{0};
-/// Default m*n*k below which execute skips the pool: the measured
-/// break-even of serial vs pooled gemm_ex over the 36 small-stream classes
-/// (m, n in {32, 64, 128}, k in {32..256}) on a 4-vCPU AVX-512 Xeon VM,
-/// with workers warm. Pooled/serial time ratio by m*n*k:
-///   <= 2^17   0.96-1.37  (pooling loses: too few tiles per thread)
-///      2^18   0.87-1.25  (median ~0.95; k=32 classes still lose)
-///      2^19   0.79-1.05  (median ~0.86)
-///   >= 2^20   0.55-0.89
-/// so the crossover is 2^18 = 64^3.
-constexpr std::size_t kDefaultInlineThreshold = std::size_t{64} * 64 * 64;
-
 /// Process-unique grouped-execute ids for CallRecord::batch_id (0 means
 /// unbatched, so the first batch is 1).
 std::atomic<std::uint32_t> g_batch_counter{0};
@@ -151,22 +138,67 @@ std::atomic<std::uint32_t> g_batch_counter{0};
 /// coalesce many items into one task while large items still fan out.
 constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 
-/// Splits A and B into the workspace's plane stacks per the plan's recipe.
-/// Plane 0 = lo; for three-way splits: lo, mid, hi.
-void split_into_workspace(Workspace& ws, const Matrix& a, const Matrix& b,
-                          const PlanKey& key) {
-  const std::span<Matrix> ap = ws.a_planes();
-  const std::span<Matrix> bp = ws.b_planes();
+/// Floor on the elements one prep chunk reads and writes (PrepRows). At
+/// this floor every item of the 36 small-stream classes (m, n <= 128,
+/// k <= 256: at most 475K elements, with three planes) stays one chunk,
+/// so small calls prep as one task. A chunk this size took 115-175 us on
+/// one core of a 4-vCPU AVX-512 Xeon VM (0.44-0.67 ns per element over
+/// 1024^3, kMeans-, kNN- and PCA-shaped rows, two and three planes),
+/// against a 1.3 us empty parallel_for, so the dispatch stays under 1%.
+constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 18;
+
+/// Splits rows [r0, r1) of `x` into the plane stack `planes` per the
+/// plan's recipe. Plane 0 = lo; for three-way splits: lo, mid, hi.
+void split_rows(const Matrix& x, std::span<Matrix> planes, const PlanKey& key,
+                std::size_t r0, std::size_t r1) {
+  if (r0 == r1) return;
+  const std::size_t offset = r0 * x.cols();
+  const std::size_t count = (r1 - r0) * x.cols();
+  const auto rows = [&](Matrix& plane) {
+    return plane.data().subspan(offset, count);
+  };
+  const std::span<const float> in = x.data().subspan(offset, count);
   if (key.planes == 3) {
-    core::split3_span_f32(a.data(), ap[2].data(), ap[1].data(), ap[0].data(),
-                          key.split);
-    core::split3_span_f32(b.data(), bp[2].data(), bp[1].data(), bp[0].data(),
-                          key.split);
+    core::split3_span_f32(in, rows(planes[2]), rows(planes[1]),
+                          rows(planes[0]), key.split);
   } else {
-    core::split_span_f32(a.data(), ap[1].data(), ap[0].data(), key.split);
-    core::split_span_f32(b.data(), bp[1].data(), bp[0].data(), key.split);
+    core::split_span_f32(in, rows(planes[1]), rows(planes[0]), key.split);
   }
 }
+
+/// An item's prep as one row space: A's m rows, each with its D row, then
+/// B's k rows. A row weighs the elements it reads and writes: the split
+/// reads it and writes `planes` planes, the pack copies those, and an A
+/// row also initializes its D row. The space is cut into chunks of equal
+/// weight, each at least kPrepChunkElems, so an item lighter than two
+/// floors is one chunk.
+struct PrepRows {
+  std::size_t m, k;
+  std::uint64_t a_row, b_row, total;
+  std::size_t chunks;
+
+  explicit PrepRows(const PlanKey& key)
+      : m(key.m),
+        k(key.k),
+        a_row((2 * std::uint64_t{key.planes} + 1) * key.k + key.n),
+        b_row((2 * std::uint64_t{key.planes} + 1) * key.n),
+        total(m * a_row + k * b_row),
+        chunks(static_cast<std::size_t>(
+            std::max<std::uint64_t>(1, total / kPrepChunkElems))) {}
+
+  /// First row of chunk `j`; start(chunks) is the end of the space.
+  std::size_t start(std::size_t j) const {
+    if (j == 0) return 0;
+    if (j == chunks) return m + k;
+    const auto ceil_div = [](std::uint64_t x, std::uint64_t y) {
+      return static_cast<std::size_t>((x + y - 1) / y);
+    };
+    const std::uint64_t x = j * total / chunks;
+    const std::uint64_t a_total = m * a_row;
+    return x <= a_total ? ceil_div(x, a_row)
+                        : m + ceil_div(x - a_total, b_row);
+  }
+};
 
 std::uint64_t encode_combos(std::span<const PlaneCombo> combos, int planes) {
   EGEMM_EXPECTS(!combos.empty() && combos.size() <= kMaxPlanCombos);
@@ -306,8 +338,8 @@ void count_scheme_execute(std::int8_t scheme) {
 }
 
 /// One GEMM of an execute: its operands, its workspace, its place in the
-/// block stream (a block is one 16x16 output tile), and the stage weights
-/// its call record is built from.
+/// prep and block streams (a block is one 16x16 output tile), and the
+/// stage weights its call record is built from.
 struct ItemRun {
   struct Operands {
     const GemmPlan* plan = nullptr;
@@ -317,17 +349,19 @@ struct ItemRun {
     Matrix* d = nullptr;
   } op;
   Workspace* ws = nullptr;
+  std::optional<WorkspaceLease> lease;  ///< the item's own, when pooled
   std::size_t row_blocks = 0;
   std::size_t col_blocks = 0;
-  std::size_t first = 0;  ///< offset into the flattened block stream
-  // Stage weights in ns, filled only while call records are on. prep_ns
-  // spans the whole prep (split, output init, pack) on whichever thread
-  // ran it; direct_ns is a direct backend's kernel on the calling thread.
-  // Engine stretches of one item run on many pool threads at once, so
-  // their weights are atomic.
-  std::uint64_t prep_ns = 0;
-  std::uint64_t split_ns = 0;
-  std::uint64_t pack_ns = 0;
+  std::size_t first = 0;       ///< offset into the flattened block stream
+  std::size_t prep_first = 0;  ///< offset into the prep chunk stream
+  // Stage weights in ns (zero with observability compiled out). prep_ns
+  // sums the item's prep chunks (split, output init, pack) on whichever
+  // threads ran them; direct_ns is a direct backend's kernel on the
+  // calling thread. Chunks and engine stretches of one item run on many
+  // pool threads at once, so their weights are atomic.
+  std::atomic<std::uint64_t> prep_ns{0};
+  std::atomic<std::uint64_t> split_ns{0};
+  std::atomic<std::uint64_t> pack_ns{0};
   std::uint64_t direct_ns = 0;
   std::atomic<std::uint64_t> engine_ns{0};
   std::atomic<std::uint64_t> combine_ns{0};
@@ -362,31 +396,55 @@ void run_direct(const ItemRun::Operands& op) {
   }
 }
 
-/// Per-item prep into `run.ws`: split, output init (C or zeros), pack.
-void prep_item(ItemRun& run, bool timed) {
-  const obs::StageTimer prep(nullptr, timed ? &run.prep_ns : nullptr);
+/// Readies an item for its prep chunks: sizes its workspace planes and
+/// packs and its output, and counts the execute.
+void size_item(ItemRun& run) {
   const PlanKey& key = run.key();
-  Workspace& ws = *run.ws;
-  ws.ensure(key.m, key.n, key.k, key.planes);
-  {
-    // The O(N^2) data-split pass (runs on CUDA cores in the real kernel).
-    const obs::StageTimer split("split", timed ? &run.split_ns : nullptr);
-    split_into_workspace(ws, *run.op.a, *run.op.b, key);
-  }
-  Matrix& d = *run.op.d;
-  d.resize(key.m, key.n);
-  if (run.op.c != nullptr) {
-    std::copy(run.op.c->data().begin(), run.op.c->data().end(),
-              d.data().begin());
-  } else {
-    d.fill(0.0f);
-  }
-  {
-    const obs::StageTimer pack("pack", timed ? &run.pack_ns : nullptr);
-    ws.pack();
-  }
+  run.ws->ensure(key.m, key.n, key.k, key.planes);
+  run.op.d->resize(key.m, key.n);
   EGEMM_COUNTER_ADD("egemm.calls", 1);
   count_scheme_execute(key.scheme);
+}
+
+/// One prep chunk: rows [u0, u1) of the item's PrepRows space. Splits the
+/// chunk's A and B rows, initializes its D rows from C (or zeros), then
+/// packs the same A and B rows. Every step is element-wise, so any cut of
+/// the space gives the same workspace and D bits.
+void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
+  const PlanKey& key = run.key();
+  Workspace& ws = *run.ws;
+  const std::size_t a0 = std::min(u0, key.m);
+  const std::size_t a1 = std::min(u1, key.m);
+  const std::size_t b0 = std::max(u0, key.m) - key.m;
+  const std::size_t b1 = std::max(u1, key.m) - key.m;
+  std::uint64_t prep = 0;
+  std::uint64_t split = 0;
+  std::uint64_t pack = 0;
+  {
+    const obs::StageTimer chunk(nullptr, &prep);
+    {
+      // The O(N^2) data-split pass (runs on CUDA cores in the real kernel).
+      const obs::StageTimer timer("split", &split);
+      split_rows(*run.op.a, ws.a_planes(), key, a0, a1);
+      split_rows(*run.op.b, ws.b_planes(), key, b0, b1);
+    }
+    const std::span<float> d_rows =
+        run.op.d->data().subspan(a0 * key.n, (a1 - a0) * key.n);
+    if (run.op.c != nullptr) {
+      std::ranges::copy(run.op.c->data().subspan(a0 * key.n, d_rows.size()),
+                        d_rows.begin());
+    } else {
+      std::ranges::fill(d_rows, 0.0f);
+    }
+    {
+      const obs::StageTimer timer("pack", &pack);
+      ws.packed_a().pack_rows(ws.a_planes(), a0, a1);
+      ws.packed_b().pack_rows(ws.b_planes(), b0, b1);
+    }
+  }
+  run.prep_ns.fetch_add(prep, std::memory_order_relaxed);
+  run.split_ns.fetch_add(split, std::memory_order_relaxed);
+  run.pack_ns.fetch_add(pack, std::memory_order_relaxed);
 }
 
 void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
@@ -397,26 +455,24 @@ void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
 
 /// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
 /// caller opens the "mma" span and counts the tiles once per pool chunk.
-/// When `timed`, the stretch's wall time and its writeback time join the
-/// item's engine weights.
+/// The stretch's wall time and its writeback time join the item's engine
+/// weights.
 template <typename Walk>
-void run_stretch(ItemRun& run, bool timed, const Walk& walk) {
+void run_stretch(ItemRun& run, const Walk& walk) {
   std::uint64_t wall = 0;
   std::uint64_t combine = 0;
   {
-    const obs::StageTimer stretch(nullptr, timed ? &wall : nullptr);
-    walk(timed ? &combine : nullptr);
+    const obs::StageTimer stretch(nullptr, &wall);
+    walk(&combine);
   }
-  if (timed) {
-    run.engine_ns.fetch_add(wall, std::memory_order_relaxed);
-    run.combine_ns.fetch_add(combine, std::memory_order_relaxed);
-  }
+  run.engine_ns.fetch_add(wall, std::memory_order_relaxed);
+  run.combine_ns.fetch_add(combine, std::memory_order_relaxed);
 }
 
 /// Blocks [l0, l1) of one item in row-major order.
-void run_linear(ItemRun& run, bool timed, std::size_t l0, std::size_t l1) {
+void run_linear(ItemRun& run, std::size_t l0, std::size_t l1) {
   if (l0 == l1) return;
-  run_stretch(run, timed, [&](std::uint64_t* combine) {
+  run_stretch(run, [&](std::uint64_t* combine) {
     std::size_t rb = l0 / run.col_blocks;
     std::size_t cb = l0 % run.col_blocks;
     for (std::size_t l = l0; l < l1; ++l) {
@@ -446,7 +502,7 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
   std::uint64_t engine = 0;
   std::uint64_t direct = 0;
   for (const ItemRun& run : runs) {
-    prep += run.prep_ns;
+    prep += run.prep_ns.load(std::memory_order_relaxed);
     engine += run.engine_ns.load(std::memory_order_relaxed);
     direct += run.direct_ns;
   }
@@ -482,9 +538,9 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
     for (const ItemRun& run : runs.subspan(j)) {
       if (!same_plan(run)) continue;
       ++items;
-      class_prep += run.prep_ns;
-      rec.split_ns += run.split_ns;
-      rec.pack_ns += run.pack_ns;
+      class_prep += run.prep_ns.load(std::memory_order_relaxed);
+      rec.split_ns += run.split_ns.load(std::memory_order_relaxed);
+      rec.pack_ns += run.pack_ns.load(std::memory_order_relaxed);
       class_engine += run.engine_ns.load(std::memory_order_relaxed);
       class_combine += run.combine_ns.load(std::memory_order_relaxed);
       class_direct += run.direct_ns;
@@ -519,18 +575,20 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
 /// The one execute pipeline (DESIGN.md §13, §18), behind both
 /// GemmPlan::execute (one item, batch_id 0) and
 /// GemmContext::execute_grouped. Direct items run first, inline. Emulated
-/// items are prepped (split, output init, pack), then their blocks run
-/// through the tile kernels, in one of three shapes:
-///  * serial -- a one-thread pool, or total work under the small-GEMM
-///    inline threshold: each item is prepped and run back-to-back on the
-///    calling thread, all on ONE recycled workspace, so the hot planes
-///    stay cache-resident exactly as in a loop of singles;
-///  * one item -- prepped on the calling thread, then its blocks go
-///    through parallel_for_2d with the pool's default grain;
-///  * several items -- one workspace each, prepped in parallel over
-///    items, then every block of every item enters ONE flattened 1D
-///    stream whose grain targets kMinChunkFlops per chunk, so tiny items
-///    coalesce and large ones still fan out.
+/// items are prepped (split, output init, pack) by one row routine,
+/// prep_rows, then their blocks run through the tile kernels, in one of
+/// three shapes:
+///  * serial -- a one-thread pool, or total work under
+///    kSmallGemmInlineThreshold: each item is prepped over its full row
+///    range and run back-to-back on the calling thread, all on ONE
+///    recycled workspace, so the hot planes stay cache-resident exactly
+///    as in a loop of singles;
+///  * pooled -- one workspace per item; every item's prep is cut into
+///    PrepRows chunks that all run in one pool pass; then one item's
+///    blocks go through parallel_for_2d with the pool's default grain,
+///    while several items' blocks enter ONE flattened 1D stream whose
+///    grain targets kMinChunkFlops per chunk, so tiny items coalesce and
+///    large ones still fan out.
 /// Every shape runs each block through the same tile kernel, so results
 /// are bit-identical across shapes.
 void run_items(GemmContext& ctx, std::span<ItemRun> runs,
@@ -546,18 +604,19 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
                   (op.c->rows() == key.m && op.c->cols() == key.n));
     EGEMM_EXPECTS(op.a != op.d && op.b != op.d && op.c != op.d);
   }
-  const bool timed = obs::kEnabled && obs::call_records_enabled();
   Walls walls;
-  walls.start = timed ? obs::monotonic_ns() : 0;
+  walls.start = obs::kEnabled ? obs::monotonic_ns() : 0;
 
   std::size_t emulated = 0;
   std::size_t blocks = 0;
+  std::size_t prep_chunks = 0;
   std::uint64_t work = 0;  // multiply-adds
   for (ItemRun& run : runs) {
     const PlanKey& key = run.key();
     run.first = blocks;
+    run.prep_first = prep_chunks;
     if (key.direct) {
-      const obs::StageTimer direct(nullptr, timed ? &run.direct_ns : nullptr);
+      const obs::StageTimer direct(nullptr, &run.direct_ns);
       run_direct(run.op);
       continue;
     }
@@ -565,6 +624,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
     run.row_blocks = (key.m + kTile - 1) / kTile;
     run.col_blocks = (key.n + kTile - 1) / kTile;
     blocks += run.blocks();
+    prep_chunks += PrepRows(key).chunks;
     work += key.m * key.n * key.k;
   }
 
@@ -575,73 +635,84 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
     const std::uint64_t split_before = core::debug_split_elements();
 #endif
     util::ThreadPool& pool = util::global_pool();
-    const bool serial =
-        pool.size() <= 1 || work < small_gemm_inline_threshold();
-    if (serial || emulated == 1) {
+    if (pool.size() <= 1 || work < kSmallGemmInlineThreshold) {
       WorkspaceLease lease = ctx.lease_workspace();
       for (ItemRun& run : runs) {
         if (run.key().direct) continue;
         run.ws = &*lease;
-        prep_item(run, timed);
-        walls.prep += run.prep_ns;
-        if (serial) {
-          const obs::ScopedSpan mma("mma");
-          EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
-          run_linear(run, timed, 0, run.blocks());
-          walls.engine += run.engine_ns.load(std::memory_order_relaxed);
-        } else {
-          const obs::StageTimer engine(nullptr,
-                                       timed ? &walls.engine : nullptr);
-          pool.parallel_for_2d(
-              run.row_blocks, run.col_blocks, /*grain=*/0,
-              [&](std::size_t rb0, std::size_t rb1, std::size_t cb0,
-                  std::size_t cb1) {
-                const obs::ScopedSpan mma("mma");
-                EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
-                run_stretch(run, timed, [&](std::uint64_t* combine) {
-                  for (std::size_t rb = rb0; rb < rb1; ++rb) {
-                    for (std::size_t cb = cb0; cb < cb1; ++cb) {
-                      run_block(run, rb, cb, combine);
-                    }
-                  }
-                });
-              });
+        {
+          const obs::StageTimer prep(nullptr, &walls.prep);
+          size_item(run);
+          prep_rows(run, 0, run.key().m + run.key().k);
         }
+        const obs::ScopedSpan mma("mma");
+        EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
+        run_linear(run, 0, run.blocks());
+        walls.engine += run.engine_ns.load(std::memory_order_relaxed);
       }
     } else {
-      // Leases are taken serially so the pool stays contention-free.
-      std::vector<WorkspaceLease> leases;
-      leases.reserve(emulated);
-      for (ItemRun& run : runs) {
-        if (run.key().direct) continue;
-        leases.push_back(ctx.lease_workspace());
-        run.ws = &*leases.back();
-      }
       {
-        const obs::StageTimer prep(nullptr, timed ? &walls.prep : nullptr);
-        pool.parallel_for(runs.size(), [&](std::size_t j0, std::size_t j1) {
-          for (std::size_t j = j0; j < j1; ++j) {
-            if (!runs[j].key().direct) prep_item(runs[j], timed);
+        const obs::StageTimer prep(nullptr, &walls.prep);
+        // Leases and sizing run serially, before the pass, so the pool
+        // stays contention-free and the chunks never allocate.
+        for (ItemRun& run : runs) {
+          if (run.key().direct) continue;
+          run.lease.emplace(ctx.lease_workspace());
+          run.ws = &**run.lease;
+          size_item(run);
+        }
+        pool.parallel_for(prep_chunks, [&runs](std::size_t c0,
+                                               std::size_t c1) {
+          for (std::size_t c = c0; c < c1; ++c) {
+            // The last item starting at or before c owns it, as in the
+            // block stream below.
+            ItemRun& run = *(std::ranges::upper_bound(runs, c, {},
+                                                      &ItemRun::prep_first) -
+                             1);
+            const PrepRows rows(run.key());
+            const std::size_t j = c - run.prep_first;
+            prep_rows(run, rows.start(j), rows.start(j + 1));
           }
         });
       }
-      const std::uint64_t avg_block_flops =
-          blocks == 0 ? 1 : std::max<std::uint64_t>(1, 2 * work / blocks);
-      const auto grain = static_cast<std::size_t>(
-          std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
-      const obs::StageTimer engine(nullptr, timed ? &walls.engine : nullptr);
-      pool.parallel_for(blocks, grain, [&](std::size_t g0, std::size_t g1) {
-        const obs::ScopedSpan mma("mma");
-        EGEMM_COUNTER_ADD("egemm.tiles", g1 - g0);
-        // The last item starting at or before g0 owns it (items with no
-        // blocks, direct ones included, share their successor's offset).
-        auto it = std::ranges::upper_bound(runs, g0, {}, &ItemRun::first) - 1;
-        for (std::size_t g = g0; g < g1; ++it) {
-          const std::size_t end = std::min(g1, it->first + it->blocks());
-          run_linear(*it, timed, g - it->first, end - it->first);
-          g = end;
-        }
-      });
+      const obs::StageTimer engine(nullptr, &walls.engine);
+      if (emulated == 1) {
+        ItemRun& run = *std::ranges::find_if(
+            runs, [](const ItemRun& r) { return !r.key().direct; });
+        pool.parallel_for_2d(
+            run.row_blocks, run.col_blocks, /*grain=*/0,
+            [&run](std::size_t rb0, std::size_t rb1, std::size_t cb0,
+                   std::size_t cb1) {
+              const obs::ScopedSpan mma("mma");
+              EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
+              run_stretch(run, [&](std::uint64_t* combine) {
+                for (std::size_t rb = rb0; rb < rb1; ++rb) {
+                  for (std::size_t cb = cb0; cb < cb1; ++cb) {
+                    run_block(run, rb, cb, combine);
+                  }
+                }
+              });
+            });
+      } else {
+        const std::uint64_t avg_block_flops =
+            blocks == 0 ? 1 : std::max<std::uint64_t>(1, 2 * work / blocks);
+        const auto grain = static_cast<std::size_t>(
+            std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
+        pool.parallel_for(blocks, grain, [&runs](std::size_t g0,
+                                                 std::size_t g1) {
+          const obs::ScopedSpan mma("mma");
+          EGEMM_COUNTER_ADD("egemm.tiles", g1 - g0);
+          // The last item starting at or before g0 owns it (items with no
+          // blocks, direct ones included, share their successor's offset).
+          auto it =
+              std::ranges::upper_bound(runs, g0, {}, &ItemRun::first) - 1;
+          for (std::size_t g = g0; g < g1; ++it) {
+            const std::size_t end = std::min(g1, it->first + it->blocks());
+            run_linear(*it, g - it->first, end - it->first);
+            g = end;
+          }
+        });
+      }
     }
 #ifndef NDEBUG
     // Each input element must be split exactly once per GEMM -- the plane
@@ -657,7 +728,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
                   expected_split);
 #endif
   }
-  if (timed) record_calls(runs, walls, batch_id, lookup);
+  if (obs::kEnabled) record_calls(runs, walls, batch_id, lookup);
 }
 
 }  // namespace
@@ -668,15 +739,6 @@ std::uint64_t debug_workspace_allocations() noexcept {
 #else
   return 0;
 #endif
-}
-
-std::size_t small_gemm_inline_threshold() noexcept {
-  const std::size_t forced = g_inline_threshold.load(std::memory_order_relaxed);
-  return forced != 0 ? forced : kDefaultInlineThreshold;
-}
-
-void set_small_gemm_inline_threshold(std::size_t work) noexcept {
-  g_inline_threshold.store(work, std::memory_order_relaxed);
 }
 
 std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
@@ -720,12 +782,9 @@ void Workspace::ensure(std::size_t m, std::size_t n, std::size_t k,
     grow_matrix(ap_[p], m, k);
     grow_matrix(bp_[p], k, n);
   }
-}
-
-void Workspace::pack() {
-  // Deliberately not short-circuited: both packs must refresh.
-  const bool a_grew = apack_.assign(a_planes());
-  const bool b_grew = bpack_.assign(b_planes());
+  // Deliberately not short-circuited: both packs must be sized.
+  const bool a_grew = apack_.resize(count, m, k);
+  const bool b_grew = bpack_.resize(count, k, n);
   if (a_grew || b_grew) count_workspace_allocation();
 }
 
@@ -760,7 +819,8 @@ void GemmPlan::execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
     lookup = tl_last_lookup;
     leave_breadcrumb(nullptr, obs::PlanLookup::kUnknown);
   }
-  ItemRun run{{this, &a, &b, c, &d}};
+  ItemRun run;
+  run.op = {this, &a, &b, c, &d};
   run_items(ctx, {&run, 1}, /*batch_id=*/0, lookup);
 }
 

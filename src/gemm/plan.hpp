@@ -98,28 +98,20 @@ struct PlanKeyHash {
 
 /// Reusable per-call scratch owned by a GemmContext: the split planes of A
 /// and B plus the tile-packed copies the packed engine streams. ensure()
-/// and pack() only ever grow storage; in debug builds every actual growth
-/// bumps the process-wide counter below, which is how the reuse guard test
-/// proves a warm execute() allocates nothing.
+/// only ever grows storage; in debug builds every actual growth bumps the
+/// process-wide counter below, which is how the reuse guard test proves a
+/// warm execute() allocates nothing.
 class Workspace {
  public:
-  /// Grows (never shrinks) the plane matrices to fit `planes` split planes
-  /// of an (m x k) x (k x n) problem.
+  /// Grows (never shrinks) the plane matrices, and sizes the packs, to fit
+  /// `planes` split planes of an (m x k) x (k x n) problem. The execute
+  /// pipeline then splits and packs them by row ranges.
   void ensure(std::size_t m, std::size_t n, std::size_t k, int planes);
 
   std::span<Matrix> a_planes() noexcept { return {ap_.data(), count_}; }
   std::span<Matrix> b_planes() noexcept { return {bp_.data(), count_}; }
-  std::span<const Matrix> a_planes() const noexcept {
-    return {ap_.data(), count_};
-  }
-  std::span<const Matrix> b_planes() const noexcept {
-    return {bp_.data(), count_};
-  }
-
-  /// Repacks the current planes into the tile-blocked buffers in place.
-  void pack();
-  const PackedPlanesA& packed_a() const noexcept { return apack_; }
-  const PackedPlanesB& packed_b() const noexcept { return bpack_; }
+  PackedPlanesA& packed_a() noexcept { return apack_; }
+  PackedPlanesB& packed_b() noexcept { return bpack_; }
 
  private:
   std::size_t count_ = 0;
@@ -128,17 +120,20 @@ class Workspace {
   PackedPlanesB bpack_;
 };
 
-/// Work threshold (in m*n*k multiply-adds, summed over a grouped call's
-/// items) below which an execute runs inline on the calling thread
-/// instead of dispatching to the pool: under ~64^3 the per-GEMM 2D
-/// schedule produces more chunks than useful work per chunk, so the pool
-/// round-trip costs more than it buys.
-/// The effective value is the last set_ value when nonzero, else 64^3.
-/// Set 1 to never inline.
-std::size_t small_gemm_inline_threshold() noexcept;
-
-/// Overrides the threshold process-wide; 0 restores the 64^3 default.
-void set_small_gemm_inline_threshold(std::size_t work) noexcept;
+/// Work (m*n*k multiply-adds, summed over a grouped call's items) below
+/// which an execute runs inline on the calling thread instead of
+/// dispatching to the pool: under it the pool round-trip costs more than
+/// it buys. This is the measured break-even of serial vs pooled gemm_ex
+/// over the 36 small-stream classes (m, n in {32, 64, 128}, k in
+/// {32..256}) on a 4-vCPU AVX-512 Xeon VM, with workers warm. Pooled /
+/// serial time ratio by m*n*k:
+///   <= 2^17   0.96-1.37  (pooling loses: too few tiles per thread)
+///      2^18   0.87-1.25  (median ~0.95; k=32 classes still lose)
+///      2^19   0.79-1.05  (median ~0.86)
+///   >= 2^20   0.55-0.89
+/// so the crossover is 2^18 = 64^3.
+inline constexpr std::size_t kSmallGemmInlineThreshold =
+    std::size_t{64} * 64 * 64;
 
 /// Process-wide count of workspace buffer growths. Debug builds only: in
 /// NDEBUG builds the accounting compiles out and this always returns 0
@@ -310,10 +305,10 @@ class GemmContext {
                              const core::AccuracyContract& contract);
 
   /// Executes a batch of planned GEMMs through the same item pipeline as
-  /// GemmPlan::execute (DESIGN.md §18). With several emulated items, their
-  /// prep (split, output init, pack) runs parallel over items, then every
-  /// output tile of every item enters ONE flattened (item x tile) pool
-  /// dispatch with a batch-aware grain, so small items no longer
+  /// GemmPlan::execute (DESIGN.md §18). Every emulated item's prep (split,
+  /// output init, pack) runs as row-range chunks in one pool pass, then
+  /// every output tile of every item enters ONE flattened (item x tile)
+  /// pool dispatch with a batch-aware grain, so small items no longer
   /// serialize behind each other. Results are bit-identical to calling
   /// item.plan->execute() in a loop (each output tile runs the exact same
   /// operation sequence; only the schedule changes). Items must not chain

@@ -39,7 +39,6 @@ RingState& state() {
   return instance;
 }
 
-std::atomic<bool> g_enabled{true};
 std::atomic<std::uint64_t> g_dropped{0};
 
 thread_local std::shared_ptr<CallRing> tl_ring;
@@ -57,25 +56,11 @@ CallRing& thread_ring() {
 
 }  // namespace
 
-bool call_records_enabled() noexcept {
-  if constexpr (!kEnabled) return false;
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_call_records(bool enabled) noexcept {
-  if constexpr (kEnabled) {
-    g_enabled.store(enabled, std::memory_order_relaxed);
-  } else {
-    static_cast<void>(enabled);
-  }
-}
-
 void record_call(const CallRecord& rec) {
   if constexpr (!kEnabled) {
     static_cast<void>(rec);
     return;
   }
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
   CallRing& ring = thread_ring();
   const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
   const std::uint64_t tail = ring.tail.load(std::memory_order_acquire);

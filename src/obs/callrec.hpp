@@ -63,14 +63,11 @@ struct CallRecord {
   PlanLookup lookup = PlanLookup::kUnknown;
 };
 
-/// Runtime switch for call recording (default on; the producer cost is one
-/// ring store plus the per-stage clock reads in the execute path).
-bool call_records_enabled() noexcept;
-void set_call_records(bool enabled) noexcept;
-
 /// Deposits one record into the calling thread's ring; drops it (and bumps
 /// the dropped count plus the callrec.dropped counter) when the ring is
-/// full. No-op when disabled or compiled out.
+/// full. No-op when compiled out. Recording has no runtime switch: its
+/// producer cost is one ring store plus the per-stage clock reads in the
+/// execute path.
 void record_call(const CallRecord& rec);
 
 /// Removes and returns every buffered record across all threads, oldest

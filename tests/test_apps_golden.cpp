@@ -4,8 +4,9 @@
 // bytes, scalars as hexfloats.
 //
 // The apps distribute only independent per-element work over the pool and
-// keep each element's operation sequence fixed, so the outputs must not
-// depend on the pool size, the chunking, or the grouped-GEMM partition. A
+// keep each element's operation sequence fixed, and each app's one GEMM
+// per step preps and computes bit-identically however the pool chunks it,
+// so the outputs must not depend on the pool size or the chunking. A
 // golden mismatch means an app's numerics changed; if that is intentional,
 // re-capture with the values printed in the failure message.
 #include <cstdint>
@@ -89,23 +90,19 @@ const KMeansDigest kKMeansGolden = {0x91091a4b8ba5ac09ull,
                                     0x9a590c6610073ed6ull, 0x1.b13e99ffcp+12,
                                     12};
 
-KMeansResult run_kmeans(std::size_t group_rows) {
+KMeansResult run_kmeans() {
   static const PointCloud cloud = uniform_cloud(1000, 24, -1.0f, 1.0f, 11);
   KMeansOptions opts;
   opts.clusters = 8;
   opts.max_iterations = 12;
   opts.seed = 5;
-  opts.group_rows = group_rows;
   return kmeans(cloud.points, opts);
 }
 
 TEST(AppsGolden, KMeansMatchesToTheBit) {
-  const KMeansDigest got = digest_of(run_kmeans(0));
+  const KMeansDigest got = digest_of(run_kmeans());
   EXPECT_EQ(got, kKMeansGolden) << "re-capture: " << describe(got);
-  const KMeansDigest grouped = digest_of(run_kmeans(256));
-  EXPECT_EQ(grouped, got) << "grouped: " << describe(grouped);
-  const KMeansDigest nested =
-      digest_of(run_nested([] { return run_kmeans(0); }));
+  const KMeansDigest nested = digest_of(run_nested(run_kmeans));
   EXPECT_EQ(nested, got) << "nested: " << describe(nested);
 }
 
@@ -126,21 +123,18 @@ std::string describe(const KnnDigest& d) {
 
 const KnnDigest kKnnGolden = {0x110d89057d6d406cull, 0xab8dbec0a6bfccfdull};
 
-KnnResult run_knn(std::size_t group_rows) {
+KnnResult run_knn() {
   static const PointCloud queries = uniform_cloud(96, 20, -1.0f, 1.0f, 12);
   static const PointCloud refs = uniform_cloud(300, 20, -1.0f, 1.0f, 13);
   KnnOptions opts;
   opts.k = 8;
-  opts.group_rows = group_rows;
   return knn_search(queries.points, refs.points, opts);
 }
 
 TEST(AppsGolden, KnnMatchesToTheBit) {
-  const KnnDigest got = digest_of(run_knn(0));
+  const KnnDigest got = digest_of(run_knn());
   EXPECT_EQ(got, kKnnGolden) << "re-capture: " << describe(got);
-  const KnnDigest grouped = digest_of(run_knn(32));
-  EXPECT_EQ(grouped, got) << "grouped: " << describe(grouped);
-  const KnnDigest nested = digest_of(run_nested([] { return run_knn(0); }));
+  const KnnDigest nested = digest_of(run_nested(run_knn));
   EXPECT_EQ(nested, got) << "nested: " << describe(nested);
 }
 
@@ -164,22 +158,19 @@ std::string describe(const PcaDigest& d) {
 const PcaDigest kPcaGolden = {0x55136ff175081d49ull, 0xdb065e2a74eedfa9ull,
                               0x03b913c24c94ff21ull};
 
-PcaResult run_pca(std::size_t group_rows) {
+PcaResult run_pca() {
   static const PointCloud cloud = uniform_cloud(600, 24, -1.0f, 1.0f, 14);
   PcaOptions opts;
   opts.components = 4;
   opts.power_iterations = 60;
   opts.seed = 3;
-  opts.group_rows = group_rows;
   return pca_power(cloud.points, opts);
 }
 
 TEST(AppsGolden, PcaMatchesToTheBit) {
-  const PcaDigest got = digest_of(run_pca(0));
+  const PcaDigest got = digest_of(run_pca());
   EXPECT_EQ(got, kPcaGolden) << "re-capture: " << describe(got);
-  const PcaDigest grouped = digest_of(run_pca(8));
-  EXPECT_EQ(grouped, got) << "grouped: " << describe(grouped);
-  const PcaDigest nested = digest_of(run_nested([] { return run_pca(0); }));
+  const PcaDigest nested = digest_of(run_nested(run_pca));
   EXPECT_EQ(nested, got) << "nested: " << describe(nested);
 }
 

@@ -3,11 +3,14 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/dataset.hpp"
+#include "core/scheme.hpp"
 
 namespace egemm::apps {
 namespace {
@@ -134,6 +137,39 @@ TEST(KMeans, InertiaNeverIncreasesAcrossIterations) {
     const KMeansResult result = kmeans(cloud.points, opts);
     EXPECT_LE(result.inertia, prev * (1.0 + 1e-6)) << "iters=" << iters;
     prev = result.inertia;
+  }
+}
+
+TEST(KMeans, PrecisionTargetRunsTheResolvedRungOrThrows) {
+  const PointCloud cloud = uniform_cloud(300, 12, -1.0f, 1.0f, 31);
+  KMeansOptions opts;
+  opts.clusters = 4;
+  opts.max_iterations = 3;
+  // Centroids share the points' scale context (they are convex
+  // combinations of points); the GEMM's k is the dimension.
+  core::AccuracyContract contract;
+  contract.a_scale = gemm::max_abs(cloud.points);
+  contract.b_scale = contract.a_scale;
+  contract.max_abs_error = opts.precision_target = 1e-4;
+  const core::ContractResolution feasible =
+      core::resolve_contract(contract, cloud.points.cols());
+  ASSERT_TRUE(feasible.feasible);
+  EXPECT_STREQ(kmeans(cloud.points, opts).scheme,
+               core::scheme_name(feasible.scheme));
+
+  contract.max_abs_error = opts.precision_target = 1e-30;
+  const core::ContractResolution infeasible =
+      core::resolve_contract(contract, cloud.points.cols());
+  ASSERT_FALSE(infeasible.feasible);
+  try {
+    static_cast<void>(kmeans(cloud.points, opts));
+    FAIL() << "an infeasible target must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string tightest =
+        std::string("tightest rung (") +
+        core::scheme_name(infeasible.tightest) + ")";
+    EXPECT_NE(std::string(error.what()).find(tightest), std::string::npos)
+        << error.what();
   }
 }
 

@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "apps/dataset.hpp"
+#include "core/scheme.hpp"
 
 namespace egemm::apps {
 namespace {
@@ -139,6 +142,37 @@ TEST(Knn, EqualDistancesRankTheLowerReferenceFirst) {
         EXPECT_EQ(fast.distances.at(i, copy), fast.distances.at(i, 0));
       }
     }
+  }
+}
+
+TEST(Knn, PrecisionTargetRunsTheResolvedRungOrThrows) {
+  const PointCloud queries = uniform_cloud(40, 10, -1.0f, 1.0f, 41);
+  const PointCloud refs = uniform_cloud(90, 10, -2.0f, 2.0f, 42);
+  KnnOptions opts;
+  opts.k = 4;
+  core::AccuracyContract contract;
+  contract.a_scale = gemm::max_abs(queries.points);
+  contract.b_scale = gemm::max_abs(refs.points);
+  contract.max_abs_error = opts.precision_target = 1e-4;
+  const core::ContractResolution feasible =
+      core::resolve_contract(contract, queries.points.cols());
+  ASSERT_TRUE(feasible.feasible);
+  EXPECT_STREQ(knn_search(queries.points, refs.points, opts).scheme,
+               core::scheme_name(feasible.scheme));
+
+  contract.max_abs_error = opts.precision_target = 1e-30;
+  const core::ContractResolution infeasible =
+      core::resolve_contract(contract, queries.points.cols());
+  ASSERT_FALSE(infeasible.feasible);
+  try {
+    static_cast<void>(knn_search(queries.points, refs.points, opts));
+    FAIL() << "an infeasible target must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string tightest =
+        std::string("tightest rung (") +
+        core::scheme_name(infeasible.tightest) + ")";
+    EXPECT_NE(std::string(error.what()).find(tightest), std::string::npos)
+        << error.what();
   }
 }
 

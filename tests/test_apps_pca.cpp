@@ -2,9 +2,14 @@
 #include "apps/pca.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/scheme.hpp"
+#include "gemm/gemm_api.hpp"
 #include "util/rng.hpp"
 
 namespace egemm::apps {
@@ -136,6 +141,54 @@ TEST(PcaTiming, GemmDominatesAndEgemmAccelerates) {
   const double speedup = base.total_seconds / fast.total_seconds;
   EXPECT_GT(speedup, 1.2);
   EXPECT_LT(speedup, 3.2);
+}
+
+TEST(Pca, PrecisionTargetRunsTheResolvedRungOrThrows) {
+  const gemm::Matrix points = anisotropic_cloud(200, 6, {2.0, 1.5, 1.0, 0.6,
+                                                         0.3, 0.1}, 43);
+  PcaOptions opts;
+  opts.components = 2;
+  // The covariance GEMM's scale context is max |X_c|, both operands; the
+  // resolution folds in the 1/(n-1) alpha epilogue. Center the data the
+  // way the app does: column means summed in binary64, rounded once.
+  const std::size_t n = points.rows();
+  gemm::Matrix centered = points;
+  for (std::size_t d = 0; d < points.cols(); ++d) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sum += static_cast<double>(points.at(i, d));
+    }
+    const auto mean = static_cast<float>(sum / static_cast<double>(n));
+    for (std::size_t i = 0; i < n; ++i) centered.at(i, d) -= mean;
+  }
+  gemm::GemmExParams params;
+  params.alpha = 1.0f / static_cast<float>(n - 1);
+  core::AccuracyContract contract;
+  contract.a_scale = gemm::max_abs(centered);
+  contract.b_scale = contract.a_scale;
+  const auto resolve = [&](double target) {
+    contract.max_abs_error = opts.precision_target = target;
+    return gemm::gemm_ex_contract_resolution(gemm::transpose(centered),
+                                             centered, nullptr, params,
+                                             contract);
+  };
+  const core::ContractResolution feasible = resolve(3e-3);
+  ASSERT_TRUE(feasible.feasible);
+  EXPECT_STREQ(pca_power(points, opts).scheme,
+               core::scheme_name(feasible.scheme));
+
+  const core::ContractResolution infeasible = resolve(1e-30);
+  ASSERT_FALSE(infeasible.feasible);
+  try {
+    static_cast<void>(pca_power(points, opts));
+    FAIL() << "an infeasible target must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string tightest =
+        std::string("tightest rung (") +
+        core::scheme_name(infeasible.tightest) + ")";
+    EXPECT_NE(std::string(error.what()).find(tightest), std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // forced ISA tier, empty batches, mixed transpose/epilogue parameters,
 // direct-backend items at any position of a pool-dispatched batch, the
 // contract overloads (including an infeasible item, which must
-// leave the whole batch unexecuted), the small-GEMM inline-threshold knob,
-// and the batch-tagged telemetry records the flattened stream deposits,
-// whose stage attribution must stay inside the batch's wall time.
+// leave the whole batch unexecuted), the small-GEMM inline threshold's
+// serial/pooled split, and the batch-tagged telemetry records the
+// flattened stream deposits, whose stage attribution must stay inside the
+// batch's wall time.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -50,14 +51,6 @@ struct IsaGuard {
   IsaGuard(const IsaGuard&) = delete;
   IsaGuard& operator=(const IsaGuard&) = delete;
   ~IsaGuard() { simd::reset_isa(); }
-};
-
-/// Restores the automatic small-GEMM inline threshold on exit.
-struct ThresholdGuard {
-  ThresholdGuard() = default;
-  ThresholdGuard(const ThresholdGuard&) = delete;
-  ThresholdGuard& operator=(const ThresholdGuard&) = delete;
-  ~ThresholdGuard() { set_small_gemm_inline_threshold(0); }
 };
 
 // -- bit identity with the loop of singles -----------------------------------
@@ -243,41 +236,46 @@ TEST(GemmBatched, ContractBatchedMatchesContractLoop) {
   }
 }
 
-// -- the small-GEMM inline-threshold knob ------------------------------------
+// -- the small-GEMM inline threshold -----------------------------------------
 
-TEST(GemmBatched, InlineThresholdKnobRoundTripsAndPreservesResults) {
-  const ThresholdGuard guard;
-  set_small_gemm_inline_threshold(12345);
-  EXPECT_EQ(small_gemm_inline_threshold(), 12345u);
-  set_small_gemm_inline_threshold(0);  // restores the 64^3 default
-  EXPECT_EQ(small_gemm_inline_threshold(), std::size_t{64} * 64 * 64);
-
-  // Both extreme settings must leave batched results bit-identical to the
-  // singles loop: the threshold selects a schedule (fused/serial vs
-  // pipelined dispatch), never an operation sequence.
+TEST(GemmBatched, InlineThresholdSplitsSerialFromPooledBitIdentically) {
+  if (util::global_pool().size() <= 1) GTEST_SKIP() << "one-thread pool";
+  // Batches on both sides of kSmallGemmInlineThreshold: 4 x 32^3 = 2^17
+  // runs on the calling thread and never touches the pool; 4 x 48^3 goes
+  // to the pool. Both must stay bit-identical to the singles loop: the
+  // threshold selects a schedule, never an operation sequence.
   constexpr std::size_t kBatch = 4;
-  constexpr std::size_t kDim = 48;
-  std::vector<Matrix> a, b;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    const auto seed = static_cast<unsigned>(1300 + 2 * i);
-    a.push_back(random_matrix(kDim, kDim, -1.0f, 1.0f, seed));
-    b.push_back(random_matrix(kDim, kDim, -1.0f, 1.0f, seed + 1));
-  }
-  GemmContext single_ctx;
-  std::vector<Matrix> expect;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    expect.push_back(
-        gemm_ex(single_ctx, Backend::kEgemmTC, a[i], b[i], nullptr, {}));
-  }
-  for (const std::size_t threshold : {std::size_t{1}, std::size_t{1} << 30}) {
-    set_small_gemm_inline_threshold(threshold);
+  for (const std::size_t dim : {std::size_t{32}, std::size_t{48}}) {
+    const bool serial = kBatch * dim * dim * dim < kSmallGemmInlineThreshold;
+    EXPECT_EQ(serial, dim == 32);
+    std::vector<Matrix> a, b;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const auto seed = static_cast<unsigned>(1300 + 10 * dim + 2 * i);
+      a.push_back(random_matrix(dim, dim, -1.0f, 1.0f, seed));
+      b.push_back(random_matrix(dim, dim, -1.0f, 1.0f, seed + 1));
+    }
+    GemmContext single_ctx;
+    std::vector<Matrix> expect;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      expect.push_back(
+          gemm_ex(single_ctx, Backend::kEgemmTC, a[i], b[i], nullptr, {}));
+    }
     GemmContext ctx;
+    const util::WorkerStats before = util::global_pool().total_stats();
     const std::vector<Matrix> batched =
         gemm_batched(ctx, Backend::kEgemmTC, a, b);
+    const util::WorkerStats after = util::global_pool().total_stats();
+    if (serial) {
+      EXPECT_EQ(after.tasks_executed, before.tasks_executed);
+      EXPECT_EQ(after.inline_tasks, before.inline_tasks);
+      EXPECT_EQ(after.busy_ns, before.busy_ns);
+    } else {
+      EXPECT_GT(after.tasks_executed, before.tasks_executed);
+    }
     ASSERT_EQ(batched.size(), kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) {
       EXPECT_TRUE(bitwise_equal(batched[i], expect[i]))
-          << "threshold=" << threshold << " item=" << i;
+          << "dim=" << dim << " item=" << i;
     }
   }
 }

@@ -6,7 +6,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
+#include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/reference_execute.hpp"
 
 namespace egemm::gemm {
@@ -194,6 +198,68 @@ TEST(PackedEngine, EmptyShapesAgreeAndHaveTheRightSize) {
         << m << "x" << n << "x" << k;
     if (k == 0 && m > 0 && n > 0) {
       EXPECT_TRUE(bitwise_equal(packed, c));  // D = C exactly
+    }
+  }
+}
+
+TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
+  // A pooled execute cuts each item's prep (split, output init, pack) into
+  // row-range chunks and runs them all in one pool pass. These shapes
+  // prep in several chunks with ragged tails -- m and n off every
+  // multiple of 16, odd k -- the first cut inside A's rows, the second
+  // inside B's. D must match the oracle for single and grouped executes,
+  // with the chunks on the pool or, nested inside a pool chunk, inline.
+  const Shape shapes[] = {{901, 13, 131}, {13, 61, 1501}};
+  constexpr std::size_t kItems = std::size(shapes);
+  for (const core::SchemeId scheme :
+       {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+    std::vector<Matrix> a, b, c;
+    std::vector<std::shared_ptr<const GemmPlan>> plans;
+    for (std::size_t i = 0; i < kItems; ++i) {
+      const Shape s = shapes[i];
+      const auto seed = static_cast<unsigned>(900 + 10 * i);
+      a.push_back(random_matrix(s.m, s.k, -1, 1, seed));
+      b.push_back(random_matrix(s.k, s.n, -1, 1, seed + 1));
+      c.push_back(random_matrix(s.m, s.n, -1, 1, seed + 2));
+      plans.push_back(default_context().plan_scheme(scheme, s.m, s.n, s.k));
+      if (obs::kEnabled) {
+        // One chunk splits A and B once each; these shapes split more.
+        obs::Counter& splits = obs::registry().counter("split.calls");
+        const std::uint64_t before = splits.value();
+        static_cast<void>(run_packed(*plans[i], a[i], b[i], nullptr));
+        EXPECT_GT(splits.value() - before, 2u) << "shape " << i;
+      }
+    }
+    for (const bool with_c : {false, true}) {
+      std::vector<Matrix> expect;
+      for (std::size_t i = 0; i < kItems; ++i) {
+        expect.push_back(verify::reference_execute(
+            *plans[i], a[i], b[i], with_c ? &c[i] : nullptr));
+      }
+      // Each shape alone, then both as one grouped execute.
+      const auto run_all = [&] {
+        std::vector<Matrix> out(2 * kItems);
+        std::vector<GroupedGemm> items;
+        for (std::size_t i = 0; i < kItems; ++i) {
+          const Matrix* ci = with_c ? &c[i] : nullptr;
+          plans[i]->execute(default_context(), a[i], b[i], ci, out[i]);
+          items.push_back({plans[i], &a[i], &b[i], ci, &out[kItems + i]});
+        }
+        default_context().execute_grouped(items);
+        return out;
+      };
+      const std::vector<Matrix> direct = run_all();
+      std::vector<Matrix> nested;
+      util::global_pool().parallel_for(
+          1, [&](std::size_t, std::size_t) { nested = run_all(); });
+      for (std::size_t j = 0; j < direct.size(); ++j) {
+        const std::string where = std::string(core::scheme_name(scheme)) +
+                                  (with_c ? " +C" : "") + " output " +
+                                  std::to_string(j);
+        EXPECT_TRUE(bitwise_equal(direct[j], expect[j % kItems])) << where;
+        EXPECT_TRUE(bitwise_equal(nested[j], expect[j % kItems]))
+            << "nested " << where;
+      }
     }
   }
 }

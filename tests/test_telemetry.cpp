@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -254,17 +255,6 @@ TEST(CallRecords, ConcurrentProducersAndDrainer) {
   clear_call_records();
 }
 
-TEST(CallRecords, DisableStopsRecording) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  clear_call_records();
-  set_call_records(false);
-  record_call(CallRecord{});
-  EXPECT_TRUE(drain_call_records().empty());
-  set_call_records(true);
-  record_call(CallRecord{});
-  EXPECT_EQ(drain_call_records().size(), 1u);
-}
-
 // -- aggregation -------------------------------------------------------------
 
 TEST(CallSummary, GroupsByShapeAndScheme) {
@@ -426,6 +416,53 @@ TEST(CallRecords, HeldPlanCountsAsUnknownLookup) {
   }
   const std::string json = call_summary_json_block(summary, "");
   EXPECT_NE(json.find("\"plan_unknown\": 5"), std::string::npos);
+}
+
+TEST(CallRecords, LatencySamplesAndRecordBatchesReconcileWithCalls) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  // Each single execute and each grouped call records one latency sample;
+  // each emulated GEMM, single or grouped, counts once in egemm.calls and
+  // once in some record's batch.
+  constexpr std::size_t kM = 36, kN = 20, kK = 27;
+  gemm::GemmContext ctx;
+  const std::shared_ptr<const gemm::GemmPlan> plans[] = {
+      ctx.plan_scheme(core::SchemeId::kRound2, kM, kN, kK),
+      ctx.plan(gemm::Backend::kCublasFp32, kM, kN, kK),
+      ctx.plan_scheme(core::SchemeId::kRecovery3, kM, kN, kK),
+  };
+  const gemm::Matrix a = gemm::random_matrix(kM, kK, -1.0f, 1.0f, 7);
+  const gemm::Matrix b = gemm::random_matrix(kK, kN, -1.0f, 1.0f, 8);
+  LatencyHistogram& latency = registry().latency("egemm.execute.latency");
+  Counter& calls = registry().counter("egemm.calls");
+  const std::uint64_t samples_before = latency.count();
+  const std::uint64_t calls_before = calls.value();
+  clear_call_records();
+
+  constexpr std::uint64_t kSingles = 5;
+  gemm::Matrix d;
+  for (std::uint64_t i = 0; i < kSingles; ++i) {
+    plans[i % 3]->execute(ctx, a, b, nullptr, d);
+  }
+  constexpr std::uint64_t kGroups = 3;
+  std::vector<gemm::Matrix> outs(4);
+  for (std::uint64_t g = 0; g < kGroups; ++g) {
+    std::vector<gemm::GroupedGemm> items;
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      items.push_back({plans[(g + i) % 3], &a, &b, nullptr, &outs[i]});
+    }
+    ctx.execute_grouped(items);
+  }
+
+  EXPECT_EQ(latency.count() - samples_before, kSingles + kGroups);
+  std::uint64_t emulated_batch = 0;
+  for (const CallRecord& rec : drain_call_records()) {
+    if (rec.backend != static_cast<std::uint8_t>(gemm::Backend::kCublasFp32)) {
+      emulated_batch += rec.batch;
+    }
+  }
+  EXPECT_EQ(emulated_batch, calls.value() - calls_before);
+  // 3 of the 5 singles and 8 of the 12 grouped items are emulated.
+  EXPECT_EQ(emulated_batch, 3u + 8u);
 }
 
 // -- registry latency histograms ---------------------------------------------
