@@ -138,14 +138,19 @@ std::atomic<std::uint32_t> g_batch_counter{0};
 /// coalesce many items into one task while large items still fan out.
 constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 
-/// Floor on the elements one prep chunk reads and writes (PrepRows). At
-/// this floor every item of the 36 small-stream classes (m, n <= 128,
-/// k <= 256: at most 475K elements, with three planes) stays one chunk,
-/// so small calls prep as one task. A chunk this size took 115-175 us on
-/// one core of a 4-vCPU AVX-512 Xeon VM (0.44-0.67 ns per element over
-/// 1024^3, kMeans-, kNN- and PCA-shaped rows, two and three planes),
-/// against a 1.3 us empty parallel_for, so the dispatch stays under 1%.
-constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 18;
+/// Floor on the elements one prep chunk reads and writes (PrepRows). All
+/// of a call's chunks share ONE pool pass (one ~1.6 us fork-join), so the
+/// floor does not amortize dispatch; it trades how far a small item's
+/// prep spreads over the pool against each chunk's fixed cost (its split
+/// and pack calls and stage timers). At 2^13 every pooled small-stream
+/// item (m*n*k >= 2^18: 39K-344K elements) preps in 4-42 chunks. Swept on
+/// a 4-vCPU AVX-512 Xeon VM (F16C split, e2e small-stream, alternating
+/// 6-8 s runs): gflops 17.4 at 2^13, 17.2 at 2^15, 14.1 at 2^18 and 15.5
+/// at 2^11, with op p50 lowest at 2^13 in 7/7 runs; at 2^18 each item
+/// preps on one thread while three wait (pool busy 0.47 vs 0.69).
+/// grouped-3term was flat across the sweep: its 64 items already fill
+/// the pass.
+constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 13;
 
 /// Splits rows [r0, r1) of `x` into the plane stack `planes` per the
 /// plan's recipe. Plane 0 = lo; for three-way splits: lo, mid, hi.

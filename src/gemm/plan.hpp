@@ -125,12 +125,14 @@ class Workspace {
 /// dispatching to the pool: under it the pool round-trip costs more than
 /// it buys. This is the measured break-even of serial vs pooled gemm_ex
 /// over the 36 small-stream classes (m, n in {32, 64, 128}, k in
-/// {32..256}) on a 4-vCPU AVX-512 Xeon VM, with workers warm. Pooled /
-/// serial time ratio by m*n*k:
-///   <= 2^17   0.96-1.37  (pooling loses: too few tiles per thread)
-///      2^18   0.87-1.25  (median ~0.95; k=32 classes still lose)
-///      2^19   0.79-1.05  (median ~0.86)
-///   >= 2^20   0.55-0.89
+/// {32..256}) on a 4-vCPU AVX-512 Xeon VM, with workers warm, F16C split
+/// and prep chunked on the pool. Pooled / serial p50 ratio by m*n*k
+/// (per-class medians of three alternating runs):
+///   <= 2^16   1.25-2.09  (pooling loses: too few tiles per thread)
+///      2^17   0.99-1.10  (median 1.01: break-even, no class wins)
+///      2^18   0.76-0.92  (median 0.81; every class wins, k=32 too)
+///      2^19   0.58-0.66  (median 0.63)
+///   >= 2^20   0.37-0.58
 /// so the crossover is 2^18 = 64^3.
 inline constexpr std::size_t kSmallGemmInlineThreshold =
     std::size_t{64} * 64 * 64;

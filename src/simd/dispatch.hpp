@@ -5,8 +5,9 @@
 // `active_kernels()` returns the table for the resolved IsaLevel
 // (isa.hpp). Every variant implements the *identical* operation sequence
 // -- the pair-sum accumulation the Tensor Core model documents and the
-// integer rounding of the scalar converters -- so switching tables never
-// changes a single result bit. That property is the acceptance gate for
+// integer rounding of the scalar converters, or for the split's round
+// trip a hardware conversion proven equal to it on all 2^32 inputs -- so
+// switching tables never changes a single result bit. That property is the acceptance gate for
 // adding a variant; tests/test_simd_dispatch.cpp enforces it for every
 // table this binary carries.
 //

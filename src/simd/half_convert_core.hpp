@@ -5,10 +5,12 @@
 // on fp/). The 32-bit integer rounding mirrors fp's `f64_to_f16_bits`
 // exactly (the binary32 -> binary64 widening is exact, so the rounding
 // decisions are the same; verified exhaustively over all 2^32 inputs in
-// both modes). The AVX2/AVX-512 span kernels are lane-for-lane
-// transcriptions of these two functions; tests/test_simd_dispatch.cpp pins
-// each against this core over the full binary16 value space and the
-// rounding-boundary neighborhoods.
+// both modes). The AVX2/AVX-512 bit converters are lane-for-lane
+// transcriptions of these two functions, and their round trip is the
+// hardware vcvtps2ph/vcvtph2ps pair plus a NaN blend;
+// tests/test_simd_dispatch.cpp pins each against this core over the full
+// binary16 value space and the rounding-boundary neighborhoods, and the
+// round trip over all 2^32 inputs.
 
 #include <bit>
 #include <cstdint>

@@ -69,6 +69,7 @@ CpuFeatures query_cpu_features() noexcept {
   std::uint32_t edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return features;
   features.fma = (ecx & bit_FMA) != 0;
+  features.f16c = (ecx & bit_F16C) != 0;
   const bool osxsave = (ecx & bit_OSXSAVE) != 0;
   if (osxsave) {
     const std::uint64_t state = xcr0();
@@ -89,7 +90,8 @@ bool isa_runtime_supported(IsaLevel level,
     case IsaLevel::kScalar:
       return true;
     case IsaLevel::kAvx2:
-      return features.avx2 && features.fma && features.os_ymm;
+      return features.avx2 && features.fma && features.f16c &&
+             features.os_ymm;
     case IsaLevel::kAvx512:
       return features.avx512f && features.os_zmm;
   }

@@ -22,7 +22,7 @@ namespace egemm::simd {
 /// what the `tcsim.isa.level` gauge reports.
 enum class IsaLevel : int {
   kScalar = 0,  ///< portable C++ (what the seed's auto-vectorizer got)
-  kAvx2 = 1,    ///< AVX2 + FMA3 (256-bit lanes)
+  kAvx2 = 1,    ///< AVX2 + FMA3 + F16C (256-bit lanes)
   kAvx512 = 2,  ///< AVX-512F (512-bit lanes, one zmm per 16-float tile row)
 };
 
@@ -35,6 +35,7 @@ inline constexpr int kIsaLevelCount = 3;
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
+  bool f16c = false;  ///< vcvtps2ph/vcvtph2ps on xmm/ymm (the AVX2 split)
   bool avx512f = false;
   bool os_ymm = false;
   bool os_zmm = false;

@@ -1,6 +1,7 @@
-// AVX2 + FMA3 kernel tier. Compiled with -mavx2 -mfma (per-file flags in
-// src/CMakeLists.txt); when the toolchain cannot target AVX2 this TU
-// degrades to a null table and dispatch falls back to scalar.
+// AVX2 + FMA3 + F16C kernel tier. Compiled with -mavx2 -mfma -mf16c
+// (per-file flags in src/CMakeLists.txt); when the toolchain cannot
+// target them this TU degrades to a null table and dispatch falls back to
+// scalar.
 //
 // Bit-exactness argument (DESIGN.md §15):
 //  * MMA: the j (column) loop is the vector lane dimension, so lanes are
@@ -13,12 +14,14 @@
 //    a1*b1[j] is exact, this equals round(p0 + p1) -- the FMA is used only
 //    where it is provably bit-identical, never to fuse the pair-sum adds
 //    themselves.
-//  * Converters: lane-for-lane transcriptions of the integer cores in
-//    half_convert_core.hpp; every select mirrors a branch.
+//  * Converters: f32 <-> f16 bits are lane-for-lane transcriptions of the
+//    integer cores in half_convert_core.hpp, every select mirroring a
+//    branch. The round trip the split runs is the hardware conversion
+//    pair plus a NaN blend, proven equal to those cores on every input.
 
 #include "simd/dispatch.hpp"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
 
 #include <immintrin.h>
 
@@ -258,17 +261,48 @@ void f16_bits_to_f32_avx2(const std::uint16_t* in, float* out,
   for (; i < n; ++i) out[i] = detail::f16_bits_to_f32_one(in[i]);
 }
 
-void f32_round_through_f16_avx2(const float* in, float* out, std::size_t n,
-                                bool nearest) {
-  EGEMM_COUNTER_ADD("tcsim.isa.convert.avx2", 1);
+/// Hardware binary16 round trip (vcvtps2ph + vcvtph2ps, the explicit
+/// immediate overriding MXCSR.RC), then one blend that writes the scalar
+/// core's canonical quiet NaN, sign(x) | 0x7fc00000, over every NaN lane;
+/// vcvtps2ph keeps the payload's top bits instead. Bit-identical to
+/// f16_bits_to_f32_one(f32_bits_to_f16_bits(x)) for all 2^32 inputs in
+/// both modes (DESIGN.md §15).
+template <int kRounding>
+inline __m256 f32x8_round_through_f16(__m256 x) {
+  const __m256 back =
+      _mm256_cvtph_ps(_mm256_cvtps_ph(x, kRounding | _MM_FROUND_NO_EXC));
+  const __m256i bits = _mm256_castps_si256(x);
+  const __m256i is_nan = _mm256_cmpgt_epi32(
+      _mm256_and_si256(bits, _mm256_set1_epi32(0x7fffffff)),
+      _mm256_set1_epi32(0x7f800000));
+  const __m256i nan = _mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi32(INT32_MIN)),
+      _mm256_set1_epi32(0x7fc00000));
+  return _mm256_blendv_ps(back, _mm256_castsi256_ps(nan),
+                          _mm256_castsi256_ps(is_nan));
+}
+
+template <int kRounding>
+void round_through_f16_span(const float* in, float* out, std::size_t n) {
+  constexpr bool kNearest = kRounding == _MM_FROUND_TO_NEAREST_INT;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i half = f32x8_to_f16_bits_u32(load_f32_bits(in + i), nearest);
-    _mm256_storeu_ps(out + i, f16x8_bits_to_f32(half));
+    _mm256_storeu_ps(out + i,
+                     f32x8_round_through_f16<kRounding>(_mm256_loadu_ps(in + i)));
   }
   for (; i < n; ++i) {
     out[i] = detail::f16_bits_to_f32_one(detail::f32_bits_to_f16_bits(
-        std::bit_cast<std::uint32_t>(in[i]), nearest));
+        std::bit_cast<std::uint32_t>(in[i]), kNearest));
+  }
+}
+
+void f32_round_through_f16_avx2(const float* in, float* out, std::size_t n,
+                                bool nearest) {
+  EGEMM_COUNTER_ADD("tcsim.isa.convert.avx2", 1);
+  if (nearest) {
+    round_through_f16_span<_MM_FROUND_TO_NEAREST_INT>(in, out, n);
+  } else {
+    round_through_f16_span<_MM_FROUND_TO_ZERO>(in, out, n);
   }
 }
 
@@ -285,7 +319,7 @@ const KernelTable* avx2_kernel_table() noexcept { return &kAvx2Table; }
 
 }  // namespace egemm::simd
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !(__AVX2__ && __FMA__ && __F16C__)
 
 namespace egemm::simd {
 

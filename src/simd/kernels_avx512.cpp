@@ -207,18 +207,48 @@ void f16_bits_to_f32_avx512(const std::uint16_t* in, float* out,
   for (; i < n; ++i) out[i] = detail::f16_bits_to_f32_one(in[i]);
 }
 
+/// Hardware binary16 round trip (vcvtps2ph + vcvtph2ps, the explicit
+/// immediate overriding MXCSR.RC), then one blend that writes the scalar
+/// core's canonical quiet NaN, sign(x) | 0x7fc00000, over every NaN lane;
+/// vcvtps2ph keeps the payload's top bits instead. Bit-identical to
+/// f16_bits_to_f32_one(f32_bits_to_f16_bits(x)) for all 2^32 inputs in
+/// both modes (DESIGN.md §15).
+template <int kRounding>
+inline __m512 f32x16_round_through_f16(__m512 x) {
+  const __m512 back = _mm512_cvtph_ps(
+      _mm512_cvtps_ph(x, kRounding | _MM_FROUND_NO_EXC));
+  const __m512i bits = _mm512_castps_si512(x);
+  const __mmask16 is_nan = _mm512_cmpgt_epi32_mask(
+      _mm512_and_si512(bits, _mm512_set1_epi32(0x7fffffff)),
+      _mm512_set1_epi32(0x7f800000));
+  const __m512i nan = _mm512_or_si512(
+      _mm512_and_si512(bits, _mm512_set1_epi32(INT32_MIN)),
+      _mm512_set1_epi32(0x7fc00000));
+  return _mm512_mask_mov_ps(back, is_nan, _mm512_castsi512_ps(nan));
+}
+
+template <int kRounding>
+void round_through_f16_span(const float* in, float* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(out + i,
+                     f32x16_round_through_f16<kRounding>(_mm512_loadu_ps(in + i)));
+  }
+  if (i < n) {  // masked tail: the same instructions on the last lanes
+    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(
+        out + i, tail,
+        f32x16_round_through_f16<kRounding>(_mm512_maskz_loadu_ps(tail, in + i)));
+  }
+}
+
 void f32_round_through_f16_avx512(const float* in, float* out, std::size_t n,
                                   bool nearest) {
   EGEMM_COUNTER_ADD("tcsim.isa.convert.avx512", 1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i half = f32x16_to_f16_bits_u32(
-        _mm512_castps_si512(_mm512_loadu_ps(in + i)), nearest);
-    _mm512_storeu_ps(out + i, f16x16_bits_to_f32(half));
-  }
-  for (; i < n; ++i) {
-    out[i] = detail::f16_bits_to_f32_one(detail::f32_bits_to_f16_bits(
-        std::bit_cast<std::uint32_t>(in[i]), nearest));
+  if (nearest) {
+    round_through_f16_span<_MM_FROUND_TO_NEAREST_INT>(in, out, n);
+  } else {
+    round_through_f16_span<_MM_FROUND_TO_ZERO>(in, out, n);
   }
 }
 

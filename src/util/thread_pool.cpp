@@ -18,11 +18,14 @@ namespace {
 /// caller's while it runs chunks or an inline range.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
-/// Spin budget before an idle thread parks: it bridges the serial
-/// plan/split/pack gap between back-to-back small GEMMs (50-130 us for the
-/// 32..128 shape classes on a 4-vCPU AVX-512 Xeon VM) that a futex wakeup
-/// would stretch by ~10 us. 200 us beat 50 us by 5% on the small-GEMM
-/// median; spinning without PAUSE was slower than both.
+/// Spin budget before an idle thread parks: it bridges the gaps between
+/// the pool passes of back-to-back small GEMMs, which a futex wakeup would
+/// stretch by ~10 us. A pooled call's split and pack run on the pool, so
+/// the widest gap is a run of calls under kSmallGemmInlineThreshold that
+/// execute wholly on the caller: 8-35 us each for the 32..128 shape
+/// classes on a 4-vCPU AVX-512 Xeon VM (F16C split), so several in a row.
+/// 200 us beat 50 us by 5% on the small-GEMM median; spinning without
+/// PAUSE was slower than both.
 constexpr std::uint64_t kSpinNs = 200'000;
 
 /// Pause-spins until `ready(word)`, parking in std::atomic::wait once the

@@ -19,6 +19,8 @@
 #include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
 #include "obs/metrics.hpp"
+#include "simd/dispatch.hpp"
+#include "simd/isa.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/reference_execute.hpp"
 
@@ -202,63 +204,82 @@ TEST(PackedEngine, EmptyShapesAgreeAndHaveTheRightSize) {
   }
 }
 
+/// Restores auto-resolution (which still honors EGEMM_FORCE_ISA) when a
+/// test that called force_isa exits.
+struct IsaGuard {
+  IsaGuard() = default;
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+  ~IsaGuard() { simd::reset_isa(); }
+};
+
 TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
   // A pooled execute cuts each item's prep (split, output init, pack) into
   // row-range chunks and runs them all in one pool pass. These shapes
-  // prep in several chunks with ragged tails -- m and n off every
-  // multiple of 16, odd k -- the first cut inside A's rows, the second
-  // inside B's. D must match the oracle for single and grouped executes,
-  // with the chunks on the pool or, nested inside a pool chunk, inline.
-  const Shape shapes[] = {{901, 13, 131}, {13, 61, 1501}};
+  // prep in several chunks: the first two have ragged tails -- m and n off
+  // every multiple of 16, odd k -- the first cut inside A's rows, the
+  // second inside B's; the last two are the smallest pooled small-stream
+  // classes (m*n*k = 2^18), which must fan out too. D must match the
+  // oracle for single and grouped executes, with the chunks on the pool
+  // or, nested inside a pool chunk, inline, under every ISA tier.
+  const IsaGuard guard;
+  const Shape shapes[] = {
+      {901, 13, 131}, {13, 61, 1501}, {64, 64, 64}, {32, 32, 256}};
   constexpr std::size_t kItems = std::size(shapes);
-  for (const core::SchemeId scheme :
-       {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
-    std::vector<Matrix> a, b, c;
-    std::vector<std::shared_ptr<const GemmPlan>> plans;
-    for (std::size_t i = 0; i < kItems; ++i) {
-      const Shape s = shapes[i];
-      const auto seed = static_cast<unsigned>(900 + 10 * i);
-      a.push_back(random_matrix(s.m, s.k, -1, 1, seed));
-      b.push_back(random_matrix(s.k, s.n, -1, 1, seed + 1));
-      c.push_back(random_matrix(s.m, s.n, -1, 1, seed + 2));
-      plans.push_back(default_context().plan_scheme(scheme, s.m, s.n, s.k));
-      if (obs::kEnabled) {
-        // One chunk splits A and B once each; these shapes split more.
-        obs::Counter& splits = obs::registry().counter("split.calls");
-        const std::uint64_t before = splits.value();
-        static_cast<void>(run_packed(*plans[i], a[i], b[i], nullptr));
-        EXPECT_GT(splits.value() - before, 2u) << "shape " << i;
-      }
-    }
-    for (const bool with_c : {false, true}) {
-      std::vector<Matrix> expect;
+  for (int level = 0; level < simd::kIsaLevelCount; ++level) {
+    if (!simd::isa_available(static_cast<simd::IsaLevel>(level))) continue;
+    const char* isa =
+        simd::isa_name(simd::force_isa(static_cast<simd::IsaLevel>(level)));
+    for (const core::SchemeId scheme :
+         {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+      std::vector<Matrix> a, b, c;
+      std::vector<std::shared_ptr<const GemmPlan>> plans;
       for (std::size_t i = 0; i < kItems; ++i) {
-        expect.push_back(verify::reference_execute(
-            *plans[i], a[i], b[i], with_c ? &c[i] : nullptr));
-      }
-      // Each shape alone, then both as one grouped execute.
-      const auto run_all = [&] {
-        std::vector<Matrix> out(2 * kItems);
-        std::vector<GroupedGemm> items;
-        for (std::size_t i = 0; i < kItems; ++i) {
-          const Matrix* ci = with_c ? &c[i] : nullptr;
-          plans[i]->execute(default_context(), a[i], b[i], ci, out[i]);
-          items.push_back({plans[i], &a[i], &b[i], ci, &out[kItems + i]});
+        const Shape s = shapes[i];
+        const auto seed = static_cast<unsigned>(900 + 10 * i);
+        a.push_back(random_matrix(s.m, s.k, -1, 1, seed));
+        b.push_back(random_matrix(s.k, s.n, -1, 1, seed + 1));
+        c.push_back(random_matrix(s.m, s.n, -1, 1, seed + 2));
+        plans.push_back(default_context().plan_scheme(scheme, s.m, s.n, s.k));
+        if (obs::kEnabled) {
+          // One chunk splits A and B once each; these shapes split more.
+          obs::Counter& splits = obs::registry().counter("split.calls");
+          const std::uint64_t before = splits.value();
+          static_cast<void>(run_packed(*plans[i], a[i], b[i], nullptr));
+          EXPECT_GT(splits.value() - before, 2u) << isa << " shape " << i;
         }
-        default_context().execute_grouped(items);
-        return out;
-      };
-      const std::vector<Matrix> direct = run_all();
-      std::vector<Matrix> nested;
-      util::global_pool().parallel_for(
-          1, [&](std::size_t, std::size_t) { nested = run_all(); });
-      for (std::size_t j = 0; j < direct.size(); ++j) {
-        const std::string where = std::string(core::scheme_name(scheme)) +
-                                  (with_c ? " +C" : "") + " output " +
-                                  std::to_string(j);
-        EXPECT_TRUE(bitwise_equal(direct[j], expect[j % kItems])) << where;
-        EXPECT_TRUE(bitwise_equal(nested[j], expect[j % kItems]))
-            << "nested " << where;
+      }
+      for (const bool with_c : {false, true}) {
+        std::vector<Matrix> expect;
+        for (std::size_t i = 0; i < kItems; ++i) {
+          expect.push_back(verify::reference_execute(
+              *plans[i], a[i], b[i], with_c ? &c[i] : nullptr));
+        }
+        // Each shape alone, then all as one grouped execute.
+        const auto run_all = [&] {
+          std::vector<Matrix> out(2 * kItems);
+          std::vector<GroupedGemm> items;
+          for (std::size_t i = 0; i < kItems; ++i) {
+            const Matrix* ci = with_c ? &c[i] : nullptr;
+            plans[i]->execute(default_context(), a[i], b[i], ci, out[i]);
+            items.push_back({plans[i], &a[i], &b[i], ci, &out[kItems + i]});
+          }
+          default_context().execute_grouped(items);
+          return out;
+        };
+        const std::vector<Matrix> direct = run_all();
+        std::vector<Matrix> nested;
+        util::global_pool().parallel_for(
+            1, [&](std::size_t, std::size_t) { nested = run_all(); });
+        for (std::size_t j = 0; j < direct.size(); ++j) {
+          const std::string where = std::string(isa) + " " +
+                                    core::scheme_name(scheme) +
+                                    (with_c ? " +C" : "") + " output " +
+                                    std::to_string(j);
+          EXPECT_TRUE(bitwise_equal(direct[j], expect[j % kItems])) << where;
+          EXPECT_TRUE(bitwise_equal(nested[j], expect[j % kItems]))
+              << "nested " << where;
+        }
       }
     }
   }

@@ -3,16 +3,27 @@
 // over the full binary16 value space (plus rounding-boundary
 // neighbourhoods and a large random sweep) for the converters, and over
 // randomized half-valued inputs with every remainder path for the MMA
-// kernels. Plus the cpuid probe, EGEMM_FORCE_ISA parsing, the programmatic
-// force/clamp API, and the `tcsim.isa.level` gauge.
+// kernels. The split's round-through-binary16 kernel is additionally
+// checked on all 2^32 inputs (Release builds) and under a caller MXCSR
+// with FTZ and DAZ set. Plus the cpuid probe, EGEMM_FORCE_ISA parsing, the
+// programmatic force/clamp API, and the `tcsim.isa.level` gauge.
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <pmmintrin.h>  // MXCSR access, _MM_DENORMALS_ZERO_ON
+#define EGEMM_TEST_X86 1
+#else
+#define EGEMM_TEST_X86 0
+#endif
 
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
@@ -21,6 +32,7 @@
 #include "simd/dispatch.hpp"
 #include "simd/half_convert_core.hpp"
 #include "simd/isa.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/reference_execute.hpp"
 
 namespace egemm {
@@ -68,9 +80,23 @@ TEST(IsaProbe, QueryIsStable) {
   const simd::CpuFeatures second = simd::query_cpu_features();
   EXPECT_EQ(first.avx2, second.avx2);
   EXPECT_EQ(first.fma, second.fma);
+  EXPECT_EQ(first.f16c, second.f16c);
   EXPECT_EQ(first.avx512f, second.avx512f);
   EXPECT_EQ(first.os_ymm, second.os_ymm);
   EXPECT_EQ(first.os_zmm, second.os_zmm);
+}
+
+TEST(IsaProbe, Avx2TierRequiresF16c) {
+  // The AVX2 tier's split converter is vcvtps2ph/vcvtph2ps, so AVX2 + FMA
+  // alone does not make the tier executable.
+  simd::CpuFeatures features;
+  features.avx2 = true;
+  features.fma = true;
+  features.os_ymm = true;
+  EXPECT_FALSE(simd::isa_runtime_supported(IsaLevel::kAvx2, features));
+  EXPECT_EQ(simd::best_supported(features), IsaLevel::kScalar);
+  features.f16c = true;
+  EXPECT_TRUE(simd::isa_runtime_supported(IsaLevel::kAvx2, features));
 }
 
 TEST(IsaProbe, ActiveIsaIsAvailable) {
@@ -203,7 +229,15 @@ TEST(SimdConverters, F16BitsToF32ExhaustiveMatchesScalarCore) {
   }
 }
 
-TEST(SimdConverters, RoundThroughF16MatchesComposition) {
+/// The scalar core's round trip, the reference every tier must match.
+float round_through_core(float x, bool nearest) {
+  return simd::detail::f16_bits_to_f32_one(simd::detail::f32_bits_to_f16_bits(
+      std::bit_cast<std::uint32_t>(x), nearest));
+}
+
+/// Checks every tier's f32_round_through_f16 against the scalar core on
+/// the corpus, in both modes.
+void expect_round_through_matches_core(const std::string& context) {
   const std::vector<float> in = f32_conversion_corpus();
   std::vector<float> got(in.size());
   for (const IsaLevel level : available_levels()) {
@@ -211,16 +245,106 @@ TEST(SimdConverters, RoundThroughF16MatchesComposition) {
     for (const bool nearest : {true, false}) {
       table.f32_round_through_f16(in.data(), got.data(), in.size(), nearest);
       for (std::size_t i = 0; i < in.size(); ++i) {
-        const float want =
-            simd::detail::f16_bits_to_f32_one(simd::detail::f32_bits_to_f16_bits(
-                std::bit_cast<std::uint32_t>(in[i]), nearest));
         ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                  std::bit_cast<std::uint32_t>(want))
-            << table.name << " nearest=" << nearest << " input bits 0x"
-            << std::hex << std::bit_cast<std::uint32_t>(in[i]);
+                  std::bit_cast<std::uint32_t>(round_through_core(in[i],
+                                                                  nearest)))
+            << context << table.name << " nearest=" << nearest
+            << " input bits 0x" << std::hex
+            << std::bit_cast<std::uint32_t>(in[i]);
       }
     }
   }
+}
+
+TEST(SimdConverters, RoundThroughF16MatchesComposition) {
+  expect_round_through_matches_core("");
+}
+
+#if EGEMM_TEST_X86
+/// Sets MXCSR for one scope and restores the caller's on exit.
+class MxcsrScope {
+ public:
+  explicit MxcsrScope(unsigned csr) : saved_(_mm_getcsr()) { _mm_setcsr(csr); }
+  MxcsrScope(const MxcsrScope&) = delete;
+  MxcsrScope& operator=(const MxcsrScope&) = delete;
+  ~MxcsrScope() { _mm_setcsr(saved_); }
+
+ private:
+  unsigned saved_;
+};
+
+TEST(SimdConverters, RoundThroughF16IgnoresTheCallersMxcsr) {
+  // The hardware conversion takes its rounding from the instruction's
+  // immediate, never flushes its binary16 subnormals, and maps binary32
+  // subnormals to +-0 with or without DAZ -- so flush-to-zero,
+  // denormals-are-zero and a directed MXCSR rounding mode (what a caller's
+  // -ffast-math startup code or a numerics library may leave set) must not
+  // move a bit.
+  constexpr unsigned kFtzDaz = _MM_FLUSH_ZERO_ON | _MM_DENORMALS_ZERO_ON;
+  const unsigned base = _mm_getcsr() & ~static_cast<unsigned>(_MM_ROUND_MASK);
+  for (const unsigned csr :
+       {base | kFtzDaz, base | kFtzDaz | _MM_ROUND_UP,
+        base | kFtzDaz | _MM_ROUND_TOWARD_ZERO}) {
+    const MxcsrScope scope(csr);
+    expect_round_through_matches_core("MXCSR " + std::to_string(csr) + " ");
+  }
+}
+#endif
+
+TEST(SimdConverters, RoundThroughF16ExhaustiveMatchesScalarCore) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "2^33 conversions per tier: Release builds only (the "
+                  "corpus tests above run everywhere)";
+#else
+  // All 2^32 binary32 inputs, both modes, every non-scalar tier, in blocks
+  // of 2^16 consecutive bit patterns spread over the pool.
+  constexpr std::size_t kBlock = std::size_t{1} << 16;
+  constexpr std::size_t kBlocks = (std::uint64_t{1} << 32) / kBlock;
+  std::vector<const KernelTable*> tables;
+  for (const IsaLevel level : available_levels()) {
+    if (level != IsaLevel::kScalar) tables.push_back(simd::kernels_for(level));
+  }
+  if (tables.empty()) GTEST_SKIP() << "no SIMD tier on this machine";
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> first_bad{~std::uint64_t{0}};
+  util::global_pool().parallel_for(kBlocks, [&](std::size_t b0,
+                                                std::size_t b1) {
+    std::vector<float> in(kBlock);
+    std::vector<float> want(kBlock);
+    std::vector<float> got(kBlock);
+    for (std::size_t blk = b0; blk < b1; ++blk) {
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        in[i] = std::bit_cast<float>(
+            static_cast<std::uint32_t>(blk * kBlock + i));
+      }
+      for (const bool nearest : {true, false}) {
+        for (std::size_t i = 0; i < kBlock; ++i) {
+          want[i] = round_through_core(in[i], nearest);
+        }
+        for (const KernelTable* table : tables) {
+          table->f32_round_through_f16(in.data(), got.data(), kBlock, nearest);
+          if (std::memcmp(got.data(), want.data(), kBlock * sizeof(float)) ==
+              0) {
+            continue;
+          }
+          for (std::size_t i = 0; i < kBlock; ++i) {
+            if (std::bit_cast<std::uint32_t>(got[i]) !=
+                std::bit_cast<std::uint32_t>(want[i])) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+              const std::uint64_t bits = blk * kBlock + i;
+              std::uint64_t seen = first_bad.load(std::memory_order_relaxed);
+              while (bits < seen &&
+                     !first_bad.compare_exchange_weak(seen, bits)) {
+              }
+            }
+          }
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "first mismatching input bits 0x" << std::hex << first_bad.load();
+#endif
 }
 
 TEST(SimdConverters, EveryTailLengthMatches) {
@@ -241,6 +365,19 @@ TEST(SimdConverters, EveryTailLengthMatches) {
         ASSERT_EQ(got[i], simd::detail::f32_bits_to_f16_bits(
                               std::bit_cast<std::uint32_t>(in[i]), true))
             << table.name << " n=" << n << " i=" << i;
+      }
+      // The round trip, with a sentinel past the end: a masked tail must
+      // neither skip a lane nor store beyond n.
+      for (const bool nearest : {true, false}) {
+        std::vector<float> out(n + 1, -7.0f);
+        table.f32_round_through_f16(in.data(), out.data(), n, nearest);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                    std::bit_cast<std::uint32_t>(
+                        round_through_core(in[i], nearest)))
+              << table.name << " round trip n=" << n << " i=" << i;
+        }
+        ASSERT_EQ(out[n], -7.0f) << table.name << " wrote past n=" << n;
       }
     }
   }
