@@ -21,20 +21,18 @@ constexpr std::size_t kChunk = 512;  // staging rows live in L1
 
 /// One bookkeeping stop per split call: the debug split-once counter plus
 /// the observability registry (elements, L1-chunk count, and the bytes the
-/// pass moves -- binary32 in, `planes` planes of `plane_elem_bytes` out).
-inline void count_split(std::size_t elements, std::size_t planes,
-                        std::size_t plane_elem_bytes) noexcept {
-  // All three are unused in NDEBUG builds with observability compiled out.
+/// pass moves -- binary32 in, `planes` binary32-stored planes out).
+inline void count_split(std::size_t elements, std::size_t planes) noexcept {
+  // Both are unused in NDEBUG builds with observability compiled out.
   static_cast<void>(elements);
   static_cast<void>(planes);
-  static_cast<void>(plane_elem_bytes);
 #ifndef NDEBUG
   g_split_elements.fetch_add(elements, std::memory_order_relaxed);
 #endif
   EGEMM_COUNTER_ADD("split.elements", elements);
   EGEMM_COUNTER_ADD("split.chunks", (elements + kChunk - 1) / kChunk);
   EGEMM_COUNTER_ADD("split.bytes",
-                    elements * (sizeof(float) + planes * plane_elem_bytes));
+                    elements * (1 + planes) * sizeof(float));
   EGEMM_COUNTER_ADD("split.calls", 1);
 }
 
@@ -79,34 +77,10 @@ double combine_scalar(SplitHalves halves) noexcept {
   return halves.hi.to_double() + halves.lo.to_double();
 }
 
-void split_span(std::span<const float> input, std::span<fp::Half> hi,
-                std::span<fp::Half> lo, SplitMethod method) {
-  EGEMM_EXPECTS(input.size() == hi.size() && input.size() == lo.size());
-  count_split(input.size(), 2, sizeof(fp::Half));
-  const fp::Rounding mode = split_rounding(method);
-  std::uint16_t bits[kChunk];
-  float hi_f[kChunk];
-  float residual[kChunk];
-  for (std::size_t base = 0; base < input.size(); base += kChunk) {
-    const std::size_t len = std::min(kChunk, input.size() - base);
-    const std::span<const float> in = input.subspan(base, len);
-    fp::f32_to_f16_bits_span(in, {bits, len}, mode);
-    fp::f16_bits_to_f32_span({bits, len}, {hi_f, len});
-    for (std::size_t i = 0; i < len; ++i) {
-      hi[base + i] = fp::Half::from_bits(bits[i]);
-      residual[i] = in[i] - hi_f[i];  // exact in binary32
-    }
-    fp::f32_to_f16_bits_span({residual, len}, {bits, len}, mode);
-    for (std::size_t i = 0; i < len; ++i) {
-      lo[base + i] = fp::Half::from_bits(bits[i]);
-    }
-  }
-}
-
 void split_span_f32(std::span<const float> input, std::span<float> hi,
                     std::span<float> lo, SplitMethod method) {
   EGEMM_EXPECTS(input.size() == hi.size() && input.size() == lo.size());
-  count_split(input.size(), 2, sizeof(float));
+  count_split(input.size(), 2);
   const fp::Rounding mode = split_rounding(method);
   float residual[kChunk];
   for (std::size_t base = 0; base < input.size(); base += kChunk) {
@@ -142,7 +116,7 @@ void split3_span_f32(std::span<const float> input, std::span<float> hi,
                      SplitMethod method) {
   EGEMM_EXPECTS(input.size() == hi.size() && input.size() == mid.size() &&
                 input.size() == lo.size());
-  count_split(input.size(), 3, sizeof(float));
+  count_split(input.size(), 3);
   const fp::Rounding mode = split_rounding(method);
   float r1[kChunk];
   float r2[kChunk];

@@ -46,16 +46,12 @@ SplitHalves split_scalar(float x, SplitMethod method) noexcept;
 /// Recombines a split pair; exact in binary64.
 double combine_scalar(SplitHalves halves) noexcept;
 
-/// Splits a matrix/vector into binary16 hi/lo planes. This is the O(N^2)
-/// pass EGEMM-TC runs on CUDA cores before the O(N^3) Tensor Core work.
-/// Batched over whole rows via the fp::half_batch kernels; bit-identical
-/// to calling split_scalar per element.
-void split_span(std::span<const float> input, std::span<fp::Half> hi,
-                std::span<fp::Half> lo, SplitMethod method);
-
-/// Same split, but the planes are stored as binary32 values that are
-/// exactly binary16-representable -- the fast functional-GEMM path
-/// (tcsim::mma_tile_f32 consumes these directly).
+/// Splits a matrix/vector into hi/lo planes stored as binary32 values that
+/// are exactly binary16-representable. This is the O(N^2) pass EGEMM-TC
+/// runs on CUDA cores before the O(N^3) Tensor Core work; the packed
+/// engine's recipe kernel consumes the planes directly. Batched over whole
+/// spans via fp::f32_round_through_f16_span; bit-identical to calling
+/// split_scalar per element.
 void split_span_f32(std::span<const float> input, std::span<float> hi,
                     std::span<float> lo, SplitMethod method);
 

@@ -3,27 +3,14 @@
 #include "simd/dispatch.hpp"
 #include "util/assert.hpp"
 
-// The span fronts keep fp's typed API (spans + fp::Rounding) and route the
-// flat loops through the runtime-dispatched SIMD kernel layer. The scalar
-// conversion cores these kernels transcribe live in
-// simd/half_convert_core.hpp (moved there from this file); every dispatched
-// variant is bit-identical to them over the full input space, so this
-// indirection never changes a result bit.
+// The span front keeps fp's typed API (spans + fp::Rounding) and routes the
+// flat loop through the runtime-dispatched SIMD kernel layer. The scalar
+// conversion core the kernels are proven against lives in
+// simd/half_convert_core.hpp; every dispatched variant is bit-identical to
+// it over the full input space, so this indirection never changes a
+// result bit.
 
 namespace egemm::fp {
-
-void f32_to_f16_bits_span(std::span<const float> in,
-                          std::span<std::uint16_t> out, Rounding mode) {
-  EGEMM_EXPECTS(in.size() == out.size());
-  simd::active_kernels().f32_to_f16_bits(in.data(), out.data(), in.size(),
-                                         mode == Rounding::kNearestEven);
-}
-
-void f16_bits_to_f32_span(std::span<const std::uint16_t> in,
-                          std::span<float> out) {
-  EGEMM_EXPECTS(in.size() == out.size());
-  simd::active_kernels().f16_bits_to_f32(in.data(), out.data(), in.size());
-}
 
 void f32_round_through_f16_span(std::span<const float> in,
                                 std::span<float> out, Rounding mode) {

@@ -1,20 +1,19 @@
 #include "gemm/packing.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.hpp"
-#include "util/assert.hpp"
 
 namespace egemm::gemm {
 
 namespace {
 
 /// Sizes `packs` to `planes` buffers of `size` floats each, keeping their
-/// storage (contents are left for the row packs to overwrite). Returns
+/// storage (contents are left for the row fills to overwrite). Returns
 /// true when any buffer had to grow.
 bool size_packs(std::vector<PackBuffer>& packs, std::size_t planes,
                 std::size_t size) {
+  EGEMM_EXPECTS(planes <= kMaxPackPlanes);
   bool grew = packs.capacity() < planes;
   packs.resize(planes);
   for (PackBuffer& pack : packs) {
@@ -24,79 +23,96 @@ bool size_packs(std::vector<PackBuffer>& packs, std::size_t planes,
   return grew;
 }
 
+/// The fill assign() runs: copies a run of each given plane's elements.
+auto copy_from(std::span<const Matrix> planes) {
+  return [planes](std::size_t first, std::size_t count, float* const* out) {
+    for (std::size_t p = 0; p < planes.size(); ++p) {
+      std::memcpy(out[p], planes[p].data().data() + first,
+                  count * sizeof(float));
+    }
+  };
+}
+
 }  // namespace
 
 bool PackedPlanesA::resize(std::size_t planes, std::size_t m, std::size_t k) {
   m_ = m;
   k_ = k;
-  row_blocks_ = (m + kPackTile - 1) / kPackTile;
-  return size_packs(planes_, planes, row_blocks_ * kPackTile * k_);
+  const std::size_t row_blocks = (m + kPackTile - 1) / kPackTile;
+  return size_packs(planes_, planes, row_blocks * kPackTile * k_);
 }
 
-void PackedPlanesA::pack_rows(std::span<const Matrix> planes, std::size_t r0,
-                              std::size_t r1) {
-  EGEMM_EXPECTS(planes.size() == planes_.size() && r0 <= r1 && r1 <= m_);
-  if (r0 == r1 || k_ == 0) return;
-  for (std::size_t p = 0; p < planes.size(); ++p) {
-    const Matrix& plane = planes[p];
-    EGEMM_EXPECTS(plane.rows() == m_ && plane.cols() == k_);
-    float* pack = planes_[p].data();
-    // Rows of a block are consecutive in both layouts, so the rows are one
-    // contiguous copy; the block that holds row m - 1 zeroes its rows past m.
-    std::memcpy(pack + r0 * k_, plane.row(r0), (r1 - r0) * k_ * sizeof(float));
-    if (r1 == m_) {
-      std::fill(pack + m_ * k_, pack + row_blocks_ * kPackTile * k_, 0.0f);
+void PackedPlanesA::finish_rows(std::size_t r0, std::size_t r1) {
+  if (r1 == m_) {
+    for (PackBuffer& plane : planes_) {
+      std::fill(plane.data() + m_ * k_, plane.data() + plane.size(), 0.0f);
     }
-    EGEMM_COUNTER_ADD("pack.a_bytes", (r1 - r0) * k_ * sizeof(float));
   }
+  static_cast<void>(r0);  // unused with observability compiled out
+  EGEMM_COUNTER_ADD("pack.a_bytes",
+                    planes_.size() * (r1 - r0) * k_ * sizeof(float));
   EGEMM_COUNTER_ADD("pack.calls", 1);
 }
 
 bool PackedPlanesA::assign(std::span<const Matrix> planes) {
   EGEMM_EXPECTS(!planes.empty());
   const bool grew = resize(planes.size(), planes[0].rows(), planes[0].cols());
-  pack_rows(planes, 0, m_);
+  for (const Matrix& plane : planes) {
+    EGEMM_EXPECTS(plane.rows() == m_ && plane.cols() == k_);
+  }
+  fill_rows(0, m_, copy_from(planes));
   return grew;
 }
 
 bool PackedPlanesB::resize(std::size_t planes, std::size_t k, std::size_t n) {
   k_ = k;
   n_ = n;
-  col_blocks_ = (n + kPackTile - 1) / kPackTile;
-  return size_packs(planes_, planes, col_blocks_ * k_ * kPackTile);
+  const std::size_t col_blocks = (n + kPackTile - 1) / kPackTile;
+  return size_packs(planes_, planes, col_blocks * k_ * kPackTile);
 }
 
-void PackedPlanesB::pack_rows(std::span<const Matrix> planes, std::size_t r0,
-                              std::size_t r1) {
-  EGEMM_EXPECTS(planes.size() == planes_.size() && r0 <= r1 && r1 <= k_);
-  if (r0 == r1 || n_ == 0) return;
-  // Columns past n in the last block are the only padding.
-  const std::size_t last = col_blocks_ - 1;
-  const std::size_t last_width = n_ - last * kPackTile;
-  for (std::size_t p = 0; p < planes.size(); ++p) {
-    const Matrix& plane = planes[p];
-    EGEMM_EXPECTS(plane.rows() == k_ && plane.cols() == n_);
-    float* pack = planes_[p].data();
-    for (std::size_t r = r0; r < r1; ++r) {
-      const float* src = plane.row(r);
-      for (std::size_t cb = 0; cb < col_blocks_; ++cb) {
-        const std::size_t width = cb == last ? last_width : kPackTile;
-        std::memcpy(pack + cb * k_ * kPackTile + r * kPackTile,
-                    src + cb * kPackTile, width * sizeof(float));
+void PackedPlanesB::copy_segments(const float* const* strip, std::size_t r,
+                                  std::size_t rows, std::size_t c0,
+                                  std::size_t c1) {
+  const std::size_t width = c1 - c0;
+  const std::size_t full = width / kPackTile;  // whole 16-float segments
+  const std::size_t tail = width - full * kPackTile;
+  const std::size_t block_stride = k_ * kPackTile;
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    float* const first_block =
+        planes_[p].data() + (c0 / kPackTile) * block_stride + r * kPackTile;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const float* src = strip[p] + i * width;
+      float* dst = first_block + i * kPackTile;
+      for (std::size_t s = 0; s < full; ++s) {
+        std::memcpy(dst, src, kPackTile * sizeof(float));
+        src += kPackTile;
+        dst += block_stride;
       }
-      float* tail = pack + last * k_ * kPackTile + r * kPackTile;
-      std::fill(tail + last_width, tail + kPackTile, 0.0f);
+      if (tail > 0) {  // only the last block is partial: zero past n
+        std::memcpy(dst, src, tail * sizeof(float));
+        std::fill(dst + tail, dst + kPackTile, 0.0f);
+      }
     }
-    EGEMM_COUNTER_ADD("pack.b_bytes",
-                      (r1 - r0) * col_blocks_ * kPackTile * sizeof(float));
   }
+}
+
+void PackedPlanesB::count_rows(std::size_t r0, std::size_t r1) const {
+  static_cast<void>(r0);  // unused with observability compiled out
+  static_cast<void>(r1);
+  EGEMM_COUNTER_ADD("pack.b_bytes", planes_.size() * (r1 - r0) *
+                                        ((n_ + kPackTile - 1) / kPackTile) *
+                                        kPackTile * sizeof(float));
   EGEMM_COUNTER_ADD("pack.calls", 1);
 }
 
 bool PackedPlanesB::assign(std::span<const Matrix> planes) {
   EGEMM_EXPECTS(!planes.empty());
   const bool grew = resize(planes.size(), planes[0].rows(), planes[0].cols());
-  pack_rows(planes, 0, k_);
+  for (const Matrix& plane : planes) {
+    EGEMM_EXPECTS(plane.rows() == k_ && plane.cols() == n_);
+  }
+  fill_rows(0, k_, copy_from(planes));
   return grew;
 }
 

@@ -72,10 +72,11 @@ static_assert(kSeparateSlab % 2 == 0);
 /// over the workspace's pre-packed planes, so the SIMD variants keep the
 /// accumulator in registers across the entire k extent. Per output element
 /// the operation sequence is identical to the scalar oracle's
-/// (verify::reference_execute), so the result is bit-identical. `d`
-/// arrives initialized with C (or zeros); writeback time is added to a
-/// non-null `combine`.
-void packed_tile(Matrix& d, const PackedPlanesA& apack,
+/// (verify::reference_execute), so the result is bit-identical. The
+/// register tile starts from C's tile (or zeros), and the store writes
+/// every element of D's tile; writeback time is added to a non-null
+/// `combine`.
+void packed_tile(const Matrix* c, Matrix& d, const PackedPlanesA& apack,
                  const PackedPlanesB& bpack, std::size_t k,
                  std::span<const PlaneCombo> combos, ComboOrder order,
                  std::size_t rb, std::size_t cb, std::uint64_t* combine) {
@@ -105,9 +106,11 @@ void packed_tile(Matrix& d, const PackedPlanesA& apack,
   // Full 16x16 accumulator; lanes past (mt, nt) compute against the packs'
   // zero padding and are never copied back.
   alignas(64) float acc[kTile][kTile] = {};
-  for (std::size_t i = 0; i < mt; ++i) {
-    for (std::size_t j = 0; j < nt; ++j) {
-      acc[i][j] = d.at(i0 + i, j0 + j);
+  if (c != nullptr) {
+    for (std::size_t i = 0; i < mt; ++i) {
+      for (std::size_t j = 0; j < nt; ++j) {
+        acc[i][j] = c->at(i0 + i, j0 + j);
+      }
     }
   }
   if (k > 0) {  // zero-extent K: the tile is the C passthrough
@@ -120,12 +123,6 @@ void packed_tile(Matrix& d, const PackedPlanesA& apack,
       d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
     }
   }
-}
-
-/// Grows `m` to (rows x cols), counting an actual storage growth.
-void grow_matrix(Matrix& m, std::size_t rows, std::size_t cols) {
-  if (rows * cols > m.capacity()) count_workspace_allocation();
-  m.resize(rows, cols);
 }
 
 /// Process-unique grouped-execute ids for CallRecord::batch_id (0 means
@@ -142,41 +139,38 @@ constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 /// of a call's chunks share ONE pool pass (one ~1.6 us fork-join), so the
 /// floor does not amortize dispatch; it trades how far a small item's
 /// prep spreads over the pool against each chunk's fixed cost (its split
-/// and pack calls and stage timers). At 2^13 every pooled small-stream
-/// item (m*n*k >= 2^18: 39K-344K elements) preps in 4-42 chunks. Swept on
-/// a 4-vCPU AVX-512 Xeon VM (F16C split, e2e small-stream, alternating
-/// 6-8 s runs): gflops 17.4 at 2^13, 17.2 at 2^15, 14.1 at 2^18 and 15.5
-/// at 2^11, with op p50 lowest at 2^13 in 7/7 runs; at 2^18 each item
-/// preps on one thread while three wait (pool busy 0.47 vs 0.69).
-/// grouped-3term was flat across the sweep: its 64 items already fill
-/// the pass.
+/// calls, B strips and stage timers). At 2^13 every pooled small-stream
+/// item (m*n*k >= 2^18: 18K-197K elements read and written) preps in
+/// 2-24 chunks. Swept on a 4-vCPU AVX-512 Xeon VM (split straight into
+/// the packs, e2e small-stream, six rotated 8 s runs): gflops 18.9 at
+/// 2^13, 18.5 at 2^12 and 18.7 at 2^14, op p50 45.5 / 46.3 / 48.7 us;
+/// 2^12 beat 2^13 in 2/6 runs on gflops and 3/6 on p50, 2^14 in 1/6 and
+/// 0/6. With separate planes the same floor had won against 2^11, 2^15
+/// and 2^18 (at 2^18 each item prepped on one thread while three waited:
+/// pool busy 0.47 vs 0.69). grouped-3term was flat across that sweep: its
+/// 64 items already fill the pass.
 constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 13;
 
-/// Splits rows [r0, r1) of `x` into the plane stack `planes` per the
-/// plan's recipe. Plane 0 = lo; for three-way splits: lo, mid, hi.
-void split_rows(const Matrix& x, std::span<Matrix> planes, const PlanKey& key,
-                std::size_t r0, std::size_t r1) {
-  if (r0 == r1) return;
-  const std::size_t offset = r0 * x.cols();
-  const std::size_t count = (r1 - r0) * x.cols();
-  const auto rows = [&](Matrix& plane) {
-    return plane.data().subspan(offset, count);
-  };
-  const std::span<const float> in = x.data().subspan(offset, count);
+/// Splits elements [first, first + count) of `x` per the plan's recipe
+/// into out[p], one run per plane: plane 0 = lo; for three-way splits: lo,
+/// mid, hi. `split_ns` (when non-null) accumulates the time.
+void split_run(const Matrix& x, const PlanKey& key, std::size_t first,
+               std::size_t count, float* const* out, std::uint64_t* split_ns) {
+  const obs::StageTimer timer(nullptr, split_ns);
+  const std::span<const float> in = x.data().subspan(first, count);
+  const auto plane = [&](int p) { return std::span<float>(out[p], count); };
   if (key.planes == 3) {
-    core::split3_span_f32(in, rows(planes[2]), rows(planes[1]),
-                          rows(planes[0]), key.split);
+    core::split3_span_f32(in, plane(2), plane(1), plane(0), key.split);
   } else {
-    core::split_span_f32(in, rows(planes[1]), rows(planes[0]), key.split);
+    core::split_span_f32(in, plane(1), plane(0), key.split);
   }
 }
 
-/// An item's prep as one row space: A's m rows, each with its D row, then
-/// B's k rows. A row weighs the elements it reads and writes: the split
-/// reads it and writes `planes` planes, the pack copies those, and an A
-/// row also initializes its D row. The space is cut into chunks of equal
-/// weight, each at least kPrepChunkElems, so an item lighter than two
-/// floors is one chunk.
+/// An item's prep as one row space: A's m rows, then B's k rows. A row
+/// weighs the elements it reads and writes: the split reads it and writes
+/// `planes` planes into the pack (B's through an L1 strip). The space is
+/// cut into chunks of equal weight, each at least kPrepChunkElems, so an
+/// item lighter than two floors is one chunk.
 struct PrepRows {
   std::size_t m, k;
   std::uint64_t a_row, b_row, total;
@@ -185,8 +179,8 @@ struct PrepRows {
   explicit PrepRows(const PlanKey& key)
       : m(key.m),
         k(key.k),
-        a_row((2 * std::uint64_t{key.planes} + 1) * key.k + key.n),
-        b_row((2 * std::uint64_t{key.planes} + 1) * key.n),
+        a_row((std::uint64_t{key.planes} + 1) * key.k),
+        b_row((std::uint64_t{key.planes} + 1) * key.n),
         total(m * a_row + k * b_row),
         chunks(static_cast<std::size_t>(
             std::max<std::uint64_t>(1, total / kPrepChunkElems))) {}
@@ -360,7 +354,7 @@ struct ItemRun {
   std::size_t first = 0;       ///< offset into the flattened block stream
   std::size_t prep_first = 0;  ///< offset into the prep chunk stream
   // Stage weights in ns (zero with observability compiled out). prep_ns
-  // sums the item's prep chunks (split, output init, pack) on whichever
+  // sums the item's prep chunks (split into the packs) on whichever
   // threads ran them; direct_ns is a direct backend's kernel on the
   // calling thread. Chunks and engine stretches of one item run on many
   // pool threads at once, so their weights are atomic.
@@ -401,8 +395,8 @@ void run_direct(const ItemRun::Operands& op) {
   }
 }
 
-/// Readies an item for its prep chunks: sizes its workspace planes and
-/// packs and its output, and counts the execute.
+/// Readies an item for its prep chunks: sizes its workspace packs and its
+/// output, and counts the execute.
 void size_item(ItemRun& run) {
   const PlanKey& key = run.key();
   run.ws->ensure(key.m, key.n, key.k, key.planes);
@@ -411,10 +405,13 @@ void size_item(ItemRun& run) {
   count_scheme_execute(key.scheme);
 }
 
-/// One prep chunk: rows [u0, u1) of the item's PrepRows space. Splits the
-/// chunk's A and B rows, initializes its D rows from C (or zeros), then
-/// packs the same A and B rows. Every step is element-wise, so any cut of
-/// the space gives the same workspace and D bits.
+/// One prep chunk: rows [u0, u1) of the item's PrepRows space. The
+/// O(N^2) data-split pass (it runs on CUDA cores in the real kernel)
+/// writes the chunk's A rows straight into the A pack, and its B rows
+/// strip by strip through L1 into the B pack's column blocks. Every step
+/// is element-wise, so any cut of the space gives the same pack bits.
+/// The "split" span covers A; the "pack" span covers B's strips, whose
+/// split time the record still counts as split.
 void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
   const PlanKey& key = run.key();
   Workspace& ws = *run.ws;
@@ -424,29 +421,26 @@ void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
   const std::size_t b1 = std::max(u1, key.m) - key.m;
   std::uint64_t prep = 0;
   std::uint64_t split = 0;
-  std::uint64_t pack = 0;
+  std::uint64_t b_fill = 0;
+  std::uint64_t b_split = 0;
   {
     const obs::StageTimer chunk(nullptr, &prep);
     {
-      // The O(N^2) data-split pass (runs on CUDA cores in the real kernel).
       const obs::StageTimer timer("split", &split);
-      split_rows(*run.op.a, ws.a_planes(), key, a0, a1);
-      split_rows(*run.op.b, ws.b_planes(), key, b0, b1);
+      ws.packed_a().fill_rows(
+          a0, a1, [&](std::size_t first, std::size_t count, float* const* out) {
+            split_run(*run.op.a, key, first, count, out, nullptr);
+          });
     }
-    const std::span<float> d_rows =
-        run.op.d->data().subspan(a0 * key.n, (a1 - a0) * key.n);
-    if (run.op.c != nullptr) {
-      std::ranges::copy(run.op.c->data().subspan(a0 * key.n, d_rows.size()),
-                        d_rows.begin());
-    } else {
-      std::ranges::fill(d_rows, 0.0f);
-    }
-    {
-      const obs::StageTimer timer("pack", &pack);
-      ws.packed_a().pack_rows(ws.a_planes(), a0, a1);
-      ws.packed_b().pack_rows(ws.b_planes(), b0, b1);
-    }
+    const obs::StageTimer timer("pack", &b_fill);
+    ws.packed_b().fill_rows(
+        b0, b1, [&](std::size_t first, std::size_t count, float* const* out) {
+          split_run(*run.op.b, key, first, count, out, &b_split);
+        });
   }
+  // B's strip splits ran inside b_fill's window.
+  const std::uint64_t pack = b_fill - b_split;
+  split += b_split;
   run.prep_ns.fetch_add(prep, std::memory_order_relaxed);
   run.split_ns.fetch_add(split, std::memory_order_relaxed);
   run.pack_ns.fetch_add(pack, std::memory_order_relaxed);
@@ -454,8 +448,9 @@ void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
 
 void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
                std::uint64_t* combine) {
-  packed_tile(*run.op.d, run.ws->packed_a(), run.ws->packed_b(), run.key().k,
-              run.op.plan->combos(), run.key().order, rb, cb, combine);
+  packed_tile(run.op.c, *run.op.d, run.ws->packed_a(), run.ws->packed_b(),
+              run.key().k, run.op.plan->combos(), run.key().order, rb, cb,
+              combine);
 }
 
 /// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
@@ -580,13 +575,13 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
 /// The one execute pipeline (DESIGN.md §13, §18), behind both
 /// GemmPlan::execute (one item, batch_id 0) and
 /// GemmContext::execute_grouped. Direct items run first, inline. Emulated
-/// items are prepped (split, output init, pack) by one row routine,
+/// items are prepped (split into the packs) by one row routine,
 /// prep_rows, then their blocks run through the tile kernels, in one of
 /// three shapes:
 ///  * serial -- a one-thread pool, or total work under
 ///    kSmallGemmInlineThreshold: each item is prepped over its full row
 ///    range and run back-to-back on the calling thread, all on ONE
-///    recycled workspace, so the hot planes stay cache-resident exactly
+///    recycled workspace, so the hot packs stay cache-resident exactly
 ///    as in a loop of singles;
 ///  * pooled -- one workspace per item; every item's prep is cut into
 ///    PrepRows chunks that all run in one pool pass; then one item's
@@ -774,19 +769,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
 void Workspace::ensure(std::size_t m, std::size_t n, std::size_t k,
                        int planes) {
   const auto count = static_cast<std::size_t>(planes);
-  if (ap_.size() < count) {
-    count_workspace_allocation();
-    ap_.resize(count);
-  }
-  if (bp_.size() < count) {
-    count_workspace_allocation();
-    bp_.resize(count);
-  }
-  count_ = count;
-  for (std::size_t p = 0; p < count; ++p) {
-    grow_matrix(ap_[p], m, k);
-    grow_matrix(bp_[p], k, n);
-  }
   // Deliberately not short-circuited: both packs must be sized.
   const bool a_grew = apack_.resize(count, m, k);
   const bool b_grew = bpack_.resize(count, k, n);
@@ -805,13 +787,11 @@ GemmPlan::GemmPlan(const PlanKey& key) : key_(key) {
                                  static_cast<int>(enc & 3)});
   }
   if (!key.direct) {
-    // Split planes plus their tile-packed copies.
+    // The tile-packed planes, the only copy the split writes.
     const std::size_t row_blocks = (key.m + kTile - 1) / kTile;
     const std::size_t col_blocks = (key.n + kTile - 1) / kTile;
-    workspace_bytes_ = key.planes *
-                       (key.m * key.k + key.k * key.n +
-                        (row_blocks + col_blocks) * kTile * key.k) *
-                       sizeof(float);
+    workspace_bytes_ = key.planes * (row_blocks + col_blocks) * kTile *
+                       key.k * sizeof(float);
   }
 }
 

@@ -3,8 +3,8 @@
 //
 // The repository's iterative callers (kMeans/kNN Lloyd loops, the fuzz
 // harness, the benchmarks) run the same (m, n, k) GEMM hundreds of times,
-// yet a one-shot call re-derives its recipe, re-allocates split planes and
-// packed tile buffers, and re-sizes the output every time. Production GEMM
+// yet a one-shot call re-derives its recipe, re-allocates the packed split
+// planes, and re-sizes the output every time. Production GEMM
 // stacks (cuBLAS handles, cuDNN execution plans) separate *planning* from
 // *execution*; this layer adopts that architecture:
 //
@@ -96,26 +96,23 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept;
 };
 
-/// Reusable per-call scratch owned by a GemmContext: the split planes of A
-/// and B plus the tile-packed copies the packed engine streams. ensure()
-/// only ever grows storage; in debug builds every actual growth bumps the
-/// process-wide counter below, which is how the reuse guard test proves a
-/// warm execute() allocates nothing.
+/// Reusable per-call scratch owned by a GemmContext: the tile-packed split
+/// planes of A and B that the packed engine streams, the only copy of each
+/// plane (the split writes straight into them). ensure() only ever grows
+/// storage; in debug builds every actual growth bumps the process-wide
+/// counter below, which is how the reuse guard test proves a warm
+/// execute() allocates nothing.
 class Workspace {
  public:
-  /// Grows (never shrinks) the plane matrices, and sizes the packs, to fit
+  /// Sizes the packs (growing, never shrinking, their storage) to fit
   /// `planes` split planes of an (m x k) x (k x n) problem. The execute
-  /// pipeline then splits and packs them by row ranges.
+  /// pipeline then splits into them by row ranges.
   void ensure(std::size_t m, std::size_t n, std::size_t k, int planes);
 
-  std::span<Matrix> a_planes() noexcept { return {ap_.data(), count_}; }
-  std::span<Matrix> b_planes() noexcept { return {bp_.data(), count_}; }
   PackedPlanesA& packed_a() noexcept { return apack_; }
   PackedPlanesB& packed_b() noexcept { return bpack_; }
 
  private:
-  std::size_t count_ = 0;
-  std::vector<Matrix> ap_, bp_;
   PackedPlanesA apack_;
   PackedPlanesB bpack_;
 };
@@ -197,7 +194,8 @@ class GemmPlan {
     return static_cast<core::SchemeId>(key_.scheme);
   }
   std::span<const PlaneCombo> combos() const noexcept { return combos_; }
-  /// Steady-state workspace footprint of one execute() (planes + packs).
+  /// Steady-state workspace footprint of one execute(): the packed planes
+  /// of A and B, padded to whole 16-row / 16-column blocks.
   std::size_t workspace_bytes() const noexcept { return workspace_bytes_; }
   const PlanKey& key() const noexcept { return key_; }
 
@@ -307,8 +305,8 @@ class GemmContext {
                              const core::AccuracyContract& contract);
 
   /// Executes a batch of planned GEMMs through the same item pipeline as
-  /// GemmPlan::execute (DESIGN.md §18). Every emulated item's prep (split,
-  /// output init, pack) runs as row-range chunks in one pool pass, then
+  /// GemmPlan::execute (DESIGN.md §18). Every emulated item's prep (the
+  /// split into its packs) runs as row-range chunks in one pool pass, then
   /// every output tile of every item enters ONE flattened (item x tile)
   /// pool dispatch with a batch-aware grain, so small items no longer
   /// serialize behind each other. Results are bit-identical to calling

@@ -40,7 +40,7 @@ enum class PlanLookup : std::uint8_t { kUnknown = 0, kHit = 1, kMiss = 2 };
 /// total_ns. The stages are the calling thread's prep and engine wall
 /// segments apportioned by per-item weights (split/pack by prep time,
 /// mma/combine by engine time), so split+pack+mma+combine approaches
-/// total_ns from below (the residual is workspace lease, output init and
+/// total_ns from below (the residual is workspace lease, output sizing and
 /// bookkeeping). Grouped executes deposit one record per shape class
 /// sharing the batch's process-unique batch_id, with `batch` counting the
 /// class's items; the records' total_ns sum to at most the batch wall.

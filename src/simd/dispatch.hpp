@@ -1,14 +1,14 @@
 #pragma once
 // Kernel dispatch table for the SIMD microkernel layer (DESIGN.md §15).
 //
-// Each ISA tier provides one KernelTable with the same five entry points;
+// Each ISA tier provides one KernelTable with the same three entry points;
 // `active_kernels()` returns the table for the resolved IsaLevel
 // (isa.hpp). Every variant implements the *identical* operation sequence
-// -- the pair-sum accumulation the Tensor Core model documents and the
-// integer rounding of the scalar converters, or for the split's round
-// trip a hardware conversion proven equal to it on all 2^32 inputs -- so
-// switching tables never changes a single result bit. That property is the acceptance gate for
-// adding a variant; tests/test_simd_dispatch.cpp enforces it for every
+// -- the pair-sum accumulation the Tensor Core model documents, and for
+// the split's binary16 round trip either the scalar integer rounding or a
+// hardware conversion proven equal to it on all 2^32 inputs -- so
+// switching tables never changes a single result bit. That property is
+// the acceptance gate for adding a variant; tests/test_simd_dispatch.cpp enforces it for every
 // table this binary carries.
 //
 // The layer sits below fp/ and tcsim/ (it depends only on obs/), so both
@@ -64,17 +64,9 @@ struct KernelTable {
                           const float* const* b_blocks, int ncombos,
                           std::size_t lda, int k, int k_slab, bool fused);
 
-  /// out[i] = f32_to_f16_bits(in[i]) with round-to-nearest-even when
-  /// `nearest`, round-toward-zero otherwise. Bit-identical to
-  /// detail::f32_bits_to_f16_bits (half_convert_core.hpp) for all 2^32
-  /// inputs.
-  void (*f32_to_f16_bits)(const float* in, std::uint16_t* out, std::size_t n,
-                          bool nearest);
-
-  /// out[i] = the exactly-equal binary32 value of half bit pattern in[i].
-  void (*f16_bits_to_f32)(const std::uint16_t* in, float* out, std::size_t n);
-
-  /// Fused round-trip: out[i] = f16_bits_to_f32(f32_to_f16_bits(in[i])).
+  /// Binary16 round trip: out[i] = detail::f16_bits_to_f32_one(
+  /// detail::f32_bits_to_f16_bits(in[i], nearest)) (half_convert_core.hpp):
+  /// round-to-nearest-even when `nearest`, round-toward-zero otherwise.
   void (*f32_round_through_f16)(const float* in, float* out, std::size_t n,
                                 bool nearest);
 };

@@ -1,16 +1,14 @@
 #pragma once
-// Scalar binary32 <-> binary16 conversion cores shared by every converter
-// variant (moved here from fp/half_batch.cpp when the dispatch layer grew
-// under fp/ -- the SIMD TUs need the same algorithm without a dependency
-// on fp/). The 32-bit integer rounding mirrors fp's `f64_to_f16_bits`
-// exactly (the binary32 -> binary64 widening is exact, so the rounding
-// decisions are the same; verified exhaustively over all 2^32 inputs in
-// both modes). The AVX2/AVX-512 bit converters are lane-for-lane
-// transcriptions of these two functions, and their round trip is the
-// hardware vcvtps2ph/vcvtph2ps pair plus a NaN blend;
-// tests/test_simd_dispatch.cpp pins each against this core over the full
-// binary16 value space and the rounding-boundary neighborhoods, and the
-// round trip over all 2^32 inputs.
+// Scalar binary32 <-> binary16 conversion cores: the reference for the
+// split's round-trip converter in every tier (the SIMD TUs need the same
+// algorithm without a dependency on fp/). The 32-bit integer rounding
+// mirrors fp's `f64_to_f16_bits` exactly (the binary32 -> binary64
+// widening is exact, so the rounding decisions are the same; verified
+// exhaustively over all 2^32 inputs in both modes). The scalar tier runs
+// these two functions back to back; the AVX2/AVX-512 round trip is the
+// hardware vcvtps2ph/vcvtph2ps pair plus a NaN blend, and
+// tests/test_simd_dispatch.cpp pins it against this core over all 2^32
+// inputs.
 
 #include <bit>
 #include <cstdint>

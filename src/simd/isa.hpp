@@ -1,8 +1,8 @@
 #pragma once
 // Runtime ISA selection for the SIMD microkernel layer (DESIGN.md §15).
 //
-// The packed EGEMM hot loops (tcsim::mma_block_packed and the batched
-// f32<->f16 converters) ship in several instruction-set variants; this
+// The packed EGEMM hot loops (tcsim::mma_block_packed and the split's
+// binary16 round trip) ship in several instruction-set variants; this
 // header owns the decision of which one runs. The choice is made exactly
 // once per process from the CPUID feature flags (plus the OS's XSAVE
 // state, which gates whether ymm/zmm registers are actually usable), can

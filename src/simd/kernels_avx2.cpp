@@ -14,10 +14,10 @@
 //    a1*b1[j] is exact, this equals round(p0 + p1) -- the FMA is used only
 //    where it is provably bit-identical, never to fuse the pair-sum adds
 //    themselves.
-//  * Converters: f32 <-> f16 bits are lane-for-lane transcriptions of the
-//    integer cores in half_convert_core.hpp, every select mirroring a
-//    branch. The round trip the split runs is the hardware conversion
-//    pair plus a NaN blend, proven equal to those cores on every input.
+//  * Converter: the binary16 round trip the split runs is the hardware
+//    conversion pair plus a NaN blend, proven equal to the integer cores
+//    in half_convert_core.hpp on every input; only the scalar tail runs
+//    those cores directly.
 
 #include "simd/dispatch.hpp"
 
@@ -138,129 +138,6 @@ void mma_tile_recipe_avx2(float* acc, const float* const* a_blocks,
 
 // -- converters --------------------------------------------------------------
 
-inline __m256i load_f32_bits(const float* p) {
-  return _mm256_castps_si256(_mm256_loadu_ps(p));
-}
-
-/// Eight-lane transcription of detail::f32_bits_to_f16_bits; returns the
-/// half bit patterns zero-extended in 32-bit lanes (packing is the span
-/// driver's concern; the round-through kernel feeds them straight back).
-inline __m256i f32x8_to_f16_bits_u32(__m256i bits, bool nearest) {
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i sign =
-      _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(0x8000));
-  const __m256i abs = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fffffff));
-  const __m256i exp32 = _mm256_srli_epi32(abs, 23);
-  const __m256i half_biased = _mm256_sub_epi32(exp32, _mm256_set1_epi32(112));
-  const __m256i sig =
-      _mm256_or_si256(_mm256_and_si256(abs, _mm256_set1_epi32(0x7fffff)),
-                      _mm256_set1_epi32(0x800000));
-  // shift = clamp(13 + max(0, 1 - half_biased), ..., 26)
-  __m256i shift = _mm256_add_epi32(
-      _mm256_set1_epi32(13),
-      _mm256_max_epi32(_mm256_setzero_si256(),
-                       _mm256_sub_epi32(one, half_biased)));
-  shift = _mm256_min_epi32(shift, _mm256_set1_epi32(26));
-  __m256i rounded = _mm256_srlv_epi32(sig, shift);
-  if (nearest) {
-    const __m256i rem = _mm256_and_si256(
-        sig, _mm256_sub_epi32(_mm256_sllv_epi32(one, shift), one));
-    const __m256i midpoint =
-        _mm256_sllv_epi32(one, _mm256_sub_epi32(shift, one));
-    // increment when rem > midpoint, or rem == midpoint and rounded is odd
-    // (shift <= 26 keeps rem/midpoint well below 2^31: signed compare ok)
-    const __m256i round_up = _mm256_or_si256(
-        _mm256_cmpgt_epi32(rem, midpoint),
-        _mm256_and_si256(_mm256_cmpeq_epi32(rem, midpoint),
-                         _mm256_cmpeq_epi32(_mm256_and_si256(rounded, one),
-                                            one)));
-    rounded = _mm256_sub_epi32(rounded, round_up);  // mask is 0 or -1
-  }
-  // Normal path re-biases the exponent (carry out of the significand bumps
-  // it for free, including 65504 -> inf); subnormals keep `rounded` as-is.
-  const __m256i rebased = _mm256_add_epi32(
-      rounded,
-      _mm256_slli_epi32(_mm256_sub_epi32(half_biased, one), 10));
-  const __m256i is_normal =
-      _mm256_cmpgt_epi32(half_biased, _mm256_setzero_si256());
-  __m256i result = _mm256_or_si256(
-      sign, _mm256_blendv_epi8(rounded, rebased, is_normal));
-  // Overrides in reverse precedence order of the scalar early returns.
-  const __m256i too_big =
-      _mm256_cmpgt_epi32(half_biased, _mm256_set1_epi32(30));
-  const __m256i big_value = _mm256_or_si256(
-      sign, _mm256_set1_epi32(nearest ? 0x7c00 : 0x7bff));
-  result = _mm256_blendv_epi8(result, big_value, too_big);
-  const __m256i is_zero =
-      _mm256_cmpeq_epi32(exp32, _mm256_setzero_si256());
-  result = _mm256_blendv_epi8(result, sign, is_zero);
-  const __m256i is_nan_inf =
-      _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7f7fffff));
-  const __m256i is_nan =
-      _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7f800000));
-  const __m256i nan_inf_value = _mm256_or_si256(
-      sign, _mm256_blendv_epi8(_mm256_set1_epi32(0x7c00),
-                               _mm256_set1_epi32(0x7e00), is_nan));
-  return _mm256_blendv_epi8(result, nan_inf_value, is_nan_inf);
-}
-
-/// Eight-lane transcription of detail::f16_bits_to_f32_one over half bit
-/// patterns already widened to 32-bit lanes.
-inline __m256 f16x8_bits_to_f32(__m256i h) {
-  const __m256i sign = _mm256_slli_epi32(
-      _mm256_and_si256(h, _mm256_set1_epi32(0x8000)), 16);
-  const __m256i exp = _mm256_and_si256(_mm256_srli_epi32(h, 10),
-                                       _mm256_set1_epi32(0x1f));
-  const __m256i man = _mm256_and_si256(h, _mm256_set1_epi32(0x3ff));
-  // Subnormal: exact integer->float conversion (man < 2^11) scaled by an
-  // exact power of two -- identical to the scalar core.
-  const __m256i sub = _mm256_castps_si256(_mm256_mul_ps(
-      _mm256_cvtepi32_ps(man), _mm256_set1_ps(0x1p-24f)));
-  const __m256i norm = _mm256_or_si256(
-      _mm256_slli_epi32(_mm256_add_epi32(exp, _mm256_set1_epi32(112)), 23),
-      _mm256_slli_epi32(man, 13));
-  const __m256i infnan = _mm256_or_si256(_mm256_set1_epi32(0x7f800000),
-                                         _mm256_slli_epi32(man, 13));
-  __m256i mag = _mm256_blendv_epi8(
-      norm, infnan, _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(31)));
-  mag = _mm256_blendv_epi8(mag, sub,
-                           _mm256_cmpeq_epi32(exp, _mm256_setzero_si256()));
-  return _mm256_castsi256_ps(_mm256_or_si256(sign, mag));
-}
-
-/// Packs eight 32-bit lanes holding u16 values into eight contiguous u16.
-inline __m128i pack_u16x8(__m256i lanes) {
-  const __m256i packed = _mm256_packus_epi32(lanes, lanes);
-  return _mm256_castsi256_si128(
-      _mm256_permute4x64_epi64(packed, 0xd8));  // fix 128-bit lane split
-}
-
-void f32_to_f16_bits_avx2(const float* in, std::uint16_t* out, std::size_t n,
-                          bool nearest) {
-  EGEMM_COUNTER_ADD("tcsim.isa.convert.avx2", 1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i half = f32x8_to_f16_bits_u32(load_f32_bits(in + i), nearest);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), pack_u16x8(half));
-  }
-  for (; i < n; ++i) {
-    out[i] = detail::f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(in[i]),
-                                          nearest);
-  }
-}
-
-void f16_bits_to_f32_avx2(const std::uint16_t* in, float* out,
-                          std::size_t n) {
-  EGEMM_COUNTER_ADD("tcsim.isa.convert.avx2", 1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i h = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    _mm256_storeu_ps(out + i, f16x8_bits_to_f32(h));
-  }
-  for (; i < n; ++i) out[i] = detail::f16_bits_to_f32_one(in[i]);
-}
-
 /// Hardware binary16 round trip (vcvtps2ph + vcvtph2ps, the explicit
 /// immediate overriding MXCSR.RC), then one blend that writes the scalar
 /// core's canonical quiet NaN, sign(x) | 0x7fc00000, over every NaN lane;
@@ -309,7 +186,6 @@ void f32_round_through_f16_avx2(const float* in, float* out, std::size_t n,
 constexpr KernelTable kAvx2Table = {
     IsaLevel::kAvx2,        "avx2",
     mma_block_packed_avx2,  mma_tile_recipe_avx2,
-    f32_to_f16_bits_avx2,   f16_bits_to_f32_avx2,
     f32_round_through_f16_avx2,
 };
 

@@ -1,9 +1,10 @@
 // Scalar (portable C++) kernel tier: the reference operation sequence
 // every SIMD variant is pinned against, bit for bit. The MMA loop is the
-// seed packed kernel moved verbatim from tcsim/tensor_core.cpp (PR 2); the
-// converter loops run the shared integer cores one element at a time. The
-// compiler's own auto-vectorization of these loops is welcome -- it cannot
-// change results because -ffp-contract=off pins the operation sequence.
+// seed packed kernel moved verbatim from tcsim/tensor_core.cpp; the
+// round-trip converter runs the shared integer cores one element at a
+// time. The compiler's own auto-vectorization of these loops is welcome --
+// it cannot change results because -ffp-contract=off pins the operation
+// sequence.
 
 #include <bit>
 #include <cstddef>
@@ -75,23 +76,6 @@ void mma_tile_recipe_scalar(float* acc, const float* const* a_blocks,
       });
 }
 
-void f32_to_f16_bits_scalar(const float* in, std::uint16_t* out,
-                            std::size_t n, bool nearest) {
-  EGEMM_COUNTER_ADD("tcsim.isa.convert.scalar", 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = detail::f32_bits_to_f16_bits(std::bit_cast<std::uint32_t>(in[i]),
-                                          nearest);
-  }
-}
-
-void f16_bits_to_f32_scalar(const std::uint16_t* in, float* out,
-                            std::size_t n) {
-  EGEMM_COUNTER_ADD("tcsim.isa.convert.scalar", 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = detail::f16_bits_to_f32_one(in[i]);
-  }
-}
-
 void f32_round_through_f16_scalar(const float* in, float* out, std::size_t n,
                                   bool nearest) {
   EGEMM_COUNTER_ADD("tcsim.isa.convert.scalar", 1);
@@ -104,7 +88,6 @@ void f32_round_through_f16_scalar(const float* in, float* out, std::size_t n,
 constexpr KernelTable kScalarTable = {
     IsaLevel::kScalar,        "scalar",
     mma_block_packed_entry,   mma_tile_recipe_scalar,
-    f32_to_f16_bits_scalar,   f16_bits_to_f32_scalar,
     f32_round_through_f16_scalar,
 };
 

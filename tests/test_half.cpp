@@ -277,45 +277,6 @@ std::vector<float> boundary_floats() {
   return v;
 }
 
-TEST(HalfBatch, NarrowingMatchesScalarOnBoundariesAndRandom) {
-  util::Xoshiro256 rng(77);
-  std::vector<float> in = boundary_floats();
-  for (int i = 0; i < 50000; ++i) {
-    // Random bit patterns cover the full encoding space, not just the
-    // sampler's range.
-    const auto bits = static_cast<std::uint32_t>(rng());
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    in.push_back(f);
-  }
-  std::vector<std::uint16_t> out(in.size());
-  for (const Rounding mode : {Rounding::kNearestEven, Rounding::kTowardZero}) {
-    f32_to_f16_bits_span(in, out, mode);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      ASSERT_EQ(out[i], f32_to_f16_bits(in[i], mode))
-          << "i=" << i << " value=" << in[i]
-          << " mode=" << (mode == Rounding::kNearestEven ? "RN" : "RZ");
-    }
-  }
-}
-
-TEST(HalfBatch, WideningMatchesScalarOnAllPatterns) {
-  // All 2^16 encodings fit in one call.
-  std::vector<std::uint16_t> bits(1 << 16);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    bits[i] = static_cast<std::uint16_t>(i);
-  }
-  std::vector<float> widened(bits.size());
-  f16_bits_to_f32_span(bits, widened);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const float scalar = f16_bits_to_f32(bits[i]);
-    std::uint32_t got, want;
-    std::memcpy(&got, &widened[i], sizeof(got));
-    std::memcpy(&want, &scalar, sizeof(want));
-    ASSERT_EQ(got, want) << "half bits 0x" << std::hex << bits[i];
-  }
-}
-
 TEST(HalfBatch, RoundThroughComposesNarrowAndWiden) {
   util::Xoshiro256 rng(78);
   std::vector<float> in = boundary_floats();

@@ -214,7 +214,7 @@ struct IsaGuard {
 };
 
 TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
-  // A pooled execute cuts each item's prep (split, output init, pack) into
+  // A pooled execute cuts each item's prep (the split into the packs) into
   // row-range chunks and runs them all in one pool pass. These shapes
   // prep in several chunks: the first two have ragged tails -- m and n off
   // every multiple of 16, odd k -- the first cut inside A's rows, the

@@ -2,12 +2,14 @@
 // hit/miss accounting, LRU eviction, plan properties (the recipe; options
 // that only shape modeled time share a plan), bit-identity of the planned
 // path with the one-shot APIs and the scalar oracle
-// (verify::reference_execute), caller-owned output reuse, and the debug
-// allocation guard (a reused plan performs no heap allocation on its
-// second execute).
+// (verify::reference_execute), caller-owned output and workspace reuse
+// (no stale bits survive into a later call; the workspace is the packs
+// alone), and the debug allocation guard (a reused plan performs no heap
+// allocation on its second execute).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
@@ -192,6 +194,62 @@ TEST(GemmPlanExecute, ZeroExtentShapesExecute) {
   ASSERT_EQ(e.rows(), 3u);
   ASSERT_EQ(e.cols(), 5u);
   for (std::size_t i = 0; i < e.size(); ++i) EXPECT_EQ(e.data()[i], 0.0f);
+}
+
+TEST(GemmPlanExecute, ReusedWorkspaceAndOutputLeaveNoStaleBits) {
+  // The split writes straight into the packs and the tiles read C, so a
+  // warm workspace and a reused D hold the previous call's bits until every
+  // element is overwritten. One context and one D run a large 3-plane
+  // execute, then smaller 2-plane ones: m and n off every multiple of 16,
+  // n wider than one B strip (kPackStrip), and NaN / +-Inf in B's last
+  // column block. The serial shapes stay under kSmallGemmInlineThreshold,
+  // the pooled ones above it; each runs with and without C.
+  struct Case {
+    core::SchemeId scheme;
+    std::size_t m, n, k;
+  };
+  const Case cases[] = {
+      {core::SchemeId::kRecovery3, 77, 1100, 131},  // pooled, sizes the packs
+      {core::SchemeId::kRound2, 5, 1037, 33},       // serial, strip cuts rows
+      {core::SchemeId::kRound2, 37, 1037, 45},      // pooled
+      {core::SchemeId::kRound2, 19, 29, 70},        // serial, rows per strip
+      {core::SchemeId::kRound2, 41, 83, 101},       // pooled
+  };
+  static_assert(kPackStrip < 1037);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  GemmContext ctx;
+  Matrix d;
+  unsigned seed = 70;
+  for (const Case& s : cases) {
+    ASSERT_NE(s.m % 16, 0u);
+    ASSERT_NE(s.n % 16, 0u);
+    const Matrix a = random_matrix(s.m, s.k, -2.0f, 2.0f, ++seed);
+    Matrix b = random_matrix(s.k, s.n, -2.0f, 2.0f, ++seed);
+    const Matrix c = random_matrix(s.m, s.n, -2.0f, 2.0f, ++seed);
+    const std::size_t last_block = (s.n - 1) / 16 * 16;
+    b.at(0, s.n - 1) = std::numeric_limits<float>::quiet_NaN();
+    b.at(s.k / 2, last_block) = kInf;
+    b.at(s.k - 1, s.n - 1) = -kInf;
+    const auto plan = ctx.plan_scheme(s.scheme, s.m, s.n, s.k);
+    for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
+      plan->execute(ctx, a, b, cp, d);
+      EXPECT_TRUE(bitwise_equal(d, verify::reference_execute(*plan, a, b, cp)))
+          << s.m << "x" << s.n << "x" << s.k << (cp != nullptr ? " +C" : "");
+    }
+  }
+  EXPECT_EQ(ctx.pooled_workspaces(), 1u);  // every call reused one workspace
+}
+
+TEST(GemmPlanExecute, WorkspaceHoldsOnlyThePacks) {
+  // Two planes of 1024^3: 64 row blocks of A plus 64 column blocks of B,
+  // each 16 x 1024 floats per plane -- 16 MiB, with no second plane copy.
+  GemmContext ctx;
+  EXPECT_EQ(ctx.plan(Backend::kEgemmTC, 1024, 1024, 1024)->workspace_bytes(),
+            std::size_t{16} << 20);
+  // Padding counts: 17 rows and 17 columns each take two 16-wide blocks.
+  EXPECT_EQ(ctx.plan_scheme(core::SchemeId::kRecovery3, 17, 17, 5)
+                ->workspace_bytes(),
+            3 * (2 + 2) * 16 * 5 * sizeof(float));
 }
 
 TEST(GemmContextRun, SharesPlansWithTheOneShotWrappers) {
