@@ -162,6 +162,40 @@ void BM_MmaBlockPacked(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * 2 * kTile * kTile * kK);
 }
 
+/// The kernel the engine runs, per ISA tier: one round-2term tile recipe
+/// per iteration (4 plane combos over 2 A and 2 B planes, fused, slab 16)
+/// on k-major 16 x 1024 A blocks and their 1024 x 16 B blocks -- 256 KiB
+/// of operands, so unlike BM_MmaBlockPacked's L1-resident block the
+/// kernel streams from L2. Items are executed FLOPs (all 4 products), the
+/// same unit as BM_MmaBlockPacked's row.
+void BM_MmaTileRecipe(benchmark::State& state,
+                      const egemm::simd::KernelTable* table) {
+  constexpr int kK = 1024;
+  constexpr int kTile = egemm::simd::kMmaTile;
+  constexpr int kCombos = 4;
+  util::Xoshiro256 rng(11);
+  const auto block = [&rng] {
+    std::vector<float> v(static_cast<std::size_t>(kTile) * kK);
+    for (auto& x : v) x = fp::Half(rng.uniform(-1.0f, 1.0f)).to_float();
+    return v;
+  };
+  const std::vector<float> a_planes[2] = {block(), block()};
+  const std::vector<float> b_planes[2] = {block(), block()};
+  // Alg. 1's combo order over (A plane, B plane).
+  const float* a_blocks[kCombos] = {a_planes[0].data(), a_planes[0].data(),
+                                    a_planes[1].data(), a_planes[1].data()};
+  const float* b_blocks[kCombos] = {b_planes[0].data(), b_planes[1].data(),
+                                    b_planes[0].data(), b_planes[1].data()};
+  std::vector<float> acc(static_cast<std::size_t>(kTile) * kTile, 0.0f);
+  for (auto _ : state) {
+    table->mma_tile_recipe(acc.data(), a_blocks, b_blocks, kCombos, kK,
+                           /*k_slab=*/16, /*fused=*/true);
+    benchmark::DoNotOptimize(acc.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kCombos * kTile * kTile *
+                          kK);
+}
+
 /// Batched f32 -> f16 -> f32 round-trip (the split pass's inner loop), per
 /// ISA tier. Items are converted elements; multiply by 8 bytes (one float
 /// in, one out) for memory throughput.
@@ -435,6 +469,9 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         (std::string("BM_MmaBlockPacked/") + table->name).c_str(),
         [table](benchmark::State& state) { BM_MmaBlockPacked(state, table); });
+    benchmark::RegisterBenchmark(
+        (std::string("BM_MmaTileRecipe/") + table->name).c_str(),
+        [table](benchmark::State& state) { BM_MmaTileRecipe(state, table); });
     benchmark::RegisterBenchmark(
         (std::string("BM_HalfBatchRoundTrip/") + table->name).c_str(),
         [table](benchmark::State& state) {

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
+
 #include "obs/metrics.hpp"
 
 namespace egemm::gemm {
@@ -23,16 +27,6 @@ bool size_packs(std::vector<PackBuffer>& packs, std::size_t planes,
   return grew;
 }
 
-/// The fill assign() runs: copies a run of each given plane's elements.
-auto copy_from(std::span<const Matrix> planes) {
-  return [planes](std::size_t first, std::size_t count, float* const* out) {
-    for (std::size_t p = 0; p < planes.size(); ++p) {
-      std::memcpy(out[p], planes[p].data().data() + first,
-                  count * sizeof(float));
-    }
-  };
-}
-
 }  // namespace
 
 bool PackedPlanesA::resize(std::size_t planes, std::size_t m, std::size_t k) {
@@ -42,10 +36,61 @@ bool PackedPlanesA::resize(std::size_t planes, std::size_t m, std::size_t k) {
   return size_packs(planes_, planes, row_blocks * kPackTile * k_);
 }
 
+void PackedPlanesA::transpose_tile(const float* src, std::size_t ld,
+                                   std::size_t rows, std::size_t cols,
+                                   float* dst, std::size_t dst_ld) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  for (; i + 4 <= rows; i += 4) {
+    const float* s = src + i * ld;
+    float* d = dst + i;
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      __m128 x0 = _mm_loadu_ps(s + c);
+      __m128 x1 = _mm_loadu_ps(s + ld + c);
+      __m128 x2 = _mm_loadu_ps(s + 2 * ld + c);
+      __m128 x3 = _mm_loadu_ps(s + 3 * ld + c);
+      _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
+      _mm_storeu_ps(d + c * dst_ld, x0);
+      _mm_storeu_ps(d + (c + 1) * dst_ld, x1);
+      _mm_storeu_ps(d + (c + 2) * dst_ld, x2);
+      _mm_storeu_ps(d + (c + 3) * dst_ld, x3);
+    }
+    for (; c < cols; ++c) {
+      for (std::size_t j = 0; j < 4; ++j) d[c * dst_ld + j] = s[j * ld + c];
+    }
+  }
+#endif
+  for (; i < rows; ++i) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * dst_ld + i] = src[i * ld + c];
+    }
+  }
+}
+
+void PackedPlanesA::place_lanes(const float* const* strip, std::size_t b0,
+                                std::size_t b1, std::size_t c0,
+                                std::size_t cols) {
+  const std::size_t lanes = b1 - b0;
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    float* dst = planes_[p].data() + (b0 / kPackTile) * kPackTile * k_ +
+                 c0 * kPackTile + b0 % kPackTile;
+    for (std::size_t c = 0; c < cols; ++c) {
+      std::memcpy(dst + c * kPackTile, strip[p] + c * lanes,
+                  lanes * sizeof(float));
+    }
+  }
+}
+
 void PackedPlanesA::finish_rows(std::size_t r0, std::size_t r1) {
-  if (r1 == m_) {
+  const std::size_t lanes = m_ % kPackTile;  // live lanes of the last block
+  if (r1 == m_ && lanes != 0) {
     for (PackBuffer& plane : planes_) {
-      std::fill(plane.data() + m_ * k_, plane.data() + plane.size(), 0.0f);
+      float* last = plane.data() + (m_ - lanes) * k_;
+      for (std::size_t kk = 0; kk < k_; ++kk) {
+        std::fill(last + kk * kPackTile + lanes, last + (kk + 1) * kPackTile,
+                  0.0f);
+      }
     }
   }
   static_cast<void>(r0);  // unused with observability compiled out
@@ -60,7 +105,15 @@ bool PackedPlanesA::assign(std::span<const Matrix> planes) {
   for (const Matrix& plane : planes) {
     EGEMM_EXPECTS(plane.rows() == m_ && plane.cols() == k_);
   }
-  fill_rows(0, m_, copy_from(planes));
+  if (m_ == 0) return grew;
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    for (std::size_t r = 0; r < m_; r += kPackTile) {
+      transpose_tile(planes[p].data().data() + r * k_, k_,
+                     std::min(kPackTile, m_ - r), k_,
+                     planes_[p].data() + r * k_, kPackTile);
+    }
+  }
+  finish_rows(0, m_);
   return grew;
 }
 
@@ -109,10 +162,14 @@ void PackedPlanesB::count_rows(std::size_t r0, std::size_t r1) const {
 bool PackedPlanesB::assign(std::span<const Matrix> planes) {
   EGEMM_EXPECTS(!planes.empty());
   const bool grew = resize(planes.size(), planes[0].rows(), planes[0].cols());
-  for (const Matrix& plane : planes) {
-    EGEMM_EXPECTS(plane.rows() == k_ && plane.cols() == n_);
+  const float* rows[kMaxPackPlanes] = {};
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    EGEMM_EXPECTS(planes[p].rows() == k_ && planes[p].cols() == n_);
+    rows[p] = planes[p].data().data();
   }
-  fill_rows(0, k_, copy_from(planes));
+  if (k_ == 0 || n_ == 0) return grew;
+  copy_segments(rows, 0, k_, 0, n_);
+  count_rows(0, k_);
   return grew;
 }
 

@@ -4,39 +4,48 @@
 // Per GEMM call, each input matrix is split into binary16-valued planes
 // exactly once (the O(N^2) pass), and the split writes every plane ONCE,
 // straight into a tile-blocked contiguous layout that the recipe kernel
-// (tcsim::mma_tile_recipe) streams at unit stride:
+// (tcsim::mma_tile_recipe) streams at unit stride. Both operands' blocks
+// are k-major, the layout the kernel consumes: each k of a block is one
+// 16-float (64-byte) run.
 //
-//   A plane (m x k)  ->  row blocks: block rb holds rows
-//       [rb*16, rb*16+16) as 16 contiguous rows of k floats (rows past m
-//       are zero). A k-slab of the block starts at column offset k0 with
-//       leading dimension k.
+//   A plane (m x k)  ->  row blocks: block rb holds rows [rb*16, rb*16+16)
+//       with element (r, kk) at block(p, r/16)[kk*16 + r%16] (lanes of
+//       rows past m are zero). A k-slab starts at block offset k0*16.
 //   B plane (k x n)  ->  column blocks: block cb holds columns
-//       [cb*16, cb*16+16) as k contiguous rows of 16 floats (columns past
-//       n are zero). A k-slab starts at row offset k0*16 and is fully
-//       contiguous -- this is what turns the seed path's stride-n column
-//       walk into the kernel's unit-stride vector loads.
+//       [cb*16, cb*16+16) with element (kk, j) at
+//       block(p, j/16)[kk*16 + j%16] (lanes of columns past n are zero).
+//       A k-slab starts at block offset k0*16.
+//
+// A is k-major because the kernel broadcasts A's 16 values of each k:
+// from a row-major block they would sit k floats apart (runtime-stride
+// addressing, and at k = 1024 all 16 rows in one L1 set); k-major they
+// are one line at fixed offsets, and the kernel reads both packs as two
+// sequential streams.
 //
 // A pack is sized once per call (resize) and then filled by row ranges
-// (fill_rows), so disjoint ranges can be filled concurrently. The caller's
-// `fill` writes a run of the row-major plane elements for every plane:
+// (fill_rows), so disjoint ranges can be filled concurrently. A fill reads
+// the row-major binary32 operand and passes runs of it through the
+// caller's elementwise `split`, which writes every plane's run:
 //
-//   * A's pack IS the row-major plane stack (leading dimension k) plus
-//     zero rows up to the next multiple of 16, so `fill` writes rows
-//     [r0, r1) in place, in one call.
-//   * B's rows reach the pack through a strip of at most kPackStrip floats
-//     per plane (a stack buffer that stays in L1): `fill` writes the strip
-//     -- several whole rows when n is small, a 16-aligned column run of one
-//     row when it is not -- and its 16-float segments are then copied into
-//     each column block.
+//   * A's rows are transposed k-major, 16 rows by 64 columns at a time,
+//     into an L1 strip (4x4 SSE transposes), and `split` writes the
+//     strip's planes straight into the block: one transposition per input
+//     element, whatever the plane count. A block the range covers only in
+//     part is split lane-compact into per-plane strips and its lanes are
+//     copied in.
+//   * B's runs are split into a strip of at most kPackStrip floats per
+//     plane (several whole rows when n is small, a 16-aligned column run
+//     of one row when it is not), whose 16-float segments are then copied
+//     into each column block.
 //
-// Only the padding is zeroed: A's rows past m by the range that holds row
-// m - 1, and B's columns past n by each row as it is filled. The packs are
-// shared across every k-tile, every plane combo, and every output tile of
-// the call -- the host-side analogue of §4's FRAG caching (stage once,
-// reuse across the O(N^3) loop). Zero padding is harmless: padded lanes
-// are computed and discarded (never copied back into D), and the k extent
-// is never padded, so the pair-sum structure over k -- the
-// bit-exactness-critical part -- is untouched.
+// Only the padding is zeroed: A's lanes past m in the last block by the
+// range that holds row m - 1, and B's columns past n by each row as it is
+// filled. The packs are shared across every k-tile, every plane combo,
+// and every output tile of the call -- the host-side analogue of §4's FRAG
+// caching (stage once, reuse across the O(N^3) loop). Zero padding is
+// harmless: padded lanes are computed and discarded (never copied back
+// into D), and the k extent is never padded, so the pair-sum structure
+// over k -- the bit-exactness-critical part -- is untouched.
 
 #include <algorithm>
 #include <cstddef>
@@ -55,9 +64,10 @@ inline constexpr std::size_t kPackTile = 16;
 /// Most planes a pack holds (the three-way split).
 inline constexpr std::size_t kMaxPackPlanes = 3;
 
-/// Floats per plane in the L1 strip B's rows pass through on their way to
-/// the column blocks: at three planes the strip is 12 KiB. A multiple of
-/// kPackTile, so a strip that cuts a row cuts it on a column-block edge.
+/// Floats per plane in the L1 strips a pack's rows pass through on their
+/// way to the blocks: at three planes B's strip is 12 KiB. A multiple of
+/// kPackTile, so a strip that cuts a row cuts it on a block edge (B) and
+/// holds whole 16-lane k lines (A).
 inline constexpr std::size_t kPackStrip = 1024;
 static_assert(kPackStrip % kPackTile == 0);
 
@@ -65,11 +75,13 @@ static_assert(kPackStrip % kPackTile == 0);
 /// the row fills overwrite every one.
 using PackBuffer = std::vector<float, DefaultInitAllocator<float>>;
 
-/// A pack's row fill: `fill(first, count, out)` writes elements
-/// [first, first + count) of every row-major plane p to out[p][0, count).
-template <typename Fill>
-concept PlaneFill = requires(const Fill& fill, float* const* out) {
-  fill(std::size_t{}, std::size_t{}, out);
+/// A pack's split: `split(in, count, out)` writes plane p of each value
+/// in[0, count) to out[p][0, count). It must act element by element: the
+/// packs feed it runs in whatever order they store.
+template <typename Split>
+concept PlaneSplit = requires(const Split& split, const float* in,
+                              float* const* out) {
+  split(in, std::size_t{}, out);
 };
 
 /// Row-blocked packed stack of A planes.
@@ -85,34 +97,69 @@ class PackedPlanesA {
   /// this. The contents are unspecified until every row is filled.
   bool resize(std::size_t planes, std::size_t m, std::size_t k);
 
-  /// Fills rows [r0, r1) of every plane in place through `fill` (one
-  /// call); the range ending at row m also zeroes the rows past m.
-  /// Disjoint ranges may run concurrently.
-  template <PlaneFill Fill>
-  void fill_rows(std::size_t r0, std::size_t r1, const Fill& fill) {
+  /// Fills rows [r0, r1) of every plane from `src`, the row-major m x k
+  /// operand, through `split`, one block and 64 columns at a time; the
+  /// range ending at row m also zeroes the last block's lanes past m.
+  /// Disjoint ranges may run concurrently; ranges cut on 16-row block
+  /// edges write disjoint blocks.
+  template <PlaneSplit Split>
+  void fill_rows(std::size_t r0, std::size_t r1, const float* src,
+                 const Split& split) {
     EGEMM_EXPECTS(r0 <= r1 && r1 <= m_);
     if (r0 == r1) return;
-    float* out[kMaxPackPlanes];
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      out[p] = planes_[p].data() + r0 * k_;
+    constexpr std::size_t kCols = kPackStrip / kPackTile;
+    alignas(64) float in[kPackStrip];
+    alignas(64) float strip[kMaxPackPlanes][kPackStrip];
+    float* const strips[kMaxPackPlanes] = {strip[0], strip[1], strip[2]};
+    for (std::size_t b0 = r0, b1 = 0; b0 < r1; b0 = b1) {
+      b1 = std::min(r1, b0 / kPackTile * kPackTile + kPackTile);
+      const std::size_t lanes = b1 - b0;
+      for (std::size_t c0 = 0; c0 < k_; c0 += kCols) {
+        const std::size_t cols = std::min(kCols, k_ - c0);
+        transpose_tile(src + b0 * k_ + c0, k_, lanes, cols, in, lanes);
+        if (lanes == kPackTile) {
+          float* out[kMaxPackPlanes] = {};
+          for (std::size_t p = 0; p < planes_.size(); ++p) {
+            out[p] = planes_[p].data() + b0 * k_ + c0 * kPackTile;
+          }
+          split(in, cols * kPackTile, out);
+        } else {
+          split(in, cols * lanes, strips);
+          place_lanes(strips, b0, b1, c0, cols);
+        }
+      }
     }
-    if (k_ > 0) fill(r0 * k_, (r1 - r0) * k_, out);
     finish_rows(r0, r1);
   }
 
-  /// resize() to `planes`, then copy every row in; returns resize()'s
-  /// result.
+  /// resize() to `planes`, then copy the already-split planes in; returns
+  /// resize()'s result.
   bool assign(std::span<const Matrix> planes);
 
-  /// 16 x k row-major block (leading dimension k) for `block_row` of
-  /// plane `plane`.
+  /// k x 16 k-major block for `block_row` of plane `plane`: element
+  /// (r, kk) of the plane, r in [block_row*16, block_row*16 + 16), sits at
+  /// block(...)[kk * kPackTile + r % kPackTile]; the k-slab at column
+  /// offset k0 starts at `block(...) + k0 * kPackTile`.
   const float* block(std::size_t plane, std::size_t block_row) const noexcept {
     return planes_[plane].data() + block_row * kPackTile * k_;
   }
 
  private:
-  /// Zeroes the rows past m when r1 == m, and counts the fill of the
-  /// non-empty range [r0, r1).
+  /// Transposes `rows` rows of `cols` floats from src (leading dimension
+  /// `ld`) to dst k-major: dst[c * dst_ld + i] = src[i * ld + c]. Groups
+  /// of four rows go four columns at a time through 4x4 SSE transposes.
+  static void transpose_tile(const float* src, std::size_t ld,
+                             std::size_t rows, std::size_t cols, float* dst,
+                             std::size_t dst_ld);
+
+  /// Copies the lane-compact split of rows [b0, b1) (one block),
+  /// columns [c0, c0 + cols) from strip[p] (leading dimension b1 - b0)
+  /// into those rows' lanes of each plane's block.
+  void place_lanes(const float* const* strip, std::size_t b0, std::size_t b1,
+                   std::size_t c0, std::size_t cols);
+
+  /// Zeroes the last block's lanes past m when r1 == m, and counts the
+  /// fill of the non-empty range [r0, r1).
   void finish_rows(std::size_t r0, std::size_t r1);
 
   std::size_t m_ = 0;
@@ -129,12 +176,14 @@ class PackedPlanesB {
   /// existing buffers; returns true when any buffer had to grow.
   bool resize(std::size_t planes, std::size_t k, std::size_t n);
 
-  /// Fills rows [r0, r1) of every plane through `fill`, one L1 strip at a
-  /// time (kPackStrip floats per plane), copying each strip into the
-  /// column blocks and zeroing those rows' columns past n in the last
-  /// block. Disjoint ranges may run concurrently.
-  template <PlaneFill Fill>
-  void fill_rows(std::size_t r0, std::size_t r1, const Fill& fill) {
+  /// Fills rows [r0, r1) of every plane from `src`, the row-major k x n
+  /// operand, through `split`, one L1 strip at a time (kPackStrip floats
+  /// per plane), copying each strip into the column blocks and zeroing
+  /// those rows' columns past n in the last block. Disjoint ranges may run
+  /// concurrently.
+  template <PlaneSplit Split>
+  void fill_rows(std::size_t r0, std::size_t r1, const float* src,
+                 const Split& split) {
     EGEMM_EXPECTS(r0 <= r1 && r1 <= k_);
     if (r0 == r1 || n_ == 0) return;
     alignas(64) float strip[kMaxPackPlanes][kPackStrip];
@@ -144,7 +193,7 @@ class PackedPlanesB {
       const std::size_t rows_per_strip = kPackStrip / n_;
       for (std::size_t r = r0; r < r1; r += rows_per_strip) {
         const std::size_t rows = std::min(rows_per_strip, r1 - r);
-        fill(r * n_, rows * n_, out);
+        split(src + r * n_, rows * n_, out);
         copy_segments(out, r, rows, 0, n_);
       }
     } else {
@@ -152,7 +201,7 @@ class PackedPlanesB {
       for (std::size_t r = r0; r < r1; ++r) {
         for (std::size_t c0 = 0; c0 < n_; c0 += kPackStrip) {
           const std::size_t c1 = std::min(n_, c0 + kPackStrip);
-          fill(r * n_ + c0, c1 - c0, out);
+          split(src + r * n_ + c0, c1 - c0, out);
           copy_segments(out, r, 1, c0, c1);
         }
       }
@@ -160,12 +209,13 @@ class PackedPlanesB {
     count_rows(r0, r1);
   }
 
-  /// resize() to `planes`, then copy every row in; returns resize()'s
-  /// result.
+  /// resize() to `planes`, then copy the already-split planes in; returns
+  /// resize()'s result.
   bool assign(std::span<const Matrix> planes);
 
-  /// k x 16 row-major contiguous block for `block_col` of plane `plane`;
-  /// the k-slab at row offset k0 starts at `block(...) + k0 * kPackTile`.
+  /// k x 16 k-major block for `block_col` of plane `plane`: element
+  /// (kk, j) sits at block(...)[kk * kPackTile + j % kPackTile]; the
+  /// k-slab at row offset k0 starts at `block(...) + k0 * kPackTile`.
   const float* block(std::size_t plane, std::size_t block_col) const noexcept {
     return planes_[plane].data() + block_col * k_ * kPackTile;
   }
@@ -174,7 +224,7 @@ class PackedPlanesB {
   /// Copies columns [c0, c1) of rows [r, r + rows) (c0 a multiple of
   /// kPackTile) from strip[p], row-major with leading dimension c1 - c0,
   /// into each plane's column blocks, zeroing the last block's columns
-  /// past n when c1 == n.
+  /// past n when c1 == n. assign() passes the planes themselves.
   void copy_segments(const float* const* strip, std::size_t r,
                      std::size_t rows, std::size_t c0, std::size_t c1);
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "gemm/baselines.hpp"
+#include "gemm/prep_rows.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -114,7 +115,7 @@ void packed_tile(const Matrix* c, Matrix& d, const PackedPlanesA& apack,
     }
   }
   if (k > 0) {  // zero-extent K: the tile is the C passthrough
-    tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks, ncombos, k,
+    tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks, ncombos,
                            static_cast<int>(k), k_slab, fused);
   }
   const obs::StageTimer timer("combine", combine);
@@ -135,69 +136,20 @@ std::atomic<std::uint32_t> g_batch_counter{0};
 /// coalesce many items into one task while large items still fan out.
 constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 
-/// Floor on the elements one prep chunk reads and writes (PrepRows). All
-/// of a call's chunks share ONE pool pass (one ~1.6 us fork-join), so the
-/// floor does not amortize dispatch; it trades how far a small item's
-/// prep spreads over the pool against each chunk's fixed cost (its split
-/// calls, B strips and stage timers). At 2^13 every pooled small-stream
-/// item (m*n*k >= 2^18: 18K-197K elements read and written) preps in
-/// 2-24 chunks. Swept on a 4-vCPU AVX-512 Xeon VM (split straight into
-/// the packs, e2e small-stream, six rotated 8 s runs): gflops 18.9 at
-/// 2^13, 18.5 at 2^12 and 18.7 at 2^14, op p50 45.5 / 46.3 / 48.7 us;
-/// 2^12 beat 2^13 in 2/6 runs on gflops and 3/6 on p50, 2^14 in 1/6 and
-/// 0/6. With separate planes the same floor had won against 2^11, 2^15
-/// and 2^18 (at 2^18 each item prepped on one thread while three waited:
-/// pool busy 0.47 vs 0.69). grouped-3term was flat across that sweep: its
-/// 64 items already fill the pass.
-constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 13;
-
-/// Splits elements [first, first + count) of `x` per the plan's recipe
-/// into out[p], one run per plane: plane 0 = lo; for three-way splits: lo,
-/// mid, hi. `split_ns` (when non-null) accumulates the time.
-void split_run(const Matrix& x, const PlanKey& key, std::size_t first,
-               std::size_t count, float* const* out, std::uint64_t* split_ns) {
+/// Splits in[0, count) per the plan's recipe into out[p], one run per
+/// plane: plane 0 = lo; for three-way splits: lo, mid, hi. `split_ns`
+/// (when non-null) accumulates the time.
+void split_run(const PlanKey& key, const float* in, std::size_t count,
+               float* const* out, std::uint64_t* split_ns) {
   const obs::StageTimer timer(nullptr, split_ns);
-  const std::span<const float> in = x.data().subspan(first, count);
+  const std::span<const float> run(in, count);
   const auto plane = [&](int p) { return std::span<float>(out[p], count); };
   if (key.planes == 3) {
-    core::split3_span_f32(in, plane(2), plane(1), plane(0), key.split);
+    core::split3_span_f32(run, plane(2), plane(1), plane(0), key.split);
   } else {
-    core::split_span_f32(in, plane(1), plane(0), key.split);
+    core::split_span_f32(run, plane(1), plane(0), key.split);
   }
 }
-
-/// An item's prep as one row space: A's m rows, then B's k rows. A row
-/// weighs the elements it reads and writes: the split reads it and writes
-/// `planes` planes into the pack (B's through an L1 strip). The space is
-/// cut into chunks of equal weight, each at least kPrepChunkElems, so an
-/// item lighter than two floors is one chunk.
-struct PrepRows {
-  std::size_t m, k;
-  std::uint64_t a_row, b_row, total;
-  std::size_t chunks;
-
-  explicit PrepRows(const PlanKey& key)
-      : m(key.m),
-        k(key.k),
-        a_row((std::uint64_t{key.planes} + 1) * key.k),
-        b_row((std::uint64_t{key.planes} + 1) * key.n),
-        total(m * a_row + k * b_row),
-        chunks(static_cast<std::size_t>(
-            std::max<std::uint64_t>(1, total / kPrepChunkElems))) {}
-
-  /// First row of chunk `j`; start(chunks) is the end of the space.
-  std::size_t start(std::size_t j) const {
-    if (j == 0) return 0;
-    if (j == chunks) return m + k;
-    const auto ceil_div = [](std::uint64_t x, std::uint64_t y) {
-      return static_cast<std::size_t>((x + y - 1) / y);
-    };
-    const std::uint64_t x = j * total / chunks;
-    const std::uint64_t a_total = m * a_row;
-    return x <= a_total ? ceil_div(x, a_row)
-                        : m + ceil_div(x - a_total, b_row);
-  }
-};
 
 std::uint64_t encode_combos(std::span<const PlaneCombo> combos, int planes) {
   EGEMM_EXPECTS(!combos.empty() && combos.size() <= kMaxPlanCombos);
@@ -407,11 +359,12 @@ void size_item(ItemRun& run) {
 
 /// One prep chunk: rows [u0, u1) of the item's PrepRows space. The
 /// O(N^2) data-split pass (it runs on CUDA cores in the real kernel)
-/// writes the chunk's A rows straight into the A pack, and its B rows
-/// strip by strip through L1 into the B pack's column blocks. Every step
-/// is element-wise, so any cut of the space gives the same pack bits.
-/// The "split" span covers A; the "pack" span covers B's strips, whose
-/// split time the record still counts as split.
+/// splits the chunk's A rows, transposed k-major through an L1 strip,
+/// straight into the A pack's blocks, and its B rows strip by strip
+/// through L1 into the B pack's column blocks. Every step is element-wise,
+/// so any cut of the space gives the same pack bits. The "split" span
+/// covers A, transposes included; the "pack" span covers B's strips,
+/// whose split time the record still counts as split.
 void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
   const PlanKey& key = run.key();
   Workspace& ws = *run.ws;
@@ -428,14 +381,16 @@ void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
     {
       const obs::StageTimer timer("split", &split);
       ws.packed_a().fill_rows(
-          a0, a1, [&](std::size_t first, std::size_t count, float* const* out) {
-            split_run(*run.op.a, key, first, count, out, nullptr);
+          a0, a1, run.op.a->data().data(),
+          [&](const float* in, std::size_t count, float* const* out) {
+            split_run(key, in, count, out, nullptr);
           });
     }
     const obs::StageTimer timer("pack", &b_fill);
     ws.packed_b().fill_rows(
-        b0, b1, [&](std::size_t first, std::size_t count, float* const* out) {
-          split_run(*run.op.b, key, first, count, out, &b_split);
+        b0, b1, run.op.b->data().data(),
+        [&](const float* in, std::size_t count, float* const* out) {
+          split_run(key, in, count, out, &b_split);
         });
   }
   // B's strip splits ran inside b_fill's window.

@@ -487,7 +487,7 @@ PrecisionProfile run_precision_dataflow_pass(const Kernel& kernel,
   }
   auto leading_planes = [](std::uint8_t mask) {
     int count = 0;
-    while ((mask >> count) & 1u) ++count;
+    while ((static_cast<unsigned>(mask) >> count) & 1u) ++count;
     return count;
   };
   const int pa = leading_planes(a_used);

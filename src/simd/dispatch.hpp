@@ -35,9 +35,9 @@ struct KernelTable {
   const char* name;  ///< isa_name(level)
 
   /// Packed-tile MMA: acc (kMmaTile x kMmaTile row-major, contiguous) +=
-  /// Ablk x Bblk. `a` is kMmaTile rows of half-valued floats with leading
-  /// dimension `lda`; `b` is `k` contiguous rows of kMmaTile floats. Per
-  /// output element the operation sequence is exactly
+  /// Ablk x Bblk. `a` is kMmaTile row-major rows of half-valued floats
+  /// with leading dimension `lda`; `b` is `k` contiguous rows of kMmaTile
+  /// floats. Per output element the operation sequence is exactly
   /// tcsim::detail::pair_sum_accumulate: one rounded p0 + p1 per k pair,
   /// chained onto the accumulator, with the column index as the vector
   /// lane dimension.
@@ -48,21 +48,25 @@ struct KernelTable {
   /// the packed engine with the accumulator tile held in registers across
   /// the entire k extent (the seed driver reloaded it from L1 once per
   /// 16-deep slab). `a_blocks` / `b_blocks` hold one packed A/B block base
-  /// pointer per combo. Semantics:
+  /// pointer per combo. Both are k-major: A element (r, kk) sits at
+  /// a_blocks[c][kk * kMmaTile + r] (the layout gemm::PackedPlanesA packs),
+  /// B element (kk, j) at b_blocks[c][kk * kMmaTile + j], so each k of
+  /// each operand is one contiguous 64-byte run. Semantics:
   ///
   ///   fused:  for k0 in [0, k) step k_slab: for c in combos: slab(c, k0)
   ///   !fused: for c in combos: for k0 in [0, k) step k_slab: slab(c, k0)
   ///
-  /// where slab(c, k0) is mma_block_packed(acc, a_blocks[c] + k0, lda,
-  /// b_blocks[c] + k0 * kMmaTile, min(k_slab, k - k0)). `k_slab` must be
-  /// even (or >= k): even slab boundaries keep the pair-sum pairing
-  /// aligned to even k offsets, which is what makes the slab length a pure
-  /// blocking choice in the !fused order. In the fused order the slab
-  /// length is part of the recipe (combos interleave per slab) -- the
-  /// packed engine always passes its semantic 16 there.
+  /// where slab(c, k0) is mma_block_packed over A's columns and B's rows
+  /// [k0, k0 + min(k_slab, k - k0)) -- the same values, the same operation
+  /// sequence, only A's addressing differs. `k_slab` must be even (or
+  /// >= k): even slab boundaries keep the pair-sum pairing aligned to even
+  /// k offsets, which is what makes the slab length a pure blocking choice
+  /// in the !fused order. In the fused order the slab length is part of
+  /// the recipe (combos interleave per slab) -- the packed engine always
+  /// passes its semantic 16 there.
   void (*mma_tile_recipe)(float* acc, const float* const* a_blocks,
-                          const float* const* b_blocks, int ncombos,
-                          std::size_t lda, int k, int k_slab, bool fused);
+                          const float* const* b_blocks, int ncombos, int k,
+                          int k_slab, bool fused);
 
   /// Binary16 round trip: out[i] = detail::f16_bits_to_f32_one(
   /// detail::f32_bits_to_f16_bits(in[i], nearest)) (half_convert_core.hpp):

@@ -42,12 +42,15 @@ namespace {
 /// Accumulates one k-slab for four A rows onto eight ymm accumulators
 /// (rows r hold lanes [0,8) in acc_lo[r], [8,16) in acc_hi[r]). Exactly
 /// fills the 16 ymm registers: 8 accumulators + 4 B row halves + broadcast
-/// and pair-sum temporaries.
+/// and pair-sum temporaries. `a` points at the group's first row; `as`
+/// gives its row and k strides.
+template <typename AStride>
 inline void slab_rows4(__m256 acc_lo[4], __m256 acc_hi[4], const float* a,
-                       std::size_t lda, const float* b, int kt) {
+                       AStride as, const float* b, int kt) {
   int kk = 0;
   for (; kk + 1 < kt; kk += 2) {
     const float* brow = b + static_cast<std::size_t>(kk) * kMmaTile;
+    const float* acol = a + static_cast<std::size_t>(kk) * as.k;
     const __m256 b0_lo = _mm256_loadu_ps(brow);
     const __m256 b0_hi = _mm256_loadu_ps(brow + 8);
     const __m256 b1_lo = _mm256_loadu_ps(brow + kMmaTile);
@@ -56,9 +59,9 @@ inline void slab_rows4(__m256 acc_lo[4], __m256 acc_hi[4], const float* a,
     // past the end of the block: prefetches never fault).
     __builtin_prefetch(brow + 4 * kMmaTile);
     for (int r = 0; r < 4; ++r) {
-      const float* arow = a + static_cast<std::size_t>(r) * lda;
-      const __m256 a0 = _mm256_broadcast_ss(arow + kk);
-      const __m256 a1 = _mm256_broadcast_ss(arow + kk + 1);
+      const float* arow = acol + static_cast<std::size_t>(r) * as.row;
+      const __m256 a0 = _mm256_broadcast_ss(arow);
+      const __m256 a1 = _mm256_broadcast_ss(arow + as.k);
       __m256 t_lo = _mm256_mul_ps(a0, b0_lo);
       __m256 t_hi = _mm256_mul_ps(a0, b0_hi);
       t_lo = _mm256_fmadd_ps(a1, b1_lo, t_lo);  // round(p0 + p1), exactly
@@ -69,11 +72,12 @@ inline void slab_rows4(__m256 acc_lo[4], __m256 acc_hi[4], const float* a,
   }
   if (kk < kt) {  // odd slab tail: the lone product accumulates directly
     const float* brow = b + static_cast<std::size_t>(kk) * kMmaTile;
+    const float* acol = a + static_cast<std::size_t>(kk) * as.k;
     const __m256 b0_lo = _mm256_loadu_ps(brow);
     const __m256 b0_hi = _mm256_loadu_ps(brow + 8);
     for (int r = 0; r < 4; ++r) {
-      const float* arow = a + static_cast<std::size_t>(r) * lda;
-      const __m256 a0 = _mm256_broadcast_ss(arow + kk);
+      const __m256 a0 =
+          _mm256_broadcast_ss(acol + static_cast<std::size_t>(r) * as.row);
       acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(a0, b0_lo));
       acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(a0, b0_hi));
     }
@@ -106,15 +110,15 @@ void mma_block_packed_avx2(float* acc, const float* a, std::size_t lda,
     __m256 acc_lo[4];
     __m256 acc_hi[4];
     load_acc_rows4(acc, i0, acc_lo, acc_hi);
-    slab_rows4(acc_lo, acc_hi, a + static_cast<std::size_t>(i0) * lda, lda, b,
-               k);
+    slab_rows4(acc_lo, acc_hi, a + static_cast<std::size_t>(i0) * lda,
+               detail::RowMajorA{lda}, b, k);
     store_acc_rows4(acc, i0, acc_lo, acc_hi);
   }
 }
 
 void mma_tile_recipe_avx2(float* acc, const float* const* a_blocks,
-                          const float* const* b_blocks, int ncombos,
-                          std::size_t lda, int k, int k_slab, bool fused) {
+                          const float* const* b_blocks, int ncombos, int k,
+                          int k_slab, bool fused) {
   EGEMM_COUNTER_ADD("tcsim.isa.mma_tile.avx2", 1);
   detail::check_recipe_args(ncombos, k, k_slab);
   // Row-group outer loop: each group of four rows keeps its accumulators
@@ -126,11 +130,10 @@ void mma_tile_recipe_avx2(float* acc, const float* const* a_blocks,
     load_acc_rows4(acc, i0, acc_lo, acc_hi);
     detail::for_each_recipe_slab(
         ncombos, k, k_slab, fused, [&](int c, int k0, int kt) {
+          const std::size_t at = static_cast<std::size_t>(k0) * kMmaTile;
           slab_rows4(acc_lo, acc_hi,
-                     a_blocks[c] + static_cast<std::size_t>(i0) * lda + k0,
-                     lda,
-                     b_blocks[c] + static_cast<std::size_t>(k0) * kMmaTile,
-                     kt);
+                     a_blocks[c] + at + static_cast<std::size_t>(i0),
+                     detail::KMajorA{}, b_blocks[c] + at, kt);
         });
     store_acc_rows4(acc, i0, acc_lo, acc_hi);
   }

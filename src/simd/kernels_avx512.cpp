@@ -34,20 +34,23 @@ namespace {
 
 /// Accumulates one k-slab for all 16 A rows onto the register-resident
 /// accumulator tile (one zmm per row). The row loop must stay fully
-/// unrolled so `accv` never spills.
-inline void slab_rows16(__m512 accv[kMmaTile], const float* a,
-                        std::size_t lda, const float* b, int kt) {
+/// unrolled so `accv` never spills. With the packs' k-major A (KMajorA)
+/// the 16 broadcasts of each k read one 64-byte line at fixed offsets.
+template <typename AStride>
+inline void slab_rows16(__m512 accv[kMmaTile], const float* a, AStride as,
+                        const float* b, int kt) {
   int kk = 0;
   for (; kk + 1 < kt; kk += 2) {
     const float* brow = b + static_cast<std::size_t>(kk) * kMmaTile;
+    const float* acol = a + static_cast<std::size_t>(kk) * as.k;
     const __m512 b0 = _mm512_loadu_ps(brow);
     const __m512 b1 = _mm512_loadu_ps(brow + kMmaTile);
     __builtin_prefetch(brow + 8 * kMmaTile);
 #pragma GCC unroll 16
     for (int r = 0; r < kMmaTile; ++r) {
-      const float* arow = a + static_cast<std::size_t>(r) * lda;
-      __m512 t = _mm512_mul_ps(_mm512_set1_ps(arow[kk]), b0);
-      t = _mm512_fmadd_ps(_mm512_set1_ps(arow[kk + 1]), b1,
+      const float* arow = acol + static_cast<std::size_t>(r) * as.row;
+      __m512 t = _mm512_mul_ps(_mm512_set1_ps(arow[0]), b0);
+      t = _mm512_fmadd_ps(_mm512_set1_ps(arow[as.k]), b1,
                           t);  // round(p0 + p1), exactly
       accv[r] = _mm512_add_ps(accv[r], t);
     }
@@ -55,10 +58,11 @@ inline void slab_rows16(__m512 accv[kMmaTile], const float* a,
   if (kk < kt) {
     const __m512 b0 =
         _mm512_loadu_ps(b + static_cast<std::size_t>(kk) * kMmaTile);
+    const float* acol = a + static_cast<std::size_t>(kk) * as.k;
 #pragma GCC unroll 16
     for (int r = 0; r < kMmaTile; ++r) {
-      const float* arow = a + static_cast<std::size_t>(r) * lda;
-      accv[r] = _mm512_add_ps(accv[r], _mm512_mul_ps(_mm512_set1_ps(arow[kk]),
+      const float* arow = acol + static_cast<std::size_t>(r) * as.row;
+      accv[r] = _mm512_add_ps(accv[r], _mm512_mul_ps(_mm512_set1_ps(arow[0]),
                                                      b0));
     }
   }
@@ -83,22 +87,22 @@ void mma_block_packed_avx512(float* acc, const float* a, std::size_t lda,
   EGEMM_COUNTER_ADD("tcsim.isa.mma_block.avx512", 1);
   __m512 accv[kMmaTile];
   load_acc(acc, accv);
-  slab_rows16(accv, a, lda, b, k);
+  slab_rows16(accv, a, detail::RowMajorA{lda}, b, k);
   store_acc(acc, accv);
 }
 
 void mma_tile_recipe_avx512(float* acc, const float* const* a_blocks,
-                            const float* const* b_blocks, int ncombos,
-                            std::size_t lda, int k, int k_slab, bool fused) {
+                            const float* const* b_blocks, int ncombos, int k,
+                            int k_slab, bool fused) {
   EGEMM_COUNTER_ADD("tcsim.isa.mma_tile.avx512", 1);
   detail::check_recipe_args(ncombos, k, k_slab);
   __m512 accv[kMmaTile];
   load_acc(acc, accv);
   detail::for_each_recipe_slab(
       ncombos, k, k_slab, fused, [&](int c, int k0, int kt) {
-        slab_rows16(accv, a_blocks[c] + k0, lda,
-                    b_blocks[c] + static_cast<std::size_t>(k0) * kMmaTile,
-                    kt);
+        const std::size_t at = static_cast<std::size_t>(k0) * kMmaTile;
+        slab_rows16(accv, a_blocks[c] + at, detail::KMajorA{},
+                    b_blocks[c] + at, kt);
       });
   store_acc(acc, accv);
 }
@@ -110,11 +114,14 @@ void mma_tile_recipe_avx512(float* acc, const float* const* a_blocks,
 /// core's canonical quiet NaN, sign(x) | 0x7fc00000, over every NaN lane;
 /// vcvtps2ph keeps the payload's top bits instead. Bit-identical to
 /// f16_bits_to_f32_one(f32_bits_to_f16_bits(x)) for all 2^32 inputs in
-/// both modes (DESIGN.md §15).
+/// both modes (DESIGN.md §15). The conversion is spelled as the maskz
+/// form with an all-ones mask -- the same instruction -- because GCC's
+/// unmasked _mm512_cvtps_ph macro, used in unoptimized builds, passes its
+/// mask as int -1, which -Wsign-conversion rejects.
 template <int kRounding>
 inline __m512 f32x16_round_through_f16(__m512 x) {
-  const __m512 back = _mm512_cvtph_ps(
-      _mm512_cvtps_ph(x, kRounding | _MM_FROUND_NO_EXC));
+  const __m512 back = _mm512_cvtph_ps(_mm512_maskz_cvtps_ph(
+      static_cast<__mmask16>(0xffff), x, kRounding | _MM_FROUND_NO_EXC));
   const __m512i bits = _mm512_castps_si512(x);
   const __mmask16 is_nan = _mm512_cmpgt_epi32_mask(
       _mm512_and_si512(bits, _mm512_set1_epi32(0x7fffffff)),

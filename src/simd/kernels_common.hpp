@@ -11,6 +11,21 @@
 
 namespace egemm::simd::detail {
 
+/// How an MMA kernel addresses its A block: element (r, kk) sits at
+/// a[r * row + kk * k]. mma_block_packed reads a row-major block with a
+/// runtime leading dimension; mma_tile_recipe reads the packs' k-major
+/// blocks, whose strides are compile-time constants, so every A read in
+/// the recipe is a fixed offset from one pointer that steps a 64-byte
+/// line per k. Each tier keeps one slab body templated on this layout.
+struct RowMajorA {
+  std::size_t row;  ///< the leading dimension
+  static constexpr std::size_t k = 1;
+};
+struct KMajorA {
+  static constexpr std::size_t row = 1;
+  static constexpr std::size_t k = kMmaTile;
+};
+
 /// Validates an mma_tile_recipe call. An even slab keeps pair boundaries
 /// on even k offsets (so the !fused order stays bit-identical for every
 /// slab choice); a slab covering all of k trivially does too.

@@ -90,9 +90,8 @@ void mma_block_packed(float* acc, const float* a, std::size_t lda,
 }
 
 void mma_tile_recipe(float* acc, const float* const* a_blocks,
-                     const float* const* b_blocks, int ncombos,
-                     std::size_t lda, int k, int k_slab,
-                     bool fused) noexcept {
+                     const float* const* b_blocks, int ncombos, int k,
+                     int k_slab, bool fused) noexcept {
   // Count the equivalent number of block-kernel calls so the counter keeps
   // its meaning across the driver's move from per-slab calls to one
   // whole-tile recipe call.
@@ -102,7 +101,7 @@ void mma_tile_recipe(float* acc, const float* const* a_blocks,
                     static_cast<std::uint64_t>(ncombos) *
                         static_cast<std::uint64_t>(slabs));
   simd::active_kernels().mma_tile_recipe(acc, a_blocks, b_blocks, ncombos,
-                                         lda, k, k_slab, fused);
+                                         k, k_slab, fused);
 }
 
 float probe_dot_half(std::span<const fp::Half> a, std::span<const fp::Half> b,

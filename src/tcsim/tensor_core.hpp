@@ -74,14 +74,16 @@ float tc_dot(std::span<const fp::Half> a, std::span<const fp::Half> b,
 /// the bulk-GEMM inner loop. Same accumulation semantics as mma_sync.
 float tc_dot_f32(const float* a, const float* b, int k, float c) noexcept;
 
-/// Packed-tile MMA: the vectorized bulk-GEMM kernel (DESIGN.md §10).
+/// Packed-tile MMA: the single-slab block kernel (DESIGN.md §10).
 /// Accumulates a kTcM x kTcN tile: acc (row-major, leading dimension kTcN)
-/// += Ablk x Bblk, where Ablk is kTcM rows of pre-widened half-valued
-/// floats with leading dimension `lda` (a packed A-plane tile) and Bblk is
-/// `k` contiguous rows of kTcN floats (a packed B-plane k-slab). Each
-/// output element performs exactly the pair_sum_accumulate sequence; the
-/// column index is the SIMD lane dimension, so the inner loop walks both
-/// packs at unit stride and vectorizes without reassociating anything.
+/// += Ablk x Bblk, where Ablk is kTcM ROW-MAJOR rows of pre-widened
+/// half-valued floats with leading dimension `lda` and Bblk is `k`
+/// contiguous rows of kTcN floats (a packed B-plane k-slab). The engine
+/// itself runs mma_tile_recipe over the packs' k-major A blocks; this
+/// entry keeps the row-major contract for callers holding plain tiles.
+/// Each output element performs exactly the pair_sum_accumulate
+/// sequence; the column index is the SIMD lane dimension, so the inner
+/// loop vectorizes without reassociating anything.
 /// Dispatches to the runtime-selected ISA variant (simd/dispatch.hpp,
 /// DESIGN.md §15); every variant is pinned bit-identical to the scalar
 /// sequence above.
@@ -92,22 +94,25 @@ void mma_block_packed(float* acc, const float* a, std::size_t lda,
 /// combo x k-slab loop in one dispatched call so the SIMD variants can
 /// keep the kTcM x kTcN accumulator tile in registers across the entire k
 /// extent. `a_blocks[c]` / `b_blocks[c]` are the combo-c packed A-plane
-/// tile base (leading dimension `lda`) and B-plane block base. Semantics
-/// are exactly the loop nest
+/// and B-plane block bases, both k-major: A element (r, kk) at
+/// a_blocks[c][kk * kTcM + r] (gemm::PackedPlanesA's layout), B element
+/// (kk, j) at b_blocks[c][kk * kTcN + j]. Semantics are exactly the loop
+/// nest
 ///
-///   fused:  for k0 step k_slab: for c: mma_block_packed(acc,
-///           a_blocks[c] + k0, lda, b_blocks[c] + k0 * kTcN, kt)
+///   fused:  for k0 step k_slab: for c: mma_block_packed(acc, A_c[:, k0:],
+///           lda, b_blocks[c] + k0 * kTcN, kt)
 ///   !fused: the same with the c / k0 loops exchanged
 ///
-/// with kt = min(k_slab, k - k0). `k_slab` must be even or >= k: even slab
-/// boundaries keep the pair-sum pairing on even k offsets, making the slab
-/// length a pure blocking choice in the !fused order (any even value gives
-/// bit-identical results). In the fused order the slab length is part of
-/// the emulation recipe and callers pass the semantic value (16).
+/// with kt = min(k_slab, k - k0) and A_c the row-major copy of combo c's
+/// block: only the addressing differs, never a value or an operation.
+/// `k_slab` must be even or >= k: even slab boundaries keep the pair-sum
+/// pairing on even k offsets, making the slab length a pure blocking
+/// choice in the !fused order (any even value gives bit-identical
+/// results). In the fused order the slab length is part of the emulation
+/// recipe and callers pass the semantic value (16).
 void mma_tile_recipe(float* acc, const float* const* a_blocks,
-                     const float* const* b_blocks, int ncombos,
-                     std::size_t lda, int k, int k_slab,
-                     bool fused) noexcept;
+                     const float* const* b_blocks, int ncombos, int k,
+                     int k_slab, bool fused) noexcept;
 
 // -- Probing compute primitives (Fig. 2a) -----------------------------------
 // Each computes the same dot product under a hypothesised intermediate

@@ -18,6 +18,7 @@
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
+#include "gemm/prep_rows.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/isa.hpp"
@@ -280,6 +281,112 @@ TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
           EXPECT_TRUE(bitwise_equal(nested[j], expect[j % kItems]))
               << "nested " << where;
         }
+      }
+    }
+  }
+}
+
+TEST(PackedPlanesA, FillRowsPacksEachBlockKMajor) {
+  // Element (r, kk) of plane p sits at block(p, r / 16)[kk * 16 + r % 16];
+  // the last block's lanes past m are zero; and filling by row ranges
+  // that cut inside blocks gives assign()'s bits, over stale contents.
+  // k = 63 and 65 straddle a 64-column strip, 1025 ends on a one-column
+  // strip.
+  const std::size_t kMs[] = {1, 15, 17, 40};
+  const std::size_t kKs[] = {1, 63, 65, 1025};
+  const std::size_t kEdges[] = {1, 6, 18, 19, 32, 37, 40};
+  // An elementwise three-plane "split" with exact, distinct planes.
+  const auto split = [](const float* in, std::size_t count,
+                        float* const* out) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[0][i] = in[i];
+      out[1][i] = -in[i];
+      out[2][i] = 0.5f * in[i];
+    }
+  };
+  for (const std::size_t m : kMs) {
+    for (const std::size_t k : kKs) {
+      const std::string where =
+          "m=" + std::to_string(m) + " k=" + std::to_string(k);
+      const Matrix src = random_matrix(m, k, -1, 1, 700);
+      std::vector<Matrix> planes(kMaxPackPlanes, Matrix(m, k));
+      for (std::size_t i = 0; i < src.data().size(); ++i) {
+        float* out[kMaxPackPlanes] = {&planes[0].data()[i],
+                                      &planes[1].data()[i],
+                                      &planes[2].data()[i]};
+        split(&src.data()[i], 1, out);
+      }
+      PackedPlanesA whole;
+      whole.assign(planes);
+      const std::size_t rows = (m + kPackTile - 1) / kPackTile * kPackTile;
+      for (std::size_t p = 0; p < planes.size(); ++p) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float* block = whole.block(p, r / kPackTile);
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            const float want = r < m ? planes[p].at(r, kk) : 0.0f;
+            const float got = block[kk * kPackTile + r % kPackTile];
+            ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+                << where << " plane " << p << " (" << r << ", " << kk << ")";
+          }
+        }
+      }
+
+      // Stale NaNs in every lane, padding included, then a refill in
+      // ragged row ranges.
+      std::vector<Matrix> stale(planes.size(), Matrix(rows, k));
+      for (Matrix& plane : stale) {
+        plane.fill(std::numeric_limits<float>::quiet_NaN());
+      }
+      PackedPlanesA cut;
+      cut.assign(stale);
+      EXPECT_FALSE(cut.resize(planes.size(), m, k)) << where;
+      std::size_t r0 = 0;
+      for (const std::size_t edge : kEdges) {
+        const std::size_t r1 = std::min(m, edge);
+        cut.fill_rows(r0, r1, src.data().data(), split);
+        r0 = r1;
+      }
+      for (std::size_t p = 0; p < planes.size(); ++p) {
+        EXPECT_EQ(std::memcmp(cut.block(p, 0), whole.block(p, 0),
+                              rows * k * sizeof(float)),
+                  0)
+            << where << " plane " << p;
+      }
+    }
+  }
+}
+
+TEST(PackedPlanesA, PrepChunksCutARowsOnBlockEdges) {
+  // Pooled prep chunks run concurrently; a k-major A block interleaves 16
+  // rows in every line, so each A cut must fall on a block edge or on m.
+  const Shape shapes[] = {{901, 13, 131},   {13, 61, 1501}, {40, 7, 1025},
+                          {1024, 1024, 1024}, {17, 64, 256}, {128, 128, 16384},
+                          {64, 64, 64},     {1, 1, 1}};
+  for (const Shape s : shapes) {
+    for (const int planes : {2, 3}) {
+      PlanKey key;
+      key.m = s.m;
+      key.n = s.n;
+      key.k = s.k;
+      key.planes = static_cast<std::uint8_t>(planes);
+      const PrepRows rows(key);
+      const std::string where = std::to_string(s.m) + "x" +
+                                std::to_string(s.n) + "x" +
+                                std::to_string(s.k) + " planes " +
+                                std::to_string(planes);
+      EXPECT_EQ(rows.start(0), 0u) << where;
+      EXPECT_EQ(rows.start(rows.chunks), s.m + s.k) << where;
+      std::size_t a_cuts = 0;
+      for (std::size_t j = 1; j <= rows.chunks; ++j) {
+        const std::size_t start = rows.start(j);
+        EXPECT_LE(rows.start(j - 1), start) << where << " chunk " << j;
+        if (start < s.m) {
+          ++a_cuts;
+          EXPECT_EQ(start % kPackTile, 0u) << where << " chunk " << j;
+        }
+      }
+      if (s.m >= 4 * kPackTile && rows.chunks > 8) {
+        EXPECT_GT(a_cuts, 0u) << where;  // A's rows are cut too
       }
     }
   }

@@ -397,8 +397,9 @@ TEST(SimdMma, BlockKernelMatchesScalarBitwise) {
 }
 
 /// The documented recipe semantics, written as the plain loop nest over
-/// the SCALAR block kernel -- the oracle every dispatched recipe variant
-/// (and slab choice) must reproduce bit for bit.
+/// the SCALAR block kernel on ROW-MAJOR A blocks (leading dimension
+/// `lda`) -- the oracle every dispatched recipe variant (and slab choice)
+/// must reproduce bit for bit on the k-major copies of the same blocks.
 void reference_recipe(float* acc, const float* const* a_blocks,
                       const float* const* b_blocks, int ncombos,
                       std::size_t lda, int k, int k_slab, bool fused) {
@@ -420,34 +421,64 @@ void reference_recipe(float* acc, const float* const* a_blocks,
   }
 }
 
-TEST(SimdMma, TileRecipeMatchesBlockKernelLoop) {
-  constexpr int kNcombos = 4;
-  for (const int k : {16, 17, 48, 100, 513}) {
-    const std::size_t lda = static_cast<std::size_t>(k);
-    std::vector<std::vector<float>> astore;
-    std::vector<std::vector<float>> bstore;
-    std::array<const float*, kNcombos> a_blocks{};
-    std::array<const float*, kNcombos> b_blocks{};
-    for (int c = 0; c < kNcombos; ++c) {
-      astore.push_back(half_valued(kMmaTile * lda,
-                                   100 + static_cast<std::uint32_t>(k + c)));
-      bstore.push_back(half_valued(static_cast<std::size_t>(k) * kMmaTile,
-                                   200 + static_cast<std::uint32_t>(k + c)));
-      a_blocks[static_cast<std::size_t>(c)] = astore.back().data();
-      b_blocks[static_cast<std::size_t>(c)] = bstore.back().data();
+/// The recipe's A layout: element (r, kk) of a row-major kMmaTile x k
+/// block moved to [kk * kMmaTile + r].
+std::vector<float> k_major(const std::vector<float>& row_major, int k) {
+  const auto kk_count = static_cast<std::size_t>(k);
+  std::vector<float> out(row_major.size());
+  for (std::size_t r = 0; r < kMmaTile; ++r) {
+    for (std::size_t kk = 0; kk < kk_count; ++kk) {
+      out[kk * kMmaTile + r] = row_major[r * kk_count + kk];
     }
+  }
+  return out;
+}
+
+/// `ncombos` half-valued A/B block pairs for one recipe call: A as the
+/// row-major blocks the reference reads and their k-major copies the
+/// recipe reads, B once (k-major in both).
+struct RecipeBlocks {
+  std::vector<std::vector<float>> a_rows, a_kmajor, b;
+  std::vector<const float*> rows_ptr, kmajor_ptr, b_ptr;
+
+  RecipeBlocks(int ncombos, int k, std::uint32_t seed) {
+    const auto kk_count = static_cast<std::size_t>(k);
+    for (int c = 0; c < ncombos; ++c) {
+      const auto offset = static_cast<std::uint32_t>(c);
+      a_rows.push_back(half_valued(kMmaTile * kk_count, seed + offset));
+      a_kmajor.push_back(k_major(a_rows.back(), k));
+      b.push_back(half_valued(kk_count * kMmaTile, seed + 100 + offset));
+    }
+    for (int c = 0; c < ncombos; ++c) {
+      const auto i = static_cast<std::size_t>(c);
+      rows_ptr.push_back(a_rows[i].data());
+      kmajor_ptr.push_back(a_kmajor[i].data());
+      b_ptr.push_back(b[i].data());
+    }
+  }
+};
+
+TEST(SimdMma, TileRecipeMatchesBlockKernelLoop) {
+  // Same values, new layout, same bits: the recipe over k-major A blocks
+  // reproduces the row-major block-kernel loop in every tier.
+  constexpr int kNcombos = 4;
+  for (const int k : {1, 16, 17, 48, 100, 513}) {
+    const RecipeBlocks blocks(kNcombos, k,
+                              100 + static_cast<std::uint32_t>(k));
     const std::vector<float> acc0 =
         random_acc(kMmaTile * kMmaTile, 300 + static_cast<std::uint32_t>(k));
     for (const bool fused : {true, false}) {
       const int k_slab = 16;  // the packed engine's fused (semantic) slab
       std::vector<float> want = acc0;
-      reference_recipe(want.data(), a_blocks.data(), b_blocks.data(),
-                       kNcombos, lda, k, k_slab, fused);
+      reference_recipe(want.data(), blocks.rows_ptr.data(),
+                       blocks.b_ptr.data(), kNcombos,
+                       static_cast<std::size_t>(k), k, k_slab, fused);
       for (const IsaLevel level : available_levels()) {
         const KernelTable& table = *simd::kernels_for(level);
         std::vector<float> got = acc0;
-        table.mma_tile_recipe(got.data(), a_blocks.data(), b_blocks.data(),
-                              kNcombos, lda, k, k_slab, fused);
+        table.mma_tile_recipe(got.data(), blocks.kmajor_ptr.data(),
+                              blocks.b_ptr.data(), kNcombos, k, k_slab,
+                              fused);
         ASSERT_EQ(std::memcmp(got.data(), want.data(),
                               want.size() * sizeof(float)),
                   0)
@@ -464,29 +495,18 @@ TEST(SimdMma, SeparateOrderIsSlabLengthInvariant) {
   // slab for locality alone.
   constexpr int kNcombos = 3;
   const int k = 200;
-  const std::size_t lda = static_cast<std::size_t>(k);
-  std::vector<std::vector<float>> astore;
-  std::vector<std::vector<float>> bstore;
-  std::array<const float*, kNcombos> a_blocks{};
-  std::array<const float*, kNcombos> b_blocks{};
-  for (int c = 0; c < kNcombos; ++c) {
-    astore.push_back(
-        half_valued(kMmaTile * lda, 400 + static_cast<std::uint32_t>(c)));
-    bstore.push_back(half_valued(static_cast<std::size_t>(k) * kMmaTile,
-                                 500 + static_cast<std::uint32_t>(c)));
-    a_blocks[static_cast<std::size_t>(c)] = astore.back().data();
-    b_blocks[static_cast<std::size_t>(c)] = bstore.back().data();
-  }
+  const RecipeBlocks blocks(kNcombos, k, 400);
   const std::vector<float> acc0 = random_acc(kMmaTile * kMmaTile, 600);
   std::vector<float> want = acc0;
-  reference_recipe(want.data(), a_blocks.data(), b_blocks.data(), kNcombos,
-                   lda, k, /*k_slab=*/16, /*fused=*/false);
+  reference_recipe(want.data(), blocks.rows_ptr.data(), blocks.b_ptr.data(),
+                   kNcombos, static_cast<std::size_t>(k), k, /*k_slab=*/16,
+                   /*fused=*/false);
   for (const IsaLevel level : available_levels()) {
     const KernelTable& table = *simd::kernels_for(level);
     for (const int k_slab : {2, 16, 34, 128, 200, 512, 1001}) {
       std::vector<float> got = acc0;
-      table.mma_tile_recipe(got.data(), a_blocks.data(), b_blocks.data(),
-                            kNcombos, lda, k, k_slab, false);
+      table.mma_tile_recipe(got.data(), blocks.kmajor_ptr.data(),
+                            blocks.b_ptr.data(), kNcombos, k, k_slab, false);
       ASSERT_EQ(
           std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
           0)
