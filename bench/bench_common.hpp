@@ -19,11 +19,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/scheme.hpp"
 #include "gemm/gemm_api.hpp"
+#include "gemm/plan.hpp"
 #include "obs/callrec.hpp"
 #include "obs/export.hpp"
-#include "simd/isa.hpp"
 #include "tcsim/gpu_spec.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -63,30 +62,6 @@ struct BenchRecord {
 
 using obs::append_json_escaped;
 
-/// The harness-side id -> name resolvers for the per-call telemetry JSON
-/// (obs/callrec.hpp cannot name gemm/core/simd enums itself -- the obs
-/// layer sits below them).
-inline obs::CallJsonNames call_json_names() {
-  obs::CallJsonNames names;
-  names.scheme = [](std::int8_t s) -> const char* {
-    if (s < 0 || static_cast<std::size_t>(s) >= core::kSchemeCount) {
-      return "custom";
-    }
-    return core::scheme_name(static_cast<core::SchemeId>(s));
-  };
-  names.backend = [](std::uint8_t b) -> const char* {
-    return b <= static_cast<std::uint8_t>(gemm::Backend::kDekker)
-               ? gemm::backend_name(static_cast<gemm::Backend>(b))
-               : "?";
-  };
-  names.isa = [](std::uint8_t i) -> const char* {
-    return i < static_cast<std::uint8_t>(simd::kIsaLevelCount)
-               ? simd::isa_name(static_cast<simd::IsaLevel>(i))
-               : "?";
-  };
-  return names;
-}
-
 /// Writes the benchmark records as a small self-describing JSON document
 /// (consumed by CI as an artifact; "gflops" is items_per_second / 1e9 and is
 /// GFLOP/s for the GEMM benches, whose item count is the FLOP count). The
@@ -117,7 +92,7 @@ inline bool write_bench_json(const std::string& path,
     const std::vector<obs::CallRecord> calls = obs::drain_call_records();
     out += obs::call_summary_json_block(
         obs::summarize_calls({calls.data(), calls.size()}), "  ",
-        call_json_names());
+        gemm::call_json_names());
   }
   out += ",\n  \"metrics\": ";
   out += obs::metrics_json_block("  ");

@@ -81,29 +81,6 @@ std::vector<std::string> split_list(const std::string& text) {
   return out;
 }
 
-/// Same id -> name mapping the bench harness uses (bench_common.hpp);
-/// duplicated here because examples do not include the bench tree.
-obs::CallJsonNames stats_json_names() {
-  obs::CallJsonNames names;
-  names.scheme = [](std::int8_t s) -> const char* {
-    if (s < 0 || static_cast<std::size_t>(s) >= core::kSchemeCount) {
-      return "custom";
-    }
-    return core::scheme_name(static_cast<core::SchemeId>(s));
-  };
-  names.backend = [](std::uint8_t b) -> const char* {
-    return b <= static_cast<std::uint8_t>(gemm::Backend::kDekker)
-               ? gemm::backend_name(static_cast<gemm::Backend>(b))
-               : "?";
-  };
-  names.isa = [](std::uint8_t i) -> const char* {
-    return i < static_cast<std::uint8_t>(simd::kIsaLevelCount)
-               ? simd::isa_name(static_cast<simd::IsaLevel>(i))
-               : "?";
-  };
-  return names;
-}
-
 std::string pct(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? "-"
                     : util::fmt_fixed(100.0 * static_cast<double>(part) /
@@ -230,7 +207,7 @@ int main(int argc, char** argv) {
 
   if (args.has_flag("json")) {
     std::string out =
-        obs::call_summary_json_block(summary, "", stats_json_names());
+        obs::call_summary_json_block(summary, "", gemm::call_json_names());
     out += "\n";
     std::fwrite(out.data(), 1, out.size(), stdout);
   } else {
@@ -239,7 +216,7 @@ int main(int argc, char** argv) {
     table.set_header({"shape", "scheme", "batch", "calls", "gemms", "hit%",
                       "p50 us", "p90 us", "p99 us", "GFLOP/s", "split%",
                       "pack%", "mma%", "comb%", "cov%"});
-    const obs::CallJsonNames names = stats_json_names();
+    const obs::CallJsonNames names = gemm::call_json_names();
     for (const obs::CallClassSummary& cls : summary.classes) {
       const std::string shape = std::to_string(cls.m) + "x" +
                                 std::to_string(cls.n) + "x" +

@@ -23,8 +23,8 @@ constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTermsMarkidis{{
 constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTermsHalf{{
     {0, 0},
 }};
-/// Three-plane recipes accumulate by descending total depth (the plan
-/// layer's k3Split order).
+/// Three-plane recipes accumulate smallest-magnitude terms first, so they
+/// are absorbed before the dominant hi x hi product.
 constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTerms3{{
     {2, 2}, {2, 1}, {1, 2}, {2, 0}, {1, 1}, {0, 2}, {1, 0}, {0, 1}, {0, 0},
 }};

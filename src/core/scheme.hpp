@@ -23,9 +23,10 @@
 // bound than a 4-term one. The accuracy-contract resolver therefore
 // evaluates every rung's full bound instead of trusting the order.
 //
-// This header is the single source of truth for scheme identity: the plan
-// cache key, the obs counters, the differential harness paths, and the
-// verify-side hand bounds all classify against it.
+// This header is the single source of truth for scheme identity and
+// recipe: GEMM plans run a rung's descriptor terms as they stand, and the
+// obs counters, the differential harness paths, and the verify-side hand
+// bounds all classify against it.
 
 #include <array>
 #include <cstddef>
@@ -129,7 +130,7 @@ SchemeProfile scheme_profile(SchemeId id) noexcept;
 
 /// Maps a profile back onto the ladder: the rung whose split method, plane
 /// count, half-only flag, and term grid all match, or nullopt when the
-/// profile matches no named rung (custom recipes, mis-derived kernels).
+/// profile matches no named rung (e.g. a mis-derived kernel).
 std::optional<SchemeId> classify_scheme(const SchemeProfile& profile) noexcept;
 
 // -- a-priori error bounds (DESIGN.md §11/§16) -------------------------------

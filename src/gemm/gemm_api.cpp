@@ -130,6 +130,33 @@ void run_gemm_ex_group(GemmContext& ctx,
   apply_epilogues(items, normalized);
 }
 
+/// The items of a gemm_batched call: checks that every item has item 0's
+/// shape and that C matches the batch, sizes `d` to the batch, and points
+/// item i at a[i], b[i], c[i] (when given) and d[i].
+std::vector<GroupedGemmItem> batch_items(std::span<const Matrix> a,
+                                         std::span<const Matrix> b,
+                                         std::span<const Matrix> c,
+                                         const GemmExParams& params,
+                                         std::vector<Matrix>& d) {
+  EGEMM_EXPECTS(a.size() == b.size());
+  EGEMM_EXPECTS(c.empty() || c.size() == a.size());
+  EGEMM_EXPECTS(params.beta == 0.0f || !c.empty());
+  for (std::size_t i = 1; i < a.size(); ++i) {
+    EGEMM_EXPECTS(a[i].rows() == a[0].rows() && a[i].cols() == a[0].cols());
+    EGEMM_EXPECTS(b[i].rows() == b[0].rows() && b[i].cols() == b[0].cols());
+  }
+  d.resize(a.size());
+  std::vector<GroupedGemmItem> items(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    items[i].a = &a[i];
+    items[i].b = &b[i];
+    items[i].c = c.empty() ? nullptr : &c[i];
+    items[i].d = &d[i];
+    items[i].params = params;
+  }
+  return items;
+}
+
 }  // namespace
 
 [[noreturn]] void throw_contract_infeasible(
@@ -267,23 +294,8 @@ std::vector<Matrix> gemm_batched(GemmContext& ctx, Backend backend,
                                  std::span<const Matrix> b,
                                  std::span<const Matrix> c,
                                  const GemmExParams& params) {
-  EGEMM_EXPECTS(a.size() == b.size());
-  EGEMM_EXPECTS(c.empty() || c.size() == a.size());
-  EGEMM_EXPECTS(params.beta == 0.0f || !c.empty());
-  std::vector<Matrix> d(a.size());
-  if (a.empty()) return d;
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    EGEMM_EXPECTS(a[i].rows() == a[0].rows() && a[i].cols() == a[0].cols());
-    EGEMM_EXPECTS(b[i].rows() == b[0].rows() && b[i].cols() == b[0].cols());
-  }
-  std::vector<GroupedGemmItem> items(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    items[i].a = &a[i];
-    items[i].b = &b[i];
-    items[i].c = c.empty() ? nullptr : &c[i];
-    items[i].d = &d[i];
-    items[i].params = params;
-  }
+  std::vector<Matrix> d;
+  const std::vector<GroupedGemmItem> items = batch_items(a, b, c, params, d);
   gemm_grouped(ctx, backend, items);
   return d;
 }
@@ -300,15 +312,9 @@ std::vector<Matrix> gemm_batched(GemmContext& ctx, std::span<const Matrix> a,
                                  std::span<const Matrix> c,
                                  const GemmExParams& params,
                                  const core::AccuracyContract& contract) {
-  EGEMM_EXPECTS(a.size() == b.size());
-  EGEMM_EXPECTS(c.empty() || c.size() == a.size());
-  EGEMM_EXPECTS(params.beta == 0.0f || !c.empty());
-  std::vector<Matrix> d(a.size());
-  if (a.empty()) return d;
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    EGEMM_EXPECTS(a[i].rows() == a[0].rows() && a[i].cols() == a[0].cols());
-    EGEMM_EXPECTS(b[i].rows() == b[0].rows() && b[i].cols() == b[0].cols());
-  }
+  std::vector<Matrix> d;
+  const std::vector<GroupedGemmItem> items = batch_items(a, b, c, params, d);
+  if (items.empty()) return d;
   // One resolution against the batch-wide worst-case scale context: the
   // max over the items' |a|, |b|, |c| dominates every per-item context,
   // so the selected rung's bound is sound for the whole batch and all
@@ -334,14 +340,6 @@ std::vector<Matrix> gemm_batched(GemmContext& ctx, std::span<const Matrix> a,
       a[0], b[0], use_c ? &c[0] : nullptr, params, resolved);
   if (!resolution.feasible) {
     throw_contract_infeasible(contract, resolution);
-  }
-  std::vector<GroupedGemmItem> items(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    items[i].a = &a[i];
-    items[i].b = &b[i];
-    items[i].c = c.empty() ? nullptr : &c[i];
-    items[i].d = &d[i];
-    items[i].params = params;
   }
   run_gemm_ex_group(ctx, items,
                     [&ctx, &resolution](std::size_t, std::size_t m,

@@ -68,32 +68,9 @@ void PackedPlanesA::transpose_tile(const float* src, std::size_t ld,
   }
 }
 
-void PackedPlanesA::place_lanes(const float* const* strip, std::size_t b0,
-                                std::size_t b1, std::size_t c0,
-                                std::size_t cols) {
-  const std::size_t lanes = b1 - b0;
-  for (std::size_t p = 0; p < planes_.size(); ++p) {
-    float* dst = planes_[p].data() + (b0 / kPackTile) * kPackTile * k_ +
-                 c0 * kPackTile + b0 % kPackTile;
-    for (std::size_t c = 0; c < cols; ++c) {
-      std::memcpy(dst + c * kPackTile, strip[p] + c * lanes,
-                  lanes * sizeof(float));
-    }
-  }
-}
-
-void PackedPlanesA::finish_rows(std::size_t r0, std::size_t r1) {
-  const std::size_t lanes = m_ % kPackTile;  // live lanes of the last block
-  if (r1 == m_ && lanes != 0) {
-    for (PackBuffer& plane : planes_) {
-      float* last = plane.data() + (m_ - lanes) * k_;
-      for (std::size_t kk = 0; kk < k_; ++kk) {
-        std::fill(last + kk * kPackTile + lanes, last + (kk + 1) * kPackTile,
-                  0.0f);
-      }
-    }
-  }
+void PackedPlanesA::count_rows(std::size_t r0, std::size_t r1) const {
   static_cast<void>(r0);  // unused with observability compiled out
+  static_cast<void>(r1);
   EGEMM_COUNTER_ADD("pack.a_bytes",
                     planes_.size() * (r1 - r0) * k_ * sizeof(float));
   EGEMM_COUNTER_ADD("pack.calls", 1);
@@ -106,14 +83,19 @@ bool PackedPlanesA::assign(std::span<const Matrix> planes) {
     EGEMM_EXPECTS(plane.rows() == m_ && plane.cols() == k_);
   }
   if (m_ == 0) return grew;
+  const std::size_t last = m_ / kPackTile * kPackTile;  // partial block
   for (std::size_t p = 0; p < planes.size(); ++p) {
+    // Its lanes past m are padding: zero them before the transposes.
+    if (last < m_) {
+      std::fill_n(planes_[p].data() + last * k_, kPackTile * k_, 0.0f);
+    }
     for (std::size_t r = 0; r < m_; r += kPackTile) {
       transpose_tile(planes[p].data().data() + r * k_, k_,
                      std::min(kPackTile, m_ - r), k_,
                      planes_[p].data() + r * k_, kPackTile);
     }
   }
-  finish_rows(0, m_);
+  count_rows(0, m_);
   return grew;
 }
 

@@ -27,25 +27,25 @@
 // the row-major binary32 operand and passes runs of it through the
 // caller's elementwise `split`, which writes every plane's run:
 //
-//   * A's rows are transposed k-major, 16 rows by 64 columns at a time,
-//     into an L1 strip (4x4 SSE transposes), and `split` writes the
-//     strip's planes straight into the block: one transposition per input
-//     element, whatever the plane count. A block the range covers only in
-//     part is split lane-compact into per-plane strips and its lanes are
-//     copied in.
+//   * A's rows are transposed k-major, one 16-row block by 64 columns at
+//     a time, into an L1 strip (4x4 SSE transposes), and `split` writes
+//     the strip's planes straight into the block: one transposition per
+//     input element, whatever the plane count. A range starts on a block
+//     edge, so every strip is a whole block's 16 lanes; the last block's
+//     rows past m enter the strip as zeros and split to +0.
 //   * B's runs are split into a strip of at most kPackStrip floats per
 //     plane (several whole rows when n is small, a 16-aligned column run
 //     of one row when it is not), whose 16-float segments are then copied
 //     into each column block.
 //
-// Only the padding is zeroed: A's lanes past m in the last block by the
-// range that holds row m - 1, and B's columns past n by each row as it is
-// filled. The packs are shared across every k-tile, every plane combo,
-// and every output tile of the call -- the host-side analogue of §4's FRAG
-// caching (stage once, reuse across the O(N^3) loop). Zero padding is
-// harmless: padded lanes are computed and discarded (never copied back
-// into D), and the k extent is never padded, so the pair-sum structure
-// over k -- the bit-exactness-critical part -- is untouched.
+// The padding is +0: A's lanes past m come out of the split as such, and
+// B's columns past n are zeroed by each row as it is filled. The packs
+// are shared across every k-tile, every split-product term, and every
+// output tile of the call -- the host-side analogue of §4's FRAG caching
+// (stage once, reuse across the O(N^3) loop). Zero padding is harmless:
+// padded lanes are computed and discarded (never copied back into D),
+// and the k extent is never padded, so the pair-sum structure over k --
+// the bit-exactness-critical part -- is untouched.
 
 #include <algorithm>
 #include <cstddef>
@@ -76,8 +76,9 @@ static_assert(kPackStrip % kPackTile == 0);
 using PackBuffer = std::vector<float, DefaultInitAllocator<float>>;
 
 /// A pack's split: `split(in, count, out)` writes plane p of each value
-/// in[0, count) to out[p][0, count). It must act element by element: the
-/// packs feed it runs in whatever order they store.
+/// in[0, count) to out[p][0, count). It must act element by element (the
+/// packs feed it runs in whatever order they store) and split +0 to +0
+/// in every plane (the A pack's padding lanes pass through it).
 template <typename Split>
 concept PlaneSplit = requires(const Split& split, const float* in,
                               float* const* out) {
@@ -98,38 +99,33 @@ class PackedPlanesA {
   bool resize(std::size_t planes, std::size_t m, std::size_t k);
 
   /// Fills rows [r0, r1) of every plane from `src`, the row-major m x k
-  /// operand, through `split`, one block and 64 columns at a time; the
-  /// range ending at row m also zeroes the last block's lanes past m.
-  /// Disjoint ranges may run concurrently; ranges cut on 16-row block
-  /// edges write disjoint blocks.
+  /// operand, through `split`, one whole block and 64 columns at a time
+  /// (the last block's lanes past m split from zeros). A non-empty range
+  /// starts on a 16-row block edge and ends on one or at m, so disjoint
+  /// ranges write disjoint blocks and may run concurrently.
   template <PlaneSplit Split>
   void fill_rows(std::size_t r0, std::size_t r1, const float* src,
                  const Split& split) {
     EGEMM_EXPECTS(r0 <= r1 && r1 <= m_);
     if (r0 == r1) return;
+    EGEMM_EXPECTS(r0 % kPackTile == 0 && (r1 % kPackTile == 0 || r1 == m_));
     constexpr std::size_t kCols = kPackStrip / kPackTile;
     alignas(64) float in[kPackStrip];
-    alignas(64) float strip[kMaxPackPlanes][kPackStrip];
-    float* const strips[kMaxPackPlanes] = {strip[0], strip[1], strip[2]};
-    for (std::size_t b0 = r0, b1 = 0; b0 < r1; b0 = b1) {
-      b1 = std::min(r1, b0 / kPackTile * kPackTile + kPackTile);
-      const std::size_t lanes = b1 - b0;
+    for (std::size_t b0 = r0; b0 < r1; b0 += kPackTile) {
+      const std::size_t lanes = std::min(kPackTile, r1 - b0);
+      // The transposes write only the live lanes; the rest stay zero.
+      if (lanes < kPackTile) std::fill_n(in, kPackStrip, 0.0f);
       for (std::size_t c0 = 0; c0 < k_; c0 += kCols) {
         const std::size_t cols = std::min(kCols, k_ - c0);
-        transpose_tile(src + b0 * k_ + c0, k_, lanes, cols, in, lanes);
-        if (lanes == kPackTile) {
-          float* out[kMaxPackPlanes] = {};
-          for (std::size_t p = 0; p < planes_.size(); ++p) {
-            out[p] = planes_[p].data() + b0 * k_ + c0 * kPackTile;
-          }
-          split(in, cols * kPackTile, out);
-        } else {
-          split(in, cols * lanes, strips);
-          place_lanes(strips, b0, b1, c0, cols);
+        transpose_tile(src + b0 * k_ + c0, k_, lanes, cols, in, kPackTile);
+        float* out[kMaxPackPlanes] = {};
+        for (std::size_t p = 0; p < planes_.size(); ++p) {
+          out[p] = planes_[p].data() + b0 * k_ + c0 * kPackTile;
         }
+        split(in, cols * kPackTile, out);
       }
     }
-    finish_rows(r0, r1);
+    count_rows(r0, r1);
   }
 
   /// resize() to `planes`, then copy the already-split planes in; returns
@@ -152,15 +148,8 @@ class PackedPlanesA {
                              std::size_t rows, std::size_t cols, float* dst,
                              std::size_t dst_ld);
 
-  /// Copies the lane-compact split of rows [b0, b1) (one block),
-  /// columns [c0, c0 + cols) from strip[p] (leading dimension b1 - b0)
-  /// into those rows' lanes of each plane's block.
-  void place_lanes(const float* const* strip, std::size_t b0, std::size_t b1,
-                   std::size_t c0, std::size_t cols);
-
-  /// Zeroes the last block's lanes past m when r1 == m, and counts the
-  /// fill of the non-empty range [r0, r1).
-  void finish_rows(std::size_t r0, std::size_t r1);
+  /// Counts the fill of rows [r0, r1).
+  void count_rows(std::size_t r0, std::size_t r1) const;
 
   std::size_t m_ = 0;
   std::size_t k_ = 0;

@@ -63,13 +63,13 @@ inline float canonical_store(float x) noexcept {
 /// the length is a pure blocking choice: 512 keeps one B slab (512 x 16
 /// floats = 32 KiB) L1-resident while the recipe kernel streams it. The
 /// kFusedPerTile order is different -- there the slab length is part of
-/// the emulation recipe (combos interleave per slab) and stays at the
+/// the emulation recipe (terms interleave per slab) and stays at the
 /// semantic kTile.
 constexpr int kSeparateSlab = 512;
 static_assert(kSeparateSlab % 2 == 0);
 
 /// One 16x16 output tile of the packed engine (DESIGN.md §10): the whole
-/// combo x k-slab recipe runs in ONE dispatched tcsim::mma_tile_recipe call
+/// term x k-slab recipe runs in ONE dispatched tcsim::mma_tile_recipe call
 /// over the workspace's pre-packed planes, so the SIMD variants keep the
 /// accumulator in registers across the entire k extent. Per output element
 /// the operation sequence is identical to the scalar oracle's
@@ -79,30 +79,25 @@ static_assert(kSeparateSlab % 2 == 0);
 /// `combine`.
 void packed_tile(const Matrix* c, Matrix& d, const PackedPlanesA& apack,
                  const PackedPlanesB& bpack, std::size_t k,
-                 std::span<const PlaneCombo> combos, ComboOrder order,
+                 std::span<const core::SchemeTerm> terms, ComboOrder order,
                  std::size_t rb, std::size_t cb, std::uint64_t* combine) {
   const std::size_t m = d.rows();
   const std::size_t n = d.cols();
   const bool fused = order == ComboOrder::kFusedPerTile;
   const int k_slab = fused ? static_cast<int>(kTile) : kSeparateSlab;
-  const auto ncombos = static_cast<int>(combos.size());
   const std::size_t i0 = rb * kTile;
   const std::size_t mt = std::min(kTile, m - i0);
   const std::size_t j0 = cb * kTile;
   const std::size_t nt = std::min(kTile, n - j0);
-  const float* a_blocks[kMaxPlanCombos];
-  const float* b_blocks[kMaxPlanCombos];
-  for (int ci = 0; ci < ncombos; ++ci) {
-    a_blocks[ci] = apack.block(
-        static_cast<std::size_t>(combos[static_cast<std::size_t>(ci)].a_plane),
-        rb);
-    b_blocks[ci] = bpack.block(
-        static_cast<std::size_t>(combos[static_cast<std::size_t>(ci)].b_plane),
-        cb);
-    // Warm the first lines of each combo's B block; the recipe kernel
-    // prefetches ahead within each stream but cannot see across the combo
+  const float* a_blocks[core::kMaxSchemeTerms];
+  const float* b_blocks[core::kMaxSchemeTerms];
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    a_blocks[t] = apack.block(static_cast<std::size_t>(terms[t].a_depth), rb);
+    b_blocks[t] = bpack.block(static_cast<std::size_t>(terms[t].b_depth), cb);
+    // Warm the first lines of each term's B block; the recipe kernel
+    // prefetches ahead within each stream but cannot see across the term
     // boundary.
-    __builtin_prefetch(b_blocks[ci]);
+    __builtin_prefetch(b_blocks[t]);
   }
   // Full 16x16 accumulator; lanes past (mt, nt) compute against the packs'
   // zero padding and are never copied back.
@@ -115,8 +110,9 @@ void packed_tile(const Matrix* c, Matrix& d, const PackedPlanesA& apack,
     }
   }
   if (k > 0) {  // zero-extent K: the tile is the C passthrough
-    tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks, ncombos,
-                           static_cast<int>(k), k_slab, fused);
+    tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks,
+                           static_cast<int>(terms.size()), static_cast<int>(k),
+                           k_slab, fused);
   }
   const obs::StageTimer timer("combine", combine);
   for (std::size_t i = 0; i < mt; ++i) {
@@ -137,154 +133,54 @@ std::atomic<std::uint32_t> g_batch_counter{0};
 constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 
 /// Splits in[0, count) per the plan's recipe into out[p], one run per
-/// plane: plane 0 = lo; for three-way splits: lo, mid, hi. `split_ns`
-/// (when non-null) accumulates the time.
-void split_run(const PlanKey& key, const float* in, std::size_t count,
+/// plane, by split depth: plane 0 = hi; for three-way splits: hi, mid, lo.
+/// `split_ns` (when non-null) accumulates the time.
+void split_run(const GemmPlan& plan, const float* in, std::size_t count,
                float* const* out, std::uint64_t* split_ns) {
   const obs::StageTimer timer(nullptr, split_ns);
   const std::span<const float> run(in, count);
   const auto plane = [&](int p) { return std::span<float>(out[p], count); };
-  if (key.planes == 3) {
-    core::split3_span_f32(run, plane(2), plane(1), plane(0), key.split);
+  if (plan.planes() == 3) {
+    core::split3_span_f32(run, plane(0), plane(1), plane(2), plan.split());
   } else {
-    core::split_span_f32(run, plane(1), plane(0), key.split);
+    core::split_span_f32(run, plane(0), plane(1), plan.split());
   }
 }
 
-std::uint64_t encode_combos(std::span<const PlaneCombo> combos, int planes) {
-  EGEMM_EXPECTS(!combos.empty() && combos.size() <= kMaxPlanCombos);
-  std::uint64_t seq = 0;
-  for (std::size_t i = 0; i < combos.size(); ++i) {
-    EGEMM_EXPECTS(combos[i].a_plane >= 0 && combos[i].a_plane < planes);
-    EGEMM_EXPECTS(combos[i].b_plane >= 0 && combos[i].b_plane < planes);
-    const std::uint64_t enc =
-        (static_cast<std::uint64_t>(combos[i].a_plane) << 2) |
-        static_cast<std::uint64_t>(combos[i].b_plane);
-    seq |= enc << (4 * i);
+/// The backend a rung's fused plans run as.
+Backend rung_backend(core::SchemeId scheme) noexcept {
+  switch (scheme) {
+    case core::SchemeId::kHalf:
+      return Backend::kCublasTcHalf;
+    case core::SchemeId::kMarkidis:
+      return Backend::kMarkidis;
+    default:
+      return Backend::kEgemmTC;
   }
-  return seq;
 }
-
-/// Maps an executable recipe onto the emulation-precision ladder
-/// (core/scheme.hpp): the SchemeId whose split method and term grid the
-/// recipe realizes, or -1 for custom recipes that match no named rung.
-/// PlaneCombo numbers planes from the LOWEST order (plan layer
-/// convention); scheme terms number by split depth (0 = hi), so the grid
-/// index flips: depth = planes - 1 - plane.
-std::int8_t classify_combos(core::SplitMethod split, int planes,
-                            std::span<const PlaneCombo> combos) {
-  core::SchemeProfile profile;
-  profile.split = split;
-  if (combos.size() == 1 && combos[0].a_plane == planes - 1 &&
-      combos[0].b_plane == planes - 1) {
-    // A single hi x hi product consumes raw RN16 numerics: that is the
-    // half-only rung regardless of how many planes the key nominally
-    // decomposes into (the kCublasTcHalf recipe keeps planes = 2).
-    profile.half_only = true;
-    profile.planes = 1;
-    profile.term_mask = 0x1;
-  } else {
-    profile.planes = planes;
-    profile.term_mask = 0;
-    for (const PlaneCombo& combo : combos) {
-      profile.set_term(planes - 1 - combo.a_plane, planes - 1 - combo.b_plane,
-                       true);
-    }
-    // A recipe that repeats a combo executes more adds than the rung's
-    // bound accounts for; such a recipe is custom, never a named rung.
-    if (profile.term_count() != static_cast<int>(combos.size())) return -1;
-  }
-  const std::optional<core::SchemeId> id = core::classify_scheme(profile);
-  return id ? static_cast<std::int8_t>(*id) : std::int8_t{-1};
-}
-
-/// An emulated plan's executable recipe: split, ordered combos over
-/// `planes` planes, and combo order.
-struct Recipe {
-  core::SplitMethod split;
-  std::span<const PlaneCombo> combos;
-  ComboOrder order;
-  int planes;
-};
-
-// Alg. 1's term order: low-order products first.
-constexpr PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-// The hi plane of a round-split is exactly RN16(x), so the single hi x hi
-// product reproduces cublasGemmEx with binary16 inputs.
-constexpr PlaneCombo kHalfOnly[] = {{1, 1}};
-// Markidis [20]: the Alo x Blo term dropped.
-constexpr PlaneCombo kMarkidis[] = {{0, 1}, {1, 0}, {1, 1}};
-// All 9 three-way-split products, smallest-magnitude terms first so they
-// are absorbed before the dominant hi x hi partial product.
-constexpr PlaneCombo k3Split[] = {{0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1},
-                                  {2, 0}, {1, 2}, {2, 1}, {2, 2}};
-
-/// A named rung of the emulation-precision ladder as the plan layer runs
-/// it: the backend its plans time as, and its fused-per-tile recipe.
-struct Rung {
-  Backend backend;
-  core::SplitMethod split;
-  std::span<const PlaneCombo> combos;
-  int planes;
-};
-
-/// Every rung's recipe, indexed by core::SchemeId. The three-way rungs
-/// differ only in split: round-split is the FP32-recovery scheme (an exact
-/// decomposition), truncate-split the Ozaki-style one-signed word slices.
-constexpr std::array<Rung, core::kSchemeCount> kRungs = {{
-    // kHalf, kMarkidis
-    {Backend::kCublasTcHalf, core::SplitMethod::kRoundSplit, kHalfOnly, 2},
-    {Backend::kMarkidis, core::SplitMethod::kTruncateSplit, kMarkidis, 2},
-    // kTruncate2, kRound2
-    {Backend::kEgemmTC, core::SplitMethod::kTruncateSplit, kAlg1, 2},
-    {Backend::kEgemmTC, core::SplitMethod::kRoundSplit, kAlg1, 2},
-    // kSlice3, kRecovery3
-    {Backend::kEgemmTC, core::SplitMethod::kTruncateSplit, k3Split, 3},
-    {Backend::kEgemmTC, core::SplitMethod::kRoundSplit, k3Split, 3},
-}};
-static_assert(!kRungs.back().combos.empty(), "a SchemeId has no rung");
 
 /// The one PlanKey builder behind every planning entry point: shape,
-/// backend, then the recipe (null for a direct binary32 backend).
+/// backend, and the rung whose descriptor the plan runs (-1 for a direct
+/// binary32 backend).
 PlanKey plan_key(Backend backend, std::size_t m, std::size_t n, std::size_t k,
-                 const Recipe* recipe) {
-  PlanKey key;
-  key.m = m;
-  key.n = n;
-  key.k = k;
-  key.backend = backend;
-  key.direct = recipe == nullptr;
-  if (recipe != nullptr) {
-    key.split = recipe->split;
-    key.order = recipe->order;
-    key.planes = static_cast<std::uint8_t>(recipe->planes);
-    key.combo_count = static_cast<std::uint8_t>(recipe->combos.size());
-    key.combo_seq = encode_combos(recipe->combos, recipe->planes);
-    key.scheme = classify_combos(recipe->split, recipe->planes, recipe->combos);
-  }
-  return key;
+                 int scheme) {
+  return {m, n, k, backend, static_cast<std::int8_t>(scheme)};
 }
 
-/// Bumps the per-scheme execute counter: gemm.scheme.<name>, with custom
-/// recipes landing on gemm.scheme.custom. Static handles, same pattern as
-/// the differential runner's per-path counters.
-void count_scheme_execute(std::int8_t scheme) {
+/// Bumps the per-scheme execute counter gemm.scheme.<name>. Static
+/// handles, same pattern as the differential runner's per-path counters.
+void count_scheme_execute(core::SchemeId scheme) {
   if constexpr (obs::kEnabled) {
-    static const std::array<obs::Counter*, core::kSchemeCount + 1> counters =
-        [] {
-          std::array<obs::Counter*, core::kSchemeCount + 1> handles{};
-          for (std::size_t s = 0; s < core::kSchemeCount; ++s) {
-            handles[s] = &obs::registry().counter(
-                std::string("gemm.scheme.") +
-                core::scheme_name(static_cast<core::SchemeId>(s)));
-          }
-          handles[core::kSchemeCount] =
-              &obs::registry().counter("gemm.scheme.custom");
-          return handles;
-        }();
-    const std::size_t index = scheme >= 0 ? static_cast<std::size_t>(scheme)
-                                          : core::kSchemeCount;
-    counters[index]->add(1);
+    static const std::array<obs::Counter*, core::kSchemeCount> counters = [] {
+      std::array<obs::Counter*, core::kSchemeCount> handles{};
+      for (std::size_t s = 0; s < core::kSchemeCount; ++s) {
+        handles[s] = &obs::registry().counter(
+            std::string("gemm.scheme.") +
+            core::scheme_name(static_cast<core::SchemeId>(s)));
+      }
+      return handles;
+    }();
+    counters[static_cast<std::size_t>(scheme)]->add(1);
   }
 }
 
@@ -319,6 +215,10 @@ struct ItemRun {
 
   const PlanKey& key() const noexcept { return op.plan->key(); }
   std::size_t blocks() const noexcept { return row_blocks * col_blocks; }
+  PrepRows prep() const noexcept {
+    const GemmPlan& plan = *op.plan;
+    return {plan.m(), plan.n(), plan.k(), plan.planes()};
+  }
 };
 
 /// Wall segments of one execute on the calling thread, which the records
@@ -350,11 +250,11 @@ void run_direct(const ItemRun::Operands& op) {
 /// Readies an item for its prep chunks: sizes its workspace packs and its
 /// output, and counts the execute.
 void size_item(ItemRun& run) {
-  const PlanKey& key = run.key();
-  run.ws->ensure(key.m, key.n, key.k, key.planes);
-  run.op.d->resize(key.m, key.n);
+  const GemmPlan& plan = *run.op.plan;
+  run.ws->ensure(plan.m(), plan.n(), plan.k(), plan.planes());
+  run.op.d->resize(plan.m(), plan.n());
   EGEMM_COUNTER_ADD("egemm.calls", 1);
-  count_scheme_execute(key.scheme);
+  count_scheme_execute(*plan.scheme_id());
 }
 
 /// One prep chunk: rows [u0, u1) of the item's PrepRows space. The
@@ -383,14 +283,14 @@ void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
       ws.packed_a().fill_rows(
           a0, a1, run.op.a->data().data(),
           [&](const float* in, std::size_t count, float* const* out) {
-            split_run(key, in, count, out, nullptr);
+            split_run(*run.op.plan, in, count, out, nullptr);
           });
     }
     const obs::StageTimer timer("pack", &b_fill);
     ws.packed_b().fill_rows(
         b0, b1, run.op.b->data().data(),
         [&](const float* in, std::size_t count, float* const* out) {
-          split_run(key, in, count, out, &b_split);
+          split_run(*run.op.plan, in, count, out, &b_split);
         });
   }
   // B's strip splits ran inside b_fill's window.
@@ -403,9 +303,9 @@ void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
 
 void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
                std::uint64_t* combine) {
+  const GemmPlan& plan = *run.op.plan;
   packed_tile(run.op.c, *run.op.d, run.ws->packed_a(), run.ws->packed_b(),
-              run.key().k, run.op.plan->combos(), run.key().order, rb, cb,
-              combine);
+              plan.k(), plan.terms(), plan.order(), rb, cb, combine);
 }
 
 /// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
@@ -570,7 +470,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
     const PlanKey& key = run.key();
     run.first = blocks;
     run.prep_first = prep_chunks;
-    if (key.direct) {
+    if (run.op.plan->direct()) {
       const obs::StageTimer direct(nullptr, &run.direct_ns);
       run_direct(run.op);
       continue;
@@ -579,7 +479,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
     run.row_blocks = (key.m + kTile - 1) / kTile;
     run.col_blocks = (key.n + kTile - 1) / kTile;
     blocks += run.blocks();
-    prep_chunks += PrepRows(key).chunks;
+    prep_chunks += run.prep().chunks;
     work += key.m * key.n * key.k;
   }
 
@@ -593,7 +493,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
     if (pool.size() <= 1 || work < kSmallGemmInlineThreshold) {
       WorkspaceLease lease = ctx.lease_workspace();
       for (ItemRun& run : runs) {
-        if (run.key().direct) continue;
+        if (run.op.plan->direct()) continue;
         run.ws = &*lease;
         {
           const obs::StageTimer prep(nullptr, &walls.prep);
@@ -611,7 +511,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
         // Leases and sizing run serially, before the pass, so the pool
         // stays contention-free and the chunks never allocate.
         for (ItemRun& run : runs) {
-          if (run.key().direct) continue;
+          if (run.op.plan->direct()) continue;
           run.lease.emplace(ctx.lease_workspace());
           run.ws = &**run.lease;
           size_item(run);
@@ -624,7 +524,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
             ItemRun& run = *(std::ranges::upper_bound(runs, c, {},
                                                       &ItemRun::prep_first) -
                              1);
-            const PrepRows rows(run.key());
+            const PrepRows rows = run.prep();
             const std::size_t j = c - run.prep_first;
             prep_rows(run, rows.start(j), rows.start(j + 1));
           }
@@ -633,7 +533,7 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
       const obs::StageTimer engine(nullptr, &walls.engine);
       if (emulated == 1) {
         ItemRun& run = *std::ranges::find_if(
-            runs, [](const ItemRun& r) { return !r.key().direct; });
+            runs, [](const ItemRun& r) { return !r.op.plan->direct(); });
         pool.parallel_for_2d(
             run.row_blocks, run.col_blocks, /*grain=*/0,
             [&run](std::size_t rb0, std::size_t rb1, std::size_t cb0,
@@ -672,11 +572,13 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
 #ifndef NDEBUG
     // Each input element must be split exactly once per GEMM -- the plane
     // cache is the point of the packed engine, so re-splitting anywhere
-    // downstream is a bug.
+    // downstream is a bug. A is split in whole 16-row blocks, its last
+    // block's rows past m as zeros.
     std::uint64_t expected_split = 0;
     for (const ItemRun& run : runs) {
-      if (!run.key().direct) {
-        expected_split += run.op.a->data().size() + run.op.b->data().size();
+      if (!run.op.plan->direct()) {
+        expected_split += run.row_blocks * kTile * run.key().k +
+                          run.op.b->data().size();
       }
     }
     EGEMM_ENSURES(core::debug_split_elements() - split_before ==
@@ -705,15 +607,8 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
   h = mix(h, key.m);
   h = mix(h, key.n);
   h = mix(h, key.k);
-  h = mix(h, static_cast<std::uint64_t>(key.backend));
-  h = mix(h, key.direct ? 1u : 0u);
-  h = mix(h, static_cast<std::uint64_t>(key.split));
-  h = mix(h, static_cast<std::uint64_t>(key.order));
-  h = mix(h, static_cast<std::uint64_t>(key.planes));
-  h = mix(h, static_cast<std::uint64_t>(key.combo_count));
-  h = mix(h, key.combo_seq);
-  h = mix(h, static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(key.scheme)));
+  h = mix(h, static_cast<std::uint64_t>(key.backend) << 8 |
+                static_cast<std::uint8_t>(key.scheme));
   return h;
 }
 
@@ -735,18 +630,14 @@ void Workspace::ensure(std::size_t m, std::size_t n, std::size_t k,
 // ---------------------------------------------------------------------------
 
 GemmPlan::GemmPlan(const PlanKey& key) : key_(key) {
-  combos_.reserve(key.combo_count);
-  for (std::uint8_t i = 0; i < key.combo_count; ++i) {
-    const std::uint64_t enc = (key.combo_seq >> (4 * i)) & 0xF;
-    combos_.push_back(PlaneCombo{static_cast<int>(enc >> 2),
-                                 static_cast<int>(enc & 3)});
-  }
-  if (!key.direct) {
+  if (key.scheme >= 0) {
+    recipe_ = &core::scheme(static_cast<core::SchemeId>(key.scheme));
     // The tile-packed planes, the only copy the split writes.
     const std::size_t row_blocks = (key.m + kTile - 1) / kTile;
     const std::size_t col_blocks = (key.n + kTile - 1) / kTile;
-    workspace_bytes_ = key.planes * (row_blocks + col_blocks) * kTile *
-                       key.k * sizeof(float);
+    workspace_bytes_ = static_cast<std::size_t>(planes()) *
+                       (row_blocks + col_blocks) * kTile * key.k *
+                       sizeof(float);
   }
 }
 
@@ -772,8 +663,8 @@ KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
   switch (key_.backend) {
     case Backend::kEgemmTC: {
       EgemmOptions opts;
-      opts.split = key_.split;
-      if (key_.planes != 3) return egemm_timing(m, n, k, spec, opts);
+      opts.split = split();
+      if (planes() != 3) return egemm_timing(m, n, k, spec, opts);
       // The 9-product three-way-split schedule on the Table 4 tiling. The
       // split pass writes three half planes instead of two, 1.5x the bytes
       // (the main loop's global traffic is handled by the stream shape).
@@ -783,11 +674,6 @@ KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
       timing.split_pass_seconds *= 1.5;
       timing.tflops = gemm_tflops(m, n, k, timing.seconds);
       return timing;
-    }
-    case Backend::kDekker: {
-      EgemmOptions opts;
-      opts.emulation_instructions = 16;
-      return egemm_timing(m, n, k, spec, opts);
     }
     default:
       return time_gemm(key_.backend, m, n, k, spec);
@@ -811,14 +697,12 @@ std::shared_ptr<const GemmPlan> GemmContext::plan(Backend backend,
     case Backend::kCublasFp32:
     case Backend::kSdkFp32:
     case Backend::kDekker:
-      return plan_for(plan_key(backend, m, n, k, nullptr));
-    case Backend::kCublasTcEmulation: {
-      // Alg. 1 via 4 separate vendor GEMM calls: same combos, separate
-      // passes.
-      const Recipe recipe{core::SplitMethod::kRoundSplit, kAlg1,
-                          ComboOrder::kSeparatePasses, 2};
-      return plan_for(plan_key(backend, m, n, k, &recipe));
-    }
+      return plan_for(plan_key(backend, m, n, k, -1));
+    case Backend::kCublasTcEmulation:
+      // Alg. 1 via 4 separate vendor GEMM calls: round-2term's terms, in
+      // separate passes.
+      return plan_for(plan_key(
+          backend, m, n, k, static_cast<int>(core::SchemeId::kRound2)));
     case Backend::kEgemmTC:
       return plan_scheme(core::SchemeId::kRound2, m, n, k);
     case Backend::kCublasTcHalf:
@@ -834,20 +718,9 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_scheme(core::SchemeId scheme,
                                                          std::size_t m,
                                                          std::size_t n,
                                                          std::size_t k) {
-  const auto index = static_cast<std::size_t>(scheme);
-  EGEMM_EXPECTS(index < kRungs.size());
-  const Rung& rung = kRungs[index];
-  const Recipe recipe{rung.split, rung.combos, ComboOrder::kFusedPerTile,
-                      rung.planes};
-  return plan_for(plan_key(rung.backend, m, n, k, &recipe));
-}
-
-std::shared_ptr<const GemmPlan> GemmContext::plan_emulated(
-    std::size_t m, std::size_t n, std::size_t k, core::SplitMethod split,
-    std::span<const PlaneCombo> combos, ComboOrder order, int planes) {
-  EGEMM_EXPECTS(planes == 2 || planes == 3);
-  const Recipe recipe{split, combos, order, planes};
-  return plan_for(plan_key(Backend::kEgemmTC, m, n, k, &recipe));
+  EGEMM_EXPECTS(static_cast<std::size_t>(scheme) < core::kSchemeCount);
+  return plan_for(
+      plan_key(rung_backend(scheme), m, n, k, static_cast<int>(scheme)));
 }
 
 std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key) {
@@ -977,6 +850,27 @@ WorkspaceLease::~WorkspaceLease() {
 GemmContext& default_context() {
   static GemmContext ctx;
   return ctx;
+}
+
+obs::CallJsonNames call_json_names() {
+  obs::CallJsonNames names;
+  names.scheme = [](std::int8_t s) -> const char* {
+    if (s < 0) return "direct";
+    return static_cast<std::size_t>(s) < core::kSchemeCount
+               ? core::scheme_name(static_cast<core::SchemeId>(s))
+               : "?";
+  };
+  names.backend = [](std::uint8_t b) -> const char* {
+    return b <= static_cast<std::uint8_t>(Backend::kDekker)
+               ? backend_name(static_cast<Backend>(b))
+               : "?";
+  };
+  names.isa = [](std::uint8_t i) -> const char* {
+    return i < static_cast<std::uint8_t>(simd::kIsaLevelCount)
+               ? simd::isa_name(static_cast<simd::IsaLevel>(i))
+               : "?";
+  };
+  return names;
 }
 
 }  // namespace egemm::gemm

@@ -8,28 +8,30 @@
 // stacks (cuBLAS handles, cuDNN execution plans) separate *planning* from
 // *execution*; this layer adopts that architecture:
 //
-//   GemmPlan     an immutable execution recipe for one (shape, recipe):
-//                backend, split method, plane count and the ordered
-//                split-product combos -- everything that decides the bits
-//                and nothing else (the GPU tiling only decides modeled
-//                time; see timing()). execute(ctx, A, B, C, D) runs it into
-//                a caller-owned D with zero per-call heap allocation once
-//                the leased workspace has warmed up (guarded in debug
-//                builds).
+//   GemmPlan     an immutable execution plan for one (shape, backend,
+//                rung): its recipe is the rung's core::SchemeDescriptor --
+//                split method, plane count and the ordered split-product
+//                terms -- and the backend fixes the term order (fused per
+//                k-tile, or separate passes for cuBLAS-TC-Emulation).
+//                That is everything that decides the bits (the GPU tiling
+//                only decides modeled time; see timing()). execute(ctx, A,
+//                B, C, D) runs it into a caller-owned D with zero per-call
+//                heap allocation once the leased workspace has warmed up
+//                (guarded in debug builds).
 //   GemmContext  owns the reusable workspaces (LIFO free list, so
 //                back-to-back same-shape calls get the same warm buffers)
-//                and an LRU plan cache keyed by the recipe. Cache
-//                behaviour is observable as the gemm.plan.{hit,miss}
+//                and an LRU plan cache keyed by (shape, backend, rung).
+//                Cache behaviour is observable as the gemm.plan.{hit,miss}
 //                counters and a "plan" span around plan construction.
 //
 // There is one way to plan each kind of call: plan() for a Table 5
-// backend, plan_scheme() for a named ladder rung, plan_emulated() for a
-// custom recipe, plan_contract() for an accuracy contract. The one-shot
-// APIs (egemm_multiply, gemm_ex and its grouped/batched forms) plan
-// against default_context(), so every caller shares one warm cache unless
-// it opts into its own context. A plan executes on one engine, the packed
-// tile kernel; the seed's scalar driver survives only as the test oracle
-// verify::reference_execute, which the packed engine matches bitwise.
+// backend, plan_scheme() for a named ladder rung, plan_contract() for an
+// accuracy contract. The one-shot APIs (egemm_multiply, gemm_ex and its
+// grouped/batched forms) plan against default_context(), so every caller
+// shares one warm cache unless it opts into its own context. A plan
+// executes on one engine, the packed tile kernel; the seed's scalar driver
+// survives only as the test oracle verify::reference_execute, which the
+// packed engine matches bitwise.
 
 #include <algorithm>
 #include <cstddef>
@@ -47,6 +49,7 @@
 #include "gemm/gemm_api.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/packing.hpp"
+#include "obs/callrec.hpp"
 #include "tcsim/gpu_spec.hpp"
 #include "util/assert.hpp"
 
@@ -54,39 +57,16 @@ namespace egemm::gemm {
 
 class GemmContext;
 
-/// A split-product term over arbitrary plane stacks: multiply A-plane
-/// `a_plane` by B-plane `b_plane`. Plane 0 is always the lowest-order
-/// plane (lo; for three-way splits: lo, mid, hi).
-struct PlaneCombo {
-  int a_plane;
-  int b_plane;
-
-  friend bool operator==(const PlaneCombo&, const PlaneCombo&) = default;
-};
-
-/// Most combos a plan can carry (the cache key packs the ordered sequence
-/// into 4 bits per combo; order is numerically significant, so the key
-/// must preserve it, not just the set).
-inline constexpr std::size_t kMaxPlanCombos = 16;
-
-/// The normalized identity of a plan: problem shape plus every knob that
-/// changes the executed operation sequence (and the backend, which picks
-/// the timing model). Two requests with equal keys are interchangeable by
-/// construction, which is what makes the LRU cache sound.
+/// The identity of a plan, and its cache key: the problem shape, the
+/// backend (timing dispatch, direct target, and term order), and the
+/// emulation-ladder rung whose descriptor is the recipe. Two requests with
+/// equal keys are interchangeable by construction, which is what makes the
+/// LRU cache sound.
 struct PlanKey {
   std::size_t m = 0, n = 0, k = 0;
-  Backend backend = Backend::kEgemmTC;  ///< timing dispatch + direct target
-  bool direct = false;  ///< plain binary32 path, no plane decomposition
-  core::SplitMethod split = core::SplitMethod::kRoundSplit;
-  ComboOrder order = ComboOrder::kFusedPerTile;
-  std::uint8_t planes = 2;
-  std::uint8_t combo_count = 0;
-  std::uint64_t combo_seq = 0;  ///< ordered combos, 4 bits each
-  /// The core::SchemeId this recipe realizes on the emulation-precision
-  /// ladder, or -1 for direct backends and custom recipes that match no
-  /// named rung. Derived from (split, planes, combos) at key construction;
-  /// carried in the key so scheme identity is part of the cached plan's
-  /// observable contract (obs counters, plan introspection).
+  Backend backend = Backend::kEgemmTC;
+  /// The core::SchemeId the plan runs; -1 exactly for the direct
+  /// (binary32, no plane decomposition) backends.
   std::int8_t scheme = -1;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
@@ -170,8 +150,8 @@ class WorkspaceLease {
   std::unique_ptr<Workspace> ws_;
 };
 
-/// An immutable execution recipe, created once per (shape, recipe) by a
-/// GemmContext and shared via the cache. Thread-safe to execute
+/// An immutable execution plan, created once per (shape, backend, rung)
+/// by a GemmContext and shared via the cache. Thread-safe to execute
 /// concurrently (all mutable state lives in the leased workspace and the
 /// caller-owned D).
 class GemmPlan {
@@ -180,20 +160,30 @@ class GemmPlan {
   std::size_t n() const noexcept { return key_.n; }
   std::size_t k() const noexcept { return key_.k; }
   /// True for plain binary32 backends (no plane decomposition).
-  bool direct() const noexcept { return key_.direct; }
-  /// The backend the recipe was normalized from (timing dispatch target).
+  bool direct() const noexcept { return recipe_ == nullptr; }
+  /// The backend the plan runs as (timing dispatch target).
   Backend backend() const noexcept { return key_.backend; }
-  ComboOrder order() const noexcept { return key_.order; }
-  core::SplitMethod split() const noexcept { return key_.split; }
-  int planes() const noexcept { return key_.planes; }
-  /// The emulation-ladder rung this plan realizes (core/scheme.hpp), when
-  /// its recipe matches one; nullopt for direct backends and custom
-  /// emulated recipes.
-  std::optional<core::SchemeId> scheme_id() const noexcept {
-    if (key_.direct || key_.scheme < 0) return std::nullopt;
-    return static_cast<core::SchemeId>(key_.scheme);
+  /// Separate passes for cuBLAS-TC-Emulation, fused per k-tile otherwise.
+  ComboOrder order() const noexcept {
+    return key_.backend == Backend::kCublasTcEmulation
+               ? ComboOrder::kSeparatePasses
+               : ComboOrder::kFusedPerTile;
   }
-  std::span<const PlaneCombo> combos() const noexcept { return combos_; }
+  /// The emulation-ladder rung this plan runs (core/scheme.hpp); nullopt
+  /// for direct backends.
+  std::optional<core::SchemeId> scheme_id() const noexcept {
+    if (direct()) return std::nullopt;
+    return recipe_->id;
+  }
+  // The recipe, from the rung's descriptor; emulated plans only.
+  core::SplitMethod split() const noexcept { return recipe().split; }
+  /// Planes each operand is split into (plane p = split depth p, 0 = hi).
+  int planes() const noexcept { return recipe().plan_planes; }
+  /// The ordered split-product terms, by split depth.
+  std::span<const core::SchemeTerm> terms() const noexcept {
+    return {recipe().terms.data(),
+            static_cast<std::size_t>(recipe().term_count)};
+  }
   /// Steady-state workspace footprint of one execute(): the packed planes
   /// of A and B, padded to whole 16-row / 16-column blocks.
   std::size_t workspace_bytes() const noexcept { return workspace_bytes_; }
@@ -209,16 +199,20 @@ class GemmPlan {
   /// Simulated execution time on `spec` for the planned shape, dispatched
   /// like time_gemm, on the Table 4 tiling (table4_config(), the §6
   /// solver's pick; egemm_timing with EgemmOptions::tile models any
-  /// other). Custom emulated recipes (plan_emulated) are modeled as the
-  /// Alg. 1 EGEMM schedule. Requires a non-degenerate shape.
+  /// other). Requires a non-degenerate shape.
   KernelTiming timing(const tcsim::GpuSpec& spec) const;
 
  private:
   friend class GemmContext;
   explicit GemmPlan(const PlanKey& key);
 
+  const core::SchemeDescriptor& recipe() const noexcept {
+    EGEMM_EXPECTS(recipe_ != nullptr);  // a direct plan has no recipe
+    return *recipe_;
+  }
+
   PlanKey key_;
-  std::vector<PlaneCombo> combos_;
+  const core::SchemeDescriptor* recipe_ = nullptr;  ///< null when direct
   std::size_t workspace_bytes_ = 0;
 };
 
@@ -268,24 +262,19 @@ class GemmContext {
   GemmContext& operator=(const GemmContext&) = delete;
 
   /// Plan for a Table 5 backend: the recipe the backend executes. The
-  /// binary32 backends plan direct; kCublasTcEmulation plans Alg. 1 as
-  /// separate passes; every other emulated backend plans its ladder rung
-  /// (kEgemmTC: round-2term, kCublasTcHalf: half, kMarkidis: markidis).
+  /// binary32 backends plan direct; kCublasTcEmulation plans round-2term
+  /// as separate passes; every other emulated backend plans its ladder
+  /// rung (kEgemmTC: round-2term, kCublasTcHalf: half, kMarkidis:
+  /// markidis) and shares that rung's cached plan.
   std::shared_ptr<const GemmPlan> plan(Backend backend, std::size_t m,
                                        std::size_t n, std::size_t k);
 
   /// Plan a named rung of the emulation-precision ladder
-  /// (core/scheme.hpp) for the shape: the canonical executable recipe
-  /// whose plan classifies back to `scheme` (plan->scheme_id()).
+  /// (core/scheme.hpp) for the shape, fused per k-tile
+  /// (plan->scheme_id() == scheme).
   std::shared_ptr<const GemmPlan> plan_scheme(core::SchemeId scheme,
                                               std::size_t m, std::size_t n,
                                               std::size_t k);
-
-  /// Plan for a custom emulated recipe: `combos` is the ordered
-  /// split-product sequence over `planes` planes.
-  std::shared_ptr<const GemmPlan> plan_emulated(
-      std::size_t m, std::size_t n, std::size_t k, core::SplitMethod split,
-      std::span<const PlaneCombo> combos, ComboOrder order, int planes = 2);
 
   /// A resolved accuracy contract: the per-rung bound table plus (when
   /// feasible) the plan for the cheapest provably sufficient rung.
@@ -357,5 +346,10 @@ class GemmContext {
 
 /// The process-wide context behind the one-shot APIs.
 GemmContext& default_context();
+
+/// Names the scheme, backend and ISA ids of the CallRecords the execute
+/// path deposits, for the per-call telemetry JSON (the obs layer sits
+/// below the enums it records). Scheme -1 is a direct backend's record.
+obs::CallJsonNames call_json_names();
 
 }  // namespace egemm::gemm

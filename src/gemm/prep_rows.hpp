@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "gemm/packing.hpp"
-#include "gemm/plan.hpp"
 
 namespace egemm::gemm {
 
@@ -30,27 +29,32 @@ inline constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 13;
 
 /// An item's prep as one row space: A's m rows, then B's k rows. A row
 /// weighs the elements it reads and writes: the split reads it and writes
-/// `planes` planes into the pack through an L1 strip. The space is cut
-/// into chunks of equal weight, each at least kPrepChunkElems, so an item
-/// lighter than two floors is one chunk. A's cuts are rounded up to a
-/// 16-row block edge (or m): a k-major A block interleaves its 16 rows in
-/// every line, so two chunks never write the same block. Chunks that the
-/// rounding empties run as no-ops.
+/// `planes` planes into the pack through an L1 strip. A can only be cut on
+/// a 16-row block edge (or m): a k-major A block interleaves its 16 rows
+/// in every line, so a block is filled by one chunk. The space is cut into
+/// chunks of equal weight, each at least kPrepChunkElems and at least the
+/// heaviest unit it cannot cut (an A block, a B row), so an item lighter
+/// than two such grains is one chunk and every chunk holds rows.
 struct PrepRows {
   std::size_t m, k;
   std::uint64_t a_row, b_row, total;
   std::size_t chunks;
 
-  explicit PrepRows(const PlanKey& key)
-      : m(key.m),
-        k(key.k),
-        a_row((std::uint64_t{key.planes} + 1) * key.k),
-        b_row((std::uint64_t{key.planes} + 1) * key.n),
+  /// The prep of an (a_rows x b_rows) x (b_rows x n) product split into
+  /// `planes` planes.
+  PrepRows(std::size_t a_rows, std::size_t n, std::size_t b_rows, int planes)
+      : m(a_rows),
+        k(b_rows),
+        a_row((static_cast<std::uint64_t>(planes) + 1) * b_rows),
+        b_row((static_cast<std::uint64_t>(planes) + 1) * n),
         total(m * a_row + k * b_row),
-        chunks(static_cast<std::size_t>(
-            std::max<std::uint64_t>(1, total / kPrepChunkElems))) {}
+        chunks(static_cast<std::size_t>(std::max<std::uint64_t>(
+            1, total / std::max({kPrepChunkElems, kPackTile * a_row,
+                                 b_row})))) {}
 
-  /// First row of chunk `j`; start(chunks) is the end of the space.
+  /// First row of chunk `j`, rounded up to the next cut A or B allows;
+  /// start(chunks) is the end of the space. A chunk's weight is at least
+  /// the widest gap between allowed cuts, so start(j) < start(j + 1).
   std::size_t start(std::size_t j) const {
     if (j == 0) return 0;
     if (j == chunks) return m + k;

@@ -57,7 +57,7 @@ struct CallRecord {
   std::uint32_t tid = 0;         ///< obs::current_thread_id()
   std::uint32_t batch_id = 0;    ///< grouped-execute id; 0 = unbatched
   std::uint32_t batch = 1;       ///< GEMMs this record covers (1 = single)
-  std::int8_t scheme = -1;       ///< core::SchemeId, -1 direct/custom
+  std::int8_t scheme = -1;       ///< core::SchemeId, -1 direct backend
   std::uint8_t backend = 0;      ///< gemm::Backend value
   std::uint8_t isa = 0;          ///< simd::IsaLevel value
   PlanLookup lookup = PlanLookup::kUnknown;

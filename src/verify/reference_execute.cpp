@@ -16,7 +16,6 @@ namespace {
 
 using gemm::ComboOrder;
 using gemm::Matrix;
-using gemm::PlaneCombo;
 
 constexpr std::size_t kTile = 16;  // wmma primitive extent
 static_assert(kTile == tcsim::kTcM && kTile == tcsim::kTcN);
@@ -30,25 +29,26 @@ float canonical_store(float x) noexcept {
 
 /// Computes one 16x16 C tile over plane decompositions of A and B:
 /// iterates k-tiles and, per the requested order, the split-product
-/// combos; every dot runs with Tensor Core accumulation semantics. `acc`
+/// terms; every dot runs with Tensor Core accumulation semantics. `acc`
 /// is the fp32 accumulator tile.
 void compute_c_tile(float acc[kTile][kTile], std::span<const Matrix> ap,
                     std::span<const Matrix> bp, std::size_t i0,
                     std::size_t j0, std::size_t mt, std::size_t nt,
-                    std::span<const PlaneCombo> combos, ComboOrder order) {
+                    std::span<const core::SchemeTerm> terms,
+                    ComboOrder order) {
   const std::size_t k = ap[0].cols();
 
-  auto k_tile_pass = [&](std::size_t k0, const PlaneCombo& combo) {
+  auto k_tile_pass = [&](std::size_t k0, const core::SchemeTerm& term) {
     const std::size_t kt = std::min(kTile, k - k0);
     // Transpose the B tile plane into a contiguous [j][k] buffer so the
     // inner dot walks unit strides.
     float bt[kTile][kTile];
-    const Matrix& bplane = bp[static_cast<std::size_t>(combo.b_plane)];
+    const Matrix& bplane = bp[static_cast<std::size_t>(term.b_depth)];
     for (std::size_t kk = 0; kk < kt; ++kk) {
       const float* brow = bplane.row(k0 + kk) + j0;
       for (std::size_t j = 0; j < nt; ++j) bt[j][kk] = brow[j];
     }
-    const Matrix& aplane = ap[static_cast<std::size_t>(combo.a_plane)];
+    const Matrix& aplane = ap[static_cast<std::size_t>(term.a_depth)];
     for (std::size_t i = 0; i < mt; ++i) {
       const float* arow = aplane.row(i0 + i) + k0;
       for (std::size_t j = 0; j < nt; ++j) {
@@ -59,16 +59,16 @@ void compute_c_tile(float acc[kTile][kTile], std::span<const Matrix> ap,
   };
 
   if (order == ComboOrder::kFusedPerTile) {
-    // Alg. 1: inside each k-tile all combos accumulate before moving on.
+    // Alg. 1: inside each k-tile all terms accumulate before moving on.
     for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      for (const PlaneCombo& combo : combos) k_tile_pass(k0, combo);
+      for (const core::SchemeTerm& term : terms) k_tile_pass(k0, term);
     }
   } else {
-    // cuBLAS-TC-Emulation: one full-K GEMM per combo, D re-read between
+    // cuBLAS-TC-Emulation: one full-K GEMM per term, D re-read between
     // passes (numerically identical to staying in registers, since D is
     // binary32 either way).
-    for (const PlaneCombo& combo : combos) {
-      for (std::size_t k0 = 0; k0 < k; k0 += kTile) k_tile_pass(k0, combo);
+    for (const core::SchemeTerm& term : terms) {
+      for (std::size_t k0 = 0; k0 < k; k0 += kTile) k_tile_pass(k0, term);
     }
   }
 }
@@ -85,18 +85,18 @@ Matrix reference_execute(const gemm::GemmPlan& plan, const Matrix& a,
   EGEMM_EXPECTS(b.rows() == k && b.cols() == n);
   EGEMM_EXPECTS(c == nullptr || (c->rows() == m && c->cols() == n));
 
-  // Plane 0 = lo; for three-way splits: lo, mid, hi.
+  // Plane p = split depth p: hi first; for three-way splits: hi, mid, lo.
   const auto planes = static_cast<std::size_t>(plan.planes());
   std::vector<Matrix> ap(planes, Matrix(m, k));
   std::vector<Matrix> bp(planes, Matrix(k, n));
   if (planes == 3) {
-    core::split3_span_f32(a.data(), ap[2].data(), ap[1].data(), ap[0].data(),
+    core::split3_span_f32(a.data(), ap[0].data(), ap[1].data(), ap[2].data(),
                           plan.split());
-    core::split3_span_f32(b.data(), bp[2].data(), bp[1].data(), bp[0].data(),
+    core::split3_span_f32(b.data(), bp[0].data(), bp[1].data(), bp[2].data(),
                           plan.split());
   } else {
-    core::split_span_f32(a.data(), ap[1].data(), ap[0].data(), plan.split());
-    core::split_span_f32(b.data(), bp[1].data(), bp[0].data(), plan.split());
+    core::split_span_f32(a.data(), ap[0].data(), ap[1].data(), plan.split());
+    core::split_span_f32(b.data(), bp[0].data(), bp[1].data(), plan.split());
   }
 
   Matrix d = c != nullptr ? *c : Matrix(m, n);
@@ -108,7 +108,7 @@ Matrix reference_execute(const gemm::GemmPlan& plan, const Matrix& a,
       for (std::size_t i = 0; i < mt; ++i) {
         for (std::size_t j = 0; j < nt; ++j) acc[i][j] = d.at(i0 + i, j0 + j);
       }
-      compute_c_tile(acc, ap, bp, i0, j0, mt, nt, plan.combos(), plan.order());
+      compute_c_tile(acc, ap, bp, i0, j0, mt, nt, plan.terms(), plan.order());
       for (std::size_t i = 0; i < mt; ++i) {
         for (std::size_t j = 0; j < nt; ++j) {
           d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);

@@ -5,7 +5,7 @@
 // This is the seed's scalar per-tile driver, kept beside it as the
 // semantics oracle that tests and the differential fuzzer pin the packed
 // engine against bitwise. It reads only the plan's recipe -- split method,
-// plane count, ordered combos and combo order -- splits A and B with the
+// plane count, ordered terms and term order -- splits A and B with the
 // same core::split_span_f32 / split3_span_f32 calls, initializes D from C
 // (or zeros), and then runs every 16x16 output tile as a plain sequence of
 // tcsim::tc_dot_f32 k-tile passes followed by a canonical-NaN store. It

@@ -389,18 +389,6 @@ TEST(SchemePlans, DefaultEgemmBackendClassifiesAsRoundTwoTerm) {
   EXPECT_EQ(*plan->scheme_id(), SchemeId::kRound2);
 }
 
-TEST(SchemePlans, CustomRecipeCarriesNoSchemeIdentity) {
-  // lo x lo + hi x hi without the cross terms matches no ladder rung (a
-  // lone hi x hi would be the half rung); the plan must say so instead of
-  // mislabeling itself.
-  gemm::GemmContext ctx;
-  const gemm::PlaneCombo combos[] = {{0, 0}, {1, 1}};
-  const std::shared_ptr<const gemm::GemmPlan> plan = ctx.plan_emulated(
-      8, 8, 8, core::SplitMethod::kRoundSplit, combos,
-      gemm::ComboOrder::kFusedPerTile);
-  EXPECT_FALSE(plan->scheme_id().has_value());
-}
-
 TEST(SchemePlans, ExecuteBumpsThePerSchemeCounter) {
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "observability disabled";
@@ -416,16 +404,6 @@ TEST(SchemePlans, ExecuteBumpsThePerSchemeCounter) {
     ctx.plan_scheme(id, 8, 8, 8)->execute(ctx, a, b, nullptr, d);
     EXPECT_EQ(obs::registry().counter(name).value(), before + 1) << name;
   }
-  const std::uint64_t custom_before =
-      obs::registry().counter("gemm.scheme.custom").value();
-  const gemm::PlaneCombo combos[] = {{0, 0}, {1, 1}};
-  const std::shared_ptr<const gemm::GemmPlan> plan = ctx.plan_emulated(
-      8, 8, 8, core::SplitMethod::kRoundSplit, combos,
-      gemm::ComboOrder::kFusedPerTile);
-  gemm::Matrix d;
-  plan->execute(ctx, a, b, nullptr, d);
-  EXPECT_EQ(obs::registry().counter("gemm.scheme.custom").value(),
-            custom_before + 1);
 }
 
 // -- scheme-aware static cross-check -----------------------------------------

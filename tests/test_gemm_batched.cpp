@@ -184,7 +184,7 @@ TEST(GemmBatched, GroupedMixesDirectAndEmulatedItemsInAnyOrder) {
   GemmContext ctx;
   const auto emulated = ctx.plan(Backend::kEgemmTC, kDim, kDim, kDim);
   const auto direct = ctx.plan(Backend::kCublasFp32, kDim, kDim, kDim);
-  ASSERT_TRUE(direct->key().direct);
+  ASSERT_TRUE(direct->direct());
   std::vector<Matrix> a, b;
   for (unsigned i = 0; i < 3; ++i) {
     a.push_back(random_matrix(kDim, kDim, -1.0f, 1.0f, 1500 + 2 * i));

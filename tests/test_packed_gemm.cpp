@@ -69,23 +69,20 @@ TEST_P(PackedEngineTest, BitIdenticalAcrossSplitsOrdersAndC) {
   const Matrix b = random_matrix(s.k, s.n, -1, 1, 2000 + s.n + s.k);
   const Matrix c = random_matrix(s.m, s.n, -1, 1, 3000 + s.m + s.n);
 
-  static constexpr PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   GemmContext& ctx = default_context();
-  for (const auto split : {core::SplitMethod::kRoundSplit,
-                           core::SplitMethod::kTruncateSplit}) {
-    for (const auto order :
-         {ComboOrder::kFusedPerTile, ComboOrder::kSeparatePasses}) {
-      const auto plan =
-          ctx.plan_emulated(s.m, s.n, s.k, split, kAlg1, order);
-      for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
-        EXPECT_TRUE(bitwise_equal(run_packed(*plan, a, b, cp),
-                                  verify::reference_execute(*plan, a, b, cp)))
-            << "shape " << s.m << "x" << s.n << "x" << s.k
-            << " split=" << core::split_method_name(split)
-            << " order=" << (order == ComboOrder::kFusedPerTile ? "fused"
-                                                                : "separate")
-            << " c=" << (cp != nullptr);
-      }
+  for (const auto& plan :
+       {ctx.plan_scheme(core::SchemeId::kRound2, s.m, s.n, s.k),
+        ctx.plan_scheme(core::SchemeId::kTruncate2, s.m, s.n, s.k),
+        ctx.plan(Backend::kCublasTcEmulation, s.m, s.n, s.k)}) {
+    for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
+      EXPECT_TRUE(bitwise_equal(run_packed(*plan, a, b, cp),
+                                verify::reference_execute(*plan, a, b, cp)))
+          << "shape " << s.m << "x" << s.n << "x" << s.k
+          << " split=" << core::split_method_name(plan->split())
+          << " order="
+          << (plan->order() == ComboOrder::kFusedPerTile ? "fused"
+                                                         : "separate")
+          << " c=" << (cp != nullptr);
     }
   }
   // Every rung of the emulation ladder, as plan_scheme builds it.
@@ -288,19 +285,20 @@ TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
 
 TEST(PackedPlanesA, FillRowsPacksEachBlockKMajor) {
   // Element (r, kk) of plane p sits at block(p, r / 16)[kk * 16 + r % 16];
-  // the last block's lanes past m are zero; and filling by row ranges
-  // that cut inside blocks gives assign()'s bits, over stale contents.
+  // the last block's lanes past m are zero; and filling by row ranges cut
+  // on block edges gives assign()'s bits, over stale contents.
   // k = 63 and 65 straddle a 64-column strip, 1025 ends on a one-column
   // strip.
   const std::size_t kMs[] = {1, 15, 17, 40};
   const std::size_t kKs[] = {1, 63, 65, 1025};
-  const std::size_t kEdges[] = {1, 6, 18, 19, 32, 37, 40};
-  // An elementwise three-plane "split" with exact, distinct planes.
+  const std::size_t kEdges[] = {32, 40};
+  // An elementwise three-plane "split" with exact, distinct planes that,
+  // like the real splits, takes +0 to +0.
   const auto split = [](const float* in, std::size_t count,
                         float* const* out) {
     for (std::size_t i = 0; i < count; ++i) {
       out[0][i] = in[i];
-      out[1][i] = -in[i];
+      out[1][i] = 0.0f - in[i];
       out[2][i] = 0.5f * in[i];
     }
   };
@@ -332,7 +330,7 @@ TEST(PackedPlanesA, FillRowsPacksEachBlockKMajor) {
       }
 
       // Stale NaNs in every lane, padding included, then a refill in
-      // ragged row ranges.
+      // block-edge row ranges.
       std::vector<Matrix> stale(planes.size(), Matrix(rows, k));
       for (Matrix& plane : stale) {
         plane.fill(std::numeric_limits<float>::quiet_NaN());
@@ -359,17 +357,13 @@ TEST(PackedPlanesA, FillRowsPacksEachBlockKMajor) {
 TEST(PackedPlanesA, PrepChunksCutARowsOnBlockEdges) {
   // Pooled prep chunks run concurrently; a k-major A block interleaves 16
   // rows in every line, so each A cut must fall on a block edge or on m.
+  // Every chunk holds rows: none is an empty pool task.
   const Shape shapes[] = {{901, 13, 131},   {13, 61, 1501}, {40, 7, 1025},
                           {1024, 1024, 1024}, {17, 64, 256}, {128, 128, 16384},
                           {64, 64, 64},     {1, 1, 1}};
   for (const Shape s : shapes) {
     for (const int planes : {2, 3}) {
-      PlanKey key;
-      key.m = s.m;
-      key.n = s.n;
-      key.k = s.k;
-      key.planes = static_cast<std::uint8_t>(planes);
-      const PrepRows rows(key);
+      const PrepRows rows(s.m, s.n, s.k, planes);
       const std::string where = std::to_string(s.m) + "x" +
                                 std::to_string(s.n) + "x" +
                                 std::to_string(s.k) + " planes " +
@@ -379,7 +373,7 @@ TEST(PackedPlanesA, PrepChunksCutARowsOnBlockEdges) {
       std::size_t a_cuts = 0;
       for (std::size_t j = 1; j <= rows.chunks; ++j) {
         const std::size_t start = rows.start(j);
-        EXPECT_LE(rows.start(j - 1), start) << where << " chunk " << j;
+        EXPECT_LT(rows.start(j - 1), start) << where << " chunk " << j;
         if (start < s.m) {
           ++a_cuts;
           EXPECT_EQ(start % kPackTile, 0u) << where << " chunk " << j;

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
@@ -112,18 +113,51 @@ TEST(GemmPlanExecute, PlanPropertiesReflectTheRecipe) {
   GemmContext ctx;
   const auto egemm = ctx.plan(Backend::kEgemmTC, 64, 64, 64);
   EXPECT_FALSE(egemm->direct());
-  EXPECT_EQ(egemm->combos().size(), 4u);
+  EXPECT_EQ(egemm->terms().size(), 4u);
   EXPECT_GT(egemm->workspace_bytes(), 0u);
 
   const auto half = ctx.plan(Backend::kCublasTcHalf, 64, 64, 64);
-  EXPECT_EQ(half->combos().size(), 1u);
+  EXPECT_EQ(half->terms().size(), 1u);
   const auto markidis = ctx.plan(Backend::kMarkidis, 64, 64, 64);
-  EXPECT_EQ(markidis->combos().size(), 3u);
+  EXPECT_EQ(markidis->terms().size(), 3u);
   EXPECT_EQ(markidis->split(), core::SplitMethod::kTruncateSplit);
 
   const auto direct = ctx.plan(Backend::kCublasFp32, 64, 64, 64);
   EXPECT_TRUE(direct->direct());
   EXPECT_EQ(direct->workspace_bytes(), 0u);
+}
+
+TEST(GemmPlanCache, BackendPlansShareTheirRungsPlan) {
+  // A fused backend is its rung: both ways in return one cached plan,
+  // which runs the rung's descriptor terms. cuBLAS-TC-Emulation runs
+  // round-2term's terms in separate passes, so it is a plan of its own.
+  GemmContext ctx;
+  const std::pair<Backend, core::SchemeId> fused[] = {
+      {Backend::kEgemmTC, core::SchemeId::kRound2},
+      {Backend::kCublasTcHalf, core::SchemeId::kHalf},
+      {Backend::kMarkidis, core::SchemeId::kMarkidis}};
+  for (const auto& [backend, rung] : fused) {
+    const auto by_backend = ctx.plan(backend, 24, 40, 56);
+    EXPECT_EQ(by_backend.get(), ctx.plan_scheme(rung, 24, 40, 56).get())
+        << backend_name(backend);
+    EXPECT_EQ(by_backend->key().backend, backend);
+    EXPECT_EQ(by_backend->order(), ComboOrder::kFusedPerTile);
+    EXPECT_EQ(by_backend->terms().data(), core::scheme(rung).terms.data());
+  }
+  EXPECT_EQ(ctx.cached_plans(), 3u);
+
+  const auto emulation = ctx.plan(Backend::kCublasTcEmulation, 24, 40, 56);
+  const auto round2 = ctx.plan_scheme(core::SchemeId::kRound2, 24, 40, 56);
+  EXPECT_NE(emulation.get(), round2.get());
+  EXPECT_EQ(ctx.cached_plans(), 4u);
+  EXPECT_EQ(emulation->scheme_id(), core::SchemeId::kRound2);
+  EXPECT_EQ(emulation->order(), ComboOrder::kSeparatePasses);
+  EXPECT_EQ(emulation->terms().data(), round2->terms().data());
+  EXPECT_EQ(emulation->terms().size(), 4u);
+
+  const auto direct = ctx.plan(Backend::kDekker, 24, 40, 56);
+  EXPECT_EQ(direct->key().scheme, -1);
+  EXPECT_FALSE(direct->scheme_id().has_value());
 }
 
 TEST(GemmPlanExecute, TimingMatchesTimeGemm) {

@@ -525,14 +525,17 @@ bool bitwise_equal(const gemm::Matrix& x, const gemm::Matrix& y) {
 }
 
 /// Alg. 1's four round-split products in `order`, planned on the default
-/// context for the operands' shape.
+/// context for the operands' shape: round-2term fused, or cuBLAS-TC-
+/// Emulation's separate passes.
 std::shared_ptr<const gemm::GemmPlan> alg1_plan(const gemm::Matrix& a,
                                                 const gemm::Matrix& b,
                                                 gemm::ComboOrder order) {
-  static constexpr gemm::PlaneCombo kAlg1[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
-  return gemm::default_context().plan_emulated(
-      a.rows(), b.cols(), a.cols(), core::SplitMethod::kRoundSplit, kAlg1,
-      order);
+  gemm::GemmContext& ctx = gemm::default_context();
+  return order == gemm::ComboOrder::kFusedPerTile
+             ? ctx.plan_scheme(core::SchemeId::kRound2, a.rows(), b.cols(),
+                               a.cols())
+             : ctx.plan(gemm::Backend::kCublasTcEmulation, a.rows(),
+                        b.cols(), a.cols());
 }
 
 gemm::Matrix run_packed(const gemm::GemmPlan& plan, const gemm::Matrix& a,
