@@ -118,10 +118,10 @@ void BM_EmulatedTile(benchmark::State& state) {
   for (auto _ : state) {
     switch (variant) {
       case 0:
-        core::egemm_mma_tile(d, a, b, c);
+        core::scheme_mma_tile(core::SchemeId::kRound2, d, a, b, c);
         break;
       case 1:
-        core::markidis_mma_tile(d, a, b, c);
+        core::scheme_mma_tile(core::SchemeId::kMarkidis, d, a, b, c);
         break;
       default:
         core::dekker_mma_tile(d, a, b, c);

@@ -96,7 +96,7 @@ int replay_one(const std::string& descriptor) {
       std::printf(
           "%-15s max_ulp=%-10.3g violations=%zu worst_ratio=%.3g "
           "(measured=%.3g bound=%.3g)\n",
-          path_name(static_cast<Path>(p)), obs.stats.max_ulp, obs.violations,
+          path_label(p), obs.stats.max_ulp, obs.violations,
           obs.worst_ratio, obs.worst_measured, obs.worst_bound);
       if (obs.violations > 0) ok = false;
     }
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
                     "worst err/bound", "worst case"});
   for (std::size_t p = 0; p < kPathCount; ++p) {
     const PathSummary& summary = report.paths[p];
-    table.add_row({path_name(static_cast<Path>(p)),
+    table.add_row({path_label(p),
                    std::to_string(summary.observed.stats.count),
                    util::fmt_sci(summary.observed.stats.max_ulp, 3),
                    util::fmt_sci(summary.observed.stats.max_rel, 3),

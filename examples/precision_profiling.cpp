@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
   for (auto& v : a.flat()) v = rng.uniform(-1.0f, 1.0f);
   for (auto& v : b.flat()) v = rng.uniform(-1.0f, 1.0f);
   c.fill(0.0f);
-  core::egemm_mma_tile(d, a, b, c);
+  core::scheme_mma_tile(core::SchemeId::kRound2, d, a, b, c);
   tcsim::FragmentAcc half_d;
-  core::half_mma_tile(half_d, a, b, c);
+  core::scheme_mma_tile(core::SchemeId::kHalf, half_d, a, b, c);
   double ref = 0.0, emu_err = 0.0, half_err = 0.0;
   for (int k = 0; k < tcsim::kTcK; ++k) {
     ref += static_cast<double>(a.at(0, k)) * static_cast<double>(b.at(k, 0));

@@ -14,25 +14,17 @@ using tcsim::kTcK;
 using tcsim::kTcM;
 using tcsim::kTcN;
 
-/// Splits a binary32 A-shaped tile into binary16 lo/hi tiles.
-void split_tile_a(const FragmentF32& a, FragmentA& lo, FragmentA& hi,
-                  SplitMethod method) noexcept {
-  for (int i = 0; i < kTcM; ++i) {
-    for (int k = 0; k < kTcK; ++k) {
-      const SplitHalves halves = split_scalar(a.at(i, k), method);
-      hi.at(i, k) = halves.hi;
-      lo.at(i, k) = halves.lo;
-    }
-  }
-}
-
-void split_tile_b(const FragmentF32B& b, FragmentB& lo, FragmentB& hi,
-                  SplitMethod method) noexcept {
-  for (int k = 0; k < kTcK; ++k) {
-    for (int j = 0; j < kTcN; ++j) {
-      const SplitHalves halves = split_scalar(b.at(k, j), method);
-      hi.at(k, j) = halves.hi;
-      lo.at(k, j) = halves.lo;
+/// Splits a binary32 tile into `planes` binary16 tiles by split depth.
+template <typename Tile, typename HalfTile>
+void split_tile(const Tile& x, SplitMethod method,
+                std::span<HalfTile> planes) noexcept {
+  constexpr auto kSize = static_cast<std::size_t>(Tile::kRows * Tile::kCols);
+  float values[kMaxSplitPlanes][kSize];
+  float* const out[kMaxSplitPlanes] = {values[0], values[1], values[2]};
+  split_planes_f32(x.flat(), {out, planes.size()}, method);
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    for (std::size_t i = 0; i < kSize; ++i) {
+      planes[p].flat()[i] = fp::Half(values[p][i]);  // exact: binary16-valued
     }
   }
 }
@@ -51,50 +43,19 @@ void dh_add(fp::Half& s, fp::Half& t, fp::Half x) noexcept {
 
 }  // namespace
 
-void egemm_mma_tile(FragmentAcc& d, const FragmentF32& a, const FragmentF32B& b,
-                    const FragmentAcc& c, SplitMethod method) noexcept {
-  FragmentA alo, ahi;
-  FragmentB blo, bhi;
-  split_tile_a(a, alo, ahi, method);
-  split_tile_b(b, blo, bhi, method);
-
-  // Algorithm 1, low-order terms first so small contributions are absorbed
-  // before the large Ahi x Bhi partial product dominates the accumulator.
+void scheme_mma_tile(SchemeId scheme, FragmentAcc& d, const FragmentF32& a,
+                     const FragmentF32B& b, const FragmentAcc& c) noexcept {
+  const SchemeDescriptor& rung = core::scheme(scheme);
+  const auto planes = static_cast<std::size_t>(rung.planes);
+  FragmentA ap[kMaxSplitPlanes];
+  FragmentB bp[kMaxSplitPlanes];
+  split_tile(a, rung.split, std::span<FragmentA>(ap, planes));
+  split_tile(b, rung.split, std::span<FragmentB>(bp, planes));
   FragmentAcc acc = c;
-  tcsim::mma_sync(acc, alo, blo, acc);
-  tcsim::mma_sync(acc, alo, bhi, acc);
-  tcsim::mma_sync(acc, ahi, blo, acc);
-  tcsim::mma_sync(acc, ahi, bhi, acc);
-  d = acc;
-}
-
-void markidis_mma_tile(FragmentAcc& d, const FragmentF32& a,
-                       const FragmentF32B& b, const FragmentAcc& c) noexcept {
-  FragmentA alo, ahi;
-  FragmentB blo, bhi;
-  split_tile_a(a, alo, ahi, SplitMethod::kTruncateSplit);
-  split_tile_b(b, blo, bhi, SplitMethod::kTruncateSplit);
-
-  // Markidis [20] drops the Alo x Blo term (its magnitude is below the
-  // 2^-20 target anyway) and pays a further bit to the truncate-split.
-  FragmentAcc acc = c;
-  tcsim::mma_sync(acc, alo, bhi, acc);
-  tcsim::mma_sync(acc, ahi, blo, acc);
-  tcsim::mma_sync(acc, ahi, bhi, acc);
-  d = acc;
-}
-
-void half_mma_tile(FragmentAcc& d, const FragmentF32& a, const FragmentF32B& b,
-                   const FragmentAcc& c) noexcept {
-  FragmentA ah;
-  FragmentB bh;
-  for (int i = 0; i < kTcM; ++i) {
-    for (int k = 0; k < kTcK; ++k) ah.at(i, k) = fp::Half(a.at(i, k));
+  for (const SchemeTerm& term : rung.terms) {
+    tcsim::mma_sync(acc, ap[term.a_depth], bp[term.b_depth], acc);
   }
-  for (int k = 0; k < kTcK; ++k) {
-    for (int j = 0; j < kTcN; ++j) bh.at(k, j) = fp::Half(b.at(k, j));
-  }
-  tcsim::mma_sync(d, ah, bh, c);
+  d = acc;
 }
 
 HalfProduct dekker_two_prod_half(fp::Half a, fp::Half b) noexcept {

@@ -7,15 +7,19 @@
 // Tensor Core (half inputs, binary32 accumulation). They differ in the
 // data split and the number of specialized-core instructions:
 //
-//   EGEMM-TC (Alg. 1): round-split, 4 mma_sync calls, accumulated
-//       low-order-first: D = (((C + Alo.Blo) + Alo.Bhi) + Ahi.Blo) + Ahi.Bhi
-//   Markidis [20]: truncate-split, 3 mma_sync calls (the original drops the
-//       Alo.Blo term): D = ((C + Alo.Bhi) + Ahi.Blo) + Ahi.Bhi
+//   ladder rungs (core/scheme.hpp): each input splits into the rung's
+//       planes, then one mma_sync per descriptor term, in term order.
+//       round-2term is Alg. 1 -- round-split, 4 mma_sync calls,
+//       accumulated low-order-first:
+//       D = (((C + Alo.Blo) + Alo.Bhi) + Ahi.Blo) + Ahi.Bhi;
+//       markidis [20] is truncate-split with the Alo.Blo term dropped;
+//       half is the raw RN16 inputs and one mma_sync.
 //   Dekker [7]: both split halves multiplied entirely in binary16 with
 //       error-compensated (two-sum) accumulation -- 16 half-precision
 //       instructions per emulated product term. Kept as the classical
 //       high-overhead baseline the paper argues against.
 
+#include "core/scheme.hpp"
 #include "core/split.hpp"
 #include "tcsim/fragment.hpp"
 
@@ -24,23 +28,13 @@ namespace egemm::core {
 using FragmentF32 = tcsim::Fragment<float, tcsim::kTcM, tcsim::kTcK>;
 using FragmentF32B = tcsim::Fragment<float, tcsim::kTcK, tcsim::kTcN>;
 
-/// Algorithm 1: the 4-instruction EGEMM-TC emulation on one tile.
-/// `method` defaults to round-split; passing truncate-split gives the
-/// 4-call ablation variant used by bench_ablation_split.
-void egemm_mma_tile(tcsim::FragmentAcc& d, const FragmentF32& a,
-                    const FragmentF32B& b, const tcsim::FragmentAcc& c,
-                    SplitMethod method = SplitMethod::kRoundSplit) noexcept;
-
-/// Markidis' 3-instruction truncate-split emulation on one tile.
-void markidis_mma_tile(tcsim::FragmentAcc& d, const FragmentF32& a,
-                       const FragmentF32B& b,
-                       const tcsim::FragmentAcc& c) noexcept;
-
-/// Plain half-precision Tensor Core tile (cuBLAS-TC-Half equivalent): both
-/// inputs rounded to binary16, one mma_sync.
-void half_mma_tile(tcsim::FragmentAcc& d, const FragmentF32& a,
-                   const FragmentF32B& b,
-                   const tcsim::FragmentAcc& c) noexcept;
+/// One ladder rung on one tile: A and B split into the rung's planes
+/// (core::split_planes_f32), then tcsim::mma_sync once per descriptor term
+/// in term order, starting from C. Bit-identical to the rung's fused GEMM
+/// plan on a 16x16x16 problem.
+void scheme_mma_tile(SchemeId scheme, tcsim::FragmentAcc& d,
+                     const FragmentF32& a, const FragmentF32B& b,
+                     const tcsim::FragmentAcc& c) noexcept;
 
 /// Dekker-style emulation: extended precision out of half-only arithmetic
 /// (input precision == output precision == binary16), with compensated
@@ -50,9 +44,8 @@ void dekker_mma_tile(tcsim::FragmentAcc& d, const FragmentF32& a,
                      const FragmentF32B& b, const tcsim::FragmentAcc& c,
                      long* instruction_count = nullptr) noexcept;
 
-/// Specialized-core instruction count per emulated tile MMA.
-constexpr int kEgemmInstructions = 4;
-constexpr int kMarkidisInstructions = 3;
+/// Binary16 instructions per Dekker-emulated multiply-accumulate (a
+/// rung's specialized-core instruction count is its term count).
 constexpr int kDekkerInstructions = 16;
 
 /// Scalar Dekker compensated product in binary16 arithmetic:

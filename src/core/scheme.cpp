@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 namespace egemm::core {
@@ -13,49 +14,30 @@ constexpr double kU32 = 0x1.0p-24;  // binary32 unit roundoff
 /// Terms of the two-plane all-terms recipe (Alg. 1), execution order:
 /// low-order products first so small contributions accumulate before the
 /// dominant hi x hi one.
-constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTerms2{{
-    {1, 1}, {1, 0}, {0, 1}, {0, 0},
-}};
+constexpr SchemeTerm kTerms2[] = {{1, 1}, {1, 0}, {0, 1}, {0, 0}};
 /// Markidis drops the lo x lo product.
-constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTermsMarkidis{{
-    {1, 0}, {0, 1}, {0, 0},
-}};
-constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTermsHalf{{
-    {0, 0},
-}};
+constexpr SchemeTerm kTermsMarkidis[] = {{1, 0}, {0, 1}, {0, 0}};
+constexpr SchemeTerm kTermsHalf[] = {{0, 0}};
 /// Three-plane recipes accumulate smallest-magnitude terms first, so they
 /// are absorbed before the dominant hi x hi product.
-constexpr std::array<SchemeTerm, kMaxSchemeTerms> kTerms3{{
+constexpr SchemeTerm kTerms3[] = {
     {2, 2}, {2, 1}, {1, 2}, {2, 0}, {1, 1}, {0, 2}, {1, 0}, {0, 1}, {0, 0},
-}};
+};
+static_assert(std::size(kTerms3) == std::size_t{kMaxSchemeTerms});
 
+// id, name, split method, planes, terms, split_bits
 constexpr std::array<SchemeDescriptor, kSchemeCount> kDescriptors{{
-    {SchemeId::kHalf, "half", "raw RN16 inputs, single tensor-core product",
-     SplitMethod::kRoundSplit, /*half_only=*/true, /*planes=*/1,
-     /*plan_planes=*/2, /*term_count=*/1, kTermsHalf, /*split_bits=*/10,
-     /*operation_bits=*/10},
-    {SchemeId::kMarkidis, "markidis",
-     "2-plane truncate split, Alo x Blo dropped", SplitMethod::kTruncateSplit,
-     /*half_only=*/false, /*planes=*/2, /*plan_planes=*/2, /*term_count=*/3,
-     kTermsMarkidis, /*split_bits=*/19, /*operation_bits=*/19},
-    {SchemeId::kTruncate2, "truncate-2term",
-     "2-plane truncate split, all 4 terms", SplitMethod::kTruncateSplit,
-     /*half_only=*/false, /*planes=*/2, /*plan_planes=*/2, /*term_count=*/4,
-     kTerms2, /*split_bits=*/20, /*operation_bits=*/20},
-    {SchemeId::kRound2, "round-2term",
-     "2-plane round split, all 4 terms (EGEMM-TC)", SplitMethod::kRoundSplit,
-     /*half_only=*/false, /*planes=*/2, /*plan_planes=*/2, /*term_count=*/4,
-     kTerms2, /*split_bits=*/21, /*operation_bits=*/21},
-    {SchemeId::kSlice3, "slice-3term",
-     "3-plane truncate slices, all 9 terms (Ozaki-style)",
-     SplitMethod::kTruncateSplit, /*half_only=*/false, /*planes=*/3,
-     /*plan_planes=*/3, /*term_count=*/9, kTerms3, /*split_bits=*/30,
-     /*operation_bits=*/24},
-    {SchemeId::kRecovery3, "recovery-3term",
-     "3-plane round split, all 9 terms (FP32 recovery)",
-     SplitMethod::kRoundSplit, /*half_only=*/false, /*planes=*/3,
-     /*plan_planes=*/3, /*term_count=*/9, kTerms3, /*split_bits=*/32,
-     /*operation_bits=*/24},
+    {SchemeId::kHalf, "half", SplitMethod::kRoundSplit, 1, kTermsHalf, 10},
+    {SchemeId::kMarkidis, "markidis", SplitMethod::kTruncateSplit, 2,
+     kTermsMarkidis, 19},
+    {SchemeId::kTruncate2, "truncate-2term", SplitMethod::kTruncateSplit, 2,
+     kTerms2, 20},
+    {SchemeId::kRound2, "round-2term", SplitMethod::kRoundSplit, 2, kTerms2,
+     21},
+    {SchemeId::kSlice3, "slice-3term", SplitMethod::kTruncateSplit, 3,
+     kTerms3, 30},
+    {SchemeId::kRecovery3, "recovery-3term", SplitMethod::kRoundSplit, 3,
+     kTerms3, 32},
 }};
 
 constexpr std::array<SchemeId, kSchemeCount> kLadder{
@@ -80,16 +62,6 @@ double plane_bound(SplitMethod split, int depth, double scale) noexcept {
   return split_plane_bound(split, depth, scale);
 }
 
-/// Per-input representation error of the profile's decomposition of x.
-double residual_bound(const SchemeProfile& profile, double scale) noexcept {
-  if (profile.half_only) {
-    // Single RN16 rounding: half a binary16 ulp (2^-11 relative), with the
-    // subnormal half-quantum floor.
-    return std::max(scale * 0x1.0p-11, 0x1.0p-25);
-  }
-  return split_residual_bound_planes(profile.split, profile.planes, scale);
-}
-
 }  // namespace
 
 const SchemeDescriptor& scheme(SchemeId id) noexcept {
@@ -108,7 +80,6 @@ std::optional<SchemeId> parse_scheme_name(std::string_view name) noexcept {
 std::span<const SchemeId> scheme_ladder() noexcept { return kLadder; }
 
 int SchemeProfile::term_count() const noexcept {
-  if (half_only) return 1;
   return std::popcount(term_mask & grid_mask(planes));
 }
 
@@ -116,13 +87,10 @@ SchemeProfile scheme_profile(SchemeId id) noexcept {
   const SchemeDescriptor& descriptor = scheme(id);
   SchemeProfile profile;
   profile.split = descriptor.split;
-  profile.half_only = descriptor.half_only;
   profile.planes = descriptor.planes;
   profile.term_mask = 0;
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(descriptor.term_count); ++i) {
-    profile.set_term(descriptor.terms[i].a_depth, descriptor.terms[i].b_depth,
-                     true);
+  for (const SchemeTerm& term : descriptor.terms) {
+    profile.set_term(term.a_depth, term.b_depth, true);
   }
   return profile;
 }
@@ -136,7 +104,7 @@ std::optional<SchemeId> classify_scheme(
     // raw-binary16 kernel does not satisfy kHalf's RN16 bound and must be
     // flagged as a mismatch, not silently accepted.
     if (rung.split == profile.split && rung.planes == profile.planes &&
-        rung.half_only == profile.half_only && rung.term_mask == mask) {
+        rung.term_mask == mask) {
       return id;
     }
   }
@@ -152,9 +120,11 @@ ErrorBound scheme_element_bound(const SchemeProfile& profile,
     return bound;
   }
 
-  const double eps_a = residual_bound(profile, in.a_scale);
-  const double eps_b = residual_bound(profile, in.b_scale);
-  const int planes = profile.half_only ? 1 : profile.planes;
+  const double eps_a =
+      split_residual_bound_planes(profile.split, profile.planes, in.a_scale);
+  const double eps_b =
+      split_residual_bound_planes(profile.split, profile.planes, in.b_scale);
+  const int planes = profile.planes;
   std::array<double, 3> mag_a{};
   std::array<double, 3> mag_b{};
   for (int d = 0; d < planes; ++d) {
@@ -175,18 +145,14 @@ ErrorBound scheme_element_bound(const SchemeProfile& profile,
   // pre-ladder hand model.
   double dropped = 0.0;
   double product_mag = 0.0;
-  if (profile.half_only) {
-    product_mag = mag_a[0] * mag_b[0];
-  } else {
-    for (int a = 0; a < planes; ++a) {
-      for (int b = 0; b < planes; ++b) {
-        const double mag = mag_a[static_cast<std::size_t>(a)] *
-                           mag_b[static_cast<std::size_t>(b)];
-        if (profile.term(a, b)) {
-          product_mag += mag;
-        } else {
-          dropped += mag;
-        }
+  for (int a = 0; a < planes; ++a) {
+    for (int b = 0; b < planes; ++b) {
+      const double mag = mag_a[static_cast<std::size_t>(a)] *
+                         mag_b[static_cast<std::size_t>(b)];
+      if (profile.term(a, b)) {
+        product_mag += mag;
+      } else {
+        dropped += mag;
       }
     }
   }
@@ -221,8 +187,7 @@ ErrorBound scheme_element_bound(const SchemeProfile& profile,
   // the executable form of the paper's Fig. 4 round-vs-truncate gap.
   const double tau =
       0.5 * (eps_a * in.b_scale + eps_b * in.a_scale);  // typical per-term
-  const bool one_signed =
-      !profile.half_only && profile.split == SplitMethod::kTruncateSplit;
+  const bool one_signed = profile.split == SplitMethod::kTruncateSplit;
   const double split_exp =
       one_signed ? k * tau * 0.25 : std::sqrt(k) * tau;
   const double dropped_exp = one_signed ? k * dropped * 0.0625
@@ -263,7 +228,7 @@ ContractResolution resolve_contract(const AccuracyContract& contract,
       resolution.tightest = id;
     }
     if (!rung.feasible) continue;
-    const int terms = scheme(id).term_count;
+    const auto terms = static_cast<int>(scheme(id).terms.size());
     // Cheapest feasible rung: fewest executed terms, ties broken by the
     // tighter bound; strict < keeps ladder order as the final tiebreak.
     if (!have_selected || terms < selected_terms ||

@@ -71,22 +71,22 @@ struct SchemeTerm {
 
 inline constexpr int kMaxSchemeTerms = 9;
 
-/// Static description of one ladder rung.
+/// Static description of one ladder rung: everything that decides its
+/// bits and its bound, and nothing derivable from the rest.
 struct SchemeDescriptor {
   SchemeId id = SchemeId::kRound2;
-  const char* name = "";     ///< stable identifier (replay descriptors, CLI)
-  const char* summary = "";  ///< one-line human description
+  const char* name = "";  ///< stable identifier (replay descriptors, CLI)
   SplitMethod split = SplitMethod::kRoundSplit;
-  bool half_only = false;  ///< raw RN16 inputs, no residual planes
-  int planes = 2;          ///< planes in the bound model (1 for half)
-  int plan_planes = 2;     ///< planes the executable recipe decomposes into
-  int term_count = 4;
+  /// Planes each input is split into, by split depth (0 = hi). One plane
+  /// is the raw binary16 input, rounded with `split`'s mode (half).
+  int planes = 2;
   /// Executed terms in kernel execution order (low-order products first
   /// for the multi-plane rungs, so small contributions accumulate before
-  /// large ones). Only the first term_count entries are meaningful.
-  std::array<SchemeTerm, kMaxSchemeTerms> terms{};
-  int split_bits = 21;      ///< significand bits the decomposition captures
-  int operation_bits = 21;  ///< min(split_bits, 24): binary32 accumulator cap
+  /// large ones); its size is the rung's term count.
+  std::span<const SchemeTerm> terms;
+  /// Significand bits the decomposition captures; the operation precision
+  /// is min(split_bits, 24), capped by the binary32 accumulator.
+  int split_bits = 21;
 };
 
 /// The descriptor for a rung. `id` must be a real rung, not kCount.
@@ -100,18 +100,14 @@ std::optional<SchemeId> parse_scheme_name(std::string_view name) noexcept;
 /// All rungs in ladder order.
 std::span<const SchemeId> scheme_ladder() noexcept;
 
-/// Numeric profile of an emulation path: split method, plane count, and
-/// the term coverage grid. This is what the error model consumes and what
-/// plan recipes / statically derived kernel profiles are classified
-/// against. Term (a_depth, b_depth) lives at bit a_depth * planes +
-/// b_depth of term_mask.
+/// Numeric profile of an emulation path: split method, plane count (one
+/// plane is the raw binary16 input), and the term coverage grid. This is
+/// what the error model consumes and what statically derived kernel
+/// profiles are classified against. Term (a_depth, b_depth) lives at bit
+/// a_depth * planes + b_depth of term_mask.
 struct SchemeProfile {
   SplitMethod split = SplitMethod::kRoundSplit;
   int planes = 2;
-  /// Raw RN16 inputs with no residual planes at all (half rung): the
-  /// representation error is a single binary16 rounding and the
-  /// dropped-term machinery does not apply.
-  bool half_only = false;
   std::uint32_t term_mask = 0xF;
 
   bool term(int a_depth, int b_depth) const noexcept {
@@ -129,8 +125,8 @@ struct SchemeProfile {
 SchemeProfile scheme_profile(SchemeId id) noexcept;
 
 /// Maps a profile back onto the ladder: the rung whose split method, plane
-/// count, half-only flag, and term grid all match, or nullopt when the
-/// profile matches no named rung (e.g. a mis-derived kernel).
+/// count and term grid all match, or nullopt when the profile matches no
+/// named rung (e.g. a mis-derived kernel).
 std::optional<SchemeId> classify_scheme(const SchemeProfile& profile) noexcept;
 
 // -- a-priori error bounds (DESIGN.md §11/§16) -------------------------------
@@ -153,8 +149,7 @@ struct ErrorBound {
 
 /// Per-element sound a-priori bound for a profile. Requires every |A|, |B|
 /// input magnitude to be below the binary16 overflow threshold (the split
-/// itself saturates beyond it). Bit-identical to the pre-ladder
-/// verify::element_bound for every two-plane profile.
+/// itself saturates beyond it).
 ErrorBound scheme_element_bound(const SchemeProfile& profile,
                                 const BoundInputs& in) noexcept;
 

@@ -62,9 +62,7 @@ const char* split_method_name(SplitMethod method) noexcept {
 }
 
 SplitHalves split_scalar(float x, SplitMethod method) noexcept {
-  const fp::Rounding mode = method == SplitMethod::kRoundSplit
-                                ? fp::Rounding::kNearestEven
-                                : fp::Rounding::kTowardZero;
+  const fp::Rounding mode = split_rounding(method);
   const fp::Half hi(x, mode);
   // Exact in binary32: hi is within one binary16 ulp of x, so Sterbenz-type
   // cancellation applies (both operands share the leading bits).
@@ -77,23 +75,32 @@ double combine_scalar(SplitHalves halves) noexcept {
   return halves.hi.to_double() + halves.lo.to_double();
 }
 
-void split_span_f32(std::span<const float> input, std::span<float> hi,
-                    std::span<float> lo, SplitMethod method) {
-  EGEMM_EXPECTS(input.size() == hi.size() && input.size() == lo.size());
-  count_split(input.size(), 2);
+void split_planes_f32(std::span<const float> input,
+                      std::span<float* const> planes, SplitMethod method) {
+  EGEMM_EXPECTS(!planes.empty() && planes.size() <= kMaxSplitPlanes);
+  count_split(input.size(), planes.size());
   const fp::Rounding mode = split_rounding(method);
   float residual[kChunk];
   for (std::size_t base = 0; base < input.size(); base += kChunk) {
     const std::size_t len = std::min(kChunk, input.size() - base);
-    const std::span<const float> in = input.subspan(base, len);
-    const std::span<float> hi_out = hi.subspan(base, len);
-    fp::f32_round_through_f16_span(in, hi_out, mode);
-    for (std::size_t i = 0; i < len; ++i) {
-      residual[i] = in[i] - hi_out[i];  // exact in binary32
+    const float* level = input.data() + base;  // x, then each residual
+    for (std::size_t d = 0;; ++d) {
+      float* const plane = planes[d] + base;
+      fp::f32_round_through_f16_span({level, len}, {plane, len}, mode);
+      if (d + 1 == planes.size()) break;
+      for (std::size_t i = 0; i < len; ++i) {
+        residual[i] = level[i] - plane[i];  // exact in binary32
+      }
+      level = residual;
     }
-    fp::f32_round_through_f16_span({residual, len}, lo.subspan(base, len),
-                                   mode);
   }
+}
+
+void split_span_f32(std::span<const float> input, std::span<float> hi,
+                    std::span<float> lo, SplitMethod method) {
+  EGEMM_EXPECTS(input.size() == hi.size() && input.size() == lo.size());
+  float* const planes[] = {hi.data(), lo.data()};
+  split_planes_f32(input, planes, method);
 }
 
 SplitThirds split3_scalar(float x, SplitMethod method) noexcept {
@@ -116,21 +123,8 @@ void split3_span_f32(std::span<const float> input, std::span<float> hi,
                      SplitMethod method) {
   EGEMM_EXPECTS(input.size() == hi.size() && input.size() == mid.size() &&
                 input.size() == lo.size());
-  count_split(input.size(), 3);
-  const fp::Rounding mode = split_rounding(method);
-  float r1[kChunk];
-  float r2[kChunk];
-  for (std::size_t base = 0; base < input.size(); base += kChunk) {
-    const std::size_t len = std::min(kChunk, input.size() - base);
-    const std::span<const float> in = input.subspan(base, len);
-    const std::span<float> hi_out = hi.subspan(base, len);
-    const std::span<float> mid_out = mid.subspan(base, len);
-    fp::f32_round_through_f16_span(in, hi_out, mode);
-    for (std::size_t i = 0; i < len; ++i) r1[i] = in[i] - hi_out[i];
-    fp::f32_round_through_f16_span({r1, len}, mid_out, mode);
-    for (std::size_t i = 0; i < len; ++i) r2[i] = r1[i] - mid_out[i];
-    fp::f32_round_through_f16_span({r2, len}, lo.subspan(base, len), mode);
-  }
+  float* const planes[] = {hi.data(), mid.data(), lo.data()};
+  split_planes_f32(input, planes, method);
 }
 
 double split_error_bound(SplitMethod method, double scale) noexcept {
@@ -164,7 +158,14 @@ double split_residual_bound(SplitMethod method, double scale) noexcept {
 
 double split_residual_bound_planes(SplitMethod method, int planes,
                                    double scale) noexcept {
-  if (planes <= 2) return split_residual_bound(method, scale);
+  if (planes <= 1) {
+    // A single binary16 rounding: half a binary16 ulp (2^-11 relative) or
+    // a full one (2^-10) when truncating, with the subnormal floor.
+    return method == SplitMethod::kRoundSplit
+               ? std::max(scale * 0x1.0p-11, 0x1.0p-25)
+               : std::max(scale * 0x1.0p-10, 0x1.0p-24);
+  }
+  if (planes == 2) return split_residual_bound(method, scale);
   // Binade argument for the three-level stack, |x| in [2^e, 2^(e+1)):
   //  * round: |r1| <= half ulp16(x) <= 2^(e-11), so |r2| <= half
   //    ulp16(r1) <= 2^(e-22) and the final residual |r3| <= half

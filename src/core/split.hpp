@@ -46,12 +46,24 @@ SplitHalves split_scalar(float x, SplitMethod method) noexcept;
 /// Recombines a split pair; exact in binary64.
 double combine_scalar(SplitHalves halves) noexcept;
 
-/// Splits a matrix/vector into hi/lo planes stored as binary32 values that
-/// are exactly binary16-representable. This is the O(N^2) pass EGEMM-TC
-/// runs on CUDA cores before the O(N^3) Tensor Core work; the packed
-/// engine's recipe kernel consumes the planes directly. Batched over whole
-/// spans via fp::f32_round_through_f16_span; bit-identical to calling
-/// split_scalar per element.
+/// Most planes a split produces (the three-way split below).
+inline constexpr std::size_t kMaxSplitPlanes = 3;
+
+/// Splits a matrix/vector into planes.size() planes (1 to kMaxSplitPlanes)
+/// stored as binary32 values that are exactly binary16-representable, by
+/// split depth and rounding every level with `method`: plane 0 is x
+/// rounded to binary16, plane d the rounded residual left after d levels
+/// (each residual is exact in binary32). One plane is the raw binary16
+/// input (fp::Half(x, mode)), two are split_scalar's hi/lo, three are
+/// split3_scalar's hi/mid/lo. Each plane pointer addresses input.size()
+/// floats. This is the O(N^2) pass EGEMM-TC runs on CUDA cores before the
+/// O(N^3) Tensor Core work; the packed engine's recipe kernel consumes the
+/// planes directly. Batched over whole spans via
+/// fp::f32_round_through_f16_span.
+void split_planes_f32(std::span<const float> input,
+                      std::span<float* const> planes, SplitMethod method);
+
+/// split_planes_f32 into two planes: hi and lo.
 void split_span_f32(std::span<const float> input, std::span<float> hi,
                     std::span<float> lo, SplitMethod method);
 
@@ -106,15 +118,17 @@ SplitThirds split3_scalar(float x,
 /// Recombines; exact in binary64.
 double combine3_scalar(SplitThirds thirds) noexcept;
 
-/// Splits into three binary32-stored, binary16-valued planes.
+/// split_planes_f32 into three planes: hi, mid and lo.
 void split3_span_f32(std::span<const float> input, std::span<float> hi,
                      std::span<float> mid, std::span<float> lo,
                      SplitMethod method = SplitMethod::kRoundSplit);
 
 /// split_residual_bound generalized to a `planes`-deep split stack: the
 /// worst-case |x - sum(planes)| for |x| <= scale, with the binary16
-/// subnormal floor. planes <= 2 delegates to split_residual_bound; three
-/// planes tighten the relative part to 2^-33 (round) / 2^-31 (truncate).
+/// subnormal floor. One plane is a single binary16 rounding: 2^-11
+/// (round) / 2^-10 (truncate) relative, floored at half / one subnormal
+/// quantum. Two planes are split_residual_bound; three tighten the
+/// relative part to 2^-33 (round) / 2^-31 (truncate).
 double split_residual_bound_planes(SplitMethod method, int planes,
                                    double scale) noexcept;
 

@@ -52,6 +52,7 @@
 #include <span>
 #include <vector>
 
+#include "core/split.hpp"
 #include "gemm/matrix.hpp"
 #include "util/assert.hpp"
 
@@ -61,8 +62,8 @@ namespace egemm::gemm {
 /// block kernel's fixed shape.
 inline constexpr std::size_t kPackTile = 16;
 
-/// Most planes a pack holds (the three-way split).
-inline constexpr std::size_t kMaxPackPlanes = 3;
+/// Most planes a pack holds: one per split plane.
+inline constexpr std::size_t kMaxPackPlanes = core::kMaxSplitPlanes;
 
 /// Floats per plane in the L1 strips a pack's rows pass through on their
 /// way to the blocks: at three planes B's strip is 12 KiB. A multiple of

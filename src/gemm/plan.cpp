@@ -133,18 +133,14 @@ std::atomic<std::uint32_t> g_batch_counter{0};
 constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 
 /// Splits in[0, count) per the plan's recipe into out[p], one run per
-/// plane, by split depth: plane 0 = hi; for three-way splits: hi, mid, lo.
-/// `split_ns` (when non-null) accumulates the time.
+/// plane, by split depth (plane 0 = hi). `split_ns` (when non-null)
+/// accumulates the time.
 void split_run(const GemmPlan& plan, const float* in, std::size_t count,
                float* const* out, std::uint64_t* split_ns) {
   const obs::StageTimer timer(nullptr, split_ns);
-  const std::span<const float> run(in, count);
-  const auto plane = [&](int p) { return std::span<float>(out[p], count); };
-  if (plan.planes() == 3) {
-    core::split3_span_f32(run, plane(0), plane(1), plane(2), plan.split());
-  } else {
-    core::split_span_f32(run, plane(0), plane(1), plan.split());
-  }
+  core::split_planes_f32({in, count},
+                         {out, static_cast<std::size_t>(plan.planes())},
+                         plan.split());
 }
 
 /// The backend a rung's fused plans run as.

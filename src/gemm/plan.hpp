@@ -178,11 +178,10 @@ class GemmPlan {
   // The recipe, from the rung's descriptor; emulated plans only.
   core::SplitMethod split() const noexcept { return recipe().split; }
   /// Planes each operand is split into (plane p = split depth p, 0 = hi).
-  int planes() const noexcept { return recipe().plan_planes; }
+  int planes() const noexcept { return recipe().planes; }
   /// The ordered split-product terms, by split depth.
   std::span<const core::SchemeTerm> terms() const noexcept {
-    return {recipe().terms.data(),
-            static_cast<std::size_t>(recipe().term_count)};
+    return recipe().terms;
   }
   /// Steady-state workspace footprint of one execute(): the packed planes
   /// of A and B, padded to whole 16-row / 16-column blocks.

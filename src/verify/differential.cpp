@@ -45,20 +45,28 @@ double now_seconds() noexcept {
   return static_cast<double>(obs::monotonic_ns()) * 1e-9;
 }
 
+/// The ladder rung a path runs: its own index, or round-2term for the
+/// separate-pass path.
+core::SchemeId path_rung(std::size_t path) noexcept {
+  EGEMM_EXPECTS(path < kPathCount);
+  return path == kSeparatePasses ? core::SchemeId::kRound2
+                                 : static_cast<core::SchemeId>(path);
+}
+
 /// Bumps the per-path case counter ("verify.cases.<path>"). Handles are
-/// resolved once for all paths; path_name returns static literals, so the
+/// resolved once for all paths; path_label returns static literals, so the
 /// registry never stores dangling views.
-void count_path_case(Path path) {
+void count_path_case(std::size_t path) {
   if constexpr (obs::kEnabled) {
     static const std::array<obs::Counter*, kPathCount> counters = [] {
       std::array<obs::Counter*, kPathCount> handles{};
       for (std::size_t p = 0; p < kPathCount; ++p) {
-        handles[p] = &obs::registry().counter(
-            std::string("verify.cases.") + path_name(static_cast<Path>(p)));
+        handles[p] = &obs::registry().counter(std::string("verify.cases.") +
+                                              path_label(p));
       }
       return handles;
     }();
-    counters[static_cast<std::size_t>(path)]->add(1);
+    counters[path]->add(1);
   }
 }
 
@@ -72,92 +80,22 @@ bool inputs_special(const FuzzInputs& inputs) {
          (inputs.use_c && span_special(inputs.c.data(), false));
 }
 
-const char* path_name(Path path) noexcept {
-  switch (path) {
-    case Path::kEgemmRound:
-      return "egemm-round";
-    case Path::kEgemmTruncate:
-      return "egemm-truncate";
-    case Path::kSeparatePasses:
-      return "separate-passes";
-    case Path::kMarkidis:
-      return "markidis";
-    case Path::kTcHalf:
-      return "tc-half";
-    case Path::kRecovery3:
-      return "recovery-3term";
-    case Path::kSlice3:
-      return "slice-3term";
-    case Path::kCount:
-      break;
-  }
-  return "?";
+const char* path_label(std::size_t path) noexcept {
+  return path == kSeparatePasses ? "separate-passes"
+                                 : core::scheme_name(path_rung(path));
 }
 
-core::SchemeId path_scheme(Path path) noexcept {
-  switch (path) {
-    case Path::kEgemmRound:
-    case Path::kSeparatePasses:  // same rung, different pass order
-      return core::SchemeId::kRound2;
-    case Path::kEgemmTruncate:
-      return core::SchemeId::kTruncate2;
-    case Path::kMarkidis:
-      return core::SchemeId::kMarkidis;
-    case Path::kTcHalf:
-      return core::SchemeId::kHalf;
-    case Path::kRecovery3:
-      return core::SchemeId::kRecovery3;
-    case Path::kSlice3:
-      return core::SchemeId::kSlice3;
-    case Path::kCount:
-      break;
-  }
-  EGEMM_EXPECTS(false && "invalid Path");
-  return core::SchemeId::kRound2;
-}
-
-Path scheme_path(core::SchemeId scheme) noexcept {
-  switch (scheme) {
-    case core::SchemeId::kHalf:
-      return Path::kTcHalf;
-    case core::SchemeId::kMarkidis:
-      return Path::kMarkidis;
-    case core::SchemeId::kTruncate2:
-      return Path::kEgemmTruncate;
-    case core::SchemeId::kRound2:
-      return Path::kEgemmRound;
-    case core::SchemeId::kSlice3:
-      return Path::kSlice3;
-    case core::SchemeId::kRecovery3:
-      return Path::kRecovery3;
-    case core::SchemeId::kCount:
-      break;
-  }
-  EGEMM_EXPECTS(false && "invalid SchemeId");
-  return Path::kEgemmRound;
-}
-
-PathProfile path_profile(Path path) noexcept {
-  return core::scheme_profile(path_scheme(path));
-}
-
-gemm::Matrix run_path(Path path, const gemm::Matrix& a, const gemm::Matrix& b,
+gemm::Matrix run_path(std::size_t path, gemm::GemmContext& ctx,
+                      const gemm::Matrix& a, const gemm::Matrix& b,
                       const gemm::Matrix* c) {
-  return run_path(path, gemm::default_context(), a, b, c);
-}
-
-gemm::Matrix run_path(Path path, gemm::GemmContext& ctx, const gemm::Matrix& a,
-                      const gemm::Matrix& b, const gemm::Matrix* c) {
-  // path_name returns string literals, so the span name outlives the trace.
-  const obs::ScopedSpan span(path_name(path));
+  // path_label returns string literals, so the span name outlives the trace.
+  const obs::ScopedSpan span(path_label(path));
   EGEMM_EXPECTS(a.cols() == b.rows());
   const std::size_t m = a.rows(), n = b.cols(), k = a.cols();
-  // Separate passes shares round-2term's rung but not its recipe: it has a
-  // backend plan of its own. Every other path is its rung's plan.
   const std::shared_ptr<const gemm::GemmPlan> plan =
-      path == Path::kSeparatePasses
+      path == kSeparatePasses
           ? ctx.plan(gemm::Backend::kCublasTcEmulation, m, n, k)
-          : ctx.plan_scheme(path_scheme(path), m, n, k);
+          : ctx.plan_scheme(path_rung(path), m, n, k);
   gemm::Matrix d;
   plan->execute(ctx, a, b, c, d);
   return d;
@@ -187,15 +125,14 @@ CaseResult run_case(const FuzzCase& fuzz, gemm::GemmContext& ctx) {
   // with the scalar oracle (reference_execute) for EVERY input class,
   // specials included -- run under the case's ladder rung so every
   // scheme's packed path gets soaked, not just the round-2term default.
-  const Path engine_path = scheme_path(fuzz.scheme);
-  const auto engine_index = static_cast<std::size_t>(engine_path);
+  const auto engine_path = static_cast<std::size_t>(fuzz.scheme);
   count_path_case(engine_path);
   const double packed_start = now_seconds();
   const std::shared_ptr<const gemm::GemmPlan> plan = ctx.plan_scheme(
       fuzz.scheme, inputs.a.rows(), inputs.b.cols(), inputs.a.cols());
   gemm::Matrix packed;
   plan->execute(ctx, inputs.a, inputs.b, inputs.c_ptr(), packed);
-  result.path_seconds[engine_index] = now_seconds() - packed_start;
+  result.path_seconds[engine_path] = now_seconds() - packed_start;
   result.engine_match = bitwise_equal(
       packed, reference_execute(*plan, inputs.a, inputs.b, inputs.c_ptr()));
 
@@ -204,11 +141,10 @@ CaseResult run_case(const FuzzCase& fuzz, gemm::GemmContext& ctx) {
     // No numeric bounds for IEEE-propagation cases, but every path must
     // still execute without tripping a contract or crashing.
     for (std::size_t p = 0; p < kPathCount; ++p) {
-      if (p == engine_index) continue;
-      count_path_case(static_cast<Path>(p));
+      if (p == engine_path) continue;
+      count_path_case(p);
       const double path_start = now_seconds();
-      (void)run_path(static_cast<Path>(p), ctx, inputs.a, inputs.b,
-                     inputs.c_ptr());
+      (void)run_path(p, ctx, inputs.a, inputs.b, inputs.c_ptr());
       result.path_seconds[p] = now_seconds() - path_start;
     }
     return result;
@@ -239,24 +175,22 @@ CaseResult run_case(const FuzzCase& fuzz, gemm::GemmContext& ctx) {
   }
 
   for (std::size_t p = 0; p < kPathCount; ++p) {
-    const Path path = static_cast<Path>(p);
-    if (path != engine_path) count_path_case(path);
+    if (p != engine_path) count_path_case(p);
     const double path_start = now_seconds();
     const gemm::Matrix candidate =
-        path == engine_path
-            ? packed
-            : run_path(path, ctx, inputs.a, inputs.b, inputs.c_ptr());
-    if (path != engine_path) {
+        p == engine_path ? packed
+                         : run_path(p, ctx, inputs.a, inputs.b, inputs.c_ptr());
+    if (p != engine_path) {
       result.path_seconds[p] = now_seconds() - path_start;
     }
-    const PathProfile profile = path_profile(path);
+    const core::SchemeProfile profile = core::scheme_profile(path_rung(p));
     PathObservation& observed = result.paths[p];
     for (std::size_t i = 0; i < fuzz.m; ++i) {
       for (std::size_t j = 0; j < fuzz.n; ++j) {
         const double ref = oracle.value(i, j);
         const double cand = static_cast<double>(candidate.at(i, j));
         observed.stats.accumulate(ref, cand);
-        BoundInputs context;
+        core::BoundInputs context;
         context.k = fuzz.k;
         context.a_scale = row_amax[i];
         context.b_scale = col_bmax[j];
@@ -264,7 +198,8 @@ CaseResult run_case(const FuzzCase& fuzz, gemm::GemmContext& ctx) {
             inputs.use_c
                 ? std::fabs(static_cast<double>(inputs.c.at(i, j)))
                 : 0.0;
-        const ErrorBound bound = element_bound(profile, context);
+        const core::ErrorBound bound =
+            core::scheme_element_bound(profile, context);
         const double err = std::fabs(cand - ref);
         const double ratio =
             bound.worst_abs > 0.0
@@ -290,9 +225,9 @@ std::size_t AuditReport::total_violations() const noexcept {
 
 bool AuditReport::round_below_markidis() const noexcept {
   const fp::ErrorStats& round =
-      uniform_stats[static_cast<std::size_t>(Path::kEgemmRound)];
+      uniform_stats[static_cast<std::size_t>(core::SchemeId::kRound2)];
   const fp::ErrorStats& markidis =
-      uniform_stats[static_cast<std::size_t>(Path::kMarkidis)];
+      uniform_stats[static_cast<std::size_t>(core::SchemeId::kMarkidis)];
   return round.count > 0 && round.max_ulp < markidis.max_ulp;
 }
 
@@ -373,10 +308,9 @@ bool write_audit_json(const std::string& path, const AuditReport& report,
   for (std::size_t p = 0; p < kPathCount; ++p) {
     const PathSummary& summary = report.paths[p];
     out += "    {\"name\": \"";
-    append_json_escaped(out, path_name(static_cast<Path>(p)));
+    append_json_escaped(out, path_label(p));
     out += "\", \"scheme\": \"";
-    append_json_escaped(out,
-                        core::scheme_name(path_scheme(static_cast<Path>(p))));
+    append_json_escaped(out, core::scheme_name(path_rung(p)));
     std::snprintf(buf, sizeof(buf),
                   "\", \"max_abs\": %.9g, \"mean_abs\": %.9g, "
                   "\"max_rel\": %.9g, \"max_ulp\": %.9g, "
@@ -410,7 +344,7 @@ bool write_audit_json(const std::string& path, const AuditReport& report,
   out += buf;
   for (std::size_t p = 0; p < kPathCount; ++p) {
     out += "      {\"name\": \"";
-    append_json_escaped(out, path_name(static_cast<Path>(p)));
+    append_json_escaped(out, path_label(p));
     const double seconds = report.path_seconds[p];
     std::snprintf(buf, sizeof(buf),
                   "\", \"seconds\": %.9g, \"cases_per_second\": %.9g}%s",

@@ -29,9 +29,9 @@
 #include <string>
 #include <vector>
 
+#include "core/scheme.hpp"
 #include "fp/error_stats.hpp"
 #include "gemm/matrix.hpp"
-#include "verify/error_model.hpp"
 #include "verify/fuzzer.hpp"
 
 namespace egemm::gemm {
@@ -40,47 +40,27 @@ class GemmContext;  // gemm/plan.hpp: plan cache + reusable workspaces
 
 namespace egemm::verify {
 
-/// The functional paths under differential test. Every path realizes one
-/// ladder rung (core/scheme.hpp); kEgemmRound and kSeparatePasses share the
-/// round-2term rung through different pass orders.
-enum class Path : int {
-  kEgemmRound = 0,  ///< EGEMM-TC: round-split, all 4 terms (packed engine)
-  kEgemmTruncate,   ///< ablation: Alg. 1 with truncate-split
-  kSeparatePasses,  ///< cuBLAS-TC-Emulation: round-split, one pass per term
-  kMarkidis,        ///< truncate-split, Alo x Blo dropped
-  kTcHalf,          ///< cublasGemmEx with binary16 inputs
-  kRecovery3,       ///< 3-term FP32-recovery split (9 emulation products)
-  kSlice3,          ///< 3-term truncate multi-word slices (Ozaki-style)
-  kCount
-};
+/// The functional paths under differential test, by index: path s <
+/// core::kSchemeCount is ladder rung s's fused plan (plan_scheme), and the
+/// last one is cuBLAS-TC-Emulation's plan, which runs round-2term's terms
+/// in separate passes.
+inline constexpr std::size_t kSeparatePasses = core::kSchemeCount;
+inline constexpr std::size_t kPathCount = core::kSchemeCount + 1;
 
-inline constexpr std::size_t kPathCount = static_cast<std::size_t>(Path::kCount);
-
-const char* path_name(Path path) noexcept;
-
-/// The ladder rung a path realizes (total: every path has one).
-core::SchemeId path_scheme(Path path) noexcept;
-
-/// The canonical path realizing a rung (inverse of path_scheme up to the
-/// round-2term rung, whose canonical path is kEgemmRound).
-Path scheme_path(core::SchemeId scheme) noexcept;
-
-/// The numeric profile the error model uses for a path.
-PathProfile path_profile(Path path) noexcept;
+/// A path's name: its rung's core::scheme_name, or "separate-passes".
+const char* path_label(std::size_t path) noexcept;
 
 /// True when the case's inputs contain a non-finite value or a magnitude
 /// at/over the binary16 split-overflow edge: numeric bounds do not apply
 /// (IEEE propagation makes the "exact" value a convention, not a number).
 bool inputs_special(const FuzzInputs& inputs);
 
-/// Executes a path functionally (against the shared default context).
-gemm::Matrix run_path(Path path, const gemm::Matrix& a, const gemm::Matrix& b,
+/// Executes a path functionally against a plan/workspace context, so a
+/// long audit reuses split/pack workspaces instead of reallocating them
+/// per case.
+gemm::Matrix run_path(std::size_t path, gemm::GemmContext& ctx,
+                      const gemm::Matrix& a, const gemm::Matrix& b,
                       const gemm::Matrix* c);
-
-/// run_path against an explicit plan/workspace context, so a long audit
-/// reuses split/pack workspaces instead of reallocating them per case.
-gemm::Matrix run_path(Path path, gemm::GemmContext& ctx, const gemm::Matrix& a,
-                      const gemm::Matrix& b, const gemm::Matrix* c);
 
 /// Per-path measurements for one case (or aggregated over many).
 struct PathObservation {

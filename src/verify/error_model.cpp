@@ -19,18 +19,12 @@ double hi_plane_bound(double scale) noexcept {
 
 }  // namespace
 
-ErrorBound element_bound(const PathProfile& path,
-                         const BoundInputs& in) noexcept {
-  return core::scheme_element_bound(path, in);
-}
-
-PathProfile from_static_profile(
+core::SchemeProfile from_static_profile(
     const sass::analysis::PrecisionProfile& profile) noexcept {
-  PathProfile path;
+  core::SchemeProfile path;
   if (!profile.derived) return path;
   path.split = profile.split;
   if (profile.half_only || profile.planes <= 1) {
-    path.half_only = true;
     path.planes = 1;
     path.term_mask = 0x1;
     return path;
@@ -47,9 +41,10 @@ PathProfile from_static_profile(
   return path;
 }
 
-ErrorBound static_profile_bound(const sass::analysis::PrecisionProfile& profile,
-                                const BoundInputs& in) noexcept {
-  ErrorBound bound;
+core::ErrorBound static_profile_bound(
+    const sass::analysis::PrecisionProfile& profile,
+    const core::BoundInputs& in) noexcept {
+  core::ErrorBound bound;
   if (!profile.derived || in.k == 0) return bound;
   const double k = static_cast<double>(in.k);
 
@@ -108,12 +103,12 @@ ErrorBound static_profile_bound(const sass::analysis::PrecisionProfile& profile,
 
 StaticCrossCheck cross_check_static_profile(
     const sass::analysis::PrecisionProfile& profile,
-    const BoundInputs& in) noexcept {
+    const core::BoundInputs& in) noexcept {
   StaticCrossCheck check;
   if (!profile.derived) return check;
   check.checked = true;
   check.hand_worst_abs =
-      element_bound(from_static_profile(profile), in).worst_abs;
+      core::scheme_element_bound(from_static_profile(profile), in).worst_abs;
   check.derived_worst_abs = static_profile_bound(profile, in).worst_abs;
   check.dominates = check.hand_worst_abs >= check.derived_worst_abs;
   return check;
@@ -121,7 +116,7 @@ StaticCrossCheck cross_check_static_profile(
 
 StaticCrossCheck cross_check_static_profile(
     const sass::analysis::PrecisionProfile& profile, core::SchemeId claimed,
-    const BoundInputs& in) noexcept {
+    const core::BoundInputs& in) noexcept {
   StaticCrossCheck check;
   if (!profile.derived) return check;
   check.checked = true;

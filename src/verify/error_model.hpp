@@ -1,9 +1,9 @@
 #pragma once
 // A-priori error bounds for emulated GEMM paths (DESIGN.md §11/§16).
 //
-// Given a path's numeric profile -- split method, plane count, which of
-// the scheme's plane-pair terms it executes, whether it consumes raw
-// binary16 inputs instead of a split -- and an output element's scale
+// Given a path's numeric profile -- split method, plane count (one plane
+// is the raw binary16 input), which of the scheme's plane-pair terms it
+// executes -- and an output element's scale
 // context (k, row/column magnitudes, |C|), the model emits
 //
 //   worst_abs     a sound per-element bound on |candidate - exact|, the sum
@@ -21,10 +21,11 @@
 //                 truncate path therefore lands far above the round-split
 //                 expected bound on cancellation-free inputs.
 //
-// The bound engine itself lives in core/scheme.hpp (the plan layer and the
-// accuracy-contract resolver need it without linking the verify library);
-// this header keeps the verify-side names and adds the bridge to the
-// statically derived EG5xx kernel profiles, which core cannot see.
+// The bound engine itself lives in core/scheme.hpp
+// (core::scheme_element_bound; the plan layer and the accuracy-contract
+// resolver need it without linking the verify library); this header adds
+// the bridge to the statically derived EG5xx kernel profiles, which core
+// cannot see.
 //
 // The differential runner asserts measured <= worst_abs element-wise for
 // every path on every finite fuzz case; the bounds must hold for ALL
@@ -39,42 +40,26 @@
 
 namespace egemm::verify {
 
-/// Numeric description of an emulated-GEMM path: the generalized scheme
-/// profile (split method, plane count, term coverage grid, half-only
-/// flag). Term (a_depth, b_depth) indexes by split depth, 0 = hi plane.
-using PathProfile = core::SchemeProfile;
-
-/// Scale context of one output element D[i][j].
-using BoundInputs = core::BoundInputs;
-
-using ErrorBound = core::ErrorBound;
-
-/// Per-element a-priori bound. Requires every |A|, |B| input magnitude to
-/// be below the binary16 overflow threshold (the split itself saturates
-/// beyond it); the differential runner classifies such cases as
-/// special-value cases and does not call the model on them.
-ErrorBound element_bound(const PathProfile& path,
-                         const BoundInputs& in) noexcept;
-
 // -- static certification bridge (EG5xx pass, DESIGN.md §14) -----------------
 // The precision-dataflow pass derives a kernel's numeric profile from its
 // instruction stream; these entry points close the loop between that
-// derivation and the hand-written model above.
+// derivation and the hand-written model (core::scheme_element_bound).
 
-/// Maps a statically derived kernel profile onto the path description the
+/// Maps a statically derived kernel profile onto the scheme profile the
 /// hand model consumes, preserving the plane structure up to three planes
-/// (terms on deeper planes project onto the deepest modeled one). An
-/// underived profile maps to the default all-terms round-split path.
-PathProfile from_static_profile(
+/// (terms on deeper planes project onto the deepest modeled one; a
+/// half-only kernel is one plane). An underived profile maps to the
+/// default all-terms round-split profile.
+core::SchemeProfile from_static_profile(
     const sass::analysis::PrecisionProfile& profile) noexcept;
 
-/// element_bound analogue computed from the statically derived constants
-/// (profile.rel_residual / lo_plane_rel, the kernel's own term grid)
+/// core::scheme_element_bound analogue computed from the statically
+/// derived constants (profile.rel_residual / lo_plane_rel, the kernel's own term grid)
 /// instead of the hand-coded core::split_* bounds. expected_abs is left 0:
 /// the static derivation is worst-case only.
-ErrorBound static_profile_bound(
+core::ErrorBound static_profile_bound(
     const sass::analysis::PrecisionProfile& profile,
-    const BoundInputs& in) noexcept;
+    const core::BoundInputs& in) noexcept;
 
 /// Cross-check: the hand-written a-priori bound must dominate (>=) the
 /// statically derived bound for the same element context -- otherwise the
@@ -92,7 +77,7 @@ struct StaticCrossCheck {
 };
 StaticCrossCheck cross_check_static_profile(
     const sass::analysis::PrecisionProfile& profile,
-    const BoundInputs& in) noexcept;
+    const core::BoundInputs& in) noexcept;
 
 /// Scheme-aware cross-check: additionally verifies that the kernel's
 /// derived profile classifies as `claimed` on the ladder, and compares the
@@ -101,6 +86,6 @@ StaticCrossCheck cross_check_static_profile(
 /// new rung.
 StaticCrossCheck cross_check_static_profile(
     const sass::analysis::PrecisionProfile& profile, core::SchemeId claimed,
-    const BoundInputs& in) noexcept;
+    const core::BoundInputs& in) noexcept;
 
 }  // namespace egemm::verify

@@ -85,19 +85,17 @@ Matrix reference_execute(const gemm::GemmPlan& plan, const Matrix& a,
   EGEMM_EXPECTS(b.rows() == k && b.cols() == n);
   EGEMM_EXPECTS(c == nullptr || (c->rows() == m && c->cols() == n));
 
-  // Plane p = split depth p: hi first; for three-way splits: hi, mid, lo.
+  // Plane p = split depth p, hi first.
   const auto planes = static_cast<std::size_t>(plan.planes());
   std::vector<Matrix> ap(planes, Matrix(m, k));
   std::vector<Matrix> bp(planes, Matrix(k, n));
-  if (planes == 3) {
-    core::split3_span_f32(a.data(), ap[0].data(), ap[1].data(), ap[2].data(),
-                          plan.split());
-    core::split3_span_f32(b.data(), bp[0].data(), bp[1].data(), bp[2].data(),
-                          plan.split());
-  } else {
-    core::split_span_f32(a.data(), ap[0].data(), ap[1].data(), plan.split());
-    core::split_span_f32(b.data(), bp[0].data(), bp[1].data(), plan.split());
-  }
+  const auto split = [&](const Matrix& x, std::vector<Matrix>& out) {
+    float* plane[core::kMaxSplitPlanes] = {};
+    for (std::size_t p = 0; p < planes; ++p) plane[p] = out[p].data().data();
+    core::split_planes_f32(x.data(), {plane, planes}, plan.split());
+  };
+  split(a, ap);
+  split(b, bp);
 
   Matrix d = c != nullptr ? *c : Matrix(m, n);
   for (std::size_t i0 = 0; i0 < m; i0 += kTile) {

@@ -6,7 +6,7 @@
 // semantics oracle that tests and the differential fuzzer pin the packed
 // engine against bitwise. It reads only the plan's recipe -- split method,
 // plane count, ordered terms and term order -- splits A and B with the
-// same core::split_span_f32 / split3_span_f32 calls, initializes D from C
+// same core::split_planes_f32 call as the engine, initializes D from C
 // (or zeros), and then runs every 16x16 output tile as a plain sequence of
 // tcsim::tc_dot_f32 k-tile passes followed by a canonical-NaN store. It
 // never packs and never dispatches its inner dot, so agreement with the

@@ -60,7 +60,7 @@ TEST(CorpusReplay, EveryEntryPassesTheDifferentialHarness) {
       for (std::size_t p = 0; p < kPathCount; ++p) {
         EXPECT_EQ(result.paths[p].violations, 0u)
             << format_case(fuzz) << " path "
-            << path_name(static_cast<Path>(p));
+            << path_label(p);
       }
     }
   }

@@ -8,46 +8,40 @@
 #include <gtest/gtest.h>
 
 #include "core/split.hpp"
+#include "gemm/plan.hpp"
 #include "verify/differential.hpp"
 #include "verify/oracle.hpp"
 
 namespace egemm::verify {
 namespace {
 
-TEST(PathProfiles, MatchTheirAlgorithms) {
-  EXPECT_EQ(path_profile(Path::kEgemmRound).split,
-            core::SplitMethod::kRoundSplit);
-  EXPECT_EQ(path_profile(Path::kEgemmRound).term_count(), 4);
-  EXPECT_EQ(path_profile(Path::kEgemmTruncate).split,
-            core::SplitMethod::kTruncateSplit);
-  EXPECT_EQ(path_profile(Path::kMarkidis).term_count(), 3);
-  EXPECT_FALSE(path_profile(Path::kMarkidis).term(1, 1));  // lo x lo dropped
-  EXPECT_TRUE(path_profile(Path::kTcHalf).half_only);
-  EXPECT_EQ(path_profile(Path::kRecovery3).planes, 3);
-  EXPECT_EQ(path_profile(Path::kRecovery3).term_count(), 9);
-  EXPECT_EQ(path_profile(Path::kSlice3).split,
-            core::SplitMethod::kTruncateSplit);
-  EXPECT_EQ(path_profile(Path::kSlice3).term_count(), 9);
-  for (std::size_t p = 0; p < kPathCount; ++p) {
-    EXPECT_STRNE(path_name(static_cast<Path>(p)), "?");
-  }
+constexpr std::size_t path_of(core::SchemeId rung) {
+  return static_cast<std::size_t>(rung);
 }
 
-TEST(PathProfiles, PathSchemeMapsAreConsistent) {
-  // Every rung's canonical path maps back to the rung, and every path's
-  // rung profile is exactly its scheme's profile.
-  for (const core::SchemeId scheme : core::scheme_ladder()) {
-    EXPECT_EQ(path_scheme(scheme_path(scheme)), scheme)
-        << core::scheme_name(scheme);
+TEST(PathProfiles, MatchTheirAlgorithms) {
+  // The paths are the ladder's rungs, by SchemeId and named after them,
+  // each running its rung's fused plan; the last path runs round-2term in
+  // cuBLAS-TC-Emulation's separate passes.
+  ASSERT_EQ(kPathCount, core::kSchemeCount + 1);
+  const gemm::Matrix a = gemm::random_matrix(16, 16, -1.0f, 1.0f, 5);
+  const gemm::Matrix b = gemm::random_matrix(16, 16, -1.0f, 1.0f, 6);
+  gemm::GemmContext ctx;
+  const auto expect_runs = [&](std::size_t path, const gemm::GemmPlan& plan) {
+    gemm::Matrix expected;
+    plan.execute(ctx, a, b, nullptr, expected);
+    const gemm::Matrix got = run_path(path, ctx, a, b, nullptr);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got.data()[i], expected.data()[i]) << path_label(path);
+    }
+  };
+  for (const core::SchemeId rung : core::scheme_ladder()) {
+    EXPECT_STREQ(path_label(path_of(rung)), core::scheme_name(rung));
+    expect_runs(path_of(rung), *ctx.plan_scheme(rung, 16, 16, 16));
   }
-  for (std::size_t p = 0; p < kPathCount; ++p) {
-    const Path path = static_cast<Path>(p);
-    EXPECT_EQ(core::classify_scheme(path_profile(path)), path_scheme(path))
-        << path_name(path);
-  }
-  // The two round-2term pass orders share one rung.
-  EXPECT_EQ(path_scheme(Path::kSeparatePasses), core::SchemeId::kRound2);
-  EXPECT_EQ(scheme_path(core::SchemeId::kRound2), Path::kEgemmRound);
+  EXPECT_STREQ(path_label(kSeparatePasses), "separate-passes");
+  expect_runs(kSeparatePasses,
+              *ctx.plan(gemm::Backend::kCublasTcEmulation, 16, 16, 16));
 }
 
 TEST(RunCase, UniformCaseSatisfiesEveryBound) {
@@ -63,7 +57,7 @@ TEST(RunCase, UniformCaseSatisfiesEveryBound) {
   EXPECT_TRUE(result.engine_match);
   for (std::size_t p = 0; p < kPathCount; ++p) {
     EXPECT_EQ(result.paths[p].violations, 0u)
-        << path_name(static_cast<Path>(p));
+        << path_label(p);
     EXPECT_LE(result.paths[p].worst_ratio, 1.0);
     EXPECT_EQ(result.paths[p].stats.count, fuzz.m * fuzz.n);
   }
@@ -114,9 +108,9 @@ TEST(RunAudit, FixedSeedIsCleanAndOrdersThePaths) {
   EXPECT_TRUE(report.round_below_markidis());
   // And TC-Half is far worse than either (the ~350x Fig. 7 gap).
   const double egemm_ulp =
-      report.uniform_stats[static_cast<std::size_t>(Path::kEgemmRound)].max_ulp;
+      report.uniform_stats[path_of(core::SchemeId::kRound2)].max_ulp;
   const double half_ulp =
-      report.uniform_stats[static_cast<std::size_t>(Path::kTcHalf)].max_ulp;
+      report.uniform_stats[path_of(core::SchemeId::kHalf)].max_ulp;
   EXPECT_GT(half_ulp, 10.0 * egemm_ulp);
 }
 
@@ -145,7 +139,11 @@ TEST(RunAudit, JsonReportRoundTrips) {
   EXPECT_NE(text.find("\"git_sha\": \"testsha\""), std::string::npos);
   EXPECT_NE(text.find("\"seed\": 2"), std::string::npos);
   EXPECT_NE(text.find("\"engine_scheme\": \"ladder\""), std::string::npos);
-  EXPECT_NE(text.find("\"egemm-round\""), std::string::npos);
+  // Every path appears under its rung's name.
+  EXPECT_NE(text.find("\"half\""), std::string::npos);
+  EXPECT_NE(text.find("\"truncate-2term\""), std::string::npos);
+  EXPECT_NE(text.find("\"round-2term\""), std::string::npos);
+  EXPECT_NE(text.find("\"separate-passes\""), std::string::npos);
   EXPECT_NE(text.find("\"markidis\""), std::string::npos);
   EXPECT_NE(text.find("\"recovery-3term\""), std::string::npos);
   EXPECT_NE(text.find("\"slice-3term\""), std::string::npos);
@@ -189,10 +187,11 @@ TEST(RoundVsTruncate, MarkidisExceedsTheRoundSplitEnvelope) {
   fuzz.kind = InputKind::kPositive;
   const FuzzInputs inputs = generate_inputs(fuzz);
   const OracleMatrix oracle = oracle_gemm(inputs.a, inputs.b, nullptr);
-  const gemm::Matrix round =
-      run_path(Path::kEgemmRound, inputs.a, inputs.b, nullptr);
-  const gemm::Matrix markidis =
-      run_path(Path::kMarkidis, inputs.a, inputs.b, nullptr);
+  gemm::GemmContext& ctx = gemm::default_context();
+  const gemm::Matrix round = run_path(path_of(core::SchemeId::kRound2), ctx,
+                                      inputs.a, inputs.b, nullptr);
+  const gemm::Matrix markidis = run_path(path_of(core::SchemeId::kMarkidis),
+                                         ctx, inputs.a, inputs.b, nullptr);
 
   double round_worst = 0.0, markidis_worst = 0.0;
   for (std::size_t i = 0; i < fuzz.m; ++i) {

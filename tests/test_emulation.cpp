@@ -1,10 +1,13 @@
 // Tests for the tile-level emulation algorithms (core/emulation.hpp).
 #include "core/emulation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "gemm/plan.hpp"
 #include "tcsim/tensor_core.hpp"
 #include "util/rng.hpp"
 
@@ -69,7 +72,7 @@ TEST_P(EmulationTileTest, Alg1AchievesExtendedPrecision) {
   double ref[kTcM][kTcN];
   reference_tile(t, ref);
   FragmentAcc d;
-  egemm_mma_tile(d, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kRound2, d, t.a, t.b, t.c);
   // With |inputs| <= 1, each output sums 16 products in [-1,1] plus C: the
   // split error per product is ~2^-21; accumulated over 16 terms plus fp32
   // accumulation noise, 16 * 2^-20 is a safe (loose) bound.
@@ -85,8 +88,8 @@ TEST_P(EmulationTileTest, Alg1BeatsMarkidis) {
     double ref[kTcM][kTcN];
     reference_tile(t, ref);
     FragmentAcc d1, d2;
-    egemm_mma_tile(d1, t.a, t.b, t.c);
-    markidis_mma_tile(d2, t.a, t.b, t.c);
+    scheme_mma_tile(SchemeId::kRound2, d1, t.a, t.b, t.c);
+    scheme_mma_tile(SchemeId::kMarkidis, d2, t.a, t.b, t.c);
     egemm_err = std::max(egemm_err, max_tile_error(d1, ref));
     markidis_err = std::max(markidis_err, max_tile_error(d2, ref));
   }
@@ -98,8 +101,8 @@ TEST_P(EmulationTileTest, HalfTileIsOrdersOfMagnitudeWorse) {
   double ref[kTcM][kTcN];
   reference_tile(t, ref);
   FragmentAcc emu, half;
-  egemm_mma_tile(emu, t.a, t.b, t.c);
-  half_mma_tile(half, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kRound2, emu, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kHalf, half, t.a, t.b, t.c);
   EXPECT_GT(max_tile_error(half, ref), 20.0 * max_tile_error(emu, ref));
 }
 
@@ -110,7 +113,7 @@ TEST_P(EmulationTileTest, DekkerAchievesExtendedPrecisionAt16xCost) {
   FragmentAcc d, half;
   long ops = 0;
   dekker_mma_tile(d, t.a, t.b, t.c, &ops);
-  half_mma_tile(half, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kHalf, half, t.a, t.b, t.c);
   // Dekker emulation must beat plain half compute by a wide margin...
   EXPECT_LT(max_tile_error(d, ref), 0.2 * max_tile_error(half, ref));
   // ...and cost 16 binary16 instructions per emulated multiply-accumulate.
@@ -129,12 +132,34 @@ TEST(Emulation, TruncateSplitVariantMatchesMarkidisPlusLoLo) {
     double ref[kTcM][kTcN];
     reference_tile(t, ref);
     FragmentAcc d1, d2;
-    egemm_mma_tile(d1, t.a, t.b, t.c, SplitMethod::kTruncateSplit);
-    markidis_mma_tile(d2, t.a, t.b, t.c);
+    scheme_mma_tile(SchemeId::kTruncate2, d1, t.a, t.b, t.c);
+    scheme_mma_tile(SchemeId::kMarkidis, d2, t.a, t.b, t.c);
     alg1_trunc_err = std::max(alg1_trunc_err, max_tile_error(d1, ref));
     markidis_err = std::max(markidis_err, max_tile_error(d2, ref));
   }
   EXPECT_LE(alg1_trunc_err, markidis_err * 1.05);
+}
+
+TEST(Emulation, SchemeTileMatchesTheRungsPlanBitwise) {
+  // One tile of a rung is its fused GEMM plan on a 16x16x16 problem: the
+  // same planes, the same terms in the same order, the same accumulation.
+  const TileSet t = random_tiles(99);
+  gemm::Matrix a(kTcM, kTcK), b(kTcK, kTcN), c(kTcM, kTcN);
+  std::ranges::copy(t.a.flat(), a.data().begin());
+  std::ranges::copy(t.b.flat(), b.data().begin());
+  std::ranges::copy(t.c.flat(), c.data().begin());
+  gemm::GemmContext ctx;
+  for (const SchemeId rung : scheme_ladder()) {
+    FragmentAcc tile;
+    scheme_mma_tile(rung, tile, t.a, t.b, t.c);
+    gemm::Matrix d;
+    ctx.plan_scheme(rung, kTcM, kTcN, kTcK)->execute(ctx, a, b, &c, d);
+    ASSERT_EQ(d.size(), tile.flat().size());
+    EXPECT_EQ(std::memcmp(d.data().data(), tile.flat().data(),
+                          d.size() * sizeof(float)),
+              0)
+        << scheme_name(rung);
+  }
 }
 
 TEST(Emulation, ZeroInputsGiveExactC) {
@@ -144,7 +169,7 @@ TEST(Emulation, ZeroInputsGiveExactC) {
     for (int j = 0; j < kTcN; ++j) t.c.at(i, j) = rng.uniform(-1.0f, 1.0f);
   }
   FragmentAcc d;
-  egemm_mma_tile(d, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kRound2, d, t.a, t.b, t.c);
   for (int i = 0; i < kTcM; ++i) {
     for (int j = 0; j < kTcN; ++j) EXPECT_EQ(d.at(i, j), t.c.at(i, j));
   }
@@ -169,8 +194,8 @@ TEST(Emulation, HalfRepresentableInputsAreExactThroughAlg1) {
     for (int j = 0; j < kTcN; ++j) t.c.at(i, j) = rng.uniform(-1.0f, 1.0f);
   }
   FragmentAcc emulated, direct;
-  egemm_mma_tile(emulated, t.a, t.b, t.c);
-  half_mma_tile(direct, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kRound2, emulated, t.a, t.b, t.c);
+  scheme_mma_tile(SchemeId::kHalf, direct, t.a, t.b, t.c);
   for (int i = 0; i < kTcM; ++i) {
     for (int j = 0; j < kTcN; ++j) {
       EXPECT_EQ(emulated.at(i, j), direct.at(i, j));

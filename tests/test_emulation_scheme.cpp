@@ -58,11 +58,11 @@ TEST(SchemeLadder, SplitBitsStrictlyIncreaseAlongTheLadder) {
     const core::SchemeDescriptor& desc =
         core::scheme(static_cast<SchemeId>(i));
     EXPECT_EQ(desc.split_bits, expected_split_bits[i]) << desc.name;
-    EXPECT_EQ(desc.operation_bits, expected_operation_bits[i]) << desc.name;
     EXPECT_GT(desc.split_bits, prev) << desc.name;
     prev = desc.split_bits;
     // The binary32 accumulator caps the operation precision at 24 bits.
-    EXPECT_EQ(desc.operation_bits, std::min(desc.split_bits, 24)) << desc.name;
+    EXPECT_EQ(std::min(desc.split_bits, 24), expected_operation_bits[i])
+        << desc.name;
   }
 }
 
@@ -72,22 +72,20 @@ TEST(SchemeLadder, TermCountsAndPlanes) {
   for (std::size_t i = 0; i < core::kSchemeCount; ++i) {
     const SchemeId id = static_cast<SchemeId>(i);
     const core::SchemeDescriptor& desc = core::scheme(id);
-    EXPECT_EQ(desc.term_count, expected_terms[i]) << desc.name;
+    const auto term_count = static_cast<int>(desc.terms.size());
+    EXPECT_EQ(term_count, expected_terms[i]) << desc.name;
     EXPECT_EQ(desc.planes, expected_planes[i]) << desc.name;
-    // The descriptor's term list, the induced profile grid, and the
-    // declared count must all agree.
-    EXPECT_EQ(core::scheme_profile(id).term_count(), desc.term_count)
-        << desc.name;
+    // The descriptor's term list and the induced profile grid must agree.
+    EXPECT_EQ(core::scheme_profile(id).term_count(), term_count) << desc.name;
     std::set<std::pair<int, int>> unique;
-    for (int t = 0; t < desc.term_count; ++t) {
-      const core::SchemeTerm& term = desc.terms[static_cast<std::size_t>(t)];
+    for (const core::SchemeTerm& term : desc.terms) {
       EXPECT_GE(term.a_depth, 0);
       EXPECT_LT(term.a_depth, desc.planes);
       EXPECT_GE(term.b_depth, 0);
       EXPECT_LT(term.b_depth, desc.planes);
       unique.emplace(term.a_depth, term.b_depth);
     }
-    EXPECT_EQ(static_cast<int>(unique.size()), desc.term_count) << desc.name;
+    EXPECT_EQ(static_cast<int>(unique.size()), term_count) << desc.name;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/split.hpp"
 #include "fp/error_stats.hpp"
+#include "fp/float_bits.hpp"
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
 #include "util/rng.hpp"
@@ -43,13 +44,33 @@ TEST(Split3, SpanVariantMatchesScalar) {
   util::Xoshiro256 rng(3);
   std::vector<float> input(300);
   for (auto& v : input) v = rng.uniform(-1.0f, 1.0f);
-  std::vector<float> hi(input.size()), mid(input.size()), lo(input.size());
-  core::split3_span_f32(input, hi, mid, lo);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const core::SplitThirds t = core::split3_scalar(input[i]);
-    EXPECT_EQ(hi[i], t.hi.to_float());
-    EXPECT_EQ(mid[i], t.mid.to_float());
-    EXPECT_EQ(lo[i], t.lo.to_float());
+  // Signed zeros, binary16 subnormals, the binary16 overflow edge,
+  // infinities and NaN payloads.
+  for (const float edge :
+       {0.0f, -0.0f, 0x1.0p-24f, -0x1.8p-23f, 0x1.ff8p-15f, 0x1.8p-25f,
+        65504.0f, 65519.0f, 65520.0f, -65520.0f, INFINITY, -INFINITY,
+        fp::f32_from_bits(0x7fc00001u), fp::f32_from_bits(0x7fa00000u),
+        fp::f32_from_bits(0xffc12345u)}) {
+    input.push_back(edge);
+  }
+  const std::size_t n = input.size();
+  for (const core::SplitMethod method :
+       {core::SplitMethod::kRoundSplit, core::SplitMethod::kTruncateSplit}) {
+    // Depth 3 through the depth loop and through split3_span_f32.
+    std::vector<float> hi(n), mid(n), lo(n), his(n), mids(n), los(n);
+    float* const three[] = {hi.data(), mid.data(), lo.data()};
+    core::split_planes_f32(input, three, method);
+    core::split3_span_f32(input, his, mids, los, method);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(fp::f32_hex(input[i]));
+      const core::SplitThirds t = core::split3_scalar(input[i], method);
+      EXPECT_EQ(fp::f32_bits(hi[i]), fp::f32_bits(t.hi.to_float()));
+      EXPECT_EQ(fp::f32_bits(mid[i]), fp::f32_bits(t.mid.to_float()));
+      EXPECT_EQ(fp::f32_bits(lo[i]), fp::f32_bits(t.lo.to_float()));
+      EXPECT_EQ(fp::f32_bits(his[i]), fp::f32_bits(hi[i]));
+      EXPECT_EQ(fp::f32_bits(mids[i]), fp::f32_bits(mid[i]));
+      EXPECT_EQ(fp::f32_bits(los[i]), fp::f32_bits(lo[i]));
+    }
   }
 }
 

@@ -12,9 +12,9 @@
 #include <limits>
 #include <vector>
 
+#include "core/scheme.hpp"
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
-#include "verify/error_model.hpp"
 #include "verify/oracle.hpp"
 
 namespace egemm::gemm {
@@ -47,7 +47,7 @@ GridInputs make_inputs(Transpose trans_a, Transpose trans_b) {
 /// roundings (the alpha product and the beta fma) add 2 eps of the
 /// intermediate magnitude `mag` = |alpha * (AB)| + |beta * c| (which
 /// dominates |ref| when the two terms cancel).
-double grid_bound(const verify::ErrorBound& kernel, float alpha, double mag) {
+double grid_bound(const core::ErrorBound& kernel, float alpha, double mag) {
   const double eps = static_cast<double>(std::numeric_limits<float>::epsilon());
   return std::fabs(static_cast<double>(alpha)) * kernel.worst_abs +
          2.0 * eps * mag + 1e-30;
@@ -57,7 +57,6 @@ TEST(GemmExGrid, EveryScalingConfigurationStaysInsideTheOracleBound) {
   const float alphas[] = {1.0f, 0.5f, -2.0f};
   const float betas[] = {0.0f, 1.0f, 0.75f};
   const Transpose ops[] = {Transpose::kNone, Transpose::kTranspose};
-  const verify::PathProfile profile;  // EGEMM-TC: round-split, all 4 terms
 
   for (const Transpose trans_a : ops) {
     for (const Transpose trans_b : ops) {
@@ -103,7 +102,7 @@ TEST(GemmExGrid, EveryScalingConfigurationStaysInsideTheOracleBound) {
                       (c != nullptr
                            ? static_cast<double>(in.c.at(i, j))
                            : 0.0);
-              verify::BoundInputs context;
+              core::BoundInputs context;
               context.k = kK;
               context.a_scale = row_amax[i];
               context.b_scale = col_bmax[j];
@@ -113,8 +112,9 @@ TEST(GemmExGrid, EveryScalingConfigurationStaysInsideTheOracleBound) {
                   (alpha == 1.0f && beta == 1.0f)
                       ? std::fabs(static_cast<double>(in.c.at(i, j)))
                       : 0.0;
-              const verify::ErrorBound kernel =
-                  verify::element_bound(profile, context);
+              // EGEMM-TC's rung: round-split, all 4 terms.
+              const core::ErrorBound kernel =
+                  core::scheme_bound(core::SchemeId::kRound2, context);
               const double err =
                   std::fabs(static_cast<double>(d.at(i, j)) - ref);
               const double mag =

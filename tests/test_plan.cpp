@@ -118,6 +118,11 @@ TEST(GemmPlanExecute, PlanPropertiesReflectTheRecipe) {
 
   const auto half = ctx.plan(Backend::kCublasTcHalf, 64, 64, 64);
   EXPECT_EQ(half->terms().size(), 1u);
+  // Half reads the raw binary16 inputs: one plane, half the packs of a
+  // two-plane rung.
+  EXPECT_EQ(half->planes(), 1);
+  EXPECT_EQ(egemm->planes(), 2);
+  EXPECT_EQ(2 * half->workspace_bytes(), egemm->workspace_bytes());
   const auto markidis = ctx.plan(Backend::kMarkidis, 64, 64, 64);
   EXPECT_EQ(markidis->terms().size(), 3u);
   EXPECT_EQ(markidis->split(), core::SplitMethod::kTruncateSplit);

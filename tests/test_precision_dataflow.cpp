@@ -142,7 +142,7 @@ TEST(PrecisionDataflow, EveryFeasibleTilingDerivesDocumentedProfile) {
 
     // The hand-written a-priori bound must dominate the statically
     // derived bound for a representative element context.
-    verify::BoundInputs in;
+    core::BoundInputs in;
     in.k = 256;
     in.a_scale = 1.0;
     in.b_scale = 1.0;
@@ -366,7 +366,7 @@ TEST(PrecisionDataflow, StaticBoundStraddlesTheFig4Gap) {
   ASSERT_TRUE(round_built.precision.derived);
   ASSERT_TRUE(trunc_built.precision.derived);
 
-  verify::BoundInputs in;
+  core::BoundInputs in;
   in.k = 256;
   in.a_scale = 1.0;
   in.b_scale = 1.0;
@@ -388,10 +388,9 @@ TEST(PrecisionDataflow, FromStaticProfileMapsTermsOntoThePath) {
   BuildOptions options;
   options.k_iterations = 8;
   const BuiltKernel built = build_egemm_kernel(options);
-  const verify::PathProfile path =
-      verify::from_static_profile(built.precision);
+  const core::SchemeProfile path = verify::from_static_profile(built.precision);
   EXPECT_EQ(path.split, core::SplitMethod::kRoundSplit);
-  EXPECT_FALSE(path.half_only);
+  EXPECT_EQ(path.planes, 2);
   EXPECT_TRUE(path.term(0, 0));  // hi x hi
   EXPECT_TRUE(path.term(0, 1));  // hi x lo
   EXPECT_TRUE(path.term(1, 0));  // lo x hi
@@ -400,9 +399,12 @@ TEST(PrecisionDataflow, FromStaticProfileMapsTermsOntoThePath) {
 
   BuildOptions half = options;
   half.emulation_instructions = 1;
-  const verify::PathProfile half_path =
+  const core::SchemeProfile half_path =
       verify::from_static_profile(build_egemm_kernel(half).precision);
-  EXPECT_TRUE(half_path.half_only);
+  // A half-only kernel reads the raw binary16 inputs: one plane, one term.
+  EXPECT_EQ(half_path.planes, 1);
+  EXPECT_EQ(half_path.term_count(), 1);
+  EXPECT_EQ(core::classify_scheme(half_path), core::SchemeId::kHalf);
 }
 
 TEST(PrecisionDataflow, DerivedConstantsMatchTheConventions) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fp/float_bits.hpp"
 #include "util/rng.hpp"
 
 namespace egemm::core {
@@ -128,12 +129,40 @@ TEST(Split, SpanVariantsAgreeWithScalar) {
   util::Xoshiro256 rng(8);
   std::vector<float> input(257);
   for (auto& v : input) v = rng.uniform(-1.0f, 1.0f);
-  std::vector<float> hif(input.size()), lof(input.size());
-  split_span_f32(input, hif, lof, SplitMethod::kRoundSplit);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const SplitHalves s = split_scalar(input[i], SplitMethod::kRoundSplit);
-    EXPECT_EQ(hif[i], s.hi.to_float());
-    EXPECT_EQ(lof[i], s.lo.to_float());
+  // Signed zeros, binary16 subnormals (and values rounding into them), the
+  // binary16 overflow edge, infinities and NaN payloads (quiet, signaling,
+  // negative).
+  for (const float edge :
+       {0.0f, -0.0f, 0x1.0p-24f, -0x1.8p-23f, 0x1.ff8p-15f, 0x1.0p-25f,
+        0x1.8p-25f, 65504.0f, -65504.0f, 65519.0f, 65520.0f, -65520.0f,
+        INFINITY, -INFINITY, fp::f32_from_bits(0x7fc00001u),
+        fp::f32_from_bits(0x7fa00000u), fp::f32_from_bits(0xffc12345u)}) {
+    input.push_back(edge);
+  }
+  const std::size_t n = input.size();
+  for (const SplitMethod method :
+       {SplitMethod::kRoundSplit, SplitMethod::kTruncateSplit}) {
+    const fp::Rounding mode = method == SplitMethod::kRoundSplit
+                                  ? fp::Rounding::kNearestEven
+                                  : fp::Rounding::kTowardZero;
+    // Depth 1 is the raw binary16 input; depth 2 is split_scalar's hi/lo,
+    // through the depth loop and through split_span_f32.
+    std::vector<float> raw(n), hi(n), lo(n), hif(n), lof(n);
+    float* const one[] = {raw.data()};
+    float* const two[] = {hi.data(), lo.data()};
+    split_planes_f32(input, one, method);
+    split_planes_f32(input, two, method);
+    split_span_f32(input, hif, lof, method);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(fp::f32_hex(input[i]));
+      const SplitHalves s = split_scalar(input[i], method);
+      EXPECT_EQ(fp::f32_bits(raw[i]),
+                fp::f32_bits(fp::Half(input[i], mode).to_float()));
+      EXPECT_EQ(fp::f32_bits(hi[i]), fp::f32_bits(s.hi.to_float()));
+      EXPECT_EQ(fp::f32_bits(lo[i]), fp::f32_bits(s.lo.to_float()));
+      EXPECT_EQ(fp::f32_bits(hif[i]), fp::f32_bits(hi[i]));
+      EXPECT_EQ(fp::f32_bits(lof[i]), fp::f32_bits(lo[i]));
+    }
   }
 }
 

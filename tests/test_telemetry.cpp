@@ -362,6 +362,26 @@ TEST(CallRecords, ExecuteEmitsHitMissAndStageAttribution) {
   EXPECT_EQ(summary.classes[0].plan_misses, 1u);
 }
 
+TEST(CallRecords, HalfSplitMovesOnePlanePerElement) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  // The half rung splits each element into one plane: the pass reads one
+  // binary32 value and writes one, 2 x 4 bytes per element.
+  constexpr std::size_t kM = 48, kN = 24, kK = 40;  // m on a block edge
+  gemm::GemmContext ctx;
+  const gemm::Matrix a = gemm::random_matrix(kM, kK, -1.0f, 1.0f, 9);
+  const gemm::Matrix b = gemm::random_matrix(kK, kN, -1.0f, 1.0f, 10);
+  const auto plan = ctx.plan_scheme(core::SchemeId::kHalf, kM, kN, kK);
+  Counter& elements = registry().counter("split.elements");
+  Counter& bytes = registry().counter("split.bytes");
+  const std::uint64_t elements_before = elements.value();
+  const std::uint64_t bytes_before = bytes.value();
+  gemm::Matrix d;
+  plan->execute(ctx, a, b, nullptr, d);
+  EXPECT_EQ(elements.value() - elements_before, kM * kK + kK * kN);
+  EXPECT_EQ(bytes.value() - bytes_before,
+            (kM * kK + kK * kN) * 2 * sizeof(float));
+}
+
 TEST(CallRecords, DirectBackendRecordsTotalOnly) {
   if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   clear_call_records();

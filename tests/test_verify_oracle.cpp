@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scheme.hpp"
 #include "fp/float_bits.hpp"
 #include "gemm/matrix.hpp"
-#include "verify/error_model.hpp"
 #include "verify/oracle.hpp"
 
 namespace egemm::verify {
@@ -108,18 +108,31 @@ TEST(OracleGemm, IeeePropagation) {
   EXPECT_TRUE(std::isnan(oracle_gemm(a, b).value(0, 0)));
 }
 
-PathProfile round_profile() { return PathProfile{}; }
+using core::BoundInputs;
+using core::ErrorBound;
+using core::SchemeProfile;
+using core::scheme_element_bound;
 
-PathProfile markidis_profile() {
-  PathProfile p;
+SchemeProfile round_profile() { return SchemeProfile{}; }
+
+SchemeProfile markidis_profile() {
+  SchemeProfile p;
   p.split = core::SplitMethod::kTruncateSplit;
   p.set_term(1, 1, false);  // lo x lo dropped
   return p;
 }
 
+/// Raw RN16 inputs: one plane, one term.
+SchemeProfile half_profile() {
+  SchemeProfile p;
+  p.planes = 1;
+  p.term_mask = 0x1;
+  return p;
+}
+
 TEST(ErrorModel, KZeroMeansExactCopy) {
   const ErrorBound bound =
-      element_bound(round_profile(), BoundInputs{0, 1.0, 1.0, 10.0});
+      scheme_element_bound(round_profile(), BoundInputs{0, 1.0, 1.0, 10.0});
   EXPECT_EQ(bound.worst_abs, 0.0);
   EXPECT_EQ(bound.expected_abs, 0.0);
 }
@@ -127,32 +140,33 @@ TEST(ErrorModel, KZeroMeansExactCopy) {
 TEST(ErrorModel, GrowsWithK) {
   const BoundInputs small{8, 1.0, 1.0, 0.0};
   const BoundInputs large{512, 1.0, 1.0, 0.0};
-  EXPECT_LT(element_bound(round_profile(), small).worst_abs,
-            element_bound(round_profile(), large).worst_abs);
+  EXPECT_LT(scheme_element_bound(round_profile(), small).worst_abs,
+            scheme_element_bound(round_profile(), large).worst_abs);
 }
 
 TEST(ErrorModel, RoundSplitTighterThanTruncate) {
-  PathProfile truncate;
+  SchemeProfile truncate;
   truncate.split = core::SplitMethod::kTruncateSplit;
   const BoundInputs in{64, 1.0, 1.0, 0.0};
-  EXPECT_LT(element_bound(round_profile(), in).split_term,
-            element_bound(truncate, in).split_term);
+  EXPECT_LT(scheme_element_bound(round_profile(), in).split_term,
+            scheme_element_bound(truncate, in).split_term);
 }
 
 TEST(ErrorModel, MarkidisPaysForTheDroppedTerm) {
   const BoundInputs in{64, 1.0, 1.0, 0.0};
-  EXPECT_EQ(element_bound(round_profile(), in).dropped_term, 0.0);
-  EXPECT_GT(element_bound(markidis_profile(), in).dropped_term, 0.0);
+  EXPECT_EQ(scheme_element_bound(round_profile(), in).dropped_term, 0.0);
+  EXPECT_GT(scheme_element_bound(markidis_profile(), in).dropped_term, 0.0);
 }
 
 TEST(ErrorModel, HalfOnlyIsOrdersOfMagnitudeLooser) {
   // Small k keeps the binary32 accumulation term (shared by both paths,
   // quadratic in k) from masking the representation gap under test.
-  PathProfile half;
-  half.half_only = true;
   const BoundInputs in{8, 1.0, 1.0, 0.0};
-  EXPECT_GT(element_bound(half, in).worst_abs,
-            100.0 * element_bound(round_profile(), in).worst_abs);
+  EXPECT_GT(scheme_element_bound(half_profile(), in).worst_abs,
+            100.0 * scheme_element_bound(round_profile(), in).worst_abs);
+  // One plane is one binary16 rounding: half an ulp, 2^-11 relative.
+  EXPECT_EQ(scheme_element_bound(half_profile(), in).split_term,
+            8.0 * (2.0 * 0x1.0p-11 + 0x1.0p-22));
 }
 
 TEST(ErrorModel, SubnormalFloorsKeepBoundsPositive) {
@@ -160,7 +174,7 @@ TEST(ErrorModel, SubnormalFloorsKeepBoundsPositive) {
   // quantum does not: the bound must stay positive so underflow-dropped
   // products are covered.
   const ErrorBound bound =
-      element_bound(round_profile(), BoundInputs{4, 0.0, 0.0, 0.0});
+      scheme_element_bound(round_profile(), BoundInputs{4, 0.0, 0.0, 0.0});
   EXPECT_GT(bound.worst_abs, 0.0);
   EXPECT_GE(core::split_residual_bound(core::SplitMethod::kRoundSplit, 0.0),
             0x1.0p-25);
@@ -171,9 +185,8 @@ TEST(ErrorModel, SubnormalFloorsKeepBoundsPositive) {
 TEST(ErrorModel, TermCountMatchesProfile) {
   EXPECT_EQ(round_profile().term_count(), 4);
   EXPECT_EQ(markidis_profile().term_count(), 3);
-  PathProfile half;
-  half.half_only = true;
-  EXPECT_EQ(half.term_count(), 1);
+  EXPECT_EQ(half_profile().term_count(), 1);
+  EXPECT_EQ(core::classify_scheme(half_profile()), core::SchemeId::kHalf);
 }
 
 }  // namespace
