@@ -28,7 +28,9 @@ struct KMeansOptions {
   double precision_target = 0.0;
   /// Plan/workspace context for the per-iteration GEMM (gemm/plan.hpp);
   /// the shared default_context() when null. The Lloyd loop plans once and
-  /// executes into reused buffers, so iterations stay allocation-free.
+  /// executes into a reused distance matrix, so after the first iteration
+  /// no allocation grows with the point count: only the clusters-sized
+  /// centroid sums and norms are allocated per iteration.
   gemm::GemmContext* context = nullptr;
 };
 

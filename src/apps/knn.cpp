@@ -63,8 +63,17 @@ KnnResult knn_search(const gemm::Matrix& queries,
   } else {
     plan = ctx.plan(opts.backend, m, n, queries.cols());
   }
-  gemm::Matrix cross;
-  plan->execute(ctx, queries, gemm::transpose(references), nullptr, cross);
+  // The cross matrix (m x n) and the transposed references stay with the
+  // calling thread, so a repeat search reuses their storage instead of
+  // mapping, faulting in and unmapping it again. They are bound to plain
+  // references here: a thread_local named inside the pool lambda would be
+  // each worker's own empty copy.
+  thread_local gemm::Matrix kept_cross;
+  thread_local gemm::Matrix kept_refs_t;
+  gemm::Matrix& cross = kept_cross;
+  gemm::Matrix& refs_t = kept_refs_t;
+  gemm::transpose_into(references, refs_t);
+  plan->execute(ctx, queries, refs_t, nullptr, cross);
 
   const std::vector<float> qn = gemm::row_norms(queries);
   const std::vector<float> rn = gemm::row_norms(references);

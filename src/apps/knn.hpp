@@ -40,6 +40,10 @@ struct KnnOptions {
 };
 
 /// queries: m x d, references: n x d. Requires k <= n.
+///
+/// The calling thread keeps its last cross matrix (m x n floats: 32 MB at
+/// 2048 x 4096) and transposed references, and reuses their storage on its
+/// next search; they are freed when the thread exits.
 KnnResult knn_search(const gemm::Matrix& queries,
                      const gemm::Matrix& references, const KnnOptions& opts);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
@@ -12,22 +14,27 @@ namespace egemm::apps {
 
 namespace {
 
-/// C . v in binary64 over `ct` = C^T: blocks of outputs accumulate across j
-/// in registers, so each out[i] still sums C(i, j) v[j] over j in order.
-std::vector<double> matvec(const gemm::MatrixD& ct,
-                           const std::vector<double>& v) {
-  constexpr std::size_t kLanes = 8;
-  std::vector<double> out(ct.cols());
-  for (std::size_t i0 = 0; i0 < ct.cols(); i0 += kLanes) {
-    const std::size_t lanes = std::min(kLanes, ct.cols() - i0);
-    double acc[kLanes] = {};
-    for (std::size_t j = 0; j < ct.rows(); ++j) {
-      const double* col = ct.row(j) + i0;
-      for (std::size_t l = 0; l < lanes; ++l) acc[l] += col[l] * v[j];
-    }
-    std::copy(acc, acc + lanes, out.begin() + static_cast<std::ptrdiff_t>(i0));
+/// out[i0, i0 + Lanes) of C . v in binary64 over `ct` = C^T. Lanes is a
+/// compile-time count, so the block's accumulators stay in registers across
+/// j; each out[i] sums C(i, j) v[j] over j in order.
+template <std::size_t Lanes>
+void matvec_block(const gemm::MatrixD& ct, const double* v, std::size_t i0,
+                  double* out) {
+  double acc[Lanes] = {};
+  for (std::size_t j = 0; j < ct.rows(); ++j) {
+    const double* col = ct.row(j) + i0;
+    const double vj = v[j];
+    for (std::size_t l = 0; l < Lanes; ++l) acc[l] += col[l] * vj;
   }
-  return out;
+  std::copy(acc, acc + Lanes, out + i0);
+}
+
+/// out = C . v: 32-output blocks, then the tail by 8 and by 1.
+void matvec(const gemm::MatrixD& ct, const double* v, double* out) {
+  std::size_t i0 = 0;
+  for (; i0 + 32 <= ct.cols(); i0 += 32) matvec_block<32>(ct, v, i0, out);
+  for (; i0 + 8 <= ct.cols(); i0 += 8) matvec_block<8>(ct, v, i0, out);
+  for (; i0 < ct.cols(); ++i0) matvec_block<1>(ct, v, i0, out);
 }
 
 double norm(const std::vector<double>& v) {
@@ -63,11 +70,14 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
     }
   }
   // One pool pass over row blocks writes X_c, its transpose (the
-  // covariance GEMM's A operand) and each block's max |X_c|.
+  // covariance GEMM's A operand) and each block's max |X_c|. Both are sized
+  // unwritten, so their pages are first touched by the pool.
   constexpr std::size_t kBlock = 32;
   const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  gemm::Matrix centered(n, dim);
-  gemm::Matrix xt(dim, n);
+  gemm::Matrix centered;
+  gemm::Matrix xt;
+  centered.resize(n, dim);
+  xt.resize(dim, n);
   std::vector<double> block_max(blocks, 0.0);
   util::global_pool().parallel_for(blocks, [&](std::size_t b0,
                                                std::size_t b1) {
@@ -117,18 +127,18 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
   util::Xoshiro256 rng(opts.seed);
   result.components = gemm::Matrix(static_cast<std::size_t>(opts.components),
                                    dim);
+  std::vector<double> v(dim), w(dim);
   for (int component = 0; component < opts.components; ++component) {
     const gemm::MatrixD ct = gemm::widen(gemm::transpose(covariance));
-    std::vector<double> v(dim);
     for (double& x : v) x = rng.uniform_double(-1.0, 1.0);
     double lambda = 0.0;
     for (int iter = 0; iter < opts.power_iterations; ++iter) {
-      std::vector<double> w = matvec(ct, v);
+      matvec(ct, v.data(), w.data());
       const double w_norm = norm(w);
       if (w_norm == 0.0) break;
       for (double& x : w) x /= w_norm;
       const double new_lambda = w_norm;
-      v = std::move(w);
+      std::swap(v, w);
       if (std::fabs(new_lambda - lambda) <=
           opts.tolerance * std::max(1.0, new_lambda)) {
         lambda = new_lambda;

@@ -49,13 +49,6 @@ constexpr std::uint32_t grid_mask(int planes) noexcept {
   return (1u << (planes * planes)) - 1u;
 }
 
-/// Worst-case magnitude of a hi plane for |x| <= scale: round-to-nearest
-/// can push the plane half a binary16 ulp above x (padded to 2^-10
-/// relative), plus the subnormal half-quantum.
-double hi_plane_bound(double scale) noexcept {
-  return scale * (1.0 + 0x1.0p-10) + 0x1.0p-25;
-}
-
 /// Magnitude bound of the plane at split depth `depth` (0 = hi).
 double plane_bound(SplitMethod split, int depth, double scale) noexcept {
   if (depth == 0) return hi_plane_bound(scale);

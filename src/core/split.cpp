@@ -199,6 +199,10 @@ double split_plane_bound(SplitMethod method, int depth, double scale) noexcept {
   return std::max(scale * rel, 0x1.0p-24);
 }
 
+double hi_plane_bound(double scale) noexcept {
+  return scale * (1.0 + 0x1.0p-10) + 0x1.0p-25;
+}
+
 double split_lo_plane_bound(SplitMethod method, double scale) noexcept {
   // Round-split: |x - hi| <= 2^-11 |x| (half a binary16 ulp), and rounding
   // that residual to binary16 can push lo half an ulp of the residual

@@ -135,8 +135,13 @@ double split_residual_bound_planes(SplitMethod method, int planes,
 /// Worst-case magnitude of the plane at split depth `depth` (1 = first
 /// residual plane, 2 = second) for |x| <= scale, with the subnormal floor.
 /// depth 1 is exactly split_lo_plane_bound; each extra depth is one more
-/// per-level factor down. The hi plane (depth 0) is not covered here --
-/// its bound includes the RN16 overshoot and lives with the error model.
+/// per-level factor down. The hi plane (depth 0) is hi_plane_bound.
 double split_plane_bound(SplitMethod method, int depth, double scale) noexcept;
+
+/// Worst-case magnitude of the hi plane (depth 0) for |x| <= scale, for
+/// either split method: round-to-nearest can push the plane half a
+/// binary16 ulp above x (padded to 2^-10 relative), plus the subnormal
+/// half-quantum: scale * (1 + 2^-10) + 2^-25.
+double hi_plane_bound(double scale) noexcept;
 
 }  // namespace egemm::core

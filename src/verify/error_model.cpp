@@ -10,13 +10,6 @@ namespace {
 
 constexpr double kU32 = 0x1.0p-24;  // binary32 unit roundoff
 
-/// Worst-case magnitude of a hi plane for |x| <= scale: round-to-nearest
-/// can push the plane half a binary16 ulp above x (padded to 2^-10
-/// relative), plus the subnormal half-quantum.
-double hi_plane_bound(double scale) noexcept {
-  return scale * (1.0 + 0x1.0p-10) + 0x1.0p-25;
-}
-
 }  // namespace
 
 core::SchemeProfile from_static_profile(
@@ -58,7 +51,7 @@ core::ErrorBound static_profile_bound(
   // Magnitude of plane p: the hi plane sits at the input scale (plus the
   // RN16 overshoot); each deeper plane is one lo-plane factor down.
   auto plane_mag = [&](int plane, double scale) {
-    if (plane == 0) return hi_plane_bound(scale);
+    if (plane == 0) return core::hi_plane_bound(scale);
     return std::max(scale * std::pow(profile.lo_plane_rel, plane), 0x1.0p-24);
   };
 

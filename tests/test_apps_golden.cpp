@@ -11,6 +11,7 @@
 // re-capture with the values printed in the failure message.
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -106,6 +107,28 @@ TEST(AppsGolden, KMeansMatchesToTheBit) {
   EXPECT_EQ(nested, got) << "nested: " << describe(nested);
 }
 
+// Captured at dim 40, not a multiple of 16 or 32, before the apps' host
+// phases were reworked: any blocked pass over the columns ends in a tail.
+const KMeansDigest kKMeansDim40Golden = {0x73f9d94a34364413ull,
+                                         0xbd41d792908537d7ull,
+                                         0x1.5e0206c64p+13, 10};
+
+KMeansResult run_kmeans_dim40() {
+  static const PointCloud cloud = uniform_cloud(900, 40, -1.0f, 1.0f, 15);
+  KMeansOptions opts;
+  opts.clusters = 6;
+  opts.max_iterations = 10;
+  opts.seed = 9;
+  return kmeans(cloud.points, opts);
+}
+
+TEST(AppsGolden, KMeansDim40MatchesToTheBit) {
+  const KMeansDigest got = digest_of(run_kmeans_dim40());
+  EXPECT_EQ(got, kKMeansDim40Golden) << "re-capture: " << describe(got);
+  const KMeansDigest nested = digest_of(run_nested(run_kmeans_dim40));
+  EXPECT_EQ(nested, got) << "nested: " << describe(nested);
+}
+
 // -- kNN ---------------------------------------------------------------------
 
 struct KnnDigest {
@@ -136,6 +159,46 @@ TEST(AppsGolden, KnnMatchesToTheBit) {
   EXPECT_EQ(got, kKnnGolden) << "re-capture: " << describe(got);
   const KnnDigest nested = digest_of(run_nested(run_knn));
   EXPECT_EQ(nested, got) << "nested: " << describe(nested);
+}
+
+// Captured before kNN kept its cross matrix per calling thread: one thread
+// searches shapes that grow, shrink and grow again, so a kept buffer is
+// reused larger than needed and then regrown.
+struct KnnCall {
+  std::size_t queries, refs, dim;
+  int k;
+};
+constexpr KnnCall kKnnSequence[] = {
+    {48, 150, 12, 4}, {96, 300, 20, 8}, {32, 100, 8, 3}, {128, 420, 28, 10}};
+const KnnDigest kKnnSequenceGolden[] = {
+    {0x9eb2d1398337d513ull, 0x8d4d96a4b2585cbbull},
+    {0x7b3dfd4b95e47af8ull, 0xb54fb8b251906983ull},
+    {0x68055ac7b638853bull, 0x650a3f80e049d10bull},
+    {0xd462f26e7e9efc70ull, 0xbff879e7b59fefabull}};
+
+std::vector<KnnDigest> run_knn_sequence() {
+  std::vector<KnnDigest> out;
+  std::uint64_t seed = 21;
+  for (const KnnCall& call : kKnnSequence) {
+    const PointCloud queries =
+        uniform_cloud(call.queries, call.dim, -1.0f, 1.0f, seed++);
+    const PointCloud refs =
+        uniform_cloud(call.refs, call.dim, -1.0f, 1.0f, seed++);
+    KnnOptions opts;
+    opts.k = call.k;
+    out.push_back(digest_of(knn_search(queries.points, refs.points, opts)));
+  }
+  return out;
+}
+
+TEST(AppsGolden, KnnShapeSequenceOnOneThreadMatchesToTheBit) {
+  const std::vector<KnnDigest> got = run_knn_sequence();
+  ASSERT_EQ(got.size(), std::size(kKnnSequenceGolden));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], kKnnSequenceGolden[i])
+        << "call " << i << ", re-capture: " << describe(got[i]);
+  }
+  EXPECT_EQ(run_nested(run_knn_sequence), got);
 }
 
 // -- PCA ---------------------------------------------------------------------
@@ -171,6 +234,28 @@ TEST(AppsGolden, PcaMatchesToTheBit) {
   const PcaDigest got = digest_of(run_pca());
   EXPECT_EQ(got, kPcaGolden) << "re-capture: " << describe(got);
   const PcaDigest nested = digest_of(run_nested(run_pca));
+  EXPECT_EQ(nested, got) << "nested: " << describe(nested);
+}
+
+// Captured before the matvec's fixed-width blocks: at dim 40 the power
+// iteration runs one full 32-output block and the tail by 8.
+const PcaDigest kPcaDim40Golden = {0x920153df4440a5bdull,
+                                   0x7edbc3d769646abdull,
+                                   0x244cad183fce5b48ull};
+
+PcaResult run_pca_dim40() {
+  static const PointCloud cloud = uniform_cloud(700, 40, -1.0f, 1.0f, 16);
+  PcaOptions opts;
+  opts.components = 3;
+  opts.power_iterations = 40;
+  opts.seed = 4;
+  return pca_power(cloud.points, opts);
+}
+
+TEST(AppsGolden, PcaDim40MatchesToTheBit) {
+  const PcaDigest got = digest_of(run_pca_dim40());
+  EXPECT_EQ(got, kPcaDim40Golden) << "re-capture: " << describe(got);
+  const PcaDigest nested = digest_of(run_nested(run_pca_dim40));
   EXPECT_EQ(nested, got) << "nested: " << describe(nested);
 }
 

@@ -2,9 +2,12 @@
 #include "apps/knn.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +146,77 @@ TEST(Knn, EqualDistancesRankTheLowerReferenceFirst) {
       }
     }
   }
+}
+
+bool same_bits(const KnnResult& a, const KnnResult& b) {
+  return a.indices.rows() == b.indices.rows() &&
+         a.indices.cols() == b.indices.cols() &&
+         std::memcmp(a.indices.data().data(), b.indices.data().data(),
+                     a.indices.data().size_bytes()) == 0 &&
+         std::memcmp(a.distances.data().data(), b.distances.data().data(),
+                     a.distances.data().size_bytes()) == 0;
+}
+
+struct KnnCase {
+  PointCloud queries, refs;
+  int k;
+  KnnResult search() const {
+    KnnOptions opts;
+    opts.k = k;
+    return knn_search(queries.points, refs.points, opts);
+  }
+};
+
+// Shapes that grow, shrink and grow again in both the cross matrix and the
+// transposed references a calling thread keeps.
+std::vector<KnnCase> knn_cases() {
+  std::vector<KnnCase> cases;
+  cases.push_back({uniform_cloud(70, 9, -1.0f, 1.0f, 51),
+                   uniform_cloud(260, 9, -1.0f, 1.0f, 52), 5});
+  cases.push_back({uniform_cloud(20, 17, -1.0f, 1.0f, 53),
+                   uniform_cloud(64, 17, -1.0f, 1.0f, 54), 3});
+  cases.push_back({uniform_cloud(150, 12, -1.0f, 1.0f, 55),
+                   uniform_cloud(333, 12, -1.0f, 1.0f, 56), 7});
+  return cases;
+}
+
+TEST(Knn, KeptCrossMatrixGivesTheFreshThreadBits) {
+  // Back to back on this thread, each search reuses (or regrows) the cross
+  // matrix the previous one left; a fresh thread starts with none.
+  const std::vector<KnnCase> cases = knn_cases();
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const KnnResult reused = cases[c].search();
+      KnnResult fresh;
+      std::thread([&] { fresh = cases[c].search(); }).join();
+      EXPECT_TRUE(same_bits(reused, fresh))
+          << "round " << round << ", case " << c;
+    }
+  }
+}
+
+TEST(Knn, ConcurrentCallersEachGetTheSingleThreadedResult) {
+  // Two callers race through different shapes at once; each keeps its own
+  // cross matrix, and each pool call goes to one caller while the other's
+  // runs inline.
+  const std::vector<KnnCase> cases = knn_cases();
+  std::vector<KnnResult> expected;
+  for (const KnnCase& c : cases) expected.push_back(c.search());
+  bool same[2] = {true, true};
+  auto caller = [&](std::size_t t) {
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        const std::size_t c = (i + t) % cases.size();
+        same[t] = same[t] && same_bits(cases[c].search(), expected[c]);
+      }
+    }
+  };
+  std::thread first(caller, 0);
+  std::thread second(caller, 1);
+  first.join();
+  second.join();
+  EXPECT_TRUE(same[0]);
+  EXPECT_TRUE(same[1]);
 }
 
 TEST(Knn, PrecisionTargetRunsTheResolvedRungOrThrows) {

@@ -186,5 +186,22 @@ TEST(Split, MethodNames) {
                "truncate-split");
 }
 
+TEST(Split, HiPlaneBoundIsTheRn16Overshoot) {
+  // scale (1 + 2^-10) + 2^-25: the one hi-plane bound the rung bounds and
+  // the static-profile bound both read.
+  EXPECT_EQ(hi_plane_bound(2.0), 0x1.0040004p+1);
+  EXPECT_EQ(hi_plane_bound(0.0), 0x1.0p-25);
+  // Every split method rounds its hi plane within it.
+  for (const float x : {1.0f, 0.999f, 65504.0f, 0x1.ffcp-15f}) {
+    for (const SplitMethod method :
+         {SplitMethod::kRoundSplit, SplitMethod::kTruncateSplit}) {
+      const double hi =
+          static_cast<double>(split_scalar(x, method).hi.to_float());
+      EXPECT_LE(std::fabs(hi), hi_plane_bound(static_cast<double>(x)))
+          << "x=" << x;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace egemm::core
