@@ -4,6 +4,11 @@
 #include <limits>
 #include <memory>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#include <emmintrin.h>
+#endif
+
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -12,6 +17,43 @@
 namespace egemm::apps {
 
 namespace {
+
+/// acc[l] += (rows[l][d] - centroid[d])^2 in binary64 for d in [0, dim),
+/// in order, for four rows at once. With SSE2 the rows go four columns at
+/// a time through a 4x4 transpose, and each column's four differences are
+/// squared and added two lanes at a time: per row the same binary64
+/// operations in the same order as the scalar loop that finishes the last
+/// dim % 4 columns, so the sums are bit-identical to it.
+void squared_distances(const float* const* rows, const float* centroid,
+                       std::size_t dim, double* acc) {
+  std::size_t d = 0;
+#if defined(__SSE2__)
+  __m128d acc01 = _mm_setzero_pd();
+  __m128d acc23 = _mm_setzero_pd();
+  for (; d + 4 <= dim; d += 4) {
+    __m128 x[4] = {_mm_loadu_ps(rows[0] + d), _mm_loadu_ps(rows[1] + d),
+                   _mm_loadu_ps(rows[2] + d), _mm_loadu_ps(rows[3] + d)};
+    _MM_TRANSPOSE4_PS(x[0], x[1], x[2], x[3]);  // x[j]: column d + j
+    for (std::size_t j = 0; j < 4; ++j) {
+      const __m128d c = _mm_set1_pd(static_cast<double>(centroid[d + j]));
+      const __m128d d01 = _mm_sub_pd(_mm_cvtps_pd(x[j]), c);
+      const __m128d d23 =
+          _mm_sub_pd(_mm_cvtps_pd(_mm_movehl_ps(x[j], x[j])), c);
+      acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
+      acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
+    }
+  }
+  _mm_storeu_pd(acc, acc01);
+  _mm_storeu_pd(acc + 2, acc23);
+#endif
+  for (; d < dim; ++d) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      const double diff = static_cast<double>(rows[l][d]) -
+                          static_cast<double>(centroid[d]);
+      acc[l] += diff * diff;
+    }
+  }
+}
 
 /// k-means++ style seeding: first centroid uniform, the rest sampled with
 /// probability proportional to the squared distance to the nearest chosen
@@ -34,15 +76,12 @@ gemm::Matrix seed_centroids(const gemm::Matrix& points, int clusters,
     // below stays serial.
     util::global_pool().parallel_for(n, [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; i += 4) {
-        double acc[4] = {};
-        for (std::size_t d = 0; d < dim; ++d) {
-          for (std::size_t l = 0; l < 4; ++l) {
-            const double diff =
-                static_cast<double>(points.at(std::min(i + l, e - 1), d)) -
-                static_cast<double>(centroid[d]);
-            acc[l] += diff * diff;
-          }
+        const float* rows[4];
+        for (std::size_t l = 0; l < 4; ++l) {
+          rows[l] = points.row(std::min(i + l, e - 1));
         }
+        double acc[4] = {};
+        squared_distances(rows, centroid, dim, acc);
         for (std::size_t l = 0; l < std::min<std::size_t>(4, e - i); ++l) {
           best_dist[i + l] = std::min(best_dist[i + l], acc[l]);
         }
@@ -106,13 +145,19 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
     plan = ctx.plan(opts.backend, n, clusters, dim);
   }
 
-  gemm::Matrix ct;
+  // The points never change, so an emulated plan splits them once, into a
+  // kept pack every iteration's GEMM reads as A; the centroids, B =
+  // centroids^T, are read transposed by the fill, never copied.
+  gemm::KeptPack kept_points;
+  const gemm::Operand a_points =
+      plan->keep(ctx, gemm::Side::kA, points, kept_points);
   gemm::Matrix cross;
   std::vector<float> point_dist(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     // Assignment step: distance matrix through the GEMM backend.
-    gemm::transpose_into(result.centroids, ct);
-    plan->execute(ctx, points, ct, nullptr, cross);
+    plan->execute(ctx, a_points,
+                  {result.centroids, gemm::Transpose::kTranspose}, nullptr,
+                  cross);
     const std::vector<float> cn = gemm::row_norms(result.centroids);
 
     // Points are independent, so the assignment runs on the pool; the

@@ -27,7 +27,8 @@ struct KMeansOptions {
   /// target. Throws std::invalid_argument when no ladder rung qualifies.
   double precision_target = 0.0;
   /// Plan/workspace context for the per-iteration GEMM (gemm/plan.hpp);
-  /// the shared default_context() when null. The Lloyd loop plans once and
+  /// the shared default_context() when null. The Lloyd loop plans once,
+  /// splits the points once into a kept pack (emulated backends), and
   /// executes into a reused distance matrix, so after the first iteration
   /// no allocation grows with the point count: only the clusters-sized
   /// centroid sums and norms are allocated per iteration.

@@ -5,6 +5,10 @@
 #include <numeric>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
+
 #include "gemm/plan.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -32,6 +36,68 @@ void select_k(const float* row, std::size_t n, int k,
   }
 }
 
+/// Distances nearest_k forms at a time past its first k, to skip runs
+/// that cannot enter the top k.
+constexpr std::size_t kSkipRun = 16;
+
+#if defined(__SSE2__)
+/// True when one of the kSkipRun distances max(0, q + rn[t] - 2 cross[t])
+/// is below `bound`. The same binary32 operations as nearest_k's scalar
+/// distance, four at a time: max(x, 0) takes NaN and -0 to +0, as
+/// std::max(0.0f, x) does.
+bool any_below(float q, const float* rn, const float* cross, float bound) {
+  const __m128 vq = _mm_set1_ps(q);
+  const __m128 two = _mm_set1_ps(2.0f);
+  const __m128 vb = _mm_set1_ps(bound);
+  __m128 below = _mm_setzero_ps();
+  for (std::size_t t = 0; t < kSkipRun; t += 4) {
+    const __m128 d = _mm_max_ps(
+        _mm_sub_ps(_mm_add_ps(vq, _mm_loadu_ps(rn + t)),
+                   _mm_mul_ps(two, _mm_loadu_ps(cross + t))),
+        _mm_setzero_ps());
+    below = _mm_or_ps(below, _mm_cmplt_ps(d, vb));
+  }
+  return _mm_movemask_ps(below) != 0;
+}
+#endif
+
+/// The k nearest references of one query, nearest first, into idx/dist:
+/// distance j is max(0, q + rn[j] - 2 cross[j]) (the clamp absorbs
+/// rounding that pushes tiny true distances slightly negative), and each
+/// enters a sorted k-slot insertion. j ascends, so an equal distance never
+/// displaces a kept index: ranks match select_k's (distance, index). Past
+/// the first k, a run of kSkipRun distances none of which is below the
+/// k-th kept one is skipped whole; the k-th only falls, so the skip keeps
+/// every insertion the scan makes.
+void nearest_k(float q, const float* rn, const float* cross, std::size_t n,
+               std::size_t k, std::int32_t* idx, float* dist) {
+  const auto distance = [&](std::size_t j) {
+    return std::max(0.0f, q + rn[j] - 2.0f * cross[j]);
+  };
+  const auto insert = [&](float d, std::size_t j, std::size_t slot) {
+    for (; slot > 0 && dist[slot - 1] > d; --slot) {
+      dist[slot] = dist[slot - 1];
+      idx[slot] = idx[slot - 1];
+    }
+    dist[slot] = d;
+    idx[slot] = static_cast<std::int32_t>(j);
+  };
+  std::size_t j = 0;
+  for (; j < k; ++j) insert(distance(j), j, j);
+  for (; j < n; j += kSkipRun) {
+    const std::size_t end = std::min(n, j + kSkipRun);
+#if defined(__SSE2__)
+    if (end - j == kSkipRun && !any_below(q, rn + j, cross + j, dist[k - 1])) {
+      continue;
+    }
+#endif
+    for (std::size_t t = j; t < end; ++t) {
+      const float d = distance(t);
+      if (d < dist[k - 1]) insert(d, t, k - 1);
+    }
+  }
+}
+
 }  // namespace
 
 KnnResult knn_search(const gemm::Matrix& queries,
@@ -41,39 +107,44 @@ KnnResult knn_search(const gemm::Matrix& queries,
                 static_cast<std::size_t>(opts.k) <= references.rows());
   const std::size_t m = queries.rows();
   const std::size_t n = references.rows();
+  const std::size_t dim = queries.cols();
 
-  // Cross terms via one large GEMM: Q x R^T (m x n).
+  // Cross terms Q x R^T, one panel of query rows at a time: a
+  // (rows x dim) x (dim x n) GEMM per panel.
   gemm::GemmContext& ctx =
       opts.context != nullptr ? *opts.context : gemm::default_context();
 
   KnnResult result;
-  std::shared_ptr<const gemm::GemmPlan> plan;
+  core::AccuracyContract contract;
   if (opts.precision_target > 0.0) {
-    core::AccuracyContract contract;
     contract.max_abs_error = opts.precision_target;
     contract.a_scale = gemm::max_abs(queries);
     contract.b_scale = gemm::max_abs(references);
+  }
+  const auto plan_rows = [&](std::size_t rows) {
+    if (opts.precision_target <= 0.0) {
+      return ctx.plan(opts.backend, rows, n, dim);
+    }
     const gemm::GemmContext::ContractPlan cp =
-        ctx.plan_contract(m, n, queries.cols(), contract);
+        ctx.plan_contract(rows, n, dim, contract);
     if (!cp.resolution.feasible) {
       gemm::throw_contract_infeasible(contract, cp.resolution);
     }
     result.scheme = core::scheme_name(cp.resolution.scheme);
-    plan = cp.plan;
-  } else {
-    plan = ctx.plan(opts.backend, m, n, queries.cols());
-  }
-  // The cross matrix (m x n) and the transposed references stay with the
-  // calling thread, so a repeat search reuses their storage instead of
-  // mapping, faulting in and unmapping it again. They are bound to plain
-  // references here: a thread_local named inside the pool lambda would be
-  // each worker's own empty copy.
-  thread_local gemm::Matrix kept_cross;
-  thread_local gemm::Matrix kept_refs_t;
-  gemm::Matrix& cross = kept_cross;
-  gemm::Matrix& refs_t = kept_refs_t;
-  gemm::transpose_into(references, refs_t);
-  plan->execute(ctx, queries, refs_t, nullptr, cross);
+    return cp.plan;
+  };
+  const std::size_t panel_rows = std::min(kKnnPanelRows, m);
+  const std::shared_ptr<const gemm::GemmPlan> plan = plan_rows(panel_rows);
+  const std::shared_ptr<const gemm::GemmPlan> tail_plan =
+      m % kKnnPanelRows != 0 && m > kKnnPanelRows
+          ? plan_rows(m % kKnnPanelRows)
+          : plan;
+  // The references are B = R^T for every panel: an emulated plan splits
+  // them once, read transposed, into a kept pack both plans read.
+  gemm::KeptPack kept_refs;
+  const gemm::Operand refs = plan->keep(
+      ctx, gemm::Side::kB, {references, gemm::Transpose::kTranspose},
+      kept_refs);
 
   const std::vector<float> qn = gemm::row_norms(queries);
   const std::vector<float> rn = gemm::row_norms(references);
@@ -81,29 +152,27 @@ KnnResult knn_search(const gemm::Matrix& queries,
   result.indices = gemm::BasicMatrix<std::int32_t>(m, k);
   result.distances = gemm::Matrix(m, k);
 
-  // Query rows run on the pool, each through a sorted k-slot insertion that
-  // rejects most candidates with one compare. j ascends, so an equal distance
-  // never displaces a kept index: ranks match select_k's (distance, index).
-  util::global_pool().parallel_for(m, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const float* cross_row = cross.row(i);
-      std::int32_t* idx = result.indices.row(i);
-      float* dist = result.distances.row(i);
-      std::size_t kept = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        // Clamp: rounding can push tiny true distances slightly negative.
-        const float d = std::max(0.0f, qn[i] + rn[j] - 2.0f * cross_row[j]);
-        if (kept == k && !(d < dist[k - 1])) continue;
-        std::size_t slot = kept < k ? kept++ : k - 1;
-        for (; slot > 0 && dist[slot - 1] > d; --slot) {
-          dist[slot] = dist[slot - 1];
-          idx[slot] = idx[slot - 1];
-        }
-        dist[slot] = d;
-        idx[slot] = static_cast<std::int32_t>(j);
+  gemm::Matrix panel;  // the panel's query rows
+  gemm::Matrix cross;  // their cross terms, rows x n
+  for (std::size_t i0 = 0; i0 < m; i0 += kKnnPanelRows) {
+    const std::size_t rows = std::min(kKnnPanelRows, m - i0);
+    panel.resize(rows, dim);
+    std::copy(queries.row(i0), queries.row(i0) + rows * dim,
+              panel.data().begin());
+    (rows == panel_rows ? plan : tail_plan)
+        ->execute(ctx, panel, refs, nullptr, cross);
+
+    // The panel's rows run on the pool while its cross terms are still in
+    // cache.
+    util::global_pool().parallel_for(rows, [&](std::size_t begin,
+                                                std::size_t end) {
+      for (std::size_t r = begin; r < end; ++r) {
+        const std::size_t i = i0 + r;
+        nearest_k(qn[i], rn.data(), cross.row(r), n, k,
+                  result.indices.row(i), result.distances.row(i));
       }
-    }
-  });
+    });
+  }
   return result;
 }
 

@@ -6,6 +6,7 @@
 // which is where ~85% of the open-source implementation's time goes (§1);
 // the GEMM backend is pluggable so EGEMM-TC drops in for cublasSgemm.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,11 +40,15 @@ struct KnnOptions {
   gemm::GemmContext* context = nullptr;
 };
 
+/// Query rows per cross-term panel: a panel's cross terms (64 x n floats,
+/// 1 MB at n = 4096) are selected from while they are still in cache.
+inline constexpr std::size_t kKnnPanelRows = 64;
+
 /// queries: m x d, references: n x d. Requires k <= n.
 ///
-/// The calling thread keeps its last cross matrix (m x n floats: 32 MB at
-/// 2048 x 4096) and transposed references, and reuses their storage on its
-/// next search; they are freed when the thread exits.
+/// The references are split once per search (emulated backends) and the
+/// queries stream through them kKnnPanelRows at a time, so the search
+/// holds one panel's cross terms, never the whole m x n matrix.
 KnnResult knn_search(const gemm::Matrix& queries,
                      const gemm::Matrix& references, const KnnOptions& opts);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,7 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
   const std::size_t dim = points.cols();
 
   PcaResult result;
+  const float alpha = 1.0f / static_cast<float>(n - 1);
 
   // Center the data (one streaming pass on CUDA cores).
   result.mean.assign(dim, 0.0f);
@@ -69,15 +71,12 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
           static_cast<float>(sums[d] / static_cast<double>(n));
     }
   }
-  // One pool pass over row blocks writes X_c, its transpose (the
-  // covariance GEMM's A operand) and each block's max |X_c|. Both are sized
-  // unwritten, so their pages are first touched by the pool.
+  // One pool pass over row blocks writes X_c and each block's max |X_c|.
+  // X_c is sized unwritten, so its pages are first touched by the pool.
   constexpr std::size_t kBlock = 32;
   const std::size_t blocks = (n + kBlock - 1) / kBlock;
   gemm::Matrix centered;
-  gemm::Matrix xt;
   centered.resize(n, dim);
-  xt.resize(dim, n);
   std::vector<double> block_max(blocks, 0.0);
   util::global_pool().parallel_for(blocks, [&](std::size_t b0,
                                                std::size_t b1) {
@@ -93,35 +92,45 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
               std::max(block_max[b], std::fabs(static_cast<double>(dst[d])));
         }
       }
-      for (std::size_t d = 0; d < dim; ++d) {
-        for (std::size_t i = i0; i < i1; ++i) xt.at(d, i) = centered.at(i, d);
-      }
     }
   });
 
   // Covariance via the backend: C = (1/(n-1)) X_c^T x X_c -- the O(n dim^2)
-  // GEMM this application exists for.
+  // GEMM this application exists for. A = X_c^T and B = X_c have the same
+  // panels (dim lanes by n k-rows), so an emulated plan splits X_c once
+  // into one kept pack and reads it as both operands. The 1/(n-1) is the
+  // binary32 epilogue gemm_ex would apply.
   gemm::GemmContext& ctx =
       opts.context != nullptr ? *opts.context : gemm::default_context();
-  gemm::GemmExParams params;
-  params.alpha = 1.0f / static_cast<float>(n - 1);
-  gemm::Matrix covariance;
+  std::shared_ptr<const gemm::GemmPlan> plan;
   if (opts.precision_target > 0.0) {
     core::AccuracyContract contract;
     contract.max_abs_error = opts.precision_target;
     contract.a_scale = *std::max_element(block_max.begin(), block_max.end());
     contract.b_scale = contract.a_scale;
+    gemm::GemmExParams params;
+    params.trans_a = gemm::Transpose::kTranspose;
+    params.alpha = alpha;
     const core::ContractResolution resolution =
-        gemm::gemm_ex_contract_resolution(xt, centered, nullptr, params,
+        gemm::gemm_ex_contract_resolution(centered, centered, nullptr, params,
                                           contract);
-    // The contract overload re-resolves and throws the detailed
-    // invalid_argument itself when infeasible.
-    covariance = gemm::gemm_ex(ctx, xt, centered, nullptr, params, contract);
+    if (!resolution.feasible) {
+      gemm::throw_contract_infeasible(contract, resolution);
+    }
     result.scheme = core::scheme_name(resolution.scheme);
+    plan = ctx.plan_scheme(resolution.scheme, dim, dim, n);
   } else {
-    covariance =
-        gemm::gemm_ex(ctx, opts.backend, xt, centered, nullptr, params);
+    plan = ctx.plan(opts.backend, dim, dim, n);
   }
+  gemm::KeptPack kept;
+  const gemm::Operand x_c = plan->keep(ctx, gemm::Side::kB, centered, kept);
+  const gemm::Operand x_ct = x_c.kept() != nullptr
+                                 ? x_c
+                                 : gemm::Operand(centered,
+                                                 gemm::Transpose::kTranspose);
+  gemm::Matrix covariance;
+  plan->execute(ctx, x_ct, x_c, nullptr, covariance);
+  for (float& x : covariance.data()) x = alpha * x;
 
   // Power iteration with deflation on the dim x dim covariance.
   util::Xoshiro256 rng(opts.seed);

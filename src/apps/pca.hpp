@@ -27,11 +27,11 @@ struct PcaOptions {
   std::uint64_t seed = 7;
   gemm::Backend backend = gemm::Backend::kEgemmTC;
   /// Accuracy contract on each covariance entry: when > 0 the planner
-  /// ignores `backend` and routes the covariance GEMM through the
-  /// contract gemm_ex overload, which selects the cheapest emulation
-  /// scheme whose a-priori bound meets this target (the 1/(n-1) alpha
-  /// epilogue rounding included). Throws std::invalid_argument when no
-  /// ladder rung qualifies.
+  /// ignores `backend` and resolves the contract as the contract gemm_ex
+  /// overload would (gemm_ex_contract_resolution), selecting the cheapest
+  /// emulation scheme whose a-priori bound meets this target (the 1/(n-1)
+  /// alpha epilogue rounding included). Throws std::invalid_argument when
+  /// no ladder rung qualifies.
   double precision_target = 0.0;
   /// Plan/workspace context for the covariance GEMM (gemm/plan.hpp); the
   /// shared default_context() when null.

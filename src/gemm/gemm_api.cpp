@@ -41,60 +41,51 @@ bool fast_path(const GemmExParams& params, Backend backend) {
 using PlanFn = std::function<std::shared_ptr<const GemmPlan>(
     std::size_t, std::size_t, std::size_t, std::size_t)>;
 
-/// gemm_ex-semantics items normalized for execution: op(A) and op(B)
-/// point at the caller's matrices, or at transposed copies only when
-/// asked; each item is planned and runs under the fast-path rule above.
+/// gemm_ex-semantics items normalized for execution: op(A) and op(B) are
+/// the caller's matrices with their orientation, which the packs' fills
+/// read directly; each item is planned and runs under the fast-path rule
+/// above.
 struct Normalized {
-  std::vector<Matrix> storage;  ///< transposed copies, never reallocated
   std::vector<GroupedGemm> work;
   std::vector<std::size_t> epilogue;  ///< items that take the epilogue
 };
 
+/// Rows and columns of op(X).
+std::pair<std::size_t, std::size_t> op_extents(const Matrix& x,
+                                               Transpose trans) {
+  return trans == Transpose::kTranspose ? std::pair{x.cols(), x.rows()}
+                                        : std::pair{x.rows(), x.cols()};
+}
+
 /// Normalizes `items`, planning each through `make_plan(index, m, n, k)`.
 Normalized normalize(std::span<const GroupedGemmItem> items,
                      const PlanFn& make_plan) {
-  std::size_t transposes = 0;
   for (const GroupedGemmItem& item : items) {
     EGEMM_EXPECTS(item.a != nullptr && item.b != nullptr &&
                   item.d != nullptr);
     EGEMM_EXPECTS(item.params.beta == 0.0f || item.c != nullptr);
-    // D is zero-filled or overwritten before the epilogue reads C, and a
-    // transposed copy would hide D as A or B from the execute's own check.
+    // D is zero-filled or overwritten before the epilogue reads C.
     EGEMM_EXPECTS(item.d != item.a && item.d != item.b && item.d != item.c);
-    if (item.params.trans_a == Transpose::kTranspose) ++transposes;
-    if (item.params.trans_b == Transpose::kTranspose) ++transposes;
   }
-  // On the caller's pointers, before any transposed copy hides a chain.
   expect_unchained(items);
   Normalized out;
-  // Reserved up front: the work list keeps raw pointers into this
-  // storage, so it must never reallocate.
-  out.storage.reserve(transposes);
   out.work.reserve(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     const GroupedGemmItem& item = items[i];
-    const Matrix* op_a = item.a;
-    if (item.params.trans_a == Transpose::kTranspose) {
-      out.storage.push_back(transpose(*item.a));
-      op_a = &out.storage.back();
-    }
-    const Matrix* op_b = item.b;
-    if (item.params.trans_b == Transpose::kTranspose) {
-      out.storage.push_back(transpose(*item.b));
-      op_b = &out.storage.back();
-    }
-    EGEMM_EXPECTS(op_a->cols() == op_b->rows());
+    const auto [m, k] = op_extents(*item.a, item.params.trans_a);
+    const auto [b_rows, n] = op_extents(*item.b, item.params.trans_b);
+    EGEMM_EXPECTS(k == b_rows);
     EGEMM_EXPECTS(item.c == nullptr ||
-                  (item.c->rows() == op_a->rows() &&
-                   item.c->cols() == op_b->cols()));
-    std::shared_ptr<const GemmPlan> plan =
-        make_plan(i, op_a->rows(), op_b->cols(), op_a->cols());
+                  (item.c->rows() == m && item.c->cols() == n));
+    std::shared_ptr<const GemmPlan> plan = make_plan(i, m, n, k);
     const bool fast = fast_path(item.params, plan->backend());
     if (!fast) out.epilogue.push_back(i);
     const Matrix* kernel_c =
         fast && item.params.beta == 1.0f ? item.c : nullptr;
-    out.work.push_back(
-        GroupedGemm{std::move(plan), op_a, op_b, kernel_c, item.d});
+    out.work.push_back(GroupedGemm{std::move(plan),
+                                   {item.a, item.params.trans_a},
+                                   {item.b, item.params.trans_b}, kernel_c,
+                                   item.d});
   }
   return out;
 }
@@ -115,7 +106,7 @@ Matrix run_gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
   const GroupedGemmItem item{&a, &b, c, &d, params};
   const Normalized normalized = normalize({&item, 1}, make_plan);
   const GroupedGemm& work = normalized.work.front();
-  work.plan->execute(ctx, *work.a, *work.b, work.c, d);
+  work.plan->execute(ctx, work.a, work.b, work.c, d);
   apply_epilogues({&item, 1}, normalized);
   return d;
 }

@@ -56,7 +56,9 @@ struct GemmExParams {
 };
 
 /// BLAS-style GEMM on any backend's numerics. Dimensions follow the ops:
-/// with trans_a, A is stored k x m; with trans_b, B is stored n x k. When
+/// with trans_a, A is stored k x m; with trans_b, B is stored n x k, and
+/// an emulated backend's pack fill reads it as stored (no transposed copy;
+/// the direct binary32 backends copy it first). When
 /// alpha == 1 and beta is 0 or 1 the accumulation happens inside the
 /// kernel (exactly plan(backend, ...)->execute with C on the accumulator
 /// for beta == 1); otherwise the scaling is a binary32 epilogue pass, as

@@ -29,16 +29,17 @@ bool size_packs(std::vector<PackBuffer>& packs, std::size_t planes,
 
 }  // namespace
 
-bool PackedPlanesA::resize(std::size_t planes, std::size_t m, std::size_t k) {
-  m_ = m;
+bool PackedPlanes::resize(std::size_t planes, std::size_t lanes,
+                          std::size_t k) {
+  lanes_ = lanes;
   k_ = k;
-  const std::size_t row_blocks = (m + kPackTile - 1) / kPackTile;
-  return size_packs(planes_, planes, row_blocks * kPackTile * k_);
+  const std::size_t panels = (lanes + kPackTile - 1) / kPackTile;
+  return size_packs(planes_, planes, panels * kPackTile * k_);
 }
 
-void PackedPlanesA::transpose_tile(const float* src, std::size_t ld,
-                                   std::size_t rows, std::size_t cols,
-                                   float* dst, std::size_t dst_ld) {
+void PackedPlanes::transpose_tile(const float* src, std::size_t ld,
+                                  std::size_t rows, std::size_t cols,
+                                  float* dst, std::size_t dst_ld) {
   std::size_t i = 0;
 #if defined(__SSE2__)
   for (; i + 4 <= rows; i += 4) {
@@ -68,63 +69,25 @@ void PackedPlanesA::transpose_tile(const float* src, std::size_t ld,
   }
 }
 
-void PackedPlanesA::count_rows(std::size_t r0, std::size_t r1) const {
-  static_cast<void>(r0);  // unused with observability compiled out
-  static_cast<void>(r1);
-  EGEMM_COUNTER_ADD("pack.a_bytes",
-                    planes_.size() * (r1 - r0) * k_ * sizeof(float));
-  EGEMM_COUNTER_ADD("pack.calls", 1);
-}
-
-bool PackedPlanesA::assign(std::span<const Matrix> planes) {
-  EGEMM_EXPECTS(!planes.empty());
-  const bool grew = resize(planes.size(), planes[0].rows(), planes[0].cols());
-  for (const Matrix& plane : planes) {
-    EGEMM_EXPECTS(plane.rows() == m_ && plane.cols() == k_);
-  }
-  if (m_ == 0) return grew;
-  const std::size_t last = m_ / kPackTile * kPackTile;  // partial block
-  for (std::size_t p = 0; p < planes.size(); ++p) {
-    // Its lanes past m are padding: zero them before the transposes.
-    if (last < m_) {
-      std::fill_n(planes_[p].data() + last * k_, kPackTile * k_, 0.0f);
-    }
-    for (std::size_t r = 0; r < m_; r += kPackTile) {
-      transpose_tile(planes[p].data().data() + r * k_, k_,
-                     std::min(kPackTile, m_ - r), k_,
-                     planes_[p].data() + r * k_, kPackTile);
-    }
-  }
-  count_rows(0, m_);
-  return grew;
-}
-
-bool PackedPlanesB::resize(std::size_t planes, std::size_t k, std::size_t n) {
-  k_ = k;
-  n_ = n;
-  const std::size_t col_blocks = (n + kPackTile - 1) / kPackTile;
-  return size_packs(planes_, planes, col_blocks * k_ * kPackTile);
-}
-
-void PackedPlanesB::copy_segments(const float* const* strip, std::size_t r,
-                                  std::size_t rows, std::size_t c0,
-                                  std::size_t c1) {
+void PackedPlanes::copy_segments(const float* const* strip, std::size_t r,
+                                 std::size_t rows, std::size_t c0,
+                                 std::size_t c1) {
   const std::size_t width = c1 - c0;
   const std::size_t full = width / kPackTile;  // whole 16-float segments
   const std::size_t tail = width - full * kPackTile;
-  const std::size_t block_stride = k_ * kPackTile;
+  const std::size_t panel_stride = k_ * kPackTile;
   for (std::size_t p = 0; p < planes_.size(); ++p) {
-    float* const first_block =
-        planes_[p].data() + (c0 / kPackTile) * block_stride + r * kPackTile;
+    float* const first_panel =
+        planes_[p].data() + (c0 / kPackTile) * panel_stride + r * kPackTile;
     for (std::size_t i = 0; i < rows; ++i) {
       const float* src = strip[p] + i * width;
-      float* dst = first_block + i * kPackTile;
+      float* dst = first_panel + i * kPackTile;
       for (std::size_t s = 0; s < full; ++s) {
         std::memcpy(dst, src, kPackTile * sizeof(float));
         src += kPackTile;
-        dst += block_stride;
+        dst += panel_stride;
       }
-      if (tail > 0) {  // only the last block is partial: zero past n
+      if (tail > 0) {  // only the last panel is partial: zero past lanes
         std::memcpy(dst, src, tail * sizeof(float));
         std::fill(dst + tail, dst + kPackTile, 0.0f);
       }
@@ -132,26 +95,44 @@ void PackedPlanesB::copy_segments(const float* const* strip, std::size_t r,
   }
 }
 
-void PackedPlanesB::count_rows(std::size_t r0, std::size_t r1) const {
-  static_cast<void>(r0);  // unused with observability compiled out
-  static_cast<void>(r1);
-  EGEMM_COUNTER_ADD("pack.b_bytes", planes_.size() * (r1 - r0) *
-                                        ((n_ + kPackTile - 1) / kPackTile) *
-                                        kPackTile * sizeof(float));
+void PackedPlanes::count_fill(std::size_t rows, std::size_t width) const {
+  static_cast<void>(rows);  // unused with observability compiled out
+  static_cast<void>(width);
+  EGEMM_COUNTER_ADD("pack.bytes",
+                    planes_.size() * rows * width * sizeof(float));
   EGEMM_COUNTER_ADD("pack.calls", 1);
 }
 
-bool PackedPlanesB::assign(std::span<const Matrix> planes) {
+bool PackedPlanes::assign(std::span<const Matrix> planes, PackSource source) {
   EGEMM_EXPECTS(!planes.empty());
-  const bool grew = resize(planes.size(), planes[0].rows(), planes[0].cols());
+  const bool lane_rows = source == PackSource::kLaneRows;
+  const std::size_t lanes = lane_rows ? planes[0].rows() : planes[0].cols();
+  const std::size_t k = lane_rows ? planes[0].cols() : planes[0].rows();
+  const bool grew = resize(planes.size(), lanes, k);
   const float* rows[kMaxPackPlanes] = {};
   for (std::size_t p = 0; p < planes.size(); ++p) {
-    EGEMM_EXPECTS(planes[p].rows() == k_ && planes[p].cols() == n_);
+    EGEMM_EXPECTS(planes[p].rows() == planes[0].rows() &&
+                  planes[p].cols() == planes[0].cols());
     rows[p] = planes[p].data().data();
   }
-  if (k_ == 0 || n_ == 0) return grew;
-  copy_segments(rows, 0, k_, 0, n_);
-  count_rows(0, k_);
+  if (lanes_ == 0 || k_ == 0) return grew;
+  if (!lane_rows) {
+    copy_segments(rows, 0, k_, 0, lanes_);
+    count_fill(k_, (lanes_ + kPackTile - 1) / kPackTile * kPackTile);
+    return grew;
+  }
+  const std::size_t last = lanes_ / kPackTile * kPackTile;  // partial panel
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    // Its lanes past `lanes` are padding: zero them before the transposes.
+    if (last < lanes_) {
+      std::fill_n(planes_[p].data() + last * k_, kPackTile * k_, 0.0f);
+    }
+    for (std::size_t l = 0; l < lanes_; l += kPackTile) {
+      transpose_tile(rows[p] + l * k_, k_, std::min(kPackTile, lanes_ - l),
+                     k_, planes_[p].data() + l * k_, kPackTile);
+    }
+  }
+  count_fill(lanes_, k_);
   return grew;
 }
 

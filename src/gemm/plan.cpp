@@ -4,7 +4,9 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -29,32 +31,10 @@ static_assert(kTile == kPackTile && kTile == tcsim::kTcM &&
 #ifndef NDEBUG
 std::atomic<std::uint64_t> g_workspace_allocations{0};
 
-/// Emulated executes in flight (low 16 bits) and started so far (the rest),
-/// in one word so every start and end is totally ordered. run_items' split
-/// accounting reads the process-wide split counter, so it is exact only for
-/// an execute that no other execute overlapped; plans may run concurrently.
-std::atomic<std::uint64_t> g_executes{0};
-constexpr std::uint64_t kExecuteStarted = std::uint64_t{1} << 16;
-
-class ExecuteOverlap {
- public:
-  ExecuteOverlap() noexcept
-      : start_(g_executes.fetch_add(kExecuteStarted + 1)) {}
-  ~ExecuteOverlap() { g_executes.fetch_sub(1); }
-  ExecuteOverlap(const ExecuteOverlap&) = delete;
-  ExecuteOverlap& operator=(const ExecuteOverlap&) = delete;
-
-  /// True while no other execute was in flight at the start or has started
-  /// since.
-  bool alone() const noexcept {
-    return start_ % kExecuteStarted == 0 &&
-           g_executes.load() / kExecuteStarted ==
-               start_ / kExecuteStarted + 1;
-  }
-
- private:
-  std::uint64_t start_;
-};
+/// Debug builds count every element an execute splits in its own ItemRun.
+constexpr bool kCountSplits = true;
+#else
+constexpr bool kCountSplits = false;
 #endif
 
 void count_workspace_allocation() noexcept {
@@ -104,8 +84,8 @@ static_assert(kSeparateSlab % 2 == 0);
 /// register tile starts from C's tile (or zeros), and the store writes
 /// every element of D's tile; writeback time is added to a non-null
 /// `combine`.
-void packed_tile(const Matrix* c, Matrix& d, const PackedPlanesA& apack,
-                 const PackedPlanesB& bpack, std::size_t k,
+void packed_tile(const Matrix* c, Matrix& d, const PackedPlanes& apack,
+                 const PackedPlanes& bpack, std::size_t k,
                  std::span<const core::SchemeTerm> terms, ComboOrder order,
                  std::size_t rb, std::size_t cb, std::uint64_t* combine) {
   const std::size_t m = d.rows();
@@ -207,19 +187,67 @@ void count_scheme_execute(core::SchemeId scheme) {
   }
 }
 
+/// What the rows of `side`'s source matrix are when it is read per
+/// `trans`: A as given and B transposed have lane rows, the others k rows.
+PackSource source_of(Side side, Transpose trans) noexcept {
+  const bool transposed = trans == Transpose::kTranspose;
+  return (side == Side::kA) != transposed ? PackSource::kLaneRows
+                                          : PackSource::kKRows;
+}
+
+/// Checks one operand against `plan`. A matrix's extents, read per its
+/// orientation, must be the plan's: a precondition, so a mismatch aborts.
+/// A kept pack that does not fit the plan is an input the caller could not
+/// see by its type, so it throws std::invalid_argument instead.
+void check_operand(const GemmPlan& plan, Side side, const Operand& op) {
+  const std::size_t lanes = side == Side::kA ? plan.m() : plan.n();
+  if (const KeptPack* kept = op.kept()) {
+    if (plan.direct() || kept->lanes() != lanes || kept->k() != plan.k() ||
+        kept->planes() != static_cast<std::size_t>(plan.planes()) ||
+        kept->split() != plan.split()) {
+      char message[224];
+      std::snprintf(message, sizeof(message),
+                    "kept pack for %s (%zu lanes x %zu k, %zu planes, %s) "
+                    "does not fit the plan (%zu x %zu x %zu, %s)",
+                    side == Side::kA ? "A" : "B", kept->lanes(), kept->k(),
+                    kept->planes(), core::split_method_name(kept->split()),
+                    plan.m(), plan.n(), plan.k(),
+                    plan.direct() ? "direct"
+                                  : core::split_method_name(plan.split()));
+      throw std::invalid_argument(message);
+    }
+    return;
+  }
+  EGEMM_EXPECTS(op.matrix() != nullptr);
+  const bool lane_rows = source_of(side, op.trans()) == PackSource::kLaneRows;
+  EGEMM_EXPECTS(op.matrix()->rows() == (lane_rows ? lanes : plan.k()) &&
+                op.matrix()->cols() == (lane_rows ? plan.k() : lanes));
+}
+
 /// One GEMM of an execute: its operands, its workspace, its place in the
 /// prep and block streams (a block is one 16x16 output tile), and the
-/// stage weights its call record is built from.
+/// stage weights its call record is built from. GemmPlan::keep runs one
+/// too, with a single operand and no workspace.
 struct ItemRun {
   struct Operands {
     const GemmPlan* plan = nullptr;
-    const Matrix* a = nullptr;
-    const Matrix* b = nullptr;
+    Operand a;
+    Operand b;
     const Matrix* c = nullptr;
     Matrix* d = nullptr;
   } op;
   Workspace* ws = nullptr;
   std::optional<WorkspaceLease> lease;  ///< the item's own, when pooled
+  // The packs prep fills (null for an operand it does not), in the
+  // orientation each source is read, and the packs the tiles read: the
+  // filled ones, or kept packs.
+  PackedPlanes* fill_a = nullptr;
+  PackedPlanes* fill_b = nullptr;
+  PackSource a_source = PackSource::kLaneRows;
+  PackSource b_source = PackSource::kKRows;
+  const PackedPlanes* apack = nullptr;
+  const PackedPlanes* bpack = nullptr;
+  PrepRows rows;               ///< the prep's row space
   std::size_t row_blocks = 0;
   std::size_t col_blocks = 0;
   std::size_t first = 0;       ///< offset into the flattened block stream
@@ -235,12 +263,44 @@ struct ItemRun {
   std::uint64_t direct_ns = 0;
   std::atomic<std::uint64_t> engine_ns{0};
   std::atomic<std::uint64_t> combine_ns{0};
+  /// Elements the prep chunks split (debug builds only).
+  std::atomic<std::uint64_t> split_elements{0};
 
   const PlanKey& key() const noexcept { return op.plan->key(); }
   std::size_t blocks() const noexcept { return row_blocks * col_blocks; }
-  PrepRows prep() const noexcept {
+
+  /// Lays out the prep of `side`, filled from `source` (into fill_a or
+  /// fill_b, set by the caller).
+  void prep(Side side, const Operand& source) {
     const GemmPlan& plan = *op.plan;
-    return {plan.m(), plan.n(), plan.k(), plan.planes()};
+    const PackSource from = source_of(side, source.trans());
+    const PrepSpan span =
+        PrepSpan::of(from, side == Side::kA ? plan.m() : plan.n(), plan.k(),
+                     plan.planes());
+    if (side == Side::kA) {
+      a_source = from;
+      rows = PrepRows(span, rows.b);
+    } else {
+      b_source = from;
+      rows = PrepRows(rows.a, span);
+    }
+  }
+
+  /// Elements prep must split: every row of each filled pack once, a
+  /// transposing fill's whole 16-lane panels (its last panel's lanes past
+  /// the extent split from zeros).
+  std::uint64_t expected_split() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& [pack, source] : {std::pair{fill_a, a_source},
+                                      std::pair{fill_b, b_source}}) {
+      if (pack == nullptr) continue;
+      const std::size_t lanes =
+          source == PackSource::kLaneRows
+              ? (pack->lanes() + kTile - 1) / kTile * kTile
+              : pack->lanes();
+      total += static_cast<std::uint64_t>(lanes) * pack->k();
+    }
+    return total;
   }
 };
 
@@ -252,17 +312,28 @@ struct Walls {
   std::uint64_t engine = 0;
 };
 
+/// A direct plan's kernel. The binary32 baselines read row-major operands
+/// as given, so a transposed one is copied first.
 void run_direct(const ItemRun::Operands& op) {
+  Matrix a_copy;
+  Matrix b_copy;
+  const auto as_given = [](const Operand& x, Matrix& copy) -> const Matrix& {
+    if (x.trans() == Transpose::kNone) return *x.matrix();
+    transpose_into(*x.matrix(), copy);
+    return copy;
+  };
+  const Matrix& a = as_given(op.a, a_copy);
+  const Matrix& b = as_given(op.b, b_copy);
   switch (op.plan->backend()) {
     case Backend::kCublasFp32:
-      sgemm_fp32_into(*op.a, *op.b, op.c, *op.d);
+      sgemm_fp32_into(a, b, op.c, *op.d);
       break;
     case Backend::kSdkFp32:
       EGEMM_EXPECTS(op.c == nullptr);
-      sdk_gemm_fp32_into(*op.a, *op.b, *op.d);
+      sdk_gemm_fp32_into(a, b, *op.d);
       break;
     case Backend::kDekker:
-      gemm_dekker_into(*op.a, *op.b, op.c, *op.d);
+      gemm_dekker_into(a, b, op.c, *op.d);
       break;
     default:
       EGEMM_EXPECTS(!"unreachable direct backend");
@@ -270,11 +341,20 @@ void run_direct(const ItemRun::Operands& op) {
   }
 }
 
-/// Readies an item for its prep chunks: sizes its workspace packs and its
-/// output, and counts the execute.
+/// Readies an item for its prep chunks: points prep at the workspace's
+/// packs for the operands not passed as kept packs and sizes them, points
+/// the tiles at the packs they read, sizes the output, and counts the
+/// execute.
 void size_item(ItemRun& run) {
   const GemmPlan& plan = *run.op.plan;
-  run.ws->ensure(plan.m(), plan.n(), plan.k(), plan.planes());
+  const KeptPack* kept_a = run.op.a.kept();
+  const KeptPack* kept_b = run.op.b.kept();
+  run.ws->ensure(plan.m(), plan.n(), plan.k(), plan.planes(),
+                 kept_a == nullptr, kept_b == nullptr);
+  if (kept_a == nullptr) run.fill_a = &run.ws->packed_a();
+  if (kept_b == nullptr) run.fill_b = &run.ws->packed_b();
+  run.apack = kept_a != nullptr ? &kept_a->pack() : run.fill_a;
+  run.bpack = kept_b != nullptr ? &kept_b->pack() : run.fill_b;
   run.op.d->resize(plan.m(), plan.n());
   EGEMM_COUNTER_ADD("egemm.calls", 1);
   count_scheme_execute(*plan.scheme_id());
@@ -282,53 +362,86 @@ void size_item(ItemRun& run) {
 
 /// One prep chunk: rows [u0, u1) of the item's PrepRows space. The
 /// O(N^2) data-split pass (it runs on CUDA cores in the real kernel)
-/// splits the chunk's A rows, transposed k-major through an L1 strip,
-/// straight into the A pack's blocks, and its B rows strip by strip
-/// through L1 into the B pack's column blocks. Every step is element-wise,
-/// so any cut of the space gives the same pack bits. The "split" span
-/// covers A, transposes included; the "pack" span covers B's strips,
-/// whose split time the record still counts as split.
+/// splits the chunk's rows of each filled operand straight into its pack,
+/// through the transposing or the copying fill as its source's rows are
+/// lanes or k. Every step is element-wise, so any cut of the space gives
+/// the same pack bits. The "split" span covers A's fill, transposes
+/// included; the "pack" span covers B's, whose split time the record
+/// still counts as split.
 void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
-  const PlanKey& key = run.key();
-  Workspace& ws = *run.ws;
-  const std::size_t a0 = std::min(u0, key.m);
-  const std::size_t a1 = std::min(u1, key.m);
-  const std::size_t b0 = std::max(u0, key.m) - key.m;
-  const std::size_t b1 = std::max(u1, key.m) - key.m;
+  const std::size_t a_rows = run.rows.a.rows;
+  const std::size_t a0 = std::min(u0, a_rows);
+  const std::size_t a1 = std::min(u1, a_rows);
+  const std::size_t b0 = std::max(u0, a_rows) - a_rows;
+  const std::size_t b1 = std::max(u1, a_rows) - a_rows;
+  const auto split = [&run](std::uint64_t* split_ns) {
+    return [&run, split_ns](const float* in, std::size_t count,
+                            float* const* out) {
+      if constexpr (kCountSplits) {
+        run.split_elements.fetch_add(count, std::memory_order_relaxed);
+      }
+      split_run(*run.op.plan, in, count, out, split_ns);
+    };
+  };
   std::uint64_t prep = 0;
-  std::uint64_t split = 0;
+  std::uint64_t split_ns = 0;
   std::uint64_t b_fill = 0;
   std::uint64_t b_split = 0;
   {
     const obs::StageTimer chunk(nullptr, &prep);
-    {
-      const obs::StageTimer timer("split", &split);
-      ws.packed_a().fill_rows(
-          a0, a1, run.op.a->data().data(),
-          [&](const float* in, std::size_t count, float* const* out) {
-            split_run(*run.op.plan, in, count, out, nullptr);
-          });
+    if (a0 < a1) {
+      const obs::StageTimer timer("split", &split_ns);
+      run.fill_a->fill_rows(run.a_source, a0, a1,
+                            run.op.a.matrix()->data().data(),
+                            split(nullptr));
     }
-    const obs::StageTimer timer("pack", &b_fill);
-    ws.packed_b().fill_rows(
-        b0, b1, run.op.b->data().data(),
-        [&](const float* in, std::size_t count, float* const* out) {
-          split_run(*run.op.plan, in, count, out, &b_split);
-        });
+    if (b0 < b1) {
+      const obs::StageTimer timer("pack", &b_fill);
+      run.fill_b->fill_rows(run.b_source, b0, b1,
+                            run.op.b.matrix()->data().data(),
+                            split(&b_split));
+    }
   }
   // B's strip splits ran inside b_fill's window.
   const std::uint64_t pack = b_fill - b_split;
-  split += b_split;
+  split_ns += b_split;
   run.prep_ns.fetch_add(prep, std::memory_order_relaxed);
-  run.split_ns.fetch_add(split, std::memory_order_relaxed);
+  run.split_ns.fetch_add(split_ns, std::memory_order_relaxed);
   run.pack_ns.fetch_add(pack, std::memory_order_relaxed);
+}
+
+/// Runs every prep chunk of `runs` (`chunks` in all, each run's from its
+/// prep_first) in one pool pass.
+void prep_pass(std::span<ItemRun> runs, std::size_t chunks) {
+  util::global_pool().parallel_for(chunks, [&runs](std::size_t c0,
+                                                   std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      // The last item starting at or before c owns it, as in the block
+      // stream.
+      ItemRun& run =
+          *(std::ranges::upper_bound(runs, c, {}, &ItemRun::prep_first) - 1);
+      const std::size_t j = c - run.prep_first;
+      prep_rows(run, run.rows.start(j), run.rows.start(j + 1));
+    }
+  });
+}
+
+/// Debug builds: each input element must be split exactly once per
+/// execute -- the plane cache is the point of the packed engine, so
+/// re-splitting anywhere downstream is a bug -- and a kept pack's not at
+/// all. The count is the run's own, so concurrent executes check exactly.
+void check_split_once(const ItemRun& run) {
+  if constexpr (kCountSplits) {
+    EGEMM_ENSURES(run.split_elements.load(std::memory_order_relaxed) ==
+                  run.expected_split());
+  }
 }
 
 void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
                std::uint64_t* combine) {
   const GemmPlan& plan = *run.op.plan;
-  packed_tile(run.op.c, *run.op.d, run.ws->packed_a(), run.ws->packed_b(),
-              plan.k(), plan.terms(), plan.order(), rb, cb, combine);
+  packed_tile(run.op.c, *run.op.d, *run.apack, *run.bpack, plan.k(),
+              plan.terms(), plan.order(), rb, cb, combine);
 }
 
 /// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
@@ -422,7 +535,11 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
       class_engine += run.engine_ns.load(std::memory_order_relaxed);
       class_combine += run.combine_ns.load(std::memory_order_relaxed);
       class_direct += run.direct_ns;
-      rec.bytes_moved += (key.m * key.k + key.k * key.n + d_elems +
+      // A kept operand's matrix is not read; its pack still is.
+      const std::size_t inputs =
+          (run.op.a.kept() != nullptr ? 0 : key.m * key.k) +
+          (run.op.b.kept() != nullptr ? 0 : key.k * key.n);
+      rec.bytes_moved += (inputs + d_elems +
                           (run.op.c != nullptr ? d_elems : 0)) *
                              sizeof(float) +
                          plan->workspace_bytes();
@@ -471,16 +588,19 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
 /// are bit-identical across shapes.
 void run_items(GemmContext& ctx, std::span<ItemRun> runs,
                std::uint32_t batch_id, obs::PlanLookup lookup) {
+  // Every item is checked before any runs, so a rejected one (a kept pack
+  // that does not fit its plan throws) leaves D, the counters and the call
+  // records as they were.
   for (const ItemRun& run : runs) {
     const ItemRun::Operands& op = run.op;
-    EGEMM_EXPECTS(op.plan != nullptr && op.a != nullptr && op.b != nullptr &&
-                  op.d != nullptr);
+    EGEMM_EXPECTS(op.plan != nullptr && op.d != nullptr);
+    check_operand(*op.plan, Side::kA, op.a);
+    check_operand(*op.plan, Side::kB, op.b);
     const PlanKey& key = op.plan->key();
-    EGEMM_EXPECTS(op.a->rows() == key.m && op.a->cols() == key.k);
-    EGEMM_EXPECTS(op.b->rows() == key.k && op.b->cols() == key.n);
     EGEMM_EXPECTS(op.c == nullptr ||
                   (op.c->rows() == key.m && op.c->cols() == key.n));
-    EGEMM_EXPECTS(op.a != op.d && op.b != op.d && op.c != op.d);
+    EGEMM_EXPECTS(op.a.matrix() != op.d && op.b.matrix() != op.d &&
+                  op.c != op.d);
   }
   Walls walls;
   walls.start = obs::kEnabled ? obs::monotonic_ns() : 0;
@@ -499,31 +619,31 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
       continue;
     }
     ++emulated;
+    // Prep fills the operands not passed as kept packs.
+    if (run.op.a.kept() == nullptr) run.prep(Side::kA, run.op.a);
+    if (run.op.b.kept() == nullptr) run.prep(Side::kB, run.op.b);
+    prep_chunks += run.rows.chunks;
     run.row_blocks = (key.m + kTile - 1) / kTile;
     run.col_blocks = (key.n + kTile - 1) / kTile;
     blocks += run.blocks();
-    prep_chunks += run.prep().chunks;
     work += key.m * key.n * key.k;
   }
 
   if (emulated > 0) {
     const obs::ScopedSpan span(batch_id == 0 ? "egemm_multiply"
                                              : "egemm_grouped");
-#ifndef NDEBUG
-    const ExecuteOverlap overlap;
-    const std::uint64_t split_before = core::debug_split_elements();
-#endif
     util::ThreadPool& pool = util::global_pool();
     if (pool.size() <= 1 || work < kSmallGemmInlineThreshold) {
       WorkspaceLease lease = ctx.lease_workspace();
       for (ItemRun& run : runs) {
         if (run.op.plan->direct()) continue;
-        run.ws = &*lease;
         {
           const obs::StageTimer prep(nullptr, &walls.prep);
+          run.ws = &*lease;
           size_item(run);
-          prep_rows(run, 0, run.key().m + run.key().k);
+          prep_rows(run, 0, run.rows.end());
         }
+        check_split_once(run);
         const obs::ScopedSpan mma("mma");
         EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
         run_linear(run, 0, run.blocks());
@@ -540,20 +660,9 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
           run.ws = &**run.lease;
           size_item(run);
         }
-        pool.parallel_for(prep_chunks, [&runs](std::size_t c0,
-                                               std::size_t c1) {
-          for (std::size_t c = c0; c < c1; ++c) {
-            // The last item starting at or before c owns it, as in the
-            // block stream below.
-            ItemRun& run = *(std::ranges::upper_bound(runs, c, {},
-                                                      &ItemRun::prep_first) -
-                             1);
-            const PrepRows rows = run.prep();
-            const std::size_t j = c - run.prep_first;
-            prep_rows(run, rows.start(j), rows.start(j + 1));
-          }
-        });
+        prep_pass(runs, prep_chunks);
       }
+      for (const ItemRun& run : runs) check_split_once(run);
       const obs::StageTimer engine(nullptr, &walls.engine);
       if (emulated == 1) {
         ItemRun& run = *std::ranges::find_if(
@@ -593,22 +702,6 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
         });
       }
     }
-#ifndef NDEBUG
-    // Each input element must be split exactly once per GEMM -- the plane
-    // cache is the point of the packed engine, so re-splitting anywhere
-    // downstream is a bug. A is split in whole 16-row blocks, its last
-    // block's rows past m as zeros. Another execute's splits would land in
-    // the same counter, so the count is checked when this one ran alone.
-    std::uint64_t expected_split = 0;
-    for (const ItemRun& run : runs) {
-      if (!run.op.plan->direct()) {
-        expected_split += run.row_blocks * kTile * run.key().k +
-                          run.op.b->data().size();
-      }
-    }
-    const std::uint64_t split = core::debug_split_elements() - split_before;
-    EGEMM_ENSURES(!overlap.alone() || split == expected_split);
-#endif
   }
   if (obs::kEnabled) record_calls(runs, walls, batch_id, lookup);
 }
@@ -642,11 +735,10 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
 // ---------------------------------------------------------------------------
 
 void Workspace::ensure(std::size_t m, std::size_t n, std::size_t k,
-                       int planes) {
+                       int planes, bool fill_a, bool fill_b) {
   const auto count = static_cast<std::size_t>(planes);
-  // Deliberately not short-circuited: both packs must be sized.
-  const bool a_grew = apack_.resize(count, m, k);
-  const bool b_grew = bpack_.resize(count, k, n);
+  const bool a_grew = fill_a && apack_.resize(count, m, k);
+  const bool b_grew = fill_b && bpack_.resize(count, n, k);
   if (a_grew || b_grew) count_workspace_allocation();
 }
 
@@ -666,7 +758,7 @@ GemmPlan::GemmPlan(const PlanKey& key) : key_(key) {
   }
 }
 
-void GemmPlan::execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
+void GemmPlan::execute(GemmContext& ctx, const Operand& a, const Operand& b,
                        const Matrix* c, Matrix& d) const {
   // Consume the plan_for breadcrumb whether or not recording is on, so a
   // stale hit/miss never attaches to a later call through a held plan.
@@ -676,8 +768,34 @@ void GemmPlan::execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
     leave_breadcrumb(nullptr, obs::PlanLookup::kUnknown);
   }
   ItemRun run;
-  run.op = {this, &a, &b, c, &d};
+  run.op = {this, a, b, c, &d};
   run_items(ctx, {&run, 1}, /*batch_id=*/0, lookup);
+}
+
+Operand GemmPlan::keep(GemmContext& ctx, Side side, const Operand& source,
+                       KeptPack& pack) const {
+  EGEMM_EXPECTS(source.kept() == nullptr);
+  check_operand(*this, side, source);
+  if (direct()) return source;
+  if (!pack.lease_) pack.lease_.emplace(ctx.lease_workspace());
+  Workspace& ws = **pack.lease_;
+  const bool a = side == Side::kA;
+  ws.ensure(m(), n(), k(), planes(), a, !a);
+  pack.pack_ = a ? &ws.packed_a() : &ws.packed_b();
+  pack.split_ = split();
+  ItemRun run;
+  run.op.plan = this;
+  (a ? run.op.a : run.op.b) = source;
+  (a ? run.fill_a : run.fill_b) = pack.pack_;
+  run.prep(side, source);
+  prep_pass({&run, 1}, run.rows.chunks);
+  check_split_once(run);
+  return pack;
+}
+
+const PackedPlanes& KeptPack::pack() const noexcept {
+  static const PackedPlanes empty;
+  return pack_ != nullptr ? *pack_ : empty;
 }
 
 KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {

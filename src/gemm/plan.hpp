@@ -84,17 +84,20 @@ struct PlanKeyHash {
 /// execute() allocates nothing.
 class Workspace {
  public:
-  /// Sizes the packs (growing, never shrinking, their storage) to fit
-  /// `planes` split planes of an (m x k) x (k x n) problem. The execute
-  /// pipeline then splits into them by row ranges.
-  void ensure(std::size_t m, std::size_t n, std::size_t k, int planes);
+  /// Sizes the packs prep fills (growing, never shrinking, their storage)
+  /// for `planes` split planes of an (m x k) x (k x n) problem: A's unless
+  /// `fill_a` is false, B's unless `fill_b` is (an operand passed as a
+  /// kept pack is not filled). The execute pipeline then splits into them
+  /// by row ranges.
+  void ensure(std::size_t m, std::size_t n, std::size_t k, int planes,
+              bool fill_a, bool fill_b);
 
-  PackedPlanesA& packed_a() noexcept { return apack_; }
-  PackedPlanesB& packed_b() noexcept { return bpack_; }
+  PackedPlanes& packed_a() noexcept { return apack_; }
+  PackedPlanes& packed_b() noexcept { return bpack_; }
 
  private:
-  PackedPlanesA apack_;
-  PackedPlanesB bpack_;
+  PackedPlanes apack_;
+  PackedPlanes bpack_;
 };
 
 /// Work (m*n*k multiply-adds, summed over a grouped call's items) below
@@ -150,6 +153,61 @@ class WorkspaceLease {
   std::unique_ptr<Workspace> ws_;
 };
 
+/// Which operand of a plan a pack stands for.
+enum class Side { kA, kB };
+
+/// An operand's split planes kept across executes (DESIGN.md §13): filled
+/// once by GemmPlan::keep, then passed to execute in that operand's place,
+/// where prep skips it. It is the workspace's own pack type, held in a
+/// workspace leased from the filling context (so its storage returns to
+/// that context's pool, warm, when the kept pack is destroyed, and it must
+/// not outlive the context); the one execute path and the one tile kernel
+/// read it. A pack holds 16-lane k-major panels whatever the role, so one
+/// pack of X serves as A = X^T and as B = X. An execute checks it against
+/// the plan's extents, plane count and split before anything runs.
+/// Executes only read it, so any number may share it concurrently;
+/// refilling it while one runs is a race.
+class KeptPack {
+ public:
+  std::size_t lanes() const noexcept { return pack().lanes(); }
+  std::size_t k() const noexcept { return pack().k(); }
+  std::size_t planes() const noexcept { return pack().planes(); }
+  core::SplitMethod split() const noexcept { return split_; }
+  /// The filled pack (an empty one before the first fill).
+  const PackedPlanes& pack() const noexcept;
+
+ private:
+  friend class GemmPlan;
+  std::optional<WorkspaceLease> lease_;
+  PackedPlanes* pack_ = nullptr;  ///< one of lease_'s packs
+  core::SplitMethod split_ = core::SplitMethod::kRoundSplit;
+};
+
+/// One input of an execute: a row-major matrix read as given or as its
+/// transpose, or a kept pack. Converts from a matrix (as given), so
+/// execute(ctx, a, b, c, d) and GroupedGemm{plan, &a, &b, c, &d} read their
+/// inputs as given.
+class Operand {
+ public:
+  Operand() = default;
+  Operand(const Matrix& matrix, Transpose trans = Transpose::kNone) noexcept
+      : matrix_(&matrix), trans_(trans) {}
+  Operand(const Matrix* matrix, Transpose trans = Transpose::kNone) noexcept
+      : matrix_(matrix), trans_(trans) {}
+  Operand(const KeptPack& kept) noexcept : kept_(&kept) {}
+
+  /// The matrix, or null for a kept pack.
+  const Matrix* matrix() const noexcept { return matrix_; }
+  Transpose trans() const noexcept { return trans_; }
+  /// The kept pack, or null for a matrix.
+  const KeptPack* kept() const noexcept { return kept_; }
+
+ private:
+  const Matrix* matrix_ = nullptr;
+  Transpose trans_ = Transpose::kNone;
+  const KeptPack* kept_ = nullptr;
+};
+
 /// An immutable execution plan, created once per (shape, backend, rung)
 /// by a GemmContext and shared via the cache. Thread-safe to execute
 /// concurrently (all mutable state lives in the leased workspace and the
@@ -188,12 +246,27 @@ class GemmPlan {
   std::size_t workspace_bytes() const noexcept { return workspace_bytes_; }
   const PlanKey& key() const noexcept { return key_; }
 
-  /// Runs the plan: D = A x B (+ C) into caller-owned `d` (resized in
-  /// place). A/B/C extents must match the planned shape. Allocation-free
-  /// once `d` and the context's workspace pool have warmed up. This is
-  /// the one-item case of the pipeline execute_grouped runs.
-  void execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
+  /// Runs the plan: D = op(A) x op(B) (+ C) into caller-owned `d`
+  /// (resized in place). op(A), op(B) and C must match the planned shape.
+  /// An operand given as its transpose is read through the pack's copying
+  /// or transposing fill, never copied; a kept pack is read as filled.
+  /// Throws std::invalid_argument, before anything is written or counted,
+  /// when a kept pack's extents, plane count or split differ from the
+  /// plan's, or the plan is direct. Allocation-free once `d` and the
+  /// context's workspace pool have warmed up. This is the one-item case of
+  /// the pipeline execute_grouped runs.
+  void execute(GemmContext& ctx, const Operand& a, const Operand& b,
                const Matrix* c, Matrix& d) const;
+
+  /// Fills `pack` with this plan's operand `side` from `source` (op(A),
+  /// m x k, or op(B), k x n; not itself a kept pack), split per the
+  /// recipe, in prep_rows' chunks on the pool: the same bits an execute's
+  /// prep writes. The first fill leases the pack's workspace from `ctx`;
+  /// a refill reuses it. Returns the operand executes of this plan take
+  /// for `side`: the pack -- or, on a direct plan, which splits nothing
+  /// and leaves `pack` as it is, `source` itself.
+  Operand keep(GemmContext& ctx, Side side, const Operand& source,
+               KeptPack& pack) const;
 
   /// Simulated execution time on `spec` for the planned shape, dispatched
   /// like time_gemm, on the Table 4 tiling (table4_config(), the §6
@@ -221,11 +294,20 @@ class GemmPlan {
 /// emulated stream, and record under the batch's id.
 struct GroupedGemm {
   std::shared_ptr<const GemmPlan> plan;
-  const Matrix* a = nullptr;
-  const Matrix* b = nullptr;
+  Operand a;
+  Operand b;
   const Matrix* c = nullptr;  ///< optional accumulator input
   Matrix* d = nullptr;        ///< caller-owned output, resized in place
 };
+
+/// The matrix an item input names, for the chain check below; null for a
+/// kept pack, which no output can be.
+inline const Matrix* input_matrix(const Matrix* input) noexcept {
+  return input;
+}
+inline const Matrix* input_matrix(const Operand& input) noexcept {
+  return input.matrix();
+}
 
 /// Aborts, in release builds too, when an item's output is any item's A,
 /// B or C, or two items share an output. A loop of single calls would let
@@ -244,7 +326,8 @@ void expect_unchained(std::span<const Item> items) {
   std::ranges::sort(outputs);
   EGEMM_EXPECTS(std::ranges::adjacent_find(outputs) == outputs.end());
   for (const Item& item : items) {
-    for (const Matrix* input : {item.a, item.b, item.c}) {
+    for (const Matrix* input :
+         {input_matrix(item.a), input_matrix(item.b), item.c}) {
       EGEMM_EXPECTS(!std::ranges::binary_search(outputs, input));
     }
   }

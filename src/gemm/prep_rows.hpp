@@ -1,7 +1,8 @@
 #pragma once
-// How a pooled execute cuts one item's prep -- the split straight into
-// the packs -- into row-range chunks (gemm/plan.cpp's prep_rows). Engine
-// internal; a header only so tests can pin where the cuts fall.
+// How a pooled execute, or a kept pack's fill, cuts one item's prep -- the
+// split straight into the packs -- into row-range chunks (gemm/plan.cpp's
+// prep_rows). Engine internal; a header only so tests can pin where the
+// cuts fall.
 
 #include <algorithm>
 #include <cstddef>
@@ -27,45 +28,69 @@ namespace egemm::gemm {
 /// 64 items already fill the pass.
 inline constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 13;
 
-/// An item's prep as one row space: A's m rows, then B's k rows. A row
-/// weighs the elements it reads and writes: the split reads it and writes
-/// `planes` planes into the pack through an L1 strip. A can only be cut on
-/// a 16-row block edge (or m): a k-major A block interleaves its 16 rows
-/// in every line, so a block is filled by one chunk. The space is cut into
-/// chunks of equal weight, each at least kPrepChunkElems and at least the
-/// heaviest unit it cannot cut (an A block, a B row), so an item lighter
-/// than two such grains is one chunk and every chunk holds rows.
+/// One operand's share of an item's prep: the rows of its source, each
+/// weighing the elements it reads and writes (the split reads it and
+/// writes `planes` planes into the pack through an L1 strip), cut only on
+/// multiples of `grain` or at `rows`. Lane rows (the transposing fill) cut
+/// on 16-lane panel edges: a k-major panel interleaves its 16 lanes in
+/// every line, so a panel is filled by one chunk. k rows (the copying
+/// fill) cut anywhere. An operand passed as a kept pack has no rows.
+struct PrepSpan {
+  std::size_t rows = 0;
+  std::size_t grain = 1;
+  std::uint64_t row_weight = 0;
+
+  /// The span of a lanes x k pack of `planes` planes filled from a source
+  /// in `source` orientation.
+  static PrepSpan of(PackSource source, std::size_t lanes, std::size_t k,
+                     int planes) {
+    const auto weight = static_cast<std::uint64_t>(planes) + 1;
+    return source == PackSource::kLaneRows
+               ? PrepSpan{lanes, kPackTile, weight * k}
+               : PrepSpan{k, 1, weight * lanes};
+  }
+
+  std::uint64_t total() const noexcept { return rows * row_weight; }
+  /// The heaviest unit a chunk cannot cut.
+  std::uint64_t unit() const noexcept { return grain * row_weight; }
+};
+
+/// An item's prep as one row space: A's source rows, then B's. The space
+/// is cut into chunks of equal weight, each at least kPrepChunkElems and
+/// at least the heaviest unit it cannot cut (a lane panel, a k row), so an
+/// item lighter than two such grains is one chunk and every chunk of a
+/// non-empty space holds rows.
 struct PrepRows {
-  std::size_t m, k;
-  std::uint64_t a_row, b_row, total;
-  std::size_t chunks;
+  PrepSpan a, b;
+  std::uint64_t total = 0;
+  std::size_t chunks = 1;
 
-  /// The prep of an (a_rows x b_rows) x (b_rows x n) product split into
-  /// `planes` planes.
-  PrepRows(std::size_t a_rows, std::size_t n, std::size_t b_rows, int planes)
-      : m(a_rows),
-        k(b_rows),
-        a_row((static_cast<std::uint64_t>(planes) + 1) * b_rows),
-        b_row((static_cast<std::uint64_t>(planes) + 1) * n),
-        total(m * a_row + k * b_row),
+  PrepRows() = default;
+  PrepRows(const PrepSpan& a_span, const PrepSpan& b_span)
+      : a(a_span),
+        b(b_span),
+        total(a.total() + b.total()),
         chunks(static_cast<std::size_t>(std::max<std::uint64_t>(
-            1, total / std::max({kPrepChunkElems, kPackTile * a_row,
-                                 b_row})))) {}
+            1, total / std::max({kPrepChunkElems, a.unit(), b.unit()})))) {}
 
-  /// First row of chunk `j`, rounded up to the next cut A or B allows;
-  /// start(chunks) is the end of the space. A chunk's weight is at least
-  /// the widest gap between allowed cuts, so start(j) < start(j + 1).
+  /// One past the last row of the space.
+  std::size_t end() const noexcept { return a.rows + b.rows; }
+
+  /// First row of chunk `j`, rounded up to the next cut its operand's
+  /// fill allows; start(chunks) is end(). A chunk's weight is at least the
+  /// widest gap between allowed cuts, so start(j) < start(j + 1).
   std::size_t start(std::size_t j) const {
     if (j == 0) return 0;
-    if (j == chunks) return m + k;
-    const auto ceil_div = [](std::uint64_t x, std::uint64_t y) {
-      return static_cast<std::size_t>((x + y - 1) / y);
+    if (j == chunks) return end();
+    const auto cut = [](const PrepSpan& span, std::uint64_t x) {
+      const std::uint64_t unit = span.unit();
+      return std::min(span.rows,
+                      static_cast<std::size_t>((x + unit - 1) / unit) *
+                          span.grain);
     };
     const std::uint64_t x = j * total / chunks;
-    const std::uint64_t a_total = m * a_row;
-    return x <= a_total
-               ? std::min(m, ceil_div(x, kPackTile * a_row) * kPackTile)
-               : m + ceil_div(x - a_total, b_row);
+    const std::uint64_t a_total = a.total();
+    return x <= a_total ? cut(a, x) : a.rows + cut(b, x - a_total);
   }
 };
 

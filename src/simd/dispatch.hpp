@@ -47,11 +47,13 @@ struct KernelTable {
   /// Whole-tile recipe kernel: runs the per-tile combo x k-slab loop of
   /// the packed engine with the accumulator tile held in registers across
   /// the entire k extent (the seed driver reloaded it from L1 once per
-  /// 16-deep slab). `a_blocks` / `b_blocks` hold one packed A/B block base
-  /// pointer per combo. Both are k-major: A element (r, kk) sits at
-  /// a_blocks[c][kk * kMmaTile + r] (the layout gemm::PackedPlanesA packs),
-  /// B element (kk, j) at b_blocks[c][kk * kMmaTile + j], so each k of
-  /// each operand is one contiguous 64-byte run. Semantics:
+  /// 16-deep slab). `a_blocks` / `b_blocks` hold one packed A/B panel base
+  /// pointer per combo, both in the one k-major panel layout
+  /// gemm::PackedPlanes packs for either operand (its transposing and
+  /// copying fills write the same floats): A element (r, kk) sits at
+  /// a_blocks[c][kk * kMmaTile + r], B element (kk, j) at
+  /// b_blocks[c][kk * kMmaTile + j], so each k of each operand is one
+  /// contiguous 64-byte run. Semantics:
   ///
   ///   fused:  for k0 in [0, k) step k_slab: for c in combos: slab(c, k0)
   ///   !fused: for c in combos: for k0 in [0, k) step k_slab: slab(c, k0)

@@ -94,9 +94,10 @@ void mma_block_packed(float* acc, const float* a, std::size_t lda,
 /// combo x k-slab loop in one dispatched call so the SIMD variants can
 /// keep the kTcM x kTcN accumulator tile in registers across the entire k
 /// extent. `a_blocks[c]` / `b_blocks[c]` are the combo-c packed A-plane
-/// and B-plane block bases, both k-major: A element (r, kk) at
-/// a_blocks[c][kk * kTcM + r] (gemm::PackedPlanesA's layout), B element
-/// (kk, j) at b_blocks[c][kk * kTcN + j]. Semantics are exactly the loop
+/// and B-plane panel bases, both in the one k-major panel layout
+/// gemm::PackedPlanes packs for either operand, whichever fill wrote it:
+/// A element (r, kk) at a_blocks[c][kk * kTcM + r], B element (kk, j) at
+/// b_blocks[c][kk * kTcN + j]. Semantics are exactly the loop
 /// nest
 ///
 ///   fused:  for k0 step k_slab: for c: mma_block_packed(acc, A_c[:, k0:],

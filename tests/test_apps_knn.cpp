@@ -167,8 +167,8 @@ struct KnnCase {
   }
 };
 
-// Shapes that grow, shrink and grow again in both the cross matrix and the
-// transposed references a calling thread keeps.
+// Shapes that grow, shrink and grow again in both the query panels (70 and
+// 150 queries run full 64-row panels and a tail) and the references.
 std::vector<KnnCase> knn_cases() {
   std::vector<KnnCase> cases;
   cases.push_back({uniform_cloud(70, 9, -1.0f, 1.0f, 51),
@@ -180,9 +180,12 @@ std::vector<KnnCase> knn_cases() {
   return cases;
 }
 
-TEST(Knn, KeptCrossMatrixGivesTheFreshThreadBits) {
-  // Back to back on this thread, each search reuses (or regrows) the cross
-  // matrix the previous one left; a fresh thread starts with none.
+TEST(Knn, PanelBufferGivesTheFreshThreadBits) {
+  // Back to back on this thread, each search streams its query panels
+  // through a cross buffer and packs its references into a kept pack whose
+  // storage comes back warm from the context's pool, as the previous
+  // search left it (or regrown); a fresh thread's search must give the
+  // same bits.
   const std::vector<KnnCase> cases = knn_cases();
   for (int round = 0; round < 2; ++round) {
     for (std::size_t c = 0; c < cases.size(); ++c) {
@@ -196,9 +199,9 @@ TEST(Knn, KeptCrossMatrixGivesTheFreshThreadBits) {
 }
 
 TEST(Knn, ConcurrentCallersEachGetTheSingleThreadedResult) {
-  // Two callers race through different shapes at once; each keeps its own
-  // cross matrix, and each pool call goes to one caller while the other's
-  // runs inline.
+  // Two callers race through different shapes at once; each streams its
+  // own panels and kept reference pack, and each pool call goes to one
+  // caller while the other's runs inline.
   const std::vector<KnnCase> cases = knn_cases();
   std::vector<KnnResult> expected;
   for (const KnnCase& c : cases) expected.push_back(c.search());

@@ -3,22 +3,31 @@
 // method, combo order, ladder rung, and C-accumulation variant -- including
 // shapes smaller than one tile, odd k, and k = 1, where the padding and
 // remainder paths differ most between the engine and the oracle.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/dataset.hpp"
+#include "apps/kmeans.hpp"
 #include "core/scheme.hpp"
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
 #include "gemm/prep_rows.hpp"
+#include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/isa.hpp"
@@ -283,15 +292,49 @@ TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
   }
 }
 
-TEST(PackedPlanesA, FillRowsPacksEachBlockKMajor) {
-  // Element (r, kk) of plane p sits at block(p, r / 16)[kk * 16 + r % 16];
-  // the last block's lanes past m are zero; and filling by row ranges cut
-  // on block edges gives assign()'s bits, over stale contents.
-  // k = 63 and 65 straddle a 64-column strip, 1025 ends on a one-column
-  // strip.
-  const std::size_t kMs[] = {1, 15, 17, 40};
+/// The one panel layout, from planes[p] (lanes x k): element (l, kk) at
+/// [l / 16 * 16 * k + kk * 16 + l % 16], lanes past the extent +0.
+std::vector<std::vector<float>> panel_layout(std::span<const Matrix> planes) {
+  const std::size_t lanes = planes[0].rows();
+  const std::size_t k = planes[0].cols();
+  const std::size_t padded = (lanes + kPackTile - 1) / kPackTile * kPackTile;
+  std::vector<std::vector<float>> out;
+  for (const Matrix& plane : planes) {
+    std::vector<float>& layout = out.emplace_back(padded * k, 0.0f);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        layout[l / kPackTile * kPackTile * k + kk * kPackTile +
+               l % kPackTile] = plane.at(l, kk);
+      }
+    }
+  }
+  return out;
+}
+
+/// True when every plane of `pack` holds `layout`'s bits.
+bool holds_layout(const PackedPlanes& pack,
+                  const std::vector<std::vector<float>>& layout) {
+  if (pack.planes() != layout.size()) return false;
+  for (std::size_t p = 0; p < layout.size(); ++p) {
+    if (std::memcmp(pack.block(p, 0), layout[p].data(),
+                    layout[p].size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PackedPlanes, BothFillsPackEachPanelKMajor) {
+  // One layout, two fills: lane rows (lanes x k) go through the
+  // transposing fill and k rows (k x lanes) through the copying fill, and
+  // both land on the same panels, over stale NaNs in every lane, padding
+  // included (it must come out +0), cut on the edges each fill allows:
+  // 16-lane panels for lane rows, any row for k rows. Lanes up to 40 fill
+  // the copying fill's strip with whole rows; 1030 cuts each row into
+  // column runs past kPackStrip. k = 63 and 65 straddle the transposing
+  // fill's 64-column strip, 1025 ends on a one-column strip.
+  const std::size_t kLanes[] = {1, 15, 17, 40, 1030};
   const std::size_t kKs[] = {1, 63, 65, 1025};
-  const std::size_t kEdges[] = {32, 40};
   // An elementwise three-plane "split" with exact, distinct planes that,
   // like the real splits, takes +0 to +0.
   const auto split = [](const float* in, std::size_t count,
@@ -302,94 +345,342 @@ TEST(PackedPlanesA, FillRowsPacksEachBlockKMajor) {
       out[2][i] = 0.5f * in[i];
     }
   };
-  for (const std::size_t m : kMs) {
+  for (const std::size_t lanes : kLanes) {
     for (const std::size_t k : kKs) {
-      const std::string where =
-          "m=" + std::to_string(m) + " k=" + std::to_string(k);
-      const Matrix src = random_matrix(m, k, -1, 1, 700);
-      std::vector<Matrix> planes(kMaxPackPlanes, Matrix(m, k));
-      for (std::size_t i = 0; i < src.data().size(); ++i) {
+      const Matrix x = random_matrix(lanes, k, -1, 1, 700);  // lanes x k
+      std::vector<Matrix> planes(kMaxPackPlanes, Matrix(lanes, k));
+      for (std::size_t i = 0; i < x.data().size(); ++i) {
         float* out[kMaxPackPlanes] = {&planes[0].data()[i],
                                       &planes[1].data()[i],
                                       &planes[2].data()[i]};
-        split(&src.data()[i], 1, out);
+        split(&x.data()[i], 1, out);
       }
-      PackedPlanesA whole;
-      whole.assign(planes);
-      const std::size_t rows = (m + kPackTile - 1) / kPackTile * kPackTile;
-      for (std::size_t p = 0; p < planes.size(); ++p) {
-        for (std::size_t r = 0; r < rows; ++r) {
-          const float* block = whole.block(p, r / kPackTile);
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float want = r < m ? planes[p].at(r, kk) : 0.0f;
-            const float got = block[kk * kPackTile + r % kPackTile];
-            ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
-                << where << " plane " << p << " (" << r << ", " << kk << ")";
-          }
+      const auto want = panel_layout(planes);
+      const std::size_t padded =
+          (lanes + kPackTile - 1) / kPackTile * kPackTile;
+      for (const PackSource source :
+           {PackSource::kLaneRows, PackSource::kKRows}) {
+        const bool lane_rows = source == PackSource::kLaneRows;
+        const std::string where = std::string(lane_rows ? "lane" : "k") +
+                                  " rows, lanes=" + std::to_string(lanes) +
+                                  " k=" + std::to_string(k);
+        const Matrix src = lane_rows ? x : transpose(x);
+        std::vector<Matrix> src_planes;
+        for (const Matrix& plane : planes) {
+          src_planes.push_back(lane_rows ? plane : transpose(plane));
         }
-      }
+        PackedPlanes whole;
+        whole.assign(src_planes, source);
+        EXPECT_TRUE(holds_layout(whole, want)) << where << " (assign)";
 
-      // Stale NaNs in every lane, padding included, then a refill in
-      // block-edge row ranges.
-      std::vector<Matrix> stale(planes.size(), Matrix(rows, k));
-      for (Matrix& plane : stale) {
-        plane.fill(std::numeric_limits<float>::quiet_NaN());
+        // Stale NaNs in every lane, padding included: a pack of the padded
+        // extent, shrunk in place.
+        const Matrix nan_plane = [&] {
+          Matrix m(padded, k);
+          m.fill(std::numeric_limits<float>::quiet_NaN());
+          return lane_rows ? m : transpose(m);
+        }();
+        PackedPlanes cut;
+        cut.assign(std::vector<Matrix>(kMaxPackPlanes, nan_plane), source);
+        EXPECT_FALSE(cut.resize(kMaxPackPlanes, lanes, k)) << where;
+        const std::size_t rows = lane_rows ? lanes : k;
+        const std::vector<std::size_t> edges =
+            lane_rows ? std::vector<std::size_t>{16, 48}
+                      : std::vector<std::size_t>{1, 37, 64};
+        std::size_t r0 = 0;
+        for (const std::size_t edge : edges) {
+          const std::size_t r1 = std::min(rows, edge);
+          cut.fill_rows(source, r0, r1, src.data().data(), split);
+          r0 = r1;
+        }
+        cut.fill_rows(source, r0, rows, src.data().data(), split);
+        EXPECT_TRUE(holds_layout(cut, want)) << where << " (cut fill)";
       }
-      PackedPlanesA cut;
-      cut.assign(stale);
-      EXPECT_FALSE(cut.resize(planes.size(), m, k)) << where;
-      std::size_t r0 = 0;
-      for (const std::size_t edge : kEdges) {
-        const std::size_t r1 = std::min(m, edge);
-        cut.fill_rows(r0, r1, src.data().data(), split);
-        r0 = r1;
-      }
+    }
+  }
+}
+
+TEST(PackedPlanes, KeptPacksMatchTheLayoutForBothRolesAndOrientations) {
+  // GemmPlan::keep fills A (m lanes) or B (n lanes) from a matrix read as
+  // given or as its transpose, through the plan's own split, in pooled
+  // prep chunks: every combination must hold the one layout of the
+  // operand's planes. 901 lanes and k = 131 cut into several chunks.
+  for (const auto& [lanes, k] : {std::pair<std::size_t, std::size_t>{37, 19},
+                                std::pair<std::size_t, std::size_t>{901, 131},
+                                std::pair<std::size_t, std::size_t>{13, 1501}}) {
+    const Matrix x = random_matrix(lanes, k, -4, 4, 710);  // lanes x k
+    for (const core::SchemeId scheme :
+         {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+      const core::SchemeDescriptor& rung = core::scheme(scheme);
+      std::vector<Matrix> planes(static_cast<std::size_t>(rung.planes),
+                                 Matrix(lanes, k));
+      float* out[kMaxPackPlanes] = {};
       for (std::size_t p = 0; p < planes.size(); ++p) {
-        EXPECT_EQ(std::memcmp(cut.block(p, 0), whole.block(p, 0),
-                              rows * k * sizeof(float)),
-                  0)
-            << where << " plane " << p;
+        out[p] = planes[p].data().data();
+      }
+      core::split_planes_f32(x.data(), {out, planes.size()}, rung.split);
+      const auto want = panel_layout(planes);
+      for (const Side side : {Side::kA, Side::kB}) {
+        // A = x (lanes = m), or B = x^T (lanes = n).
+        const auto plan =
+            side == Side::kA
+                ? default_context().plan_scheme(scheme, lanes, 16, k)
+                : default_context().plan_scheme(scheme, 16, lanes, k);
+        const Matrix xt = transpose(x);
+        const bool a = side == Side::kA;
+        for (const Operand& source :
+             {Operand(a ? x : xt), Operand(a ? xt : x, Transpose::kTranspose)}) {
+          KeptPack pack;
+          plan->keep(default_context(), side, source, pack);
+          EXPECT_TRUE(holds_layout(pack.pack(), want))
+              << (a ? "A" : "B")
+              << (source.trans() == Transpose::kTranspose ? " transposed"
+                                                          : " as given")
+              << " lanes=" << lanes << " k=" << k << " "
+              << core::scheme_name(scheme);
+          EXPECT_EQ(pack.split(), rung.split);
+        }
       }
     }
   }
 }
 
 TEST(PackedPlanesA, PrepChunksCutARowsOnBlockEdges) {
-  // Pooled prep chunks run concurrently; a k-major A block interleaves 16
-  // rows in every line, so each A cut must fall on a block edge or on m.
-  // Every chunk holds rows: none is an empty pool task.
+  // Pooled prep chunks run concurrently; a k-major panel interleaves 16
+  // lanes in every line, so a cut in a lane-rows source (A as given, B
+  // transposed) must fall on a panel edge or on its end, while a k-rows
+  // source (B as given, A transposed) may be cut on any row. Every chunk
+  // holds rows: none is an empty pool task. A kept operand has no rows.
   const Shape shapes[] = {{901, 13, 131},   {13, 61, 1501}, {40, 7, 1025},
                           {1024, 1024, 1024}, {17, 64, 256}, {128, 128, 16384},
-                          {64, 64, 64},     {1, 1, 1}};
+                          {64, 64, 64},     {1, 1, 1},      {2048, 4096, 128}};
+  const std::optional<PackSource> sources[] = {
+      PackSource::kLaneRows, PackSource::kKRows, std::nullopt};
   for (const Shape s : shapes) {
     for (const int planes : {2, 3}) {
-      const PrepRows rows(s.m, s.n, s.k, planes);
-      const std::string where = std::to_string(s.m) + "x" +
-                                std::to_string(s.n) + "x" +
-                                std::to_string(s.k) + " planes " +
-                                std::to_string(planes);
-      EXPECT_EQ(rows.start(0), 0u) << where;
-      EXPECT_EQ(rows.start(rows.chunks), s.m + s.k) << where;
-      std::size_t a_cuts = 0;
-      for (std::size_t j = 1; j <= rows.chunks; ++j) {
-        const std::size_t start = rows.start(j);
-        EXPECT_LT(rows.start(j - 1), start) << where << " chunk " << j;
-        if (start < s.m) {
-          ++a_cuts;
-          EXPECT_EQ(start % kPackTile, 0u) << where << " chunk " << j;
+      for (const auto a_source : sources) {
+        for (const auto b_source : sources) {
+          const auto span = [&](const std::optional<PackSource>& source,
+                                std::size_t lanes) {
+            return source ? PrepSpan::of(*source, lanes, s.k, planes)
+                          : PrepSpan{};
+          };
+          const PrepRows rows(span(a_source, s.m), span(b_source, s.n));
+          const std::string where =
+              std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+              std::to_string(s.k) + " planes " + std::to_string(planes) +
+              " sources " + std::to_string(a_source ? int(*a_source) : -1) +
+              "/" + std::to_string(b_source ? int(*b_source) : -1);
+          EXPECT_EQ(rows.start(0), 0u) << where;
+          EXPECT_EQ(rows.start(rows.chunks), rows.end()) << where;
+          std::size_t a_cuts = 0;
+          for (std::size_t j = 1; j <= rows.chunks; ++j) {
+            const std::size_t start = rows.start(j);
+            if (rows.end() > 0) {
+              EXPECT_LT(rows.start(j - 1), start) << where << " chunk " << j;
+            }
+            const bool in_a = start < rows.a.rows;
+            const PrepSpan& op = in_a ? rows.a : rows.b;
+            const std::size_t row = in_a ? start : start - rows.a.rows;
+            if (row < op.rows) {
+              EXPECT_EQ(row % op.grain, 0u) << where << " chunk " << j;
+              if (in_a) ++a_cuts;
+            }
+          }
+          if (a_source && s.m >= 4 * kPackTile && rows.chunks > 8) {
+            EXPECT_GT(a_cuts, 0u) << where;  // A's rows are cut too
+          }
         }
-      }
-      if (s.m >= 4 * kPackTile && rows.chunks > 8) {
-        EXPECT_GT(a_cuts, 0u) << where;  // A's rows are cut too
       }
     }
   }
 }
 
+TEST(PackedEngine, OperandOrientationsAndKeptPacksGiveTheFreshBits) {
+  // Every way in for A and B -- as given, transposed (read in place by the
+  // other fill), or a kept pack filled either way -- must give the bits of
+  // the plain execute, serial (37 x 29 x 41) and pooled (200 x 150 x 130),
+  // on a two- and a three-plane rung, with and without C.
+  for (const Shape s : {Shape{37, 41, 29}, Shape{200, 150, 130}}) {
+    const Matrix a = random_matrix(s.m, s.k, -1, 1, 720);
+    const Matrix b = random_matrix(s.k, s.n, -1, 1, 721);
+    const Matrix c = random_matrix(s.m, s.n, -1, 1, 722);
+    const Matrix at = transpose(a);
+    const Matrix bt = transpose(b);
+    for (const core::SchemeId scheme :
+         {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+      GemmContext& ctx = default_context();
+      const auto plan = ctx.plan_scheme(scheme, s.m, s.n, s.k);
+      KeptPack kept_a;
+      KeptPack kept_at;
+      KeptPack kept_b;
+      KeptPack kept_bt;
+      plan->keep(ctx, Side::kA, a, kept_a);
+      plan->keep(ctx, Side::kA, {at, Transpose::kTranspose}, kept_at);
+      plan->keep(ctx, Side::kB, b, kept_b);
+      plan->keep(ctx, Side::kB, {bt, Transpose::kTranspose}, kept_bt);
+      const Operand a_ways[] = {a, {at, Transpose::kTranspose}, kept_a,
+                                kept_at};
+      const Operand b_ways[] = {b, {bt, Transpose::kTranspose}, kept_b,
+                                kept_bt};
+      for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
+        const Matrix want = run_packed(*plan, a, b, cp);
+        for (std::size_t i = 0; i < std::size(a_ways); ++i) {
+          for (std::size_t j = 0; j < std::size(b_ways); ++j) {
+            Matrix d;
+            plan->execute(ctx, a_ways[i], b_ways[j], cp, d);
+            EXPECT_TRUE(bitwise_equal(d, want))
+                << s.m << "x" << s.n << "x" << s.k << " "
+                << core::scheme_name(scheme) << " A way " << i << " B way "
+                << j << " c=" << (cp != nullptr);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedEngine, MismatchedKeptPackIsRejectedBeforeAnythingRuns) {
+  // A kept pack whose extents, plane count or split differ from the plan,
+  // one never filled, or one handed to a direct plan is rejected before
+  // anything is written: D, the counters and the call records stay as
+  // they were, in a single execute and in a grouped one whose other item
+  // fits.
+  constexpr std::size_t kM = 40, kN = 24, kK = 33;
+  constexpr float kSentinel = -7.25f;
+  GemmContext ctx;
+  const Matrix a = random_matrix(kM, kK, -1, 1, 730);
+  const Matrix b = random_matrix(kK, kN, -1, 1, 731);
+  const auto plan = ctx.plan_scheme(core::SchemeId::kRound2, kM, kN, kK);
+  const Matrix longer = random_matrix(kM, kK + 1, -1, 1, 732);
+  std::vector<std::pair<std::string, KeptPack>> bad(4);
+  bad[0].first = "extents";
+  ctx.plan_scheme(core::SchemeId::kRound2, kM, kN, kK + 1)
+      ->keep(ctx, Side::kA, longer, bad[0].second);
+  bad[1].first = "planes";
+  ctx.plan_scheme(core::SchemeId::kRecovery3, kM, kN, kK)
+      ->keep(ctx, Side::kA, a, bad[1].second);
+  bad[2].first = "split";
+  ctx.plan_scheme(core::SchemeId::kTruncate2, kM, kN, kK)
+      ->keep(ctx, Side::kA, a, bad[2].second);
+  ASSERT_EQ(bad[2].second.planes(), static_cast<std::size_t>(plan->planes()));
+  bad[3].first = "never filled";
+  KeptPack fits;
+  plan->keep(ctx, Side::kA, a, fits);
+  const auto direct = ctx.plan(Backend::kCublasFp32, kM, kN, kK);
+
+  const auto count = [](const char* name) {
+    return obs::registry().counter(name).value();
+  };
+  const auto sentinel_d = [&] {
+    Matrix d(kM, kN);
+    d.fill(kSentinel);
+    return d;
+  };
+  const auto untouched = [&](const Matrix& d) {
+    return d.rows() == kM && d.cols() == kN &&
+           std::ranges::all_of(d.data(),
+                               [&](float v) { return v == kSentinel; });
+  };
+  const std::uint64_t calls = count("egemm.calls");
+  const std::uint64_t tiles = count("egemm.tiles");
+  obs::clear_call_records();
+  for (const auto& [what, pack] : bad) {
+    Matrix d = sentinel_d();
+    EXPECT_THROW(plan->execute(ctx, pack, b, nullptr, d),
+                 std::invalid_argument)
+        << what;
+    EXPECT_TRUE(untouched(d)) << what;
+    Matrix first = sentinel_d();
+    Matrix second = sentinel_d();
+    const GroupedGemm items[] = {{plan, &a, &b, nullptr, &first},
+                                 {plan, pack, &b, nullptr, &second}};
+    EXPECT_THROW(ctx.execute_grouped(items), std::invalid_argument) << what;
+    EXPECT_TRUE(untouched(first) && untouched(second)) << what;
+  }
+  Matrix d = sentinel_d();
+  EXPECT_THROW(direct->execute(ctx, fits, b, nullptr, d),
+               std::invalid_argument);
+  EXPECT_TRUE(untouched(d));
+  // A direct plan keeps nothing: keep hands back the matrix itself.
+  KeptPack unfilled;
+  EXPECT_EQ(direct->keep(ctx, Side::kA, a, unfilled).matrix(), &a);
+  EXPECT_EQ(unfilled.planes(), 0u);
+  EXPECT_EQ(count("egemm.calls"), calls);
+  EXPECT_EQ(count("egemm.tiles"), tiles);
+  EXPECT_TRUE(obs::drain_call_records().empty());
+  // The pack that fits still runs.
+  plan->execute(ctx, fits, b, nullptr, d);
+  EXPECT_TRUE(bitwise_equal(d, run_packed(*plan, a, b, nullptr)));
+}
+
+TEST(PackedEngine, KeptPackOutlivesPlanEvictionAndWorkspaceRegrow) {
+  // A kept pack owns its planes: evicting the plan that filled it and
+  // regrowing the context's workspaces with a larger call leave it giving
+  // the fresh bits, through the re-planned plan.
+  constexpr std::size_t kM = 96, kN = 80, kK = 70;
+  GemmContext ctx(1);
+  const Matrix a = random_matrix(kM, kK, -1, 1, 740);
+  const Matrix b = random_matrix(kK, kN, -1, 1, 741);
+  KeptPack kept;
+  Matrix fresh;
+  {
+    const auto plan = ctx.plan(Backend::kEgemmTC, kM, kN, kK);
+    plan->keep(ctx, Side::kB, b, kept);
+    plan->execute(ctx, a, b, nullptr, fresh);
+  }
+  static_cast<void>(ctx.plan(Backend::kEgemmTC, 8, 8, 8));  // evicts it
+  ASSERT_EQ(ctx.plan_evictions(), 1u);
+  const Matrix big_a = random_matrix(300, 200, -1, 1, 742);
+  const Matrix big_b = random_matrix(200, 260, -1, 1, 743);
+  Matrix big;
+  ctx.plan(Backend::kEgemmTC, 300, 260, 200)
+      ->execute(ctx, big_a, big_b, nullptr, big);  // regrows a workspace
+  const auto replanned = ctx.plan(Backend::kEgemmTC, kM, kN, kK);
+  Matrix d;
+  replanned->execute(ctx, a, kept, nullptr, d);
+  EXPECT_TRUE(bitwise_equal(d, fresh));
+}
+
+TEST(PackedEngine, ConcurrentExecutesShareOneKeptPack) {
+  // Executes only read a kept pack: callers racing through one pack each
+  // get the single-threaded bits, pooled and inline.
+  constexpr std::size_t kM = 130, kN = 120, kK = 90;
+  GemmContext ctx;
+  const auto plan = ctx.plan(Backend::kEgemmTC, kM, kN, kK);
+  const Matrix b = random_matrix(kK, kN, -1, 1, 750);
+  KeptPack kept;
+  plan->keep(ctx, Side::kB, b, kept);
+  std::vector<Matrix> a;
+  std::vector<Matrix> want;
+  for (unsigned i = 0; i < 3; ++i) {
+    a.push_back(random_matrix(kM, kK, -1, 1, 751 + i));
+    want.push_back(run_packed(*plan, a.back(), b, nullptr));
+  }
+  bool same[3] = {true, true, true};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 3; ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          const std::size_t j = (i + t) % a.size();
+          Matrix d;
+          plan->execute(ctx, a[j], kept, nullptr, d);
+          same[t] = same[t] && bitwise_equal(d, want[j]);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_TRUE(same[0] && same[1] && same[2]);
+}
+
 #ifndef NDEBUG
 TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
-  // The plane cache is the point: one split + widen per input matrix per
-  // GEMM call, no re-splitting anywhere downstream.
+  // The plane cache is the point: one split per input element per GEMM
+  // call, no re-splitting anywhere downstream. Each execute also checks
+  // its own count in its own ItemRun (an EGEMM_ENSURES), so the cases
+  // below run that exact check too, concurrent executes included.
   const Matrix a = random_matrix(48, 33, -1, 1, 21);
   const Matrix b = random_matrix(33, 50, -1, 1, 22);
   const std::uint64_t before = core::debug_split_elements();
@@ -403,6 +694,47 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   (void)run_packed(*plan3, a, b, nullptr);
   EXPECT_EQ(core::debug_split_elements() - before3,
             a.data().size() + b.data().size());
+
+  // A kept pack is split when it is filled; an execute that reads it
+  // splits only the other operand.
+  KeptPack kept_a;
+  const std::uint64_t before_keep = core::debug_split_elements();
+  plan3->keep(default_context(), Side::kA, a, kept_a);
+  EXPECT_EQ(core::debug_split_elements() - before_keep, a.data().size());
+  const std::uint64_t before_kept = core::debug_split_elements();
+  Matrix d;
+  plan3->execute(default_context(), kept_a, b, nullptr, d);
+  EXPECT_EQ(core::debug_split_elements() - before_kept, b.data().size());
+
+  // kMeans splits its points once per call, across every Lloyd iteration,
+  // and its centroids (read transposed: 20 lanes, padded to 32) once per
+  // iteration.
+  const apps::PointCloud cloud =
+      apps::gaussian_mixture(300, 24, 20, 0.2, 23);
+  apps::KMeansOptions opts;
+  opts.clusters = 20;
+  opts.max_iterations = 6;
+  opts.tolerance = 0.0;
+  const std::uint64_t before_kmeans = core::debug_split_elements();
+  const apps::KMeansResult result = apps::kmeans(cloud.points, opts);
+  ASSERT_GT(result.iterations, 1);
+  const std::uint64_t padded_points = (300 + 15) / 16 * 16 * 24;
+  EXPECT_EQ(core::debug_split_elements() - before_kmeans,
+            padded_points + static_cast<std::uint64_t>(result.iterations) *
+                                32 * 24);
+
+  // Two executes at once, each checked exactly against its own count.
+  const Matrix a2 = random_matrix(160, 70, -1, 1, 24);
+  const Matrix b2 = random_matrix(70, 90, -1, 1, 25);
+  const auto plan2 = default_context().plan(Backend::kEgemmTC, 160, 90, 70);
+  const std::uint64_t before_pair = core::debug_split_elements();
+  std::thread other([&] {
+    for (int i = 0; i < 8; ++i) (void)run_packed(*plan2, a2, b2, nullptr);
+  });
+  for (int i = 0; i < 8; ++i) (void)run_packed(*plan2, a2, b2, nullptr);
+  other.join();
+  EXPECT_EQ(core::debug_split_elements() - before_pair,
+            16 * (a2.data().size() + b2.data().size()));
 }
 #endif
 

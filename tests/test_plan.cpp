@@ -8,6 +8,7 @@
 // allocation on its second execute).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -207,6 +208,47 @@ TEST(GemmPlanExecute, SecondExecutePerformsNoWorkspaceAllocation) {
   plan->execute(ctx, a, b, nullptr, d);
   EXPECT_EQ(debug_workspace_allocations(), before)
       << "a reused plan must not touch the heap for its workspaces";
+}
+
+TEST(GemmPlanExecute, TransposedGemmExReadsItsOperandsInPlace) {
+  // gemm_ex's trans_a / trans_b hand the operand's orientation to the
+  // packs' fills instead of copying it: a warm call grows no workspace
+  // (debug builds count), and each bit-matches gemm_ex on an explicit
+  // transpose(), serial (40 x 24 x 36) and pooled (160 x 96 x 72).
+  for (const auto& [m, n, k] : {std::array<std::size_t, 3>{40, 24, 36},
+                               std::array<std::size_t, 3>{160, 96, 72}}) {
+    GemmContext ctx;
+    const Matrix a = random_matrix(m, k, -1.0f, 1.0f, 71);
+    const Matrix b = random_matrix(k, n, -1.0f, 1.0f, 72);
+    const Matrix at = transpose(a);
+    const Matrix bt = transpose(b);
+    for (const auto& [ta, tb] : {std::pair{Transpose::kTranspose, Transpose::kNone},
+                                std::pair{Transpose::kNone, Transpose::kTranspose},
+                                std::pair{Transpose::kTranspose,
+                                          Transpose::kTranspose}}) {
+      GemmExParams params;
+      params.trans_a = ta;
+      params.trans_b = tb;
+      const Matrix& stored_a = ta == Transpose::kTranspose ? at : a;
+      const Matrix& stored_b = tb == Transpose::kTranspose ? bt : b;
+      const Matrix explicit_op =
+          gemm_ex(ctx, Backend::kEgemmTC,
+                  ta == Transpose::kTranspose ? transpose(stored_a) : a,
+                  tb == Transpose::kTranspose ? transpose(stored_b) : b,
+                  nullptr, {});
+      static_cast<void>(
+          gemm_ex(ctx, Backend::kEgemmTC, stored_a, stored_b, nullptr, params));
+      const std::uint64_t before = debug_workspace_allocations();
+      const Matrix d =
+          gemm_ex(ctx, Backend::kEgemmTC, stored_a, stored_b, nullptr, params);
+      EXPECT_EQ(debug_workspace_allocations(), before)
+          << m << "x" << n << "x" << k << " a warm transposed call";
+      EXPECT_TRUE(bitwise_equal(d, explicit_op))
+          << m << "x" << n << "x" << k << " trans_a "
+          << (ta == Transpose::kTranspose) << " trans_b "
+          << (tb == Transpose::kTranspose);
+    }
+  }
 }
 
 TEST(GemmPlanExecute, WorkspacesRecycleThroughTheContextPool) {
