@@ -281,12 +281,14 @@ void BM_EgemmColdPlan(benchmark::State& state) {
                           static_cast<std::int64_t>(n * n * n));
 }
 
-/// N identical small GEMMs through gemm_batched: ONE flattened
-/// (item x tile) stream with a batch-aware grain (DESIGN.md §18).
-/// BM_GemmBatchedLoopSingles at the same Args runs the identical work as a
-/// loop of one-shot gemm_ex calls -- the ratio of the two gflops columns
-/// in BENCH_micro.json is what the grouped scheduler buys (the acceptance
-/// bar is >= 2x aggregate throughput at 32 x 128^3).
+/// N identical small GEMMs as one gemm_grouped call: ONE flattened
+/// (item x tile) stream with a batch-aware grain (DESIGN.md §18), every
+/// item on the one cached plan of their shape. Each iteration writes fresh
+/// outputs, as the loop below does. BM_GemmBatchedLoopSingles at the same
+/// Args runs the identical work as a loop of one-shot gemm_ex calls -- the
+/// ratio of the two gflops columns in BENCH_micro.json is what the grouped
+/// scheduler buys (the acceptance bar is >= 2x aggregate throughput at
+/// 32 x 128^3).
 void BM_GemmBatched(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
@@ -297,10 +299,14 @@ void BM_GemmBatched(benchmark::State& state) {
     a.push_back(gemm::random_matrix(n, n, -1, 1, 11 + 2 * i));
     b.push_back(gemm::random_matrix(n, n, -1, 1, 12 + 2 * i));
   }
+  std::vector<gemm::GroupedGemmItem> items(batch);
   gemm::GemmContext ctx;
   for (auto _ : state) {
-    const std::vector<gemm::Matrix> d =
-        gemm::gemm_batched(ctx, gemm::Backend::kEgemmTC, a, b);
+    std::vector<gemm::Matrix> d(batch);
+    for (std::size_t i = 0; i < batch; ++i) {
+      items[i] = gemm::GroupedGemmItem{&a[i], &b[i], nullptr, &d[i], {}};
+    }
+    gemm::gemm_grouped(ctx, gemm::Backend::kEgemmTC, items);
     benchmark::DoNotOptimize(d.front().data().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 *

@@ -134,13 +134,10 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
     contract.max_abs_error = opts.precision_target;
     contract.a_scale = gemm::max_abs(points);
     contract.b_scale = contract.a_scale;
-    const gemm::GemmContext::ContractPlan cp =
-        ctx.plan_contract(n, clusters, dim, contract);
-    if (!cp.resolution.feasible) {
-      gemm::throw_contract_infeasible(contract, cp.resolution);
-    }
-    result.scheme = core::scheme_name(cp.resolution.scheme);
-    plan = cp.plan;
+    const core::SchemeId scheme =
+        core::require_feasible(core::resolve_contract(contract, dim));
+    result.scheme = core::scheme_name(scheme);
+    plan = ctx.plan_scheme(scheme, n, clusters, dim);
   } else {
     plan = ctx.plan(opts.backend, n, clusters, dim);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -115,23 +116,18 @@ KnnResult knn_search(const gemm::Matrix& queries,
       opts.context != nullptr ? *opts.context : gemm::default_context();
 
   KnnResult result;
-  core::AccuracyContract contract;
+  std::optional<core::SchemeId> scheme;
   if (opts.precision_target > 0.0) {
+    core::AccuracyContract contract;
     contract.max_abs_error = opts.precision_target;
     contract.a_scale = gemm::max_abs(queries);
     contract.b_scale = gemm::max_abs(references);
+    scheme = core::require_feasible(core::resolve_contract(contract, dim));
+    result.scheme = core::scheme_name(*scheme);
   }
   const auto plan_rows = [&](std::size_t rows) {
-    if (opts.precision_target <= 0.0) {
-      return ctx.plan(opts.backend, rows, n, dim);
-    }
-    const gemm::GemmContext::ContractPlan cp =
-        ctx.plan_contract(rows, n, dim, contract);
-    if (!cp.resolution.feasible) {
-      gemm::throw_contract_infeasible(contract, cp.resolution);
-    }
-    result.scheme = core::scheme_name(cp.resolution.scheme);
-    return cp.plan;
+    return scheme ? ctx.plan_scheme(*scheme, rows, n, dim)
+                  : ctx.plan(opts.backend, rows, n, dim);
   };
   const std::size_t panel_rows = std::min(kKnnPanelRows, m);
   const std::shared_ptr<const gemm::GemmPlan> plan = plan_rows(panel_rows);

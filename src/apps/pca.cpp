@@ -111,14 +111,11 @@ PcaResult pca_power(const gemm::Matrix& points, const PcaOptions& opts) {
     gemm::GemmExParams params;
     params.trans_a = gemm::Transpose::kTranspose;
     params.alpha = alpha;
-    const core::ContractResolution resolution =
-        gemm::gemm_ex_contract_resolution(centered, centered, nullptr, params,
-                                          contract);
-    if (!resolution.feasible) {
-      gemm::throw_contract_infeasible(contract, resolution);
-    }
-    result.scheme = core::scheme_name(resolution.scheme);
-    plan = ctx.plan_scheme(resolution.scheme, dim, dim, n);
+    const core::SchemeId scheme =
+        core::require_feasible(gemm::gemm_ex_contract_resolution(
+            centered, centered, nullptr, params, contract));
+    result.scheme = core::scheme_name(scheme);
+    plan = ctx.plan_scheme(scheme, dim, dim, n);
   } else {
     plan = ctx.plan(opts.backend, dim, dim, n);
   }

@@ -2,8 +2,10 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <iterator>
 #include <limits>
+#include <stdexcept>
 
 namespace egemm::core {
 
@@ -236,6 +238,17 @@ ContractResolution resolve_contract(const AccuracyContract& contract,
   }
   resolution.tightest_worst_abs = tightest;
   return resolution;
+}
+
+SchemeId require_feasible(const ContractResolution& resolution) {
+  if (resolution.feasible) return resolution.scheme;
+  char message[192];
+  std::snprintf(message, sizeof(message),
+                "no emulation scheme meets the accuracy contract: target "
+                "%.6g, tightest rung (%s) only proves %.6g",
+                resolution.target, scheme_name(resolution.tightest),
+                resolution.tightest_worst_abs);
+  throw std::invalid_argument(message);
 }
 
 }  // namespace egemm::core

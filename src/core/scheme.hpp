@@ -195,4 +195,12 @@ struct ContractResolution {
 ContractResolution resolve_contract(const AccuracyContract& contract,
                                     std::size_t k) noexcept;
 
+/// The rung a resolution selected. Throws std::invalid_argument when it is
+/// infeasible, with a message that names the resolved target and the
+/// tightest rung's proven bound. This is the one place the infeasible
+/// contract error is raised: every contract entry point (gemm_ex,
+/// gemm_grouped, the apps) resolves, passes the resolution through here,
+/// and only then plans the rung.
+SchemeId require_feasible(const ContractResolution& resolution);
+
 }  // namespace egemm::core

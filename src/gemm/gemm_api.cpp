@@ -1,11 +1,8 @@
 #include "gemm/gemm_api.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <functional>
 #include <memory>
-#include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "gemm/plan.hpp"
@@ -38,18 +35,6 @@ bool fast_path(const GemmExParams& params, Backend backend) {
           (params.beta == 1.0f && backend != Backend::kSdkFp32));
 }
 
-using PlanFn = std::function<std::shared_ptr<const GemmPlan>(
-    std::size_t, std::size_t, std::size_t, std::size_t)>;
-
-/// gemm_ex-semantics items normalized for execution: op(A) and op(B) are
-/// the caller's matrices with their orientation, which the packs' fills
-/// read directly; each item is planned and runs under the fast-path rule
-/// above.
-struct Normalized {
-  std::vector<GroupedGemm> work;
-  std::vector<std::size_t> epilogue;  ///< items that take the epilogue
-};
-
 /// Rows and columns of op(X).
 std::pair<std::size_t, std::size_t> op_extents(const Matrix& x,
                                                Transpose trans) {
@@ -57,111 +42,83 @@ std::pair<std::size_t, std::size_t> op_extents(const Matrix& x,
                                         : std::pair{x.rows(), x.cols()};
 }
 
-/// Normalizes `items`, planning each through `make_plan(index, m, n, k)`.
-Normalized normalize(std::span<const GroupedGemmItem> items,
-                     const PlanFn& make_plan) {
-  for (const GroupedGemmItem& item : items) {
-    EGEMM_EXPECTS(item.a != nullptr && item.b != nullptr &&
-                  item.d != nullptr);
-    EGEMM_EXPECTS(item.params.beta == 0.0f || item.c != nullptr);
-    // D is zero-filled or overwritten before the epilogue reads C.
-    EGEMM_EXPECTS(item.d != item.a && item.d != item.b && item.d != item.c);
-  }
-  expect_unchained(items);
-  Normalized out;
-  out.work.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const GroupedGemmItem& item = items[i];
-    const auto [m, k] = op_extents(*item.a, item.params.trans_a);
-    const auto [b_rows, n] = op_extents(*item.b, item.params.trans_b);
-    EGEMM_EXPECTS(k == b_rows);
-    EGEMM_EXPECTS(item.c == nullptr ||
-                  (item.c->rows() == m && item.c->cols() == n));
-    std::shared_ptr<const GemmPlan> plan = make_plan(i, m, n, k);
-    const bool fast = fast_path(item.params, plan->backend());
-    if (!fast) out.epilogue.push_back(i);
-    const Matrix* kernel_c =
-        fast && item.params.beta == 1.0f ? item.c : nullptr;
-    out.work.push_back(GroupedGemm{std::move(plan),
-                                   {item.a, item.params.trans_a},
-                                   {item.b, item.params.trans_b}, kernel_c,
-                                   item.d});
-  }
-  return out;
+/// A gemm_ex-semantics item as the engine runs it: op(A) x op(B)'s
+/// extents, and the fast-path rule's split between the kernel's C and the
+/// epilogue. op(A) and op(B) are the caller's matrices with their
+/// orientation, which the packs' fills read directly.
+struct ItemForm {
+  std::size_t m = 0, n = 0, k = 0;
+  const Matrix* kernel_c = nullptr;  ///< C on the kernel's accumulator
+  bool epilogue = false;             ///< alpha/beta applied after the kernel
+};
+
+/// Checks `item` and derives its form for a plan on `backend`. Every
+/// contract rung plans on an emulated backend, which takes a C input, so
+/// the contract entries pass kEgemmTC.
+ItemForm normalize(const GroupedGemmItem& item, Backend backend) {
+  EGEMM_EXPECTS(item.a != nullptr && item.b != nullptr && item.d != nullptr);
+  EGEMM_EXPECTS(item.params.beta == 0.0f || item.c != nullptr);
+  // D is zero-filled or overwritten before the epilogue reads C.
+  EGEMM_EXPECTS(item.d != item.a && item.d != item.b && item.d != item.c);
+  ItemForm form;
+  std::size_t b_rows = 0;
+  std::tie(form.m, form.k) = op_extents(*item.a, item.params.trans_a);
+  std::tie(b_rows, form.n) = op_extents(*item.b, item.params.trans_b);
+  EGEMM_EXPECTS(form.k == b_rows);
+  EGEMM_EXPECTS(item.c == nullptr ||
+                (item.c->rows() == form.m && item.c->cols() == form.n));
+  const bool fast = fast_path(item.params, backend);
+  form.epilogue = !fast;
+  form.kernel_c = fast && item.params.beta == 1.0f ? item.c : nullptr;
+  return form;
 }
 
-void apply_epilogues(std::span<const GroupedGemmItem> items,
-                     const Normalized& normalized) {
-  for (const std::size_t i : normalized.epilogue) {
-    apply_epilogue(*items[i].d, items[i].c, items[i].params);
+/// The forms of a grouped call's items; aborts on a chained batch before
+/// anything is planned.
+std::vector<ItemForm> normalize(std::span<const GroupedGemmItem> items,
+                                Backend backend) {
+  std::vector<ItemForm> forms;
+  forms.reserve(items.size());
+  for (const GroupedGemmItem& item : items) {
+    forms.push_back(normalize(item, backend));
   }
+  expect_unchained(items);
+  return forms;
 }
 
 /// One gemm_ex call: a single GemmPlan::execute straight after planning,
 /// so its call record carries this lookup's plan-cache hit/miss.
-Matrix run_gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
-                   const Matrix* c, const GemmExParams& params,
-                   const PlanFn& make_plan) {
-  Matrix d;
-  const GroupedGemmItem item{&a, &b, c, &d, params};
-  const Normalized normalized = normalize({&item, 1}, make_plan);
-  const GroupedGemm& work = normalized.work.front();
-  work.plan->execute(ctx, work.a, work.b, work.c, d);
-  apply_epilogues({&item, 1}, normalized);
-  return d;
+void run_gemm_ex(GemmContext& ctx, const GroupedGemmItem& item,
+                 const ItemForm& form, const GemmPlan& plan) {
+  plan.execute(ctx, {item.a, item.params.trans_a},
+               {item.b, item.params.trans_b}, form.kernel_c, *item.d);
+  if (form.epilogue) apply_epilogue(*item.d, item.c, item.params);
 }
 
 /// A group of gemm_ex items as one GemmContext::execute_grouped stream,
-/// bit-identical to a loop of run_gemm_ex calls.
+/// bit-identical to a loop of run_gemm_ex calls; item i runs plans[i].
 void run_gemm_ex_group(GemmContext& ctx,
                        std::span<const GroupedGemmItem> items,
-                       const PlanFn& make_plan) {
-  const Normalized normalized = normalize(items, make_plan);
-  ctx.execute_grouped(normalized.work);
-  apply_epilogues(items, normalized);
-}
-
-/// The items of a gemm_batched call: checks that every item has item 0's
-/// shape and that C matches the batch, sizes `d` to the batch, and points
-/// item i at a[i], b[i], c[i] (when given) and d[i].
-std::vector<GroupedGemmItem> batch_items(std::span<const Matrix> a,
-                                         std::span<const Matrix> b,
-                                         std::span<const Matrix> c,
-                                         const GemmExParams& params,
-                                         std::vector<Matrix>& d) {
-  EGEMM_EXPECTS(a.size() == b.size());
-  EGEMM_EXPECTS(c.empty() || c.size() == a.size());
-  EGEMM_EXPECTS(params.beta == 0.0f || !c.empty());
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    EGEMM_EXPECTS(a[i].rows() == a[0].rows() && a[i].cols() == a[0].cols());
-    EGEMM_EXPECTS(b[i].rows() == b[0].rows() && b[i].cols() == b[0].cols());
+                       std::span<const ItemForm> forms,
+                       std::vector<std::shared_ptr<const GemmPlan>> plans) {
+  std::vector<GroupedGemm> work;
+  work.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const GroupedGemmItem& item = items[i];
+    work.push_back(GroupedGemm{std::move(plans[i]),
+                               {item.a, item.params.trans_a},
+                               {item.b, item.params.trans_b},
+                               forms[i].kernel_c, item.d});
   }
-  d.resize(a.size());
-  std::vector<GroupedGemmItem> items(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    items[i].a = &a[i];
-    items[i].b = &b[i];
-    items[i].c = c.empty() ? nullptr : &c[i];
-    items[i].d = &d[i];
-    items[i].params = params;
+  ctx.execute_grouped(work);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (forms[i].epilogue) {
+      apply_epilogue(*items[i].d, items[i].c, items[i].params);
+    }
   }
-  return items;
 }
 
 }  // namespace
-
-[[noreturn]] void throw_contract_infeasible(
-    const core::AccuracyContract& contract,
-    const core::ContractResolution& resolution) {
-  char message[192];
-  std::snprintf(message, sizeof(message),
-                "no emulation scheme meets the accuracy contract: target "
-                "%.6g, tightest rung (%s) only proves %.6g",
-                contract.max_abs_error,
-                core::scheme_name(resolution.tightest),
-                resolution.tightest_worst_abs);
-  throw std::invalid_argument(message);
-}
 
 const char* backend_name(Backend backend) noexcept {
   switch (backend) {
@@ -197,10 +154,11 @@ Matrix gemm_ex(Backend backend, const Matrix& a, const Matrix& b,
 
 Matrix gemm_ex(GemmContext& ctx, Backend backend, const Matrix& a,
                const Matrix& b, const Matrix* c, const GemmExParams& params) {
-  return run_gemm_ex(
-      ctx, a, b, c, params,
-      [&ctx, backend](std::size_t, std::size_t m, std::size_t n,
-                      std::size_t k) { return ctx.plan(backend, m, n, k); });
+  Matrix d;
+  const GroupedGemmItem item{&a, &b, c, &d, params};
+  const ItemForm form = normalize(item, backend);
+  run_gemm_ex(ctx, item, form, *ctx.plan(backend, form.m, form.n, form.k));
+  return d;
 }
 
 core::ContractResolution gemm_ex_contract_resolution(
@@ -249,131 +207,45 @@ core::ContractResolution gemm_ex_contract_resolution(
 Matrix gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
                const Matrix* c, const GemmExParams& params,
                const core::AccuracyContract& contract) {
-  const core::ContractResolution resolution =
-      gemm_ex_contract_resolution(a, b, c, params, contract);
-  if (!resolution.feasible) {
-    throw_contract_infeasible(contract, resolution);
-  }
-
-  return run_gemm_ex(ctx, a, b, c, params,
-                     [&ctx, &resolution](std::size_t, std::size_t m,
-                                         std::size_t n, std::size_t k) {
-                       return ctx.plan_scheme(resolution.scheme, m, n, k);
-                     });
-}
-
-Matrix gemm_ex(const Matrix& a, const Matrix& b, const Matrix* c,
-               const GemmExParams& params,
-               const core::AccuracyContract& contract) {
-  return gemm_ex(default_context(), a, b, c, params, contract);
+  Matrix d;
+  const GroupedGemmItem item{&a, &b, c, &d, params};
+  const ItemForm form = normalize(item, Backend::kEgemmTC);
+  const core::SchemeId scheme = core::require_feasible(
+      gemm_ex_contract_resolution(a, b, c, params, contract));
+  run_gemm_ex(ctx, item, form,
+              *ctx.plan_scheme(scheme, form.m, form.n, form.k));
+  return d;
 }
 
 void gemm_grouped(GemmContext& ctx, Backend backend,
                   std::span<const GroupedGemmItem> items) {
-  run_gemm_ex_group(
-      ctx, items,
-      [&ctx, backend](std::size_t, std::size_t m, std::size_t n,
-                      std::size_t k) { return ctx.plan(backend, m, n, k); });
-}
-
-void gemm_grouped(Backend backend, std::span<const GroupedGemmItem> items) {
-  gemm_grouped(default_context(), backend, items);
-}
-
-std::vector<Matrix> gemm_batched(GemmContext& ctx, Backend backend,
-                                 std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c,
-                                 const GemmExParams& params) {
-  std::vector<Matrix> d;
-  const std::vector<GroupedGemmItem> items = batch_items(a, b, c, params, d);
-  gemm_grouped(ctx, backend, items);
-  return d;
-}
-
-std::vector<Matrix> gemm_batched(Backend backend, std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c,
-                                 const GemmExParams& params) {
-  return gemm_batched(default_context(), backend, a, b, c, params);
-}
-
-std::vector<Matrix> gemm_batched(GemmContext& ctx, std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c,
-                                 const GemmExParams& params,
-                                 const core::AccuracyContract& contract) {
-  std::vector<Matrix> d;
-  const std::vector<GroupedGemmItem> items = batch_items(a, b, c, params, d);
-  if (items.empty()) return d;
-  // One resolution against the batch-wide worst-case scale context: the
-  // max over the items' |a|, |b|, |c| dominates every per-item context,
-  // so the selected rung's bound is sound for the whole batch and all
-  // items share one scheme (hence one plan).
-  core::AccuracyContract resolved = contract;
-  const bool use_c = !c.empty() && params.beta != 0.0f;
-  if (resolved.a_scale <= 0.0) {
-    for (const Matrix& item : a) {
-      resolved.a_scale = std::max(resolved.a_scale, max_abs(item));
-    }
+  const std::vector<ItemForm> forms = normalize(items, backend);
+  std::vector<std::shared_ptr<const GemmPlan>> plans;
+  plans.reserve(items.size());
+  for (const ItemForm& form : forms) {
+    plans.push_back(ctx.plan(backend, form.m, form.n, form.k));
   }
-  if (resolved.b_scale <= 0.0) {
-    for (const Matrix& item : b) {
-      resolved.b_scale = std::max(resolved.b_scale, max_abs(item));
-    }
-  }
-  if (resolved.c_abs <= 0.0 && use_c) {
-    for (const Matrix& item : c) {
-      resolved.c_abs = std::max(resolved.c_abs, max_abs(item));
-    }
-  }
-  const core::ContractResolution resolution = gemm_ex_contract_resolution(
-      a[0], b[0], use_c ? &c[0] : nullptr, params, resolved);
-  if (!resolution.feasible) {
-    throw_contract_infeasible(contract, resolution);
-  }
-  run_gemm_ex_group(ctx, items,
-                    [&ctx, &resolution](std::size_t, std::size_t m,
-                                        std::size_t n, std::size_t k) {
-                      return ctx.plan_scheme(resolution.scheme, m, n, k);
-                    });
-  return d;
-}
-
-std::vector<Matrix> gemm_batched(std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c,
-                                 const GemmExParams& params,
-                                 const core::AccuracyContract& contract) {
-  return gemm_batched(default_context(), a, b, c, params, contract);
+  run_gemm_ex_group(ctx, items, forms, std::move(plans));
 }
 
 void gemm_grouped(GemmContext& ctx, std::span<const GroupedGemmItem> items,
                   const core::AccuracyContract& contract) {
-  // Per-item resolution, exactly as the contract gemm_ex would do it, all
-  // up front so an infeasible item throws before anything executes.
+  const std::vector<ItemForm> forms = normalize(items, Backend::kEgemmTC);
+  // Every item resolves, exactly as the contract gemm_ex would, before any
+  // item plans: an infeasible item throws with nothing planned or run.
   std::vector<core::SchemeId> schemes;
   schemes.reserve(items.size());
   for (const GroupedGemmItem& item : items) {
-    EGEMM_EXPECTS(item.a != nullptr && item.b != nullptr &&
-                  item.d != nullptr);
-    const core::ContractResolution resolution = gemm_ex_contract_resolution(
-        *item.a, *item.b, item.c, item.params, contract);
-    if (!resolution.feasible) {
-      throw_contract_infeasible(contract, resolution);
-    }
-    schemes.push_back(resolution.scheme);
+    schemes.push_back(core::require_feasible(gemm_ex_contract_resolution(
+        *item.a, *item.b, item.c, item.params, contract)));
   }
-  run_gemm_ex_group(ctx, items,
-                    [&ctx, &schemes](std::size_t i, std::size_t m,
-                                     std::size_t n, std::size_t k) {
-                      return ctx.plan_scheme(schemes[i], m, n, k);
-                    });
-}
-
-void gemm_grouped(std::span<const GroupedGemmItem> items,
-                  const core::AccuracyContract& contract) {
-  gemm_grouped(default_context(), items, contract);
+  std::vector<std::shared_ptr<const GemmPlan>> plans;
+  plans.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    plans.push_back(
+        ctx.plan_scheme(schemes[i], forms[i].m, forms[i].n, forms[i].k));
+  }
+  run_gemm_ex_group(ctx, items, forms, std::move(plans));
 }
 
 KernelTiming time_gemm(Backend backend, std::uint64_t m, std::uint64_t n,

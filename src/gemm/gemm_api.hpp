@@ -3,12 +3,12 @@
 // and one timed entry point. The benchmark harness and the applications
 // select kernels through this API.
 //
-// Functional calls come in three shapes -- one GEMM (gemm_ex), a
-// heterogeneous group (gemm_grouped) and a uniform batch (gemm_batched) --
-// each on a chosen backend or under an accuracy contract. All of them
-// plan through a GemmContext (gemm/plan.hpp; the default_context() unless
-// one is passed) and run on the same execute pipeline, so a one-shot call
-// and a held plan produce the same bits.
+// Functional calls come in two shapes -- one GEMM (gemm_ex) and a group
+// of GEMMs (gemm_grouped) -- each on a chosen backend or under an accuracy
+// contract. All of them plan through a GemmContext (gemm/plan.hpp) and
+// run on the same execute pipeline, so a one-shot call and a held plan
+// produce the same bits. Only the backend gemm_ex has a form that plans
+// against default_context().
 
 #include <cstdint>
 #include <span>
@@ -95,27 +95,9 @@ struct GroupedGemmItem {
 /// item's A, B or C (its own included: there is no in-place C == D), or
 /// two items share a D, aborts before anything executes, release builds
 /// included (expect_unchained in gemm/plan.hpp). Shared inputs are fine.
+/// A uniform batch is a group of one shape: all its items share one plan.
 void gemm_grouped(GemmContext& ctx, Backend backend,
                   std::span<const GroupedGemmItem> items);
-
-/// gemm_grouped against the shared default context.
-void gemm_grouped(Backend backend, std::span<const GroupedGemmItem> items);
-
-/// Uniform-shape batched GEMM: d[i] = gemm_ex(backend, a[i], b[i], c[i],
-/// params) for every i, planned ONCE (all items share a single cached
-/// GemmPlan) and executed as one flattened task stream. All a[i] must
-/// share a shape, as must all b[i]; `c` is empty or one matrix per item.
-std::vector<Matrix> gemm_batched(GemmContext& ctx, Backend backend,
-                                 std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c = {},
-                                 const GemmExParams& params = {});
-
-/// gemm_batched against the shared default context.
-std::vector<Matrix> gemm_batched(Backend backend, std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c = {},
-                                 const GemmExParams& params = {});
 
 // -- accuracy-contract entry points (core/scheme.hpp, DESIGN.md §16) ---------
 
@@ -130,58 +112,29 @@ core::ContractResolution gemm_ex_contract_resolution(
     const Matrix& a, const Matrix& b, const Matrix* c,
     const GemmExParams& params, const core::AccuracyContract& contract);
 
-/// Throws the std::invalid_argument every contract entry point raises when
-/// `resolution` is infeasible: the message names the target and the
-/// tightest rung's proven bound.
-[[noreturn]] void throw_contract_infeasible(
-    const core::AccuracyContract& contract,
-    const core::ContractResolution& resolution);
-
 /// gemm_ex under an accuracy contract: instead of a caller-chosen
 /// backend, the planner selects the cheapest emulation scheme whose sound
 /// a-priori element-wise bound meets contract.max_abs_error for this
 /// data's scale context. Throws std::invalid_argument when no rung
-/// qualifies; the message names the target and the tightest rung's bound.
+/// qualifies (core::require_feasible), before anything is planned; the
+/// message names the target the kernel must meet and the tightest rung's
+/// bound. When the epilogue runs (alpha != 1, or beta not 0 or 1) that
+/// target is the kernel's share of contract.max_abs_error, in the same
+/// units as the rung bound it is compared with.
 Matrix gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
                const Matrix* c, const GemmExParams& params,
                const core::AccuracyContract& contract);
-
-/// Contract overload against the shared default context.
-Matrix gemm_ex(const Matrix& a, const Matrix& b, const Matrix* c,
-               const GemmExParams& params,
-               const core::AccuracyContract& contract);
-
-/// gemm_batched under an accuracy contract: the contract is resolved ONCE
-/// against the batch-wide worst-case scale context (max |a[i]|, max
-/// |b[i]|, max |c[i]|), so the whole batch shares one scheme and one plan
-/// and every item's bound is sound. With explicit (> 0) contract scales
-/// this matches the per-item contract gemm_ex exactly. Throws
-/// std::invalid_argument when no rung qualifies.
-std::vector<Matrix> gemm_batched(GemmContext& ctx,
-                                 std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c,
-                                 const GemmExParams& params,
-                                 const core::AccuracyContract& contract);
-
-/// Batched contract overload against the shared default context.
-std::vector<Matrix> gemm_batched(std::span<const Matrix> a,
-                                 std::span<const Matrix> b,
-                                 std::span<const Matrix> c,
-                                 const GemmExParams& params,
-                                 const core::AccuracyContract& contract);
 
 /// gemm_grouped under an accuracy contract: each item resolves the
 /// contract for its own shape, parameters, and data (exactly as the
 /// contract gemm_ex would), then all selected schemes execute as one
 /// flattened stream -- bit-identical to the per-item contract loop.
-/// Throws std::invalid_argument when any item is infeasible (no item
-/// executes in that case).
+/// Throws std::invalid_argument when any item is infeasible: every item
+/// resolves before any plans, so none is planned or executed. A uniform
+/// batch under one batch-wide contract passes explicit (> 0) scales --
+/// its worst case over the batch -- so every item resolves to one rung
+/// and shares one plan.
 void gemm_grouped(GemmContext& ctx, std::span<const GroupedGemmItem> items,
-                  const core::AccuracyContract& contract);
-
-/// Grouped contract overload against the shared default context.
-void gemm_grouped(std::span<const GroupedGemmItem> items,
                   const core::AccuracyContract& contract);
 
 }  // namespace egemm::gemm

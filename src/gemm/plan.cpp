@@ -913,17 +913,6 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key) {
   return created;
 }
 
-GemmContext::ContractPlan GemmContext::plan_contract(
-    std::size_t m, std::size_t n, std::size_t k,
-    const core::AccuracyContract& contract) {
-  ContractPlan result;
-  result.resolution = core::resolve_contract(contract, k);
-  if (result.resolution.feasible) {
-    result.plan = plan_scheme(result.resolution.scheme, m, n, k);
-  }
-  return result;
-}
-
 void GemmContext::execute_grouped(std::span<const GroupedGemm> items) {
   if (items.empty()) return;
   expect_unchained(items);

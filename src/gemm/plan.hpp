@@ -25,10 +25,12 @@
 //                counters and a "plan" span around plan construction.
 //
 // There is one way to plan each kind of call: plan() for a Table 5
-// backend, plan_scheme() for a named ladder rung, plan_contract() for an
-// accuracy contract. The one-shot APIs (egemm_multiply, gemm_ex and its
-// grouped/batched forms) plan against default_context(), so every caller
-// shares one warm cache unless it opts into its own context. A plan
+// backend, plan_scheme() for a named ladder rung. An accuracy contract is
+// resolved to its rung first (core::require_feasible, which throws when no
+// rung qualifies) and then planned with plan_scheme(). The one-shot APIs
+// (egemm_multiply, the backend gemm_ex) plan against default_context(),
+// so every caller shares one warm cache unless it opts into its own
+// context; gemm_grouped and the contract gemm_ex take a context. A plan
 // executes on one engine, the packed tile kernel; the seed's scalar driver
 // survives only as the test oracle verify::reference_execute, which the
 // packed engine matches bitwise.
@@ -357,23 +359,6 @@ class GemmContext {
   std::shared_ptr<const GemmPlan> plan_scheme(core::SchemeId scheme,
                                               std::size_t m, std::size_t n,
                                               std::size_t k);
-
-  /// A resolved accuracy contract: the per-rung bound table plus (when
-  /// feasible) the plan for the cheapest provably sufficient rung.
-  struct ContractPlan {
-    core::ContractResolution resolution;
-    std::shared_ptr<const GemmPlan> plan;  ///< null when infeasible
-  };
-
-  /// Resolves an accuracy contract for D = A x B (+ C) at the given shape
-  /// and plans the selected scheme. The contract's scales must be the
-  /// caller's element-magnitude context (max |A|, max |B|, max |C|); this
-  /// layer cannot derive them from data -- gemm_ex's contract overload
-  /// can. When no rung meets the target, `plan` is null and
-  /// resolution.feasible is false (no throw: planning is noexcept-ish by
-  /// convention; the executing APIs raise the error).
-  ContractPlan plan_contract(std::size_t m, std::size_t n, std::size_t k,
-                             const core::AccuracyContract& contract);
 
   /// Executes a batch of planned GEMMs through the same item pipeline as
   /// GemmPlan::execute (DESIGN.md §18). Every emulated item's prep (the

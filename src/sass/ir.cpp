@@ -44,19 +44,6 @@ const char* rounding_name(Rounding rounding) noexcept {
   return "?";
 }
 
-bool is_variable_latency(Op op) noexcept {
-  switch (op) {
-    case Op::kLdg:
-    case Op::kStg:
-    case Op::kLds:
-    case Op::kSts:
-    case Op::kHmma:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_store(Op op) noexcept { return op == Op::kSts || op == Op::kStg; }
 
 }  // namespace egemm::sass

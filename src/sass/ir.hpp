@@ -147,10 +147,6 @@ struct Kernel {
   }
 };
 
-/// True for ops whose result arrives via a dependency barrier rather than
-/// a fixed stall count (variable latency).
-bool is_variable_latency(Op op) noexcept;
-
 /// True for ops that read memory-ish sources (no dst register).
 bool is_store(Op op) noexcept;
 

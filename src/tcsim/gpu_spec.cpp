@@ -9,11 +9,6 @@ double GpuSpec::l2_bytes_per_cycle_per_sm() const noexcept {
          static_cast<double>(sm_count);
 }
 
-double GpuSpec::dram_bytes_per_cycle_per_sm() const noexcept {
-  return dram_bandwidth_gbps * 1e9 / (clock_ghz * 1e9) /
-         static_cast<double>(sm_count);
-}
-
 double GpuSpec::tc_flops_per_cycle_per_sm() const noexcept {
   return peak_fp16_tc_tflops * 1e12 / (clock_ghz * 1e9) /
          static_cast<double>(sm_count);

@@ -65,8 +65,6 @@ struct GpuSpec {
 
   /// L2 bytes per cycle available to one SM (bandwidth share).
   double l2_bytes_per_cycle_per_sm() const noexcept;
-  /// DRAM bytes per cycle available to one SM.
-  double dram_bytes_per_cycle_per_sm() const noexcept;
   /// Tensor-core FLOPs one SM retires per cycle at peak.
   double tc_flops_per_cycle_per_sm() const noexcept;
   /// Converts SM cycles to seconds.

@@ -16,11 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/kmeans.hpp"
+#include "apps/knn.hpp"
+#include "apps/pca.hpp"
 #include "core/scheme.hpp"
 #include "core/split.hpp"
 #include "gemm/gemm_api.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
+#include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "sass/analysis/precision.hpp"
 #include "verify/differential.hpp"
@@ -342,7 +346,8 @@ TEST(AccuracyContract, GemmExThrowsWhenNoRungQualifies) {
   const gemm::Matrix b = deterministic_matrix(5, 4);
   const AccuracyContract contract{1e-9, 0.0, 0.0, 0.0};
   try {
-    gemm::gemm_ex(a, b, nullptr, gemm::GemmExParams{}, contract);
+    gemm::gemm_ex(gemm::default_context(), a, b, nullptr,
+                  gemm::GemmExParams{}, contract);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find("accuracy contract"),
@@ -356,7 +361,8 @@ TEST(AccuracyContract, GemmExMeetsTheContractItAccepted) {
   const gemm::Matrix b = deterministic_matrix(5, 4);
   const AccuracyContract contract{1e-4, 0.0, 0.0, 0.0};
   const gemm::Matrix d =
-      gemm::gemm_ex(a, b, nullptr, gemm::GemmExParams{}, contract);
+      gemm::gemm_ex(gemm::default_context(), a, b, nullptr,
+                    gemm::GemmExParams{}, contract);
   const verify::OracleMatrix oracle = verify::oracle_gemm(a, b);
   for (std::size_t i = 0; i < d.rows(); ++i) {
     for (std::size_t j = 0; j < d.cols(); ++j) {
@@ -365,6 +371,112 @@ TEST(AccuracyContract, GemmExMeetsTheContractItAccepted) {
     }
   }
 }
+
+// -- the one infeasible-contract error, through every contract entry -------
+
+/// A contract entry point run on `ctx` under an accuracy target, and the
+/// inner dimension k of the GEMM it resolves the contract for.
+struct ContractEntry {
+  const char* name;
+  std::size_t k;
+  void (*run)(gemm::GemmContext& ctx, double target);
+};
+
+const ContractEntry kContractEntries[] = {
+    {"gemm_ex", 16,
+     [](gemm::GemmContext& ctx, double target) {
+       const gemm::Matrix a = gemm::random_matrix(24, 16, -1, 1, 71);
+       const gemm::Matrix b = gemm::random_matrix(16, 20, -1, 1, 72);
+       gemm::gemm_ex(ctx, a, b, nullptr, {}, AccuracyContract{target});
+     }},
+    {"gemm_ex_epilogue", 16,
+     [](gemm::GemmContext& ctx, double target) {
+       const gemm::Matrix a = gemm::random_matrix(24, 16, -1, 1, 73);
+       const gemm::Matrix b = gemm::random_matrix(16, 20, -1, 1, 74);
+       const gemm::Matrix c = gemm::random_matrix(24, 20, -1, 1, 75);
+       gemm::gemm_ex(ctx, a, b, &c, {.alpha = 0.5f, .beta = 0.25f},
+                     AccuracyContract{target});
+     }},
+    {"gemm_grouped", 16,
+     [](gemm::GemmContext& ctx, double target) {
+       const gemm::Matrix a = gemm::random_matrix(24, 16, -1, 1, 76);
+       const gemm::Matrix b = gemm::random_matrix(16, 20, -1, 1, 77);
+       gemm::Matrix d0, d1;
+       const gemm::GroupedGemmItem items[] = {{&a, &b, nullptr, &d0, {}},
+                                              {&a, &b, nullptr, &d1, {}}};
+       gemm::gemm_grouped(ctx, items, AccuracyContract{target});
+     }},
+    {"kmeans", 16,
+     [](gemm::GemmContext& ctx, double target) {
+       apps::KMeansOptions opts;
+       opts.clusters = 4;
+       opts.precision_target = target;
+       opts.context = &ctx;
+       apps::kmeans(gemm::random_matrix(64, 16, -1, 1, 78), opts);
+     }},
+    {"knn_search", 16,
+     [](gemm::GemmContext& ctx, double target) {
+       apps::KnnOptions opts;
+       opts.k = 4;
+       opts.precision_target = target;
+       opts.context = &ctx;
+       apps::knn_search(gemm::random_matrix(80, 16, -1, 1, 79),
+                        gemm::random_matrix(32, 16, -1, 1, 80), opts);
+     }},
+    {"pca_power", 64,
+     [](gemm::GemmContext& ctx, double target) {
+       apps::PcaOptions opts;
+       opts.components = 2;
+       opts.precision_target = target;
+       opts.context = &ctx;
+       apps::pca_power(gemm::random_matrix(64, 16, -1, 1, 81), opts);
+     }},
+};
+
+class InfeasibleContractTest
+    : public ::testing::TestWithParam<ContractEntry> {};
+
+TEST_P(InfeasibleContractTest, ThrowsNamingTheTightestRungAndLeavesNoTrace) {
+  // No C reaches any kernel here, so every rung's bound scales with
+  // |A| |B| alike: which rung is tightest depends on k alone.
+  const std::string tightest =
+      std::string("tightest rung (") +
+      core::scheme_name(core::resolve_contract(
+                            AccuracyContract{1e-30, 1.0, 1.0, 0.0},
+                            GetParam().k)
+                            .tightest) +
+      ")";
+  gemm::GemmContext ctx;
+  const auto calls = [] {
+    return obs::registry().counter("egemm.calls").value();
+  };
+  const std::uint64_t calls_before = calls();
+  obs::clear_call_records();
+  try {
+    GetParam().run(ctx, 1e-30);
+    FAIL() << "an infeasible target must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("accuracy contract"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(tightest), std::string::npos) << message;
+  }
+  EXPECT_EQ(ctx.cached_plans(), 0u);
+  EXPECT_EQ(calls(), calls_before);
+  EXPECT_TRUE(obs::drain_call_records().empty());
+
+  // The same entry meets a loose target, so the throw above was the
+  // contract's and not a broken setup's.
+  GetParam().run(ctx, 1.0);
+  EXPECT_GT(ctx.cached_plans(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ContractEntries, InfeasibleContractTest,
+    ::testing::ValuesIn(kContractEntries),
+    [](const ::testing::TestParamInfo<ContractEntry>& entry) {
+      return std::string(entry.param.name);
+    });
 
 // -- scheme identity through the plan layer ----------------------------------
 

@@ -85,16 +85,17 @@ TEST(GroupedChainDeathTest, GemmGroupedRejectsChainsOnCallerPointers) {
   const Matrix b = random_matrix(kChainDim, kChainDim, -1, 1, 62);
   Matrix d0(kChainDim, kChainDim);
   Matrix d1;
-  // Item 1 reads item 0's output through trans_a: only a check on the
-  // caller's pointers sees it, before the transposed copy is made.
+  // Item 1 reads item 0's output through trans_a: the check runs on the
+  // caller's pointers, whatever orientation they are read in.
   GroupedGemmItem items[] = {
       {&a, &b, nullptr, &d0, {}},
       {&d0, &b, nullptr, &d1, {.trans_a = Transpose::kTranspose}}};
-  EXPECT_DEATH(gemm_grouped(Backend::kEgemmTC, items), "binary_search");
+  GemmContext& ctx = default_context();
+  EXPECT_DEATH(gemm_grouped(ctx, Backend::kEgemmTC, items), "binary_search");
   items[1] = {&a, &b, &d0, &d1, {.beta = 1.0f}};  // D0 as item 1's C
-  EXPECT_DEATH(gemm_grouped(Backend::kEgemmTC, items), "binary_search");
+  EXPECT_DEATH(gemm_grouped(ctx, Backend::kEgemmTC, items), "binary_search");
   items[1] = {&a, &b, nullptr, &d0, {}};  // two items write D0
-  EXPECT_DEATH(gemm_grouped(Backend::kEgemmTC, items), "adjacent_find");
+  EXPECT_DEATH(gemm_grouped(ctx, Backend::kEgemmTC, items), "adjacent_find");
 }
 
 TEST(GroupedChainDeathTest, GemmGroupedRejectsInPlaceOutputs) {
@@ -107,8 +108,9 @@ TEST(GroupedChainDeathTest, GemmGroupedRejectsInPlaceOutputs) {
   Matrix cd(kChainDim, kChainDim);
   const GroupedGemmItem in_place{
       &a, &b, &cd, &cd, {.alpha = 2.0f, .beta = 1.0f}};
-  EXPECT_DEATH(gemm_grouped(Backend::kEgemmTC, {&in_place, 1}),
-               "item.d != item.c");
+  EXPECT_DEATH(
+      gemm_grouped(default_context(), Backend::kEgemmTC, {&in_place, 1}),
+      "item.d != item.c");
 }
 
 TEST(GroupedChainDeathTest, ExecuteGroupedRejectsChains) {
@@ -139,7 +141,7 @@ TEST(GroupedChainDeathTest, SharedInputsStayLegal) {
   Matrix d1;
   const GroupedGemmItem items[] = {{&a, &b, nullptr, &d0, {}},
                                    {&a, &b, nullptr, &d1, {}}};
-  gemm_grouped(Backend::kEgemmTC, items);
+  gemm_grouped(default_context(), Backend::kEgemmTC, items);
   const Matrix expected = gemm_ex(Backend::kEgemmTC, a, b, nullptr, {});
   ASSERT_EQ(d0.size(), expected.size());
   ASSERT_EQ(d1.size(), expected.size());

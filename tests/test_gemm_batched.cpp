@@ -1,9 +1,10 @@
-// Tests for the batched/grouped GEMM entry points (DESIGN.md §18): bit
-// identity with the loop-of-singles path per emulation-ladder rung and
-// forced ISA tier, empty batches, mixed transpose/epilogue parameters,
-// direct-backend items at any position of a pool-dispatched batch, the
-// contract overloads (including an infeasible item, which must
-// leave the whole batch unexecuted), the small-GEMM inline threshold's
+// Tests for the grouped GEMM entry points (DESIGN.md §18): bit identity
+// with the loop-of-singles path per emulation-ladder rung and forced ISA
+// tier, uniform batches as groups of one shape, empty batches, mixed
+// transpose/epilogue parameters, direct-backend items at any position of
+// a pool-dispatched batch, the contract overload (a batch-wide contract
+// through explicit scales, and an infeasible item, which must leave the
+// whole batch unexecuted), the small-GEMM inline threshold's
 // serial/pooled split, and the batch-tagged telemetry records the
 // flattened stream deposits, whose stage attribution must stay inside the
 // batch's wall time.
@@ -43,6 +44,22 @@ std::vector<IsaLevel> available_levels() {
     if (simd::isa_available(candidate)) out.push_back(candidate);
   }
   return out;
+}
+
+/// The items of a uniform batch: d[i] = a[i] x b[i] (+ c[i] when given)
+/// under `params`, with `d` sized to the batch.
+std::vector<GroupedGemmItem> batch_items(const std::vector<Matrix>& a,
+                                         const std::vector<Matrix>& b,
+                                         const std::vector<Matrix>& c,
+                                         const GemmExParams& params,
+                                         std::vector<Matrix>& d) {
+  d.assign(a.size(), Matrix{});
+  std::vector<GroupedGemmItem> items(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    items[i] = GroupedGemmItem{&a[i], &b[i], c.empty() ? nullptr : &c[i],
+                               &d[i], params};
+  }
+  return items;
 }
 
 /// Restores ISA auto-resolution when a test that called force_isa exits.
@@ -105,9 +122,11 @@ TEST(GemmBatched, BatchedApiMatchesGemmExLoopAcrossIsaTiers) {
     params.alpha = 0.75f;
     params.beta = 0.25f;
     GemmContext batched_ctx;
-    const std::vector<Matrix> batched =
-        gemm_batched(batched_ctx, Backend::kEgemmTC, a, b, c, params);
+    std::vector<Matrix> batched;
+    gemm_grouped(batched_ctx, Backend::kEgemmTC,
+                 batch_items(a, b, c, params, batched));
     ASSERT_EQ(batched.size(), kBatch);
+    EXPECT_EQ(batched_ctx.cached_plans(), 1u);  // one shape, one plan
     GemmContext single_ctx;
     for (std::size_t i = 0; i < kBatch; ++i) {
       const Matrix expect =
@@ -120,9 +139,9 @@ TEST(GemmBatched, BatchedApiMatchesGemmExLoopAcrossIsaTiers) {
 
 TEST(GemmBatched, EmptyBatchesAreNoOps) {
   GemmContext ctx;
-  const std::vector<Matrix> none =
-      gemm_batched(ctx, Backend::kEgemmTC, {}, {});
-  EXPECT_TRUE(none.empty());
+  core::AccuracyContract contract;
+  contract.max_abs_error = 1e-3;
+  gemm_grouped(ctx, {}, contract);
   gemm_grouped(ctx, Backend::kEgemmTC, {});
   ctx.execute_grouped({});
   EXPECT_EQ(ctx.plan_misses(), 0u);  // nothing was planned, let alone run
@@ -209,9 +228,10 @@ TEST(GemmBatched, GroupedMixesDirectAndEmulatedItemsInAnyOrder) {
 }
 
 TEST(GemmBatched, ContractBatchedMatchesContractLoop) {
-  // With explicit (> 0) scales the batch-wide resolution is exactly the
-  // per-item resolution, so the contract batch must be bit-identical to
-  // the per-item contract gemm_ex loop.
+  // A batch-wide contract is the grouped contract call with explicit
+  // (> 0) scales: every item then resolves against the same scale
+  // context, so the batch shares one rung and one plan, and must be
+  // bit-identical to the per-item contract gemm_ex loop.
   constexpr std::size_t kBatch = 4;
   constexpr std::size_t kDim = 32;
   core::AccuracyContract contract;
@@ -225,9 +245,11 @@ TEST(GemmBatched, ContractBatchedMatchesContractLoop) {
     b.push_back(random_matrix(kDim, kDim, -2.0f, 2.0f, seed + 1));
   }
   GemmContext batched_ctx;
-  const std::vector<Matrix> batched =
-      gemm_batched(batched_ctx, a, b, {}, GemmExParams{}, contract);
+  std::vector<Matrix> batched;
+  gemm_grouped(batched_ctx, batch_items(a, b, {}, GemmExParams{}, batched),
+               contract);
   ASSERT_EQ(batched.size(), kBatch);
+  EXPECT_EQ(batched_ctx.cached_plans(), 1u);
   GemmContext single_ctx;
   for (std::size_t i = 0; i < kBatch; ++i) {
     const Matrix expect =
@@ -261,9 +283,11 @@ TEST(GemmBatched, InlineThresholdSplitsSerialFromPooledBitIdentically) {
           gemm_ex(single_ctx, Backend::kEgemmTC, a[i], b[i], nullptr, {}));
     }
     GemmContext ctx;
+    std::vector<Matrix> batched;
+    const std::vector<GroupedGemmItem> items =
+        batch_items(a, b, {}, {}, batched);
     const util::WorkerStats before = util::global_pool().total_stats();
-    const std::vector<Matrix> batched =
-        gemm_batched(ctx, Backend::kEgemmTC, a, b);
+    gemm_grouped(ctx, Backend::kEgemmTC, items);
     const util::WorkerStats after = util::global_pool().total_stats();
     if (serial) {
       EXPECT_EQ(after.tasks_executed, before.tasks_executed);
