@@ -281,8 +281,8 @@ void BM_EgemmColdPlan(benchmark::State& state) {
                           static_cast<std::int64_t>(n * n * n));
 }
 
-/// N identical small GEMMs as one gemm_grouped call: ONE flattened
-/// (item x tile) stream with a batch-aware grain (DESIGN.md §18), every
+/// N identical small GEMMs as one gemm_grouped call: ONE pool pass of
+/// regions (DESIGN.md §18), every
 /// item on the one cached plan of their shape. Each iteration writes fresh
 /// outputs, as the loop below does. BM_GemmBatchedLoopSingles at the same
 /// Args runs the identical work as a loop of one-shot gemm_ex calls -- the
@@ -315,7 +315,7 @@ void BM_GemmBatched(benchmark::State& state) {
 
 /// The same batch as a loop of single gemm_ex calls: every item pays its
 /// own pool fork/join (plus the one-shot bookkeeping), which is exactly
-/// the overhead the flattened stream amortizes.
+/// the overhead the grouped call amortizes.
 void BM_GemmBatchedLoopSingles(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
@@ -498,11 +498,11 @@ int main(int argc, char** argv) {
 
   // The batched/grouped path (DESIGN.md §18), smoke set included so CI's
   // --compare gate covers the rows. The pair at {32, 128} is the README's
-  // batched-throughput headline: same work, flattened stream vs a loop of
+  // batched-throughput headline: same work, one grouped call vs a loop of
   // singles.
   // {64, 32} is the amortization extreme: per-call fixed costs (plan
   // lookup, output allocation, telemetry deposit, workspace lease) are the
-  // largest fraction of a 32^3 call, so it shows the flattened stream's
+  // largest fraction of a 32^3 call, so it shows the grouped call's
   // floor win even on one core; {32, 128} adds the scheduling win, which
   // scales with the worker count.
   benchmark::RegisterBenchmark("BM_GemmBatched", BM_GemmBatched)

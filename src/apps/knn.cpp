@@ -148,15 +148,12 @@ KnnResult knn_search(const gemm::Matrix& queries,
   result.indices = gemm::BasicMatrix<std::int32_t>(m, k);
   result.distances = gemm::Matrix(m, k);
 
-  gemm::Matrix panel;  // the panel's query rows
-  gemm::Matrix cross;  // their cross terms, rows x n
+  gemm::Matrix cross;  // the panel's cross terms, rows x n
   for (std::size_t i0 = 0; i0 < m; i0 += kKnnPanelRows) {
     const std::size_t rows = std::min(kKnnPanelRows, m - i0);
-    panel.resize(rows, dim);
-    std::copy(queries.row(i0), queries.row(i0) + rows * dim,
-              panel.data().begin());
+    // The panel is a row range of the queries, read in place.
     (rows == panel_rows ? plan : tail_plan)
-        ->execute(ctx, panel, refs, nullptr, cross);
+        ->execute(ctx, {queries, i0, rows}, refs, nullptr, cross);
 
     // The panel's rows run on the pool while its cross terms are still in
     // cache.

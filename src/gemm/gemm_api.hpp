@@ -87,9 +87,9 @@ struct GroupedGemmItem {
 };
 
 /// Heterogeneous grouped GEMM: every item runs gemm_ex semantics on
-/// `backend`, but all items execute as ONE flattened (item x tile) task
-/// stream through GemmContext::execute_grouped, so many small GEMMs stop
-/// serializing behind each other. Items with equal op-shapes share one
+/// `backend`, but all items execute in ONE pool pass of regions through
+/// GemmContext::execute_grouped, so many small GEMMs stop serializing
+/// behind each other. Items with equal op-shapes share one
 /// cached GemmPlan. Results are bit-identical to calling gemm_ex per item
 /// in order. Items must not chain: a batch where an item's D is any
 /// item's A, B or C (its own included: there is no in-place C == D), or
@@ -128,7 +128,7 @@ Matrix gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
 /// gemm_grouped under an accuracy contract: each item resolves the
 /// contract for its own shape, parameters, and data (exactly as the
 /// contract gemm_ex would), then all selected schemes execute as one
-/// flattened stream -- bit-identical to the per-item contract loop.
+/// grouped call -- bit-identical to the per-item contract loop.
 /// Throws std::invalid_argument when any item is infeasible: every item
 /// resolves before any plans, so none is planned or executed. A uniform
 /// batch under one batch-wide contract passes explicit (> 0) scales --

@@ -12,17 +12,20 @@ namespace egemm::gemm {
 
 namespace {
 
-/// Sizes `packs` to `planes` buffers of `size` floats each, keeping their
-/// storage (contents are left for the row fills to overwrite). Returns
-/// true when any buffer had to grow.
-bool size_packs(std::vector<PackBuffer>& packs, std::size_t planes,
-                std::size_t size) {
+/// Makes `packs` hold at least `planes` buffers, the first `planes` with
+/// room for `floats` floats each, keeping every buffer's storage (a pack
+/// shrunk to fewer planes keeps the others for the next grow). Returns
+/// true when anything had to grow.
+bool grow_packs(std::vector<PackBuffer>& packs, std::size_t planes,
+                std::size_t floats) {
   EGEMM_EXPECTS(planes <= kMaxPackPlanes);
   bool grew = packs.capacity() < planes;
-  packs.resize(planes);
-  for (PackBuffer& pack : packs) {
-    grew |= pack.capacity() < size;
-    pack.resize(size);
+  if (packs.size() < planes) packs.resize(planes);
+  for (std::size_t p = 0; p < planes; ++p) {
+    if (packs[p].capacity() < floats) {
+      packs[p].reserve(floats);
+      grew = true;
+    }
   }
   return grew;
 }
@@ -33,8 +36,16 @@ bool PackedPlanes::resize(std::size_t planes, std::size_t lanes,
                           std::size_t k) {
   lanes_ = lanes;
   k_ = k;
-  const std::size_t panels = (lanes + kPackTile - 1) / kPackTile;
-  return size_packs(planes_, planes, panels * kPackTile * k_);
+  planes_count_ = planes;
+  // Contents are left for the row fills to overwrite.
+  const std::size_t size = (lanes + kPackTile - 1) / kPackTile * kPackTile * k;
+  const bool grew = grow_packs(planes_, planes, size);
+  for (std::size_t p = 0; p < planes; ++p) planes_[p].resize(size);
+  return grew;
+}
+
+bool PackedPlanes::reserve(std::size_t planes, std::size_t floats) {
+  return grow_packs(planes_, planes, floats);
 }
 
 void PackedPlanes::transpose_tile(const float* src, std::size_t ld,
@@ -76,7 +87,7 @@ void PackedPlanes::copy_segments(const float* const* strip, std::size_t r,
   const std::size_t full = width / kPackTile;  // whole 16-float segments
   const std::size_t tail = width - full * kPackTile;
   const std::size_t panel_stride = k_ * kPackTile;
-  for (std::size_t p = 0; p < planes_.size(); ++p) {
+  for (std::size_t p = 0; p < planes_count_; ++p) {
     float* const first_panel =
         planes_[p].data() + (c0 / kPackTile) * panel_stride + r * kPackTile;
     for (std::size_t i = 0; i < rows; ++i) {
@@ -99,7 +110,7 @@ void PackedPlanes::count_fill(std::size_t rows, std::size_t width) const {
   static_cast<void>(rows);  // unused with observability compiled out
   static_cast<void>(width);
   EGEMM_COUNTER_ADD("pack.bytes",
-                    planes_.size() * rows * width * sizeof(float));
+                    planes_count_ * rows * width * sizeof(float));
   EGEMM_COUNTER_ADD("pack.calls", 1);
 }
 

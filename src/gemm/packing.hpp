@@ -19,7 +19,10 @@
 // offsets, and the kernel reads both packs as two sequential streams.
 //
 // A pack is sized once per call (resize) and then filled by source row
-// ranges (fill_rows), so disjoint ranges can be filled concurrently. A fill
+// ranges (fill_rows), so disjoint ranges can be filled concurrently. The
+// source's rows may be wider than the pack (a leading dimension), so a
+// pack can hold a lane range of a larger operand: an execute's region
+// packs only the A rows and B columns its tiles read. A fill
 // reads a row-major binary32 source and passes runs of it through the
 // caller's elementwise `split`, which writes every plane's run. Which of
 // the two fills runs depends only on what the source's rows are
@@ -40,7 +43,7 @@
 //     `lanes` row by row.
 //
 // The padding is +0 either way. The packs are shared across every k-tile,
-// every split-product term, and every output tile of the call -- the
+// every split-product term, and every output tile that reads them -- the
 // host-side analogue of §4's FRAG caching (stage once, reuse across the
 // O(N^3) loop) -- and a kept pack (gemm/plan.hpp) across calls. Zero
 // padding is harmless: padded lanes are computed and discarded (never
@@ -106,23 +109,32 @@ class PackedPlanes {
   /// off this. The contents are unspecified until every row is filled.
   bool resize(std::size_t planes, std::size_t lanes, std::size_t k);
 
-  std::size_t planes() const noexcept { return planes_.size(); }
+  /// Grows the storage, never the extents, to hold `planes` planes of
+  /// `floats` floats each, so later resize() calls up to that size do not
+  /// allocate. Returns true when it allocated.
+  bool reserve(std::size_t planes, std::size_t floats);
+
+  std::size_t planes() const noexcept { return planes_count_; }
   std::size_t lanes() const noexcept { return lanes_; }
   std::size_t k() const noexcept { return k_; }
 
   /// Fills source rows [r0, r1) of every plane from `src`, the row-major
-  /// operand in `source` orientation, through `split`. Lane rows go
-  /// through the transposing fill and must start on a panel edge and end
-  /// on one or at lanes(); k rows go through the copying fill and may be
-  /// cut anywhere. Disjoint ranges write disjoint floats and may run
-  /// concurrently.
+  /// operand in `source` orientation whose rows are `ld` floats apart
+  /// (ld >= the row width: k for lane rows, lanes() for k rows), through
+  /// `split`. A wider `ld` lets a pack hold a column range of a larger
+  /// matrix. Lane rows go through the transposing fill and must start on a
+  /// panel edge and end on one or at lanes(); k rows go through the
+  /// copying fill and may be cut anywhere. Disjoint ranges write disjoint
+  /// floats and may run concurrently.
   template <PlaneSplit Split>
   void fill_rows(PackSource source, std::size_t r0, std::size_t r1,
-                 const float* src, const Split& split) {
+                 const float* src, std::size_t ld, const Split& split) {
     if (source == PackSource::kLaneRows) {
-      fill_lanes(r0, r1, src, split);
+      EGEMM_EXPECTS(ld >= k_);
+      fill_lanes(r0, r1, src, ld, split);
     } else {
-      fill_k(r0, r1, src, split);
+      EGEMM_EXPECTS(ld >= lanes_);
+      fill_k(r0, r1, src, ld, split);
     }
   }
 
@@ -140,12 +152,12 @@ class PackedPlanes {
   }
 
  private:
-  /// The transposing fill: lanes [l0, l1) from `src`, lanes x k, one
-  /// whole panel and 64 columns at a time (the last panel's lanes past
-  /// lanes() split from zeros).
+  /// The transposing fill: lanes [l0, l1) from `src`, lanes x k with
+  /// leading dimension `ld`, one whole panel and 64 columns at a time (the
+  /// last panel's lanes past lanes() split from zeros).
   template <PlaneSplit Split>
   void fill_lanes(std::size_t l0, std::size_t l1, const float* src,
-                  const Split& split) {
+                  std::size_t ld, const Split& split) {
     EGEMM_EXPECTS(l0 <= l1 && l1 <= lanes_);
     if (l0 == l1) return;
     EGEMM_EXPECTS(l0 % kPackTile == 0 &&
@@ -158,9 +170,9 @@ class PackedPlanes {
       if (lanes < kPackTile) std::fill_n(in, kPackStrip, 0.0f);
       for (std::size_t c0 = 0; c0 < k_; c0 += kCols) {
         const std::size_t cols = std::min(kCols, k_ - c0);
-        transpose_tile(src + b0 * k_ + c0, k_, lanes, cols, in, kPackTile);
+        transpose_tile(src + b0 * ld + c0, ld, lanes, cols, in, kPackTile);
         float* out[kMaxPackPlanes] = {};
-        for (std::size_t p = 0; p < planes_.size(); ++p) {
+        for (std::size_t p = 0; p < planes_count_; ++p) {
           out[p] = planes_[p].data() + b0 * k_ + c0 * kPackTile;
         }
         split(in, cols * kPackTile, out);
@@ -169,13 +181,15 @@ class PackedPlanes {
     count_fill(l1 - l0, k_);
   }
 
-  /// The copying fill: k rows [r0, r1) from `src`, k x lanes, one L1
-  /// strip at a time (kPackStrip floats per plane), copying each strip
-  /// into the panels and zeroing those rows' lanes past lanes() in the
-  /// last panel.
+  /// The copying fill: k rows [r0, r1) from `src`, k x lanes with leading
+  /// dimension `ld`, one L1 strip at a time (kPackStrip floats per plane),
+  /// copying each strip into the panels and zeroing those rows' lanes past
+  /// lanes() in the last panel. When the rows are not contiguous (ld >
+  /// lanes()), a strip's rows are gathered first, so each strip is still
+  /// one split call.
   template <PlaneSplit Split>
   void fill_k(std::size_t r0, std::size_t r1, const float* src,
-              const Split& split) {
+              std::size_t ld, const Split& split) {
     EGEMM_EXPECTS(r0 <= r1 && r1 <= k_);
     if (r0 == r1 || lanes_ == 0) return;
     alignas(64) float strip[kMaxPackPlanes][kPackStrip];
@@ -183,9 +197,17 @@ class PackedPlanes {
     if (lanes_ <= kPackStrip) {
       // Whole rows per strip.
       const std::size_t rows_per_strip = kPackStrip / lanes_;
+      alignas(64) float gathered[kPackStrip];
       for (std::size_t r = r0; r < r1; r += rows_per_strip) {
         const std::size_t rows = std::min(rows_per_strip, r1 - r);
-        split(src + r * lanes_, rows * lanes_, out);
+        const float* in = src + r * ld;
+        if (ld != lanes_) {
+          for (std::size_t i = 0; i < rows; ++i) {
+            std::copy_n(in + i * ld, lanes_, gathered + i * lanes_);
+          }
+          in = gathered;
+        }
+        split(in, rows * lanes_, out);
         copy_segments(out, r, rows, 0, lanes_);
       }
     } else {
@@ -193,7 +215,7 @@ class PackedPlanes {
       for (std::size_t r = r0; r < r1; ++r) {
         for (std::size_t c0 = 0; c0 < lanes_; c0 += kPackStrip) {
           const std::size_t c1 = std::min(lanes_, c0 + kPackStrip);
-          split(src + r * lanes_ + c0, c1 - c0, out);
+          split(src + r * ld + c0, c1 - c0, out);
           copy_segments(out, r, 1, c0, c1);
         }
       }
@@ -220,6 +242,9 @@ class PackedPlanes {
 
   std::size_t lanes_ = 0;
   std::size_t k_ = 0;
+  std::size_t planes_count_ = 0;
+  /// At least planes_count_ buffers: a pack resized to fewer planes keeps
+  /// the others' storage for the next resize to more.
   std::vector<PackBuffer> planes_;
 };
 

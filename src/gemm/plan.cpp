@@ -12,6 +12,7 @@
 
 #include "gemm/baselines.hpp"
 #include "gemm/prep_rows.hpp"
+#include "gemm/regions.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -77,8 +78,10 @@ static_assert(kSeparateSlab % 2 == 0);
 
 /// One 16x16 output tile of the packed engine (DESIGN.md §10): the whole
 /// term x k-slab recipe runs in ONE dispatched tcsim::mma_tile_recipe call
-/// over the workspace's pre-packed planes, so the SIMD variants keep the
-/// accumulator in registers across the entire k extent. Per output element
+/// over the pre-packed planes (panel `a_panel` of A's pack and `b_panel`
+/// of B's: the tile's row and column block, counted from the first block
+/// each pack holds), so the SIMD variants keep the accumulator in
+/// registers across the entire k extent. Per output element
 /// the operation sequence is identical to the scalar oracle's
 /// (verify::reference_execute), so the result is bit-identical. The
 /// register tile starts from C's tile (or zeros), and the store writes
@@ -87,7 +90,8 @@ static_assert(kSeparateSlab % 2 == 0);
 void packed_tile(const Matrix* c, Matrix& d, const PackedPlanes& apack,
                  const PackedPlanes& bpack, std::size_t k,
                  std::span<const core::SchemeTerm> terms, ComboOrder order,
-                 std::size_t rb, std::size_t cb, std::uint64_t* combine) {
+                 std::size_t rb, std::size_t cb, std::size_t a_panel,
+                 std::size_t b_panel, std::uint64_t* combine) {
   const std::size_t m = d.rows();
   const std::size_t n = d.cols();
   const bool fused = order == ComboOrder::kFusedPerTile;
@@ -99,8 +103,10 @@ void packed_tile(const Matrix* c, Matrix& d, const PackedPlanes& apack,
   const float* a_blocks[core::kMaxSchemeTerms];
   const float* b_blocks[core::kMaxSchemeTerms];
   for (std::size_t t = 0; t < terms.size(); ++t) {
-    a_blocks[t] = apack.block(static_cast<std::size_t>(terms[t].a_depth), rb);
-    b_blocks[t] = bpack.block(static_cast<std::size_t>(terms[t].b_depth), cb);
+    a_blocks[t] =
+        apack.block(static_cast<std::size_t>(terms[t].a_depth), a_panel);
+    b_blocks[t] =
+        bpack.block(static_cast<std::size_t>(terms[t].b_depth), b_panel);
     // Warm the first lines of each term's B block; the recipe kernel
     // prefetches ahead within each stream but cannot see across the term
     // boundary.
@@ -132,12 +138,6 @@ void packed_tile(const Matrix* c, Matrix& d, const PackedPlanes& apack,
 /// Process-unique grouped-execute ids for CallRecord::batch_id (0 means
 /// unbatched, so the first batch is 1).
 std::atomic<std::uint32_t> g_batch_counter{0};
-
-/// Floor on the FLOPs a flattened-stream chunk should carry: below ~4
-/// MFLOP the pool round-trip dominates the chunk. The batch grain is this
-/// divided by the stream's mean per-block FLOPs, so batches of tiny items
-/// coalesce many items into one task while large items still fan out.
-constexpr std::uint64_t kMinChunkFlops = std::uint64_t{1} << 22;
 
 /// Splits in[0, count) per the plan's recipe into out[p], one run per
 /// plane, by split depth (plane 0 = hi). `split_ns` (when non-null)
@@ -220,14 +220,14 @@ void check_operand(const GemmPlan& plan, Side side, const Operand& op) {
   }
   EGEMM_EXPECTS(op.matrix() != nullptr);
   const bool lane_rows = source_of(side, op.trans()) == PackSource::kLaneRows;
-  EGEMM_EXPECTS(op.matrix()->rows() == (lane_rows ? lanes : plan.k()) &&
-                op.matrix()->cols() == (lane_rows ? plan.k() : lanes));
+  EGEMM_EXPECTS(op.rows() == (lane_rows ? lanes : plan.k()) &&
+                op.cols() == (lane_rows ? plan.k() : lanes));
 }
 
-/// One GEMM of an execute: its operands, its workspace, its place in the
-/// prep and block streams (a block is one 16x16 output tile), and the
-/// stage weights its call record is built from. GemmPlan::keep runs one
-/// too, with a single operand and no workspace.
+/// One GEMM of an execute: its operands, how prep reads them, its cut
+/// (a grid of regions, or one set of shared packs), and the stage weights
+/// its call record is built from. GemmPlan::keep runs one too, with a
+/// single operand.
 struct ItemRun {
   struct Operands {
     const GemmPlan* plan = nullptr;
@@ -236,71 +236,57 @@ struct ItemRun {
     const Matrix* c = nullptr;
     Matrix* d = nullptr;
   } op;
-  Workspace* ws = nullptr;
-  std::optional<WorkspaceLease> lease;  ///< the item's own, when pooled
-  // The packs prep fills (null for an operand it does not), in the
-  // orientation each source is read, and the packs the tiles read: the
-  // filled ones, or kept packs.
+  // How prep reads the operands it splits (those not passed as kept
+  // packs): the orientation of each source's rows.
+  std::optional<PackSource> a_source;
+  std::optional<PackSource> b_source;
+  // The shared schedule's packs (and keep's): prep fills them whole and
+  // every tile reads them.
   PackedPlanes* fill_a = nullptr;
   PackedPlanes* fill_b = nullptr;
-  PackSource a_source = PackSource::kLaneRows;
-  PackSource b_source = PackSource::kKRows;
-  const PackedPlanes* apack = nullptr;
-  const PackedPlanes* bpack = nullptr;
-  PrepRows rows;               ///< the prep's row space
   std::size_t row_blocks = 0;
   std::size_t col_blocks = 0;
-  std::size_t first = 0;       ///< offset into the flattened block stream
-  std::size_t prep_first = 0;  ///< offset into the prep chunk stream
-  // Stage weights in ns (zero with observability compiled out). prep_ns
-  // sums the item's prep chunks (split into the packs) on whichever
-  // threads ran them; direct_ns is a direct backend's kernel on the
-  // calling thread. Chunks and engine stretches of one item run on many
-  // pool threads at once, so their weights are atomic.
+  /// The item's cut: each of grid.rows row ranges meets each of grid.cols
+  /// column ranges in one region (1 x 1 for shared packs).
+  RegionGrid grid;
+  // Stage weights in ns (zero with observability compiled out), summed
+  // over the threads that ran the item's prep and tiles: prep_ns is all
+  // of its prep (split into the packs), engine_ns all of its tile
+  // stretches; direct_ns is a direct backend's kernel on the calling
+  // thread. Regions and chunks of one item run on many pool threads at
+  // once, so their weights are atomic.
   std::atomic<std::uint64_t> prep_ns{0};
   std::atomic<std::uint64_t> split_ns{0};
   std::atomic<std::uint64_t> pack_ns{0};
   std::uint64_t direct_ns = 0;
   std::atomic<std::uint64_t> engine_ns{0};
   std::atomic<std::uint64_t> combine_ns{0};
-  /// Elements the prep chunks split (debug builds only).
+  /// Elements the item's prep split (debug builds only).
   std::atomic<std::uint64_t> split_elements{0};
 
   const PlanKey& key() const noexcept { return op.plan->key(); }
-  std::size_t blocks() const noexcept { return row_blocks * col_blocks; }
 
-  /// Lays out the prep of `side`, filled from `source` (into fill_a or
-  /// fill_b, set by the caller).
-  void prep(Side side, const Operand& source) {
-    const GemmPlan& plan = *op.plan;
-    const PackSource from = source_of(side, source.trans());
-    const PrepSpan span =
-        PrepSpan::of(from, side == Side::kA ? plan.m() : plan.n(), plan.k(),
-                     plan.planes());
-    if (side == Side::kA) {
-      a_source = from;
-      rows = PrepRows(span, rows.b);
-    } else {
-      b_source = from;
-      rows = PrepRows(rows.a, span);
-    }
+  /// Points prep at the operands not passed as kept packs.
+  void read_sources() noexcept {
+    if (op.a.kept() == nullptr) a_source = source_of(Side::kA, op.a.trans());
+    if (op.b.kept() == nullptr) b_source = source_of(Side::kB, op.b.trans());
   }
 
-  /// Elements prep must split: every row of each filled pack once, a
-  /// transposing fill's whole 16-lane panels (its last panel's lanes past
-  /// the extent split from zeros).
+  /// Elements prep must split for the cut taken: each split operand's rows
+  /// once per region range across them (A's per column range, B's per row
+  /// range), a transposing fill's whole 16-lane panels (its last panel's
+  /// lanes past the extent split from zeros).
   std::uint64_t expected_split() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& [pack, source] : {std::pair{fill_a, a_source},
-                                      std::pair{fill_b, b_source}}) {
-      if (pack == nullptr) continue;
-      const std::size_t lanes =
-          source == PackSource::kLaneRows
-              ? (pack->lanes() + kTile - 1) / kTile * kTile
-              : pack->lanes();
-      total += static_cast<std::uint64_t>(lanes) * pack->k();
-    }
-    return total;
+    const PlanKey& k = key();
+    const auto once = [&k](const std::optional<PackSource>& source,
+                           std::size_t lanes) -> std::uint64_t {
+      if (!source) return 0;
+      const std::size_t padded = *source == PackSource::kLaneRows
+                                     ? (lanes + kTile - 1) / kTile * kTile
+                                     : lanes;
+      return static_cast<std::uint64_t>(padded) * k.k;
+    };
+    return grid.cols * once(a_source, k.m) + grid.rows * once(b_source, k.n);
   }
 };
 
@@ -312,14 +298,26 @@ struct Walls {
   std::uint64_t engine = 0;
 };
 
-/// A direct plan's kernel. The binary32 baselines read row-major operands
-/// as given, so a transposed one is copied first.
+/// A direct plan's kernel. The binary32 baselines read whole row-major
+/// operands as given, so a transposed operand or a row range is copied
+/// first.
 void run_direct(const ItemRun::Operands& op) {
   Matrix a_copy;
   Matrix b_copy;
   const auto as_given = [](const Operand& x, Matrix& copy) -> const Matrix& {
-    if (x.trans() == Transpose::kNone) return *x.matrix();
-    transpose_into(*x.matrix(), copy);
+    const Matrix& stored = *x.matrix();
+    const bool whole = x.rows() == stored.rows();
+    Matrix range;
+    if (!whole) {
+      range.resize(x.rows(), x.cols());
+      std::copy_n(x.data(), range.size(), range.data().begin());
+    }
+    if (x.trans() == Transpose::kTranspose) {
+      transpose_into(whole ? stored : range, copy);
+      return copy;
+    }
+    if (whole) return stored;
+    copy = std::move(range);
     return copy;
   };
   const Matrix& a = as_given(op.a, a_copy);
@@ -341,95 +339,103 @@ void run_direct(const ItemRun::Operands& op) {
   }
 }
 
-/// Readies an item for its prep chunks: points prep at the workspace's
-/// packs for the operands not passed as kept packs and sizes them, points
-/// the tiles at the packs they read, sizes the output, and counts the
-/// execute.
-void size_item(ItemRun& run) {
+/// Readies an emulated item: its sources, its block counts, its output's
+/// size, and the execute counters.
+void begin_item(ItemRun& run) {
   const GemmPlan& plan = *run.op.plan;
-  const KeptPack* kept_a = run.op.a.kept();
-  const KeptPack* kept_b = run.op.b.kept();
-  run.ws->ensure(plan.m(), plan.n(), plan.k(), plan.planes(),
-                 kept_a == nullptr, kept_b == nullptr);
-  if (kept_a == nullptr) run.fill_a = &run.ws->packed_a();
-  if (kept_b == nullptr) run.fill_b = &run.ws->packed_b();
-  run.apack = kept_a != nullptr ? &kept_a->pack() : run.fill_a;
-  run.bpack = kept_b != nullptr ? &kept_b->pack() : run.fill_b;
+  run.read_sources();
+  run.row_blocks = (plan.m() + kTile - 1) / kTile;
+  run.col_blocks = (plan.n() + kTile - 1) / kTile;
   run.op.d->resize(plan.m(), plan.n());
   EGEMM_COUNTER_ADD("egemm.calls", 1);
   count_scheme_execute(*plan.scheme_id());
 }
 
-/// One prep chunk: rows [u0, u1) of the item's PrepRows space. The
-/// O(N^2) data-split pass (it runs on CUDA cores in the real kernel)
-/// splits the chunk's rows of each filled operand straight into its pack,
-/// through the transposing or the copying fill as its source's rows are
-/// lanes or k. Every step is element-wise, so any cut of the space gives
-/// the same pack bits. The "split" span covers A's fill, transposes
-/// included; the "pack" span covers B's, whose split time the record
-/// still counts as split.
-void prep_rows(ItemRun& run, std::size_t u0, std::size_t u1) {
-  const std::size_t a_rows = run.rows.a.rows;
-  const std::size_t a0 = std::min(u0, a_rows);
-  const std::size_t a1 = std::min(u1, a_rows);
-  const std::size_t b0 = std::max(u0, a_rows) - a_rows;
-  const std::size_t b1 = std::max(u1, a_rows) - a_rows;
-  const auto split = [&run](std::uint64_t* split_ns) {
-    return [&run, split_ns](const float* in, std::size_t count,
-                            float* const* out) {
-      if constexpr (kCountSplits) {
-        run.split_elements.fetch_add(count, std::memory_order_relaxed);
-      }
-      split_run(*run.op.plan, in, count, out, split_ns);
-    };
-  };
-  std::uint64_t prep = 0;
+/// Source rows [r0, r1) of one operand into `pack`, its lanes counted
+/// from `lane0` of the source (a region's first row or column).
+struct FillRange {
+  PackedPlanes* pack = nullptr;  ///< null: nothing to fill
+  std::size_t r0 = 0;
+  std::size_t r1 = 0;
+  std::size_t lane0 = 0;
+};
+
+/// Splits `range` of `side`'s source per the plan's recipe, through the
+/// transposing or the copying fill as the source's rows are lanes or k,
+/// counting the elements in the run's own count.
+void fill(ItemRun& run, Side side, const FillRange& range,
+          std::uint64_t* split_ns) {
+  const Operand& op = side == Side::kA ? run.op.a : run.op.b;
+  const PackSource source = side == Side::kA ? *run.a_source : *run.b_source;
+  const std::size_t ld = op.cols();
+  const float* src =
+      op.data() + (source == PackSource::kLaneRows ? range.lane0 * ld
+                                                   : range.lane0);
+  range.pack->fill_rows(
+      source, range.r0, range.r1, src, ld,
+      [&run, split_ns](const float* in, std::size_t count,
+                       float* const* out) {
+        if constexpr (kCountSplits) {
+          run.split_elements.fetch_add(count, std::memory_order_relaxed);
+        }
+        split_run(*run.op.plan, in, count, out, split_ns);
+      });
+}
+
+/// One stretch of prep, the O(N^2) data-split pass (it runs on CUDA cores
+/// in the real kernel): A's range, then B's, split straight into their
+/// packs. Every step is element-wise, so any cut gives the same pack bits.
+/// The "split" span covers A's fill, transposes included; the "pack" span
+/// covers B's, whose split time the record still counts as split.
+void prep(ItemRun& run, const FillRange& a, const FillRange& b) {
+  std::uint64_t total = 0;
   std::uint64_t split_ns = 0;
   std::uint64_t b_fill = 0;
   std::uint64_t b_split = 0;
   {
-    const obs::StageTimer chunk(nullptr, &prep);
-    if (a0 < a1) {
+    const obs::StageTimer stretch(nullptr, &total);
+    if (a.pack != nullptr && a.r0 < a.r1) {
       const obs::StageTimer timer("split", &split_ns);
-      run.fill_a->fill_rows(run.a_source, a0, a1,
-                            run.op.a.matrix()->data().data(),
-                            split(nullptr));
+      fill(run, Side::kA, a, nullptr);
     }
-    if (b0 < b1) {
+    if (b.pack != nullptr && b.r0 < b.r1) {
       const obs::StageTimer timer("pack", &b_fill);
-      run.fill_b->fill_rows(run.b_source, b0, b1,
-                            run.op.b.matrix()->data().data(),
-                            split(&b_split));
+      fill(run, Side::kB, b, &b_split);
     }
   }
   // B's strip splits ran inside b_fill's window.
-  const std::uint64_t pack = b_fill - b_split;
-  split_ns += b_split;
-  run.prep_ns.fetch_add(prep, std::memory_order_relaxed);
-  run.split_ns.fetch_add(split_ns, std::memory_order_relaxed);
-  run.pack_ns.fetch_add(pack, std::memory_order_relaxed);
+  run.prep_ns.fetch_add(total, std::memory_order_relaxed);
+  run.split_ns.fetch_add(split_ns + b_split, std::memory_order_relaxed);
+  run.pack_ns.fetch_add(b_fill - b_split, std::memory_order_relaxed);
 }
 
-/// Runs every prep chunk of `runs` (`chunks` in all, each run's from its
-/// prep_first) in one pool pass.
-void prep_pass(std::span<ItemRun> runs, std::size_t chunks) {
-  util::global_pool().parallel_for(chunks, [&runs](std::size_t c0,
-                                                   std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      // The last item starting at or before c owns it, as in the block
-      // stream.
-      ItemRun& run =
-          *(std::ranges::upper_bound(runs, c, {}, &ItemRun::prep_first) - 1);
-      const std::size_t j = c - run.prep_first;
-      prep_rows(run, run.rows.start(j), run.rows.start(j + 1));
-    }
-  });
+/// Runs the shared packs' whole prep in one pool pass, as PrepRows chunks
+/// of A's source rows, then B's.
+void prep_pass(ItemRun& run) {
+  const GemmPlan& plan = *run.op.plan;
+  const auto span = [&plan](const std::optional<PackSource>& source,
+                            std::size_t lanes) {
+    return source ? PrepSpan::of(*source, lanes, plan.k(), plan.planes())
+                  : PrepSpan{};
+  };
+  const PrepRows rows(span(run.a_source, plan.m()),
+                      span(run.b_source, plan.n()));
+  const std::size_t a_rows = rows.a.rows;
+  util::global_pool().parallel_for(
+      rows.chunks, [&](std::size_t c0, std::size_t c1) {
+        const std::size_t u0 = rows.start(c0);
+        const std::size_t u1 = rows.start(c1);
+        prep(run, {run.fill_a, std::min(u0, a_rows), std::min(u1, a_rows), 0},
+             {run.fill_b, std::max(u0, a_rows) - a_rows,
+              std::max(u1, a_rows) - a_rows, 0});
+      });
 }
 
-/// Debug builds: each input element must be split exactly once per
-/// execute -- the plane cache is the point of the packed engine, so
-/// re-splitting anywhere downstream is a bug -- and a kept pack's not at
-/// all. The count is the run's own, so concurrent executes check exactly.
+/// Debug builds: each input element must be split exactly as often as the
+/// item's cut reads it -- once per execute for shared packs and one-region
+/// items; the plane cache is the point of the packed engine, so
+/// re-splitting anywhere else is a bug -- and a kept pack's not at all.
+/// The count is the run's own, so concurrent executes check exactly.
 void check_split_once(const ItemRun& run) {
   if constexpr (kCountSplits) {
     EGEMM_ENSURES(run.split_elements.load(std::memory_order_relaxed) ==
@@ -437,43 +443,81 @@ void check_split_once(const ItemRun& run) {
   }
 }
 
-void run_block(const ItemRun& run, std::size_t rb, std::size_t cb,
-               std::uint64_t* combine) {
-  const GemmPlan& plan = *run.op.plan;
-  packed_tile(run.op.c, *run.op.d, *run.apack, *run.bpack, plan.k(),
-              plan.terms(), plan.order(), rb, cb, combine);
-}
+/// The packs a stretch of tiles reads, each with the first row (A) or
+/// column (B) block it holds: 0 for shared and kept packs, the region's
+/// first block for a region's own.
+struct TilePacks {
+  const PackedPlanes* a = nullptr;
+  std::size_t a_first = 0;
+  const PackedPlanes* b = nullptr;
+  std::size_t b_first = 0;
+};
 
-/// Runs one stretch of an item's blocks; `walk(combine)` visits them. The
-/// caller opens the "mma" span and counts the tiles once per pool chunk.
+/// Runs the item's tiles [rb0, rb1) x [cb0, cb1) under one "mma" span.
 /// The stretch's wall time and its writeback time join the item's engine
 /// weights.
-template <typename Walk>
-void run_stretch(ItemRun& run, const Walk& walk) {
+void run_tiles(ItemRun& run, const TilePacks& packs, std::size_t rb0,
+               std::size_t rb1, std::size_t cb0, std::size_t cb1) {
+  const obs::ScopedSpan mma("mma");
+  EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
+  const GemmPlan& plan = *run.op.plan;
   std::uint64_t wall = 0;
   std::uint64_t combine = 0;
   {
     const obs::StageTimer stretch(nullptr, &wall);
-    walk(&combine);
+    for (std::size_t rb = rb0; rb < rb1; ++rb) {
+      for (std::size_t cb = cb0; cb < cb1; ++cb) {
+        packed_tile(run.op.c, *run.op.d, *packs.a, *packs.b, plan.k(),
+                    plan.terms(), plan.order(), rb, cb, rb - packs.a_first,
+                    cb - packs.b_first, &combine);
+      }
+    }
   }
   run.engine_ns.fetch_add(wall, std::memory_order_relaxed);
   run.combine_ns.fetch_add(combine, std::memory_order_relaxed);
 }
 
-/// Blocks [l0, l1) of one item in row-major order.
-void run_linear(ItemRun& run, std::size_t l0, std::size_t l1) {
-  if (l0 == l1) return;
-  run_stretch(run, [&](std::uint64_t* combine) {
-    std::size_t rb = l0 / run.col_blocks;
-    std::size_t cb = l0 % run.col_blocks;
-    for (std::size_t l = l0; l < l1; ++l) {
-      run_block(run, rb, cb, combine);
-      if (++cb == run.col_blocks) {
-        cb = 0;
-        ++rb;
-      }
-    }
-  });
+/// One region of an item: row blocks [rb0, rb1) by column blocks [cb0,
+/// cb1), and its multiply-adds.
+struct Region {
+  ItemRun* run = nullptr;
+  std::size_t rb0 = 0, rb1 = 0, cb0 = 0, cb1 = 0;
+  std::uint64_t work = 0;
+};
+
+/// The source rows a region's pack of one operand reads: its lanes' rows
+/// of a lane-rows source, every k row of a k-rows one (from lane0 on).
+FillRange region_range(PackedPlanes& pack,
+                       const std::optional<PackSource>& source,
+                       std::size_t lane0, std::size_t lanes, std::size_t k) {
+  if (!source) return {};
+  return {&pack, 0, *source == PackSource::kLaneRows ? lanes : k, lane0};
+}
+
+/// Runs one region on the thread that claimed it: splits the A rows and B
+/// columns it reads (unless they are kept packs) into `ws`, sized to the
+/// region, then runs its tiles from there.
+void run_region(const Region& region, Workspace& ws) {
+  ItemRun& run = *region.run;
+  const GemmPlan& plan = *run.op.plan;
+  const std::size_t i0 = region.rb0 * kTile;
+  const std::size_t rows = std::min(plan.m(), region.rb1 * kTile) - i0;
+  const std::size_t j0 = region.cb0 * kTile;
+  const std::size_t cols = std::min(plan.n(), region.cb1 * kTile) - j0;
+  ws.ensure(rows, cols, plan.k(), plan.planes(), run.a_source.has_value(),
+            run.b_source.has_value());
+  prep(run, region_range(ws.packed_a(), run.a_source, i0, rows, plan.k()),
+       region_range(ws.packed_b(), run.b_source, j0, cols, plan.k()));
+  TilePacks packs{&ws.packed_a(), region.rb0, &ws.packed_b(), region.cb0};
+  if (const KeptPack* kept = run.op.a.kept()) {
+    packs.a = &kept->pack();
+    packs.a_first = 0;
+  }
+  if (const KeptPack* kept = run.op.b.kept()) {
+    packs.b = &kept->pack();
+    packs.b_first = 0;
+  }
+  run_tiles(run, packs, region.rb0, region.rb1, region.cb0, region.cb1);
 }
 
 /// Builds and deposits the CallRecords of one execute (DESIGN.md §17): one
@@ -567,27 +611,166 @@ void record_calls(std::span<const ItemRun> runs, const Walls& walls,
   }
 }
 
-/// The one execute pipeline (DESIGN.md §13, §18), behind both
-/// GemmPlan::execute (one item, batch_id 0) and
-/// GemmContext::execute_grouped. Direct items run first, inline. Emulated
-/// items are prepped (split into the packs) by one row routine,
-/// prep_rows, then their blocks run through the tile kernels, in one of
-/// three shapes:
-///  * serial -- a one-thread pool, or total work under
-///    kSmallGemmInlineThreshold: each item is prepped over its full row
-///    range and run back-to-back on the calling thread, all on ONE
-///    recycled workspace, so the hot packs stay cache-resident exactly
-///    as in a loop of singles;
-///  * pooled -- one workspace per item; every item's prep is cut into
-///    PrepRows chunks that all run in one pool pass; then one item's
-///    blocks go through parallel_for_2d with the pool's default grain,
-///    while several items' blocks enter ONE flattened 1D stream whose
-///    grain targets kMinChunkFlops per chunk, so tiny items coalesce and
-///    large ones still fan out.
-/// Every shape runs each block through the same tile kernel, so results
-/// are bit-identical across shapes.
+/// The shared schedule, for one item above kRegionMaxWork on a pool of
+/// more than one thread: the item's packs sit in one leased workspace,
+/// filled by prep_pass's row chunks, and then every tile reads them through
+/// parallel_for_2d with the pool's default grain.
+void run_shared(GemmContext& ctx, ItemRun& run, Walls& walls) {
+  const GemmPlan& plan = *run.op.plan;
+  WorkspaceLease lease = ctx.lease_workspace();
+  TilePacks packs;
+  {
+    const obs::StageTimer prep(nullptr, &walls.prep);
+    lease->ensure(plan.m(), plan.n(), plan.k(), plan.planes(),
+                  run.a_source.has_value(), run.b_source.has_value());
+    if (run.a_source) run.fill_a = &lease->packed_a();
+    if (run.b_source) run.fill_b = &lease->packed_b();
+    packs.a = run.fill_a != nullptr ? run.fill_a : &run.op.a.kept()->pack();
+    packs.b = run.fill_b != nullptr ? run.fill_b : &run.op.b.kept()->pack();
+    prep_pass(run);
+  }
+  check_split_once(run);
+  const obs::StageTimer engine(nullptr, &walls.engine);
+  util::global_pool().parallel_for_2d(
+      run.row_blocks, run.col_blocks, /*grain=*/0,
+      [&](std::size_t rb0, std::size_t rb1, std::size_t cb0, std::size_t cb1) {
+        run_tiles(run, packs, rb0, rb1, cb0, cb1);
+      });
+}
+
+/// `grid` clipped to the item's blocks, so no region is empty; an item
+/// with no output tiles has no regions.
+RegionGrid fit_grid(RegionGrid grid, const ItemRun& run) {
+  if (run.row_blocks == 0 || run.col_blocks == 0) return {0, 0};
+  return {std::clamp<std::size_t>(grid.rows, 1, run.row_blocks),
+          std::clamp<std::size_t>(grid.cols, 1, run.col_blocks)};
+}
+
+}  // namespace
+
+/// The one door to a context's per-worker region workspaces, which
+/// GemmContext keeps private.
+struct RegionWorkspaces {
+  static std::span<Workspace> of(GemmContext& ctx, std::size_t workers) {
+    return ctx.worker_workspaces(workers);
+  }
+};
+
+namespace {
+
+/// The region schedule: every emulated item is cut into regions (its
+/// grid), and each region runs on one thread -- splitting what it reads,
+/// then multiplying it -- in one pool pass, or back-to-back on the caller
+/// when the call runs inline. `forced` replaces the cut rule's grid.
+void run_regions(GemmContext& ctx, std::span<ItemRun> runs,
+                 std::size_t emulated, std::uint64_t work,
+                 const RegionGrid* forced, Walls& walls) {
+  util::ThreadPool& pool = util::global_pool();
+  const std::size_t threads = pool.size();
+  const bool pooled = threads > 1 && work >= kSmallGemmInlineThreshold;
+  const std::size_t share = (threads + emulated - 1) / emulated;
+  std::vector<Region> regions;
+  // The largest region's packs, which every slot workspace is sized to.
+  std::size_t a_floats = 0;
+  std::size_t b_floats = 0;
+  std::size_t planes = 0;
+  for (ItemRun& run : runs) {
+    if (run.op.plan->direct()) continue;
+    const PlanKey& key = run.key();
+    const bool split_up =
+        pooled && key.m * key.n * key.k >= kSmallGemmInlineThreshold;
+    run.grid = fit_grid(
+        forced != nullptr ? *forced
+                          : region_grid(key.m, key.n, split_up ? share : 1),
+        run);
+    const RegionGrid& grid = run.grid;
+    for (std::size_t i = 0; i < grid.rows; ++i) {
+      const std::size_t rb0 = i * run.row_blocks / grid.rows;
+      const std::size_t rb1 = (i + 1) * run.row_blocks / grid.rows;
+      const std::size_t rows = std::min(key.m, rb1 * kTile) - rb0 * kTile;
+      if (run.a_source) {
+        a_floats = std::max(a_floats, (rb1 - rb0) * kTile * key.k);
+      }
+      for (std::size_t j = 0; j < grid.cols; ++j) {
+        const std::size_t cb0 = j * run.col_blocks / grid.cols;
+        const std::size_t cb1 = (j + 1) * run.col_blocks / grid.cols;
+        const std::size_t cols = std::min(key.n, cb1 * kTile) - cb0 * kTile;
+        if (run.b_source) {
+          b_floats = std::max(b_floats, (cb1 - cb0) * kTile * key.k);
+        }
+        regions.push_back({&run, rb0, rb1, cb0, cb1,
+                           static_cast<std::uint64_t>(rows) * cols * key.k});
+      }
+    }
+    planes = std::max(planes, static_cast<std::size_t>(run.op.plan->planes()));
+  }
+
+  // The calling thread's workspace, for every region it runs itself.
+  std::optional<WorkspaceLease> lease;
+  const auto caller = [&]() -> Workspace& {
+    if (!lease) lease.emplace(ctx.lease_workspace());
+    return **lease;
+  };
+  std::uint64_t pass = 0;
+  {
+    const obs::StageTimer timer(nullptr, &pass);
+    if (pooled) {
+      // Claimed largest first, so the pass ends on small regions.
+      std::ranges::sort(regions, std::ranges::greater{}, &Region::work);
+      // A worker runs its regions in the context's workspace for its slot
+      // (only a pass that won the pool has workers), the calling thread in
+      // its own lease. Each grows to the pass's largest region, so a warm
+      // repeat allocates nothing whichever thread claims which region.
+      const std::span<Workspace> workers =
+          RegionWorkspaces::of(ctx, threads - 1);
+      pool.for_each_task(regions.size(), [&](std::size_t task,
+                                             std::size_t slot) {
+        Workspace& ws = slot == 0 || slot == threads ? caller()
+                                                     : workers[slot - 1];
+        ws.reserve(planes, a_floats, b_floats);
+        run_region(regions[task], ws);
+      });
+    } else {
+      for (const Region& region : regions) run_region(region, caller());
+    }
+  }
+  for (const ItemRun& run : runs) {
+    if (!run.op.plan->direct()) check_split_once(run);
+  }
+  // The pass's wall, apportioned between prep and tiles by their weights.
+  std::uint64_t prep = 0;
+  std::uint64_t engine = 0;
+  for (const ItemRun& run : runs) {
+    prep += run.prep_ns.load(std::memory_order_relaxed);
+    engine += run.engine_ns.load(std::memory_order_relaxed);
+  }
+  if (prep + engine > 0) {
+    walls.prep = static_cast<std::uint64_t>(
+        static_cast<double>(pass) * static_cast<double>(prep) /
+        static_cast<double>(prep + engine));
+    walls.engine = pass - walls.prep;
+  }
+}
+
+/// The one execute pipeline (DESIGN.md §13, §18), behind GemmPlan::execute
+/// (one item, batch_id 0) and GemmContext::execute_grouped. Direct items
+/// run first, inline. Emulated items then run on one of two schedules:
+///  * regions -- every call but a single item above kRegionMaxWork: each
+///    item is cut into regions of output tiles (one when it is under
+///    kSmallGemmInlineThreshold; the pool's size shared out over the
+///    call's items otherwise), and the thread that runs a region splits
+///    the A rows and B columns it reads into its own workspace and
+///    multiplies them there. All of a call's regions run in one pool
+///    pass, or back-to-back on the caller when the call's work is under
+///    kSmallGemmInlineThreshold;
+///  * shared -- one item above kRegionMaxWork: its packs are split once,
+///    in row chunks on the pool, and every tile reads them.
+/// Every schedule runs each tile through the same tile kernel over packs
+/// of the same bits, so results are bit-identical across schedules and
+/// cuts. `forced` (tests only) replaces the region rule's grid.
 void run_items(GemmContext& ctx, std::span<ItemRun> runs,
-               std::uint32_t batch_id, obs::PlanLookup lookup) {
+               std::uint32_t batch_id, obs::PlanLookup lookup,
+               const RegionGrid* forced = nullptr) {
   // Every item is checked before any runs, so a rejected one (a kept pack
   // that does not fit its plan throws) leaves D, the counters and the call
   // records as they were.
@@ -606,101 +789,29 @@ void run_items(GemmContext& ctx, std::span<ItemRun> runs,
   walls.start = obs::kEnabled ? obs::monotonic_ns() : 0;
 
   std::size_t emulated = 0;
-  std::size_t blocks = 0;
-  std::size_t prep_chunks = 0;
   std::uint64_t work = 0;  // multiply-adds
   for (ItemRun& run : runs) {
-    const PlanKey& key = run.key();
-    run.first = blocks;
-    run.prep_first = prep_chunks;
     if (run.op.plan->direct()) {
       const obs::StageTimer direct(nullptr, &run.direct_ns);
       run_direct(run.op);
       continue;
     }
     ++emulated;
-    // Prep fills the operands not passed as kept packs.
-    if (run.op.a.kept() == nullptr) run.prep(Side::kA, run.op.a);
-    if (run.op.b.kept() == nullptr) run.prep(Side::kB, run.op.b);
-    prep_chunks += run.rows.chunks;
-    run.row_blocks = (key.m + kTile - 1) / kTile;
-    run.col_blocks = (key.n + kTile - 1) / kTile;
-    blocks += run.blocks();
+    const PlanKey& key = run.key();
     work += key.m * key.n * key.k;
+    begin_item(run);
   }
 
   if (emulated > 0) {
     const obs::ScopedSpan span(batch_id == 0 ? "egemm_multiply"
                                              : "egemm_grouped");
-    util::ThreadPool& pool = util::global_pool();
-    if (pool.size() <= 1 || work < kSmallGemmInlineThreshold) {
-      WorkspaceLease lease = ctx.lease_workspace();
-      for (ItemRun& run : runs) {
-        if (run.op.plan->direct()) continue;
-        {
-          const obs::StageTimer prep(nullptr, &walls.prep);
-          run.ws = &*lease;
-          size_item(run);
-          prep_rows(run, 0, run.rows.end());
-        }
-        check_split_once(run);
-        const obs::ScopedSpan mma("mma");
-        EGEMM_COUNTER_ADD("egemm.tiles", run.blocks());
-        run_linear(run, 0, run.blocks());
-        walls.engine += run.engine_ns.load(std::memory_order_relaxed);
-      }
+    if (forced == nullptr && emulated == 1 && work > kRegionMaxWork &&
+        util::global_pool().size() > 1) {
+      run_shared(ctx, *std::ranges::find_if(runs, [](const ItemRun& r) {
+        return !r.op.plan->direct();
+      }), walls);
     } else {
-      {
-        const obs::StageTimer prep(nullptr, &walls.prep);
-        // Leases and sizing run serially, before the pass, so the pool
-        // stays contention-free and the chunks never allocate.
-        for (ItemRun& run : runs) {
-          if (run.op.plan->direct()) continue;
-          run.lease.emplace(ctx.lease_workspace());
-          run.ws = &**run.lease;
-          size_item(run);
-        }
-        prep_pass(runs, prep_chunks);
-      }
-      for (const ItemRun& run : runs) check_split_once(run);
-      const obs::StageTimer engine(nullptr, &walls.engine);
-      if (emulated == 1) {
-        ItemRun& run = *std::ranges::find_if(
-            runs, [](const ItemRun& r) { return !r.op.plan->direct(); });
-        pool.parallel_for_2d(
-            run.row_blocks, run.col_blocks, /*grain=*/0,
-            [&run](std::size_t rb0, std::size_t rb1, std::size_t cb0,
-                   std::size_t cb1) {
-              const obs::ScopedSpan mma("mma");
-              EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
-              run_stretch(run, [&](std::uint64_t* combine) {
-                for (std::size_t rb = rb0; rb < rb1; ++rb) {
-                  for (std::size_t cb = cb0; cb < cb1; ++cb) {
-                    run_block(run, rb, cb, combine);
-                  }
-                }
-              });
-            });
-      } else {
-        const std::uint64_t avg_block_flops =
-            blocks == 0 ? 1 : std::max<std::uint64_t>(1, 2 * work / blocks);
-        const auto grain = static_cast<std::size_t>(
-            std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
-        pool.parallel_for(blocks, grain, [&runs](std::size_t g0,
-                                                 std::size_t g1) {
-          const obs::ScopedSpan mma("mma");
-          EGEMM_COUNTER_ADD("egemm.tiles", g1 - g0);
-          // The last item starting at or before g0 owns it (items with no
-          // blocks, direct ones included, share their successor's offset).
-          auto it =
-              std::ranges::upper_bound(runs, g0, {}, &ItemRun::first) - 1;
-          for (std::size_t g = g0; g < g1; ++it) {
-            const std::size_t end = std::min(g1, it->first + it->blocks());
-            run_linear(*it, g - it->first, end - it->first);
-            g = end;
-          }
-        });
-      }
+      run_regions(ctx, runs, emulated, work, forced, walls);
     }
   }
   if (obs::kEnabled) record_calls(runs, walls, batch_id, lookup);
@@ -742,6 +853,35 @@ void Workspace::ensure(std::size_t m, std::size_t n, std::size_t k,
   if (a_grew || b_grew) count_workspace_allocation();
 }
 
+void Workspace::reserve(std::size_t planes, std::size_t a_floats,
+                        std::size_t b_floats) {
+  const bool a_grew = a_floats > 0 && apack_.reserve(planes, a_floats);
+  const bool b_grew = b_floats > 0 && bpack_.reserve(planes, b_floats);
+  if (a_grew || b_grew) count_workspace_allocation();
+}
+
+RegionGrid region_grid(std::size_t m, std::size_t n, std::size_t regions) {
+  const std::size_t row_blocks = (m + kTile - 1) / kTile;
+  const std::size_t col_blocks = (n + kTile - 1) / kTile;
+  if (row_blocks == 0 || col_blocks == 0) return {0, 0};
+  for (std::size_t count = regions; count > 1; --count) {
+    std::optional<RegionGrid> best;
+    double best_reads = 0.0;
+    for (std::size_t p = 1; p <= std::min(count, row_blocks); ++p) {
+      const std::size_t q = count / p;
+      if (p * q != count || q > col_blocks) continue;
+      const double reads = static_cast<double>(m) / static_cast<double>(p) +
+                           static_cast<double>(n) / static_cast<double>(q);
+      if (!best || reads < best_reads) {
+        best = RegionGrid{p, q};
+        best_reads = reads;
+      }
+    }
+    if (best) return *best;
+  }
+  return {1, 1};
+}
+
 // ---------------------------------------------------------------------------
 // GemmPlan
 // ---------------------------------------------------------------------------
@@ -772,6 +912,14 @@ void GemmPlan::execute(GemmContext& ctx, const Operand& a, const Operand& b,
   run_items(ctx, {&run, 1}, /*batch_id=*/0, lookup);
 }
 
+void execute_on_grid(GemmContext& ctx, const GemmPlan& plan,
+                     const Operand& a, const Operand& b, const Matrix* c,
+                     Matrix& d, RegionGrid grid) {
+  ItemRun run;
+  run.op = {&plan, a, b, c, &d};
+  run_items(ctx, {&run, 1}, /*batch_id=*/0, obs::PlanLookup::kUnknown, &grid);
+}
+
 Operand GemmPlan::keep(GemmContext& ctx, Side side, const Operand& source,
                        KeptPack& pack) const {
   EGEMM_EXPECTS(source.kept() == nullptr);
@@ -786,9 +934,9 @@ Operand GemmPlan::keep(GemmContext& ctx, Side side, const Operand& source,
   ItemRun run;
   run.op.plan = this;
   (a ? run.op.a : run.op.b) = source;
+  (a ? run.a_source : run.b_source) = source_of(side, source.trans());
   (a ? run.fill_a : run.fill_b) = pack.pack_;
-  run.prep(side, source);
-  prep_pass({&run, 1}, run.rows.chunks);
+  prep_pass(run);
   check_split_once(run);
   return pack;
 }
@@ -965,6 +1113,13 @@ std::uint64_t GemmContext::plan_evictions() const noexcept {
 std::size_t GemmContext::cached_plans() const noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
   return lru_.size();
+}
+
+std::span<Workspace> GemmContext::worker_workspaces(std::size_t workers) {
+  const std::lock_guard<std::mutex> lock(ws_mutex_);
+  if (worker_workspaces_.empty()) worker_workspaces_.resize(workers);
+  EGEMM_EXPECTS(worker_workspaces_.size() == workers);
+  return worker_workspaces_;
 }
 
 std::size_t GemmContext::pooled_workspaces() const noexcept {

@@ -58,6 +58,7 @@
 namespace egemm::gemm {
 
 class GemmContext;
+struct RegionWorkspaces;
 
 /// The identity of a plan, and its cache key: the problem shape, the
 /// backend (timing dispatch, direct target, and term order), and the
@@ -94,6 +95,11 @@ class Workspace {
   void ensure(std::size_t m, std::size_t n, std::size_t k, int planes,
               bool fill_a, bool fill_b);
 
+  /// Grows the packs' storage, not their extents, to `planes` planes of
+  /// `a_floats` and `b_floats` floats (0: leave that pack as it is), so a
+  /// later ensure() up to those sizes does not allocate.
+  void reserve(std::size_t planes, std::size_t a_floats, std::size_t b_floats);
+
   PackedPlanes& packed_a() noexcept { return apack_; }
   PackedPlanes& packed_b() noexcept { return bpack_; }
 
@@ -118,6 +124,35 @@ class Workspace {
 /// so the crossover is 2^18 = 64^3.
 inline constexpr std::size_t kSmallGemmInlineThreshold =
     std::size_t{64} * 64 * 64;
+
+/// Work (m*n*k multiply-adds) above which a single pooled execute splits
+/// its operands once into packs that every tile shares (row chunks on the
+/// pool, then a 2D tile pass), instead of cutting its output into one
+/// region per pool thread, each splitting the A rows and B columns it
+/// reads on the thread that multiplies them (DESIGN.md §18). Regions pay
+/// a second split of each input (a 2 x 2 grid reads every row twice) and
+/// have no load balancing; shared packs pay a second pool pass and read
+/// packs other cores wrote. Region / shared p50 ratio of one execute,
+/// round-2term, 4-vCPU AVX-512 Xeon VM, median [quartiles] of 15
+/// alternating rounds:
+///   2^18  64^3                      0.54 [0.52-0.56]
+///   2^20  128x128x64                0.65 [0.65-0.67]
+///   2^21  128x128x128               0.76 [0.74-0.76]
+///   2^22  128x128x256, 256x256x64,  0.80-0.83
+///         160^3
+///   2^23  256x256x128               0.87 [0.84-0.93]
+///         128x128x512               0.97 [0.91-1.01]
+///   2^24  256^3, 128x128x1024,      0.95-1.01
+///         32x32x16384
+///   2^25  322^3, 8192x32x128,       0.89-0.98
+///         64x4096x128
+///   2^27  512^3                     1.09 [1.06-1.12]
+///   2^28  128x128x16384             1.27 [1.24-1.31]
+///   2^30  1024^3                    1.09 [1.06-1.14]
+/// An earlier, noisier sweep of 7 rounds agreed through 2^22 and read
+/// 128x128x512 at 1.06, so the bound is 2^22: regions win by 17% or more
+/// at and below it in every sweep, and nothing above it is won reliably.
+inline constexpr std::uint64_t kRegionMaxWork = std::uint64_t{1} << 22;
 
 /// Process-wide count of workspace buffer growths. Debug builds only: in
 /// NDEBUG builds the accounting compiles out and this always returns 0
@@ -185,28 +220,47 @@ class KeptPack {
   core::SplitMethod split_ = core::SplitMethod::kRoundSplit;
 };
 
-/// One input of an execute: a row-major matrix read as given or as its
-/// transpose, or a kept pack. Converts from a matrix (as given), so
-/// execute(ctx, a, b, c, d) and GroupedGemm{plan, &a, &b, c, &d} read their
-/// inputs as given.
+/// One input of an execute: a row-major matrix, or a range of its rows,
+/// read as given or as its transpose, or a kept pack. Converts from a
+/// matrix (as given), so execute(ctx, a, b, c, d) and GroupedGemm{plan,
+/// &a, &b, c, &d} read their inputs as given. A row range is read in
+/// place: rows [first_row, first_row + rows) stand for a rows x cols
+/// matrix.
 class Operand {
  public:
   Operand() = default;
   Operand(const Matrix& matrix, Transpose trans = Transpose::kNone) noexcept
-      : matrix_(&matrix), trans_(trans) {}
+      : Operand(matrix, 0, matrix.rows(), trans) {}
   Operand(const Matrix* matrix, Transpose trans = Transpose::kNone) noexcept
-      : matrix_(matrix), trans_(trans) {}
+      : matrix_(matrix),
+        trans_(trans),
+        rows_(matrix != nullptr ? matrix->rows() : 0) {}
+  Operand(const Matrix& matrix, std::size_t first_row, std::size_t rows,
+          Transpose trans = Transpose::kNone) noexcept
+      : matrix_(&matrix), trans_(trans), first_row_(first_row), rows_(rows) {
+    EGEMM_EXPECTS(first_row <= matrix.rows() &&
+                  rows <= matrix.rows() - first_row);
+  }
   Operand(const KeptPack& kept) noexcept : kept_(&kept) {}
 
-  /// The matrix, or null for a kept pack.
+  /// The matrix whose rows the operand reads, or null for a kept pack.
   const Matrix* matrix() const noexcept { return matrix_; }
   Transpose trans() const noexcept { return trans_; }
   /// The kept pack, or null for a matrix.
   const KeptPack* kept() const noexcept { return kept_; }
+  /// The stored rows read (the whole matrix unless a range was named),
+  /// row-major with leading dimension cols(); matrix operands only.
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t cols() const noexcept { return matrix_->cols(); }
+  const float* data() const noexcept {
+    return matrix_->data().data() + first_row_ * matrix_->cols();
+  }
 
  private:
   const Matrix* matrix_ = nullptr;
   Transpose trans_ = Transpose::kNone;
+  std::size_t first_row_ = 0;
+  std::size_t rows_ = 0;
   const KeptPack* kept_ = nullptr;
 };
 
@@ -262,8 +316,8 @@ class GemmPlan {
 
   /// Fills `pack` with this plan's operand `side` from `source` (op(A),
   /// m x k, or op(B), k x n; not itself a kept pack), split per the
-  /// recipe, in prep_rows' chunks on the pool: the same bits an execute's
-  /// prep writes. The first fill leases the pack's workspace from `ctx`;
+  /// recipe, in PrepRows chunks on the pool (gemm/prep_rows.hpp): the
+  /// same bits an execute's prep writes. The first fill leases the pack's workspace from `ctx`;
   /// a refill reuses it. Returns the operand executes of this plan take
   /// for `side`: the pack -- or, on a direct plan, which splits nothing
   /// and leaves `pack` as it is, `source` itself.
@@ -361,11 +415,11 @@ class GemmContext {
                                               std::size_t k);
 
   /// Executes a batch of planned GEMMs through the same item pipeline as
-  /// GemmPlan::execute (DESIGN.md §18). Every emulated item's prep (the
-  /// split into its packs) runs as row-range chunks in one pool pass, then
-  /// every output tile of every item enters ONE flattened (item x tile)
-  /// pool dispatch with a batch-aware grain, so small items no longer
-  /// serialize behind each other. Results are bit-identical to calling
+  /// GemmPlan::execute (DESIGN.md §18). Every emulated item is cut into
+  /// regions (one each when the batch has at least as many items as the
+  /// pool has threads), and all regions of all items run in ONE pool
+  /// pass, each splitting what it reads on the thread that multiplies it,
+  /// so small items no longer serialize behind each other. Results are bit-identical to calling
   /// item.plan->execute() in a loop (each output tile runs the exact same
   /// operation sequence; only the schedule changes). Items must not chain
   /// (expect_unchained). Per-call telemetry deposits one CallRecord per
@@ -385,13 +439,21 @@ class GemmContext {
   std::uint64_t plan_evictions() const noexcept;
   std::size_t cached_plans() const noexcept;
   std::size_t plan_capacity() const noexcept { return capacity_; }
+  /// Workspaces free for lease_workspace(). The region pass's per-worker
+  /// workspaces (DESIGN.md §18) are held apart and not counted.
   std::size_t pooled_workspaces() const noexcept;
 
  private:
   friend class WorkspaceLease;
+  friend struct RegionWorkspaces;
 
   std::shared_ptr<const GemmPlan> plan_for(const PlanKey& key);
   void recycle(std::unique_ptr<Workspace> ws);
+  /// The region pass's workspaces, one per pool worker (`workers`, the
+  /// pool's size less the calling thread), made on first use. Only one
+  /// pass dispatches on the pool at a time, so the worker in slot s owns
+  /// workspace s - 1 for the pass.
+  std::span<Workspace> worker_workspaces(std::size_t workers);
 
   struct CacheEntry {
     PlanKey key;
@@ -409,6 +471,7 @@ class GemmContext {
 
   mutable std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> free_workspaces_;
+  std::vector<Workspace> worker_workspaces_;
 };
 
 /// The process-wide context behind the one-shot APIs.

@@ -1,8 +1,8 @@
 #pragma once
-// How a pooled execute, or a kept pack's fill, cuts one item's prep -- the
-// split straight into the packs -- into row-range chunks (gemm/plan.cpp's
-// prep_rows). Engine internal; a header only so tests can pin where the
-// cuts fall.
+// How the shared-pack schedule (one item above kRegionMaxWork) and a kept
+// pack's fill cut one item's prep -- the split straight into the packs --
+// into row-range chunks (gemm/plan.cpp's prep_pass). Engine internal; a
+// header only so tests can pin where the cuts fall.
 
 #include <algorithm>
 #include <cstddef>
@@ -16,16 +16,17 @@ namespace egemm::gemm {
 /// of a call's chunks share ONE pool pass (one ~1.6 us fork-join), so the
 /// floor does not amortize dispatch; it trades how far a small item's
 /// prep spreads over the pool against each chunk's fixed cost (its split
-/// calls, strips and stage timers). At 2^13 every pooled small-stream
-/// item (m*n*k >= 2^18: 18K-197K elements read and written) preps in
-/// 2-24 chunks. Swept on a 4-vCPU AVX-512 Xeon VM (split straight into
+/// calls, strips and stage timers). When small-stream's pooled items
+/// (m*n*k >= 2^18: 18K-197K elements read and written) still prepped
+/// this way, 2^13 cut each into 2-24 chunks. Swept on a 4-vCPU AVX-512 Xeon VM (split straight into
 /// the packs, e2e small-stream, six rotated 8 s runs): gflops 18.9 at
 /// 2^13, 18.5 at 2^12 and 18.7 at 2^14, op p50 45.5 / 46.3 / 48.7 us;
 /// 2^12 beat 2^13 in 2/6 runs on gflops and 3/6 on p50, 2^14 in 1/6 and
 /// 0/6. With separate planes the same floor had won against 2^11, 2^15
 /// and 2^18 (at 2^18 each item prepped on one thread while three waited:
-/// pool busy 0.47 vs 0.69). grouped-3term was flat across that sweep: its
-/// 64 items already fill the pass.
+/// pool busy 0.47 vs 0.69). Those sweeps predate regions: small-stream's
+/// pooled items now prep per region, so the floor only cuts items above
+/// kRegionMaxWork and kept packs, and has not been re-swept there.
 inline constexpr std::uint64_t kPrepChunkElems = std::uint64_t{1} << 13;
 
 /// One operand's share of an item's prep: the rows of its source, each

@@ -20,12 +20,12 @@ thread_local const ThreadPool* tl_worker_pool = nullptr;
 
 /// Spin budget before an idle thread parks: it bridges the gaps between
 /// the pool passes of back-to-back small GEMMs, which a futex wakeup would
-/// stretch by ~10 us. A pooled call's split and pack run on the pool, so
-/// the widest gap is a run of calls under kSmallGemmInlineThreshold that
-/// execute wholly on the caller: 8-35 us each for the 32..128 shape
-/// classes on a 4-vCPU AVX-512 Xeon VM (F16C split), so several in a row.
-/// 200 us beat 50 us by 5% on the small-GEMM median; spinning without
-/// PAUSE was slower than both.
+/// stretch by ~10 us. A pooled call's regions split and multiply on the
+/// pool in one pass, so the widest gap is a run of calls under
+/// kSmallGemmInlineThreshold that execute wholly on the caller: 8-35 us
+/// each for the 32..128 shape classes on a 4-vCPU AVX-512 Xeon VM (F16C
+/// split), so several in a row. 200 us beat 50 us by 5% on the small-GEMM
+/// median; spinning without PAUSE was slower than both.
 constexpr std::uint64_t kSpinNs = 200'000;
 
 /// Pause-spins until `ready(word)`, parking in std::atomic::wait once the
@@ -58,8 +58,8 @@ struct BodyScope {
 };
 
 template <class Run>
-void call_chunk(const void* run, std::size_t chunk) {
-  (*static_cast<const Run*>(run))(chunk);
+void call_chunk(const void* run, std::size_t chunk, std::size_t slot) {
+  (*static_cast<const Run*>(run))(chunk, slot);
 }
 
 }  // namespace
@@ -132,7 +132,7 @@ void ThreadPool::run_claims(std::size_t slot) noexcept {
     const std::size_t total = chunks_;
     const std::uint64_t start = obs::monotonic_ns();
     try {
-      fn_(ctx_, total - left);
+      fn_(ctx_, total - left, slot);
     } catch (...) {
       if (!error_set_.exchange(true, std::memory_order_relaxed)) {
         error_ = std::current_exception();
@@ -157,7 +157,7 @@ void ThreadPool::parallel_for(
   std::size_t chunks = std::min(count, size() * 4);
   if (grain > 1) chunks = std::min(chunks, (count + grain - 1) / grain);
   const std::size_t chunk = (count + chunks - 1) / chunks;
-  const auto run = [&](std::size_t i) {
+  const auto run = [&](std::size_t i, std::size_t /*slot*/) {
     body(i * chunk, std::min(count, (i + 1) * chunk));
   };
   if (!dispatch((count + chunk - 1) / chunk, &call_chunk<decltype(run)>,
@@ -189,7 +189,7 @@ void ThreadPool::parallel_for_2d(
   }
   const std::size_t col_blocks = (cols + block_cols - 1) / block_cols;
   const std::size_t row_blocks = (rows + block_rows - 1) / block_rows;
-  const auto run = [&](std::size_t i) {
+  const auto run = [&](std::size_t i, std::size_t /*slot*/) {
     const std::size_t r0 = (i / col_blocks) * block_rows;
     const std::size_t c0 = (i % col_blocks) * block_cols;
     body(r0, std::min(rows, r0 + block_rows), c0,
@@ -198,6 +198,17 @@ void ThreadPool::parallel_for_2d(
   if (!dispatch(row_blocks * col_blocks, &call_chunk<decltype(run)>, &run)) {
     const BodyScope scope(this);
     body(0, rows, 0, cols);
+  }
+}
+
+void ThreadPool::for_each_task(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (count == 0) return;
+  using Body = std::function<void(std::size_t, std::size_t)>;
+  if (!dispatch(count, &call_chunk<Body>, &body)) {
+    const BodyScope scope(this);
+    for (std::size_t task = 0; task < count; ++task) body(task, size_);
   }
 }
 

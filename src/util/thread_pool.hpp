@@ -61,8 +61,7 @@ class ThreadPool {
   }
 
   /// parallel_for with a lower bound on items per chunk: chunks never carry
-  /// fewer than `grain` items (except the last), so fine-grained streams --
-  /// the batched GEMM scheduler's flattened (item x tile) index space --
+  /// fewer than `grain` items (except the last), so fine-grained streams
   /// keep per-chunk work above the dispatch overhead. grain 0 or 1 is the
   /// plain ~4-chunks-per-thread split above.
   void parallel_for(std::size_t count, std::size_t grain,
@@ -80,6 +79,17 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t, std::size_t,
                                std::size_t)>& body);
 
+  /// Runs body(task, slot) once for every task in [0, count), each task
+  /// its own claim, claimed in ascending order (so a caller that orders
+  /// its tasks largest first has them started largest first). `slot` is
+  /// the pool slot running the task: 0 the calling thread, 1..size()-1 the
+  /// workers. Only one call dispatches at a time, so a caller may keep
+  /// state per slot without locks. When the call runs inline (nested,
+  /// one-thread or busy pool), every task runs on the calling thread with
+  /// slot == size(). Same exception behavior as parallel_for.
+  void for_each_task(std::size_t count,
+                     const std::function<void(std::size_t, std::size_t)>& body);
+
   /// Point-in-time copy of every slot's counters (size() entries).
   std::vector<WorkerStats> worker_stats() const;
 
@@ -87,7 +97,8 @@ class ThreadPool {
   WorkerStats total_stats() const;
 
  private:
-  using ChunkFn = void (*)(const void* ctx, std::size_t chunk);
+  using ChunkFn = void (*)(const void* ctx, std::size_t chunk,
+                           std::size_t slot);
 
   /// One cache line per slot: relaxed hot-path updates never false-share.
   struct alignas(64) WorkerSlot {
@@ -96,8 +107,9 @@ class ThreadPool {
     std::atomic<std::uint64_t> busy_ns{0};
   };
 
-  /// Runs fn(ctx, i) for i in [0, chunks) on the pool. Returns false, having
-  /// counted an inline task, when the caller must run the range inline.
+  /// Runs fn(ctx, i, slot) for i in [0, chunks) on the pool. Returns false,
+  /// having counted an inline task, when the caller must run the range
+  /// inline.
   bool dispatch(std::size_t chunks, ChunkFn fn, const void* ctx);
   void run_claims(std::size_t slot) noexcept;
   void worker_loop(std::size_t slot, std::latch& ready);

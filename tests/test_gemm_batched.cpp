@@ -5,9 +5,9 @@
 // a pool-dispatched batch, the contract overload (a batch-wide contract
 // through explicit scales, and an infeasible item, which must leave the
 // whole batch unexecuted), the small-GEMM inline threshold's
-// serial/pooled split, and the batch-tagged telemetry records the
-// flattened stream deposits, whose stage attribution must stay inside the
-// batch's wall time.
+// serial/pooled split, and the batch-tagged telemetry records a grouped
+// call deposits, whose stage attribution must stay inside the batch's
+// wall time.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -195,9 +195,9 @@ TEST(GemmBatched, GroupedMixesDirectAndEmulatedItemsInAnyOrder) {
   if (util::global_pool().size() <= 1) {
     GTEST_SKIP() << "needs a pool of more than one thread";
   }
-  // Direct-backend items run inline and own no blocks of the flattened
-  // stream; wherever they sit in the batch, every emulated block must
-  // still reach its own item. 2 x 128^3 is above the inline threshold,
+  // Direct-backend items run inline and own no regions; wherever they
+  // sit in the batch, every emulated region must still reach its own
+  // item. 2 x 128^3 is above the inline threshold,
   // so the stream is dispatched on the pool.
   constexpr std::size_t kDim = 128;
   GemmContext ctx;

@@ -27,6 +27,7 @@
 #include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
 #include "gemm/prep_rows.hpp"
+#include "gemm/regions.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
@@ -292,6 +293,123 @@ TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
   }
 }
 
+TEST(PackedEngine, RegionCutsKeepBits) {
+  // A region splits the A rows and B columns it reads into its own packs
+  // and multiplies them there; every cut must give the oracle's bits. The
+  // shapes are ragged (m, n off every multiple of 16, odd k) or 64^3, each
+  // on the cut rule's grid and on forced 1 x T, T x 1 and 2 x 2 grids
+  // (clipped to the output's blocks), with and without C, with A or B
+  // read transposed or passed as a kept pack, on a two- and a three-plane
+  // rung, under every ISA tier.
+  const IsaGuard guard;
+  const std::size_t threads = util::global_pool().size();
+  const Shape shapes[] = {
+      {33, 47, 129}, {200, 17, 64}, {17, 200, 300}, {64, 64, 64}};
+  const std::optional<RegionGrid> grids[] = {
+      std::nullopt, RegionGrid{1, threads}, RegionGrid{threads, 1},
+      RegionGrid{2, 2}};
+  for (const core::SchemeId scheme :
+       {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+    for (const Shape s : shapes) {
+      GemmContext ctx;
+      const auto plan = ctx.plan_scheme(scheme, s.m, s.n, s.k);
+      const Matrix a = random_matrix(s.m, s.k, -1, 1, 960);
+      const Matrix b = random_matrix(s.k, s.n, -1, 1, 961);
+      const Matrix c = random_matrix(s.m, s.n, -1, 1, 962);
+      const Matrix at = transpose(a);
+      const Matrix bt = transpose(b);
+      KeptPack kept_a;
+      KeptPack kept_b;
+      plan->keep(ctx, Side::kA, a, kept_a);
+      plan->keep(ctx, Side::kB, b, kept_b);
+      const std::pair<Operand, Operand> ways[] = {
+          {a, b},
+          {{at, Transpose::kTranspose}, b},
+          {a, {bt, Transpose::kTranspose}},
+          {kept_a, b},
+          {a, kept_b}};
+      for (const Matrix* cp : {static_cast<const Matrix*>(nullptr), &c}) {
+        const Matrix want = verify::reference_execute(*plan, a, b, cp);
+        for (int level = 0; level < simd::kIsaLevelCount; ++level) {
+          if (!simd::isa_available(static_cast<simd::IsaLevel>(level))) {
+            continue;
+          }
+          const char* isa = simd::isa_name(
+              simd::force_isa(static_cast<simd::IsaLevel>(level)));
+          for (const auto& grid : grids) {
+            for (std::size_t w = 0; w < std::size(ways); ++w) {
+              Matrix d;
+              if (grid) {
+                execute_on_grid(ctx, *plan, ways[w].first, ways[w].second,
+                                cp, d, *grid);
+              } else {
+                plan->execute(ctx, ways[w].first, ways[w].second, cp, d);
+              }
+              EXPECT_TRUE(bitwise_equal(d, want))
+                  << s.m << "x" << s.n << "x" << s.k << " "
+                  << core::scheme_name(scheme) << " " << isa << " grid "
+                  << (grid ? std::to_string(grid->rows) + "x" +
+                                 std::to_string(grid->cols)
+                           : std::string("rule"))
+                  << " way " << w << (cp != nullptr ? " +C" : "");
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // One grouped batch mixing an inline-size item, a pooled-size one, one
+  // above kRegionMaxWork and a direct one: three emulated items share the
+  // pool, so the larger two get more than one region each. The batch must
+  // give the loop of singles' bits, where the large item ran on shared
+  // packs.
+  const Shape mixed[] = {{33, 47, 129}, {160, 90, 70}, {300, 260, 70}};
+  static_assert(33 * 47 * 129 < kSmallGemmInlineThreshold);
+  static_assert(160 * 90 * 70 > kSmallGemmInlineThreshold &&
+                160 * 90 * 70 <= kRegionMaxWork);
+  static_assert(300 * 260 * 70 > kRegionMaxWork);
+  GemmContext ctx;
+  std::vector<Matrix> a, b, c;
+  std::vector<std::shared_ptr<const GemmPlan>> plans;
+  for (std::size_t i = 0; i <= std::size(mixed); ++i) {
+    const Shape s = i < std::size(mixed) ? mixed[i] : Shape{40, 30, 20};
+    const auto seed = static_cast<unsigned>(970 + 3 * i);
+    a.push_back(random_matrix(s.m, s.k, -1, 1, seed));
+    b.push_back(random_matrix(s.k, s.n, -1, 1, seed + 1));
+    c.push_back(random_matrix(s.m, s.n, -1, 1, seed + 2));
+  }
+  for (const core::SchemeId scheme :
+       {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+    plans.clear();
+    for (const Shape s : mixed) {
+      plans.push_back(ctx.plan_scheme(scheme, s.m, s.n, s.k));
+    }
+    plans.push_back(ctx.plan(Backend::kCublasFp32, 40, 30, 20));
+    for (int level = 0; level < simd::kIsaLevelCount; ++level) {
+      if (!simd::isa_available(static_cast<simd::IsaLevel>(level))) continue;
+      const char* isa =
+          simd::isa_name(simd::force_isa(static_cast<simd::IsaLevel>(level)));
+      for (const bool with_c : {false, true}) {
+        std::vector<Matrix> singles(plans.size());
+        std::vector<Matrix> grouped(plans.size());
+        std::vector<GroupedGemm> items;
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          const Matrix* ci = with_c ? &c[i] : nullptr;
+          plans[i]->execute(ctx, a[i], b[i], ci, singles[i]);
+          items.push_back({plans[i], &a[i], &b[i], ci, &grouped[i]});
+        }
+        ctx.execute_grouped(items);
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          EXPECT_TRUE(bitwise_equal(grouped[i], singles[i]))
+              << core::scheme_name(scheme) << " " << isa << " item " << i
+              << (with_c ? " +C" : "");
+        }
+      }
+    }
+  }
+}
+
 /// The one panel layout, from planes[p] (lanes x k): element (l, kk) at
 /// [l / 16 * 16 * k + kk * 16 + l % 16], lanes past the extent +0.
 std::vector<std::vector<float>> panel_layout(std::span<const Matrix> planes) {
@@ -390,10 +508,10 @@ TEST(PackedPlanes, BothFillsPackEachPanelKMajor) {
         std::size_t r0 = 0;
         for (const std::size_t edge : edges) {
           const std::size_t r1 = std::min(rows, edge);
-          cut.fill_rows(source, r0, r1, src.data().data(), split);
+          cut.fill_rows(source, r0, r1, src.data().data(), src.cols(), split);
           r0 = r1;
         }
-        cut.fill_rows(source, r0, rows, src.data().data(), split);
+        cut.fill_rows(source, r0, rows, src.data().data(), src.cols(), split);
         EXPECT_TRUE(holds_layout(cut, want)) << where << " (cut fill)";
       }
     }
@@ -723,10 +841,17 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
             padded_points + static_cast<std::uint64_t>(result.iterations) *
                                 32 * 24);
 
-  // Two executes at once, each checked exactly against its own count.
+  // Two executes at once, each checked exactly against its own count. The
+  // pair is pooled-size (2^20 multiply-adds, between
+  // kSmallGemmInlineThreshold and kRegionMaxWork), so each call runs the
+  // cut rule's p x q grid of regions -- whether its regions run on the
+  // pool or, when the other call holds it, inline -- and each region
+  // splits the A rows and B columns it reads: A's 160 rows (whole panels)
+  // once per column range, B's 90 columns once per row range.
   const Matrix a2 = random_matrix(160, 70, -1, 1, 24);
   const Matrix b2 = random_matrix(70, 90, -1, 1, 25);
   const auto plan2 = default_context().plan(Backend::kEgemmTC, 160, 90, 70);
+  const RegionGrid grid = region_grid(160, 90, util::global_pool().size());
   const std::uint64_t before_pair = core::debug_split_elements();
   std::thread other([&] {
     for (int i = 0; i < 8; ++i) (void)run_packed(*plan2, a2, b2, nullptr);
@@ -734,7 +859,35 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   for (int i = 0; i < 8; ++i) (void)run_packed(*plan2, a2, b2, nullptr);
   other.join();
   EXPECT_EQ(core::debug_split_elements() - before_pair,
-            16 * (a2.data().size() + b2.data().size()));
+            16 * (grid.cols * a2.data().size() + grid.rows * b2.data().size()));
+
+  // A single item above kRegionMaxWork splits each input once, into packs
+  // every tile shares.
+  const Matrix a3 = random_matrix(300, 70, -1, 1, 26);
+  const Matrix b3 = random_matrix(70, 260, -1, 1, 27);
+  static_assert(300 * 260 * 70 > kRegionMaxWork);
+  const std::uint64_t before_shared = core::debug_split_elements();
+  (void)egemm_multiply(a3, b3);
+  EXPECT_EQ(core::debug_split_elements() - before_shared,
+            (300 + 4) * 70 + b3.data().size());  // A's last panel padded
+
+  // A 64-item grouped batch of pooled-size items runs each item as one
+  // region, so each input is split once.
+  GemmContext ctx;
+  const auto plan64 = ctx.plan(Backend::kEgemmTC, 64, 64, 64);
+  std::vector<Matrix> as, bs, ds(64);
+  std::vector<GroupedGemm> items;
+  for (unsigned i = 0; i < 64; ++i) {
+    as.push_back(random_matrix(64, 64, -1, 1, 30 + 2 * i));
+    bs.push_back(random_matrix(64, 64, -1, 1, 31 + 2 * i));
+  }
+  for (std::size_t i = 0; i < 64; ++i) {
+    items.push_back({plan64, &as[i], &bs[i], nullptr, &ds[i]});
+  }
+  const std::uint64_t before_grouped = core::debug_split_elements();
+  ctx.execute_grouped(items);
+  EXPECT_EQ(core::debug_split_elements() - before_grouped,
+            64 * std::uint64_t{2} * 64 * 64);
 }
 #endif
 

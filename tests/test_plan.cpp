@@ -12,12 +12,14 @@
 #include <cstring>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "gemm/gemm_api.hpp"
 #include "gemm/plan.hpp"
 #include "model/analytic_model.hpp"
 #include "model/solver.hpp"
 #include "tcsim/gpu_spec.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/reference_execute.hpp"
 
 namespace egemm::gemm {
@@ -259,6 +261,54 @@ TEST(GemmPlanExecute, WorkspacesRecycleThroughTheContextPool) {
   EXPECT_EQ(ctx.pooled_workspaces(), 1u);
   (void)gemm_ex(ctx, Backend::kEgemmTC, a, b, nullptr, {});
   EXPECT_EQ(ctx.pooled_workspaces(), 1u);  // reused, not duplicated
+}
+
+TEST(GemmPlanExecute, RegionWorkspacesStayOwnedAndBoundedAndWarm) {
+  // A pooled small single runs as one region per pool thread, and a
+  // 64-item grouped call as one region per item, each split into the
+  // workspace of the thread that claimed it: the caller's lease, or the
+  // context's workspace for that pool worker, sized to the pass's largest
+  // region. So the grouped call leaves at most T + 1 workspaces in the
+  // context's pool, not one per item, and warm repeats of both grow no
+  // workspace (debug builds count), whichever thread claims which region.
+  const std::size_t threads = util::global_pool().size();
+  GemmContext ctx;
+  const auto single = ctx.plan(Backend::kEgemmTC, 96, 80, 64);
+  static_assert(96 * 80 * 64 >= kSmallGemmInlineThreshold);
+  const Matrix a = random_matrix(96, 64, -1.0f, 1.0f, 81);
+  const Matrix b = random_matrix(64, 80, -1.0f, 1.0f, 82);
+  Matrix d;
+  constexpr std::size_t kItems = 64;
+  constexpr std::size_t kDims[] = {32, 64, 128};
+  std::vector<Matrix> as, bs, ds(kItems);
+  std::vector<GroupedGemm> items;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    const std::size_t m = kDims[i % 3];
+    const std::size_t n = kDims[(i / 3) % 3];
+    const std::size_t k = 32 << (i % 4);
+    as.push_back(random_matrix(m, k, -1.0f, 1.0f, 100 + 2 * unsigned(i)));
+    bs.push_back(random_matrix(k, n, -1.0f, 1.0f, 101 + 2 * unsigned(i)));
+  }
+  for (std::size_t i = 0; i < kItems; ++i) {
+    items.push_back({ctx.plan_scheme(i % 2 == 0 ? core::SchemeId::kRound2
+                                                : core::SchemeId::kRecovery3,
+                                     as[i].rows(), bs[i].cols(), as[i].cols()),
+                     &as[i], &bs[i], nullptr, &ds[i]});
+  }
+  single->execute(ctx, a, b, nullptr, d);
+  ctx.execute_grouped(items);
+  EXPECT_LE(ctx.pooled_workspaces(), threads + 1);
+
+  const std::uint64_t before = debug_workspace_allocations();
+  for (int round = 0; round < 3; ++round) {
+    single->execute(ctx, a, b, nullptr, d);
+    ctx.execute_grouped(items);
+  }
+  EXPECT_EQ(debug_workspace_allocations(), before)
+      << "warm region passes must not grow a workspace";
+  EXPECT_LE(ctx.pooled_workspaces(), threads + 1);
+  EXPECT_TRUE(bitwise_equal(d, verify::reference_execute(*single, a, b,
+                                                         nullptr)));
 }
 
 TEST(GemmPlanExecute, ZeroExtentShapesExecute) {

@@ -76,6 +76,36 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, ForEachTaskRunsEveryTaskOnceOnItsSlot) {
+  // Every task runs exactly once, on the slot its thread owns: no two
+  // threads ever report one slot, so a caller can keep state per slot.
+  // Nested inside a body, the whole range runs inline with slot size().
+  ThreadPool pool(4);
+  constexpr std::size_t kTasks = 64;
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<std::atomic<std::thread::id>> owner(pool.size());
+  std::atomic<bool> slot_shared{false};
+  pool.for_each_task(kTasks, [&](std::size_t task, std::size_t slot) {
+    ASSERT_LT(slot, pool.size());
+    runs[task].fetch_add(1);
+    std::thread::id none;
+    const std::thread::id self = std::this_thread::get_id();
+    if (!owner[slot].compare_exchange_strong(none, self) && none != self) {
+      slot_shared = true;
+    }
+  });
+  for (const auto& count : runs) EXPECT_EQ(count.load(), 1);
+  EXPECT_FALSE(slot_shared.load());
+
+  std::vector<std::size_t> nested_slots;
+  pool.parallel_for(1, [&](std::size_t, std::size_t) {
+    pool.for_each_task(3, [&](std::size_t, std::size_t slot) {
+      nested_slots.push_back(slot);
+    });
+  });
+  EXPECT_EQ(nested_slots, std::vector<std::size_t>(3, pool.size()));
+}
+
 TEST(ThreadPool, ParallelForEmptyIsNoop) {
   ThreadPool pool(2);
   bool called = false;
