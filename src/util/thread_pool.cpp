@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <latch>
 #include <string>
 #include <utility>
@@ -164,40 +163,6 @@ void ThreadPool::parallel_for(
                 &run)) {
     const BodyScope scope(this);
     body(0, count);
-  }
-}
-
-void ThreadPool::parallel_for_2d(
-    std::size_t rows, std::size_t cols, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t,
-                             std::size_t)>& body) {
-  if (rows == 0 || cols == 0) return;
-  const std::size_t cells = rows * cols;
-  if (grain == 0) grain = cells / (size() * 8);
-  grain = std::clamp<std::size_t>(grain, 1, cells);
-  // Blocks as square as the grain allows, clipped to the grid: a square
-  // block maximizes the number of independent blocks on skewed grids while
-  // keeping per-block working sets compact.
-  std::size_t block_cols = std::min(
-      cols, static_cast<std::size_t>(
-                std::ceil(std::sqrt(static_cast<double>(grain)))));
-  std::size_t block_rows =
-      std::min(rows, std::max<std::size_t>(1, grain / block_cols));
-  // Degenerate grids: spend the whole grain along the long axis.
-  if (block_rows == rows) {
-    block_cols = std::min(cols, std::max<std::size_t>(1, grain / block_rows));
-  }
-  const std::size_t col_blocks = (cols + block_cols - 1) / block_cols;
-  const std::size_t row_blocks = (rows + block_rows - 1) / block_rows;
-  const auto run = [&](std::size_t i, std::size_t /*slot*/) {
-    const std::size_t r0 = (i / col_blocks) * block_rows;
-    const std::size_t c0 = (i % col_blocks) * block_cols;
-    body(r0, std::min(rows, r0 + block_rows), c0,
-         std::min(cols, c0 + block_cols));
-  };
-  if (!dispatch(row_blocks * col_blocks, &call_chunk<decltype(run)>, &run)) {
-    const BodyScope scope(this);
-    body(0, rows, 0, cols);
   }
 }
 

@@ -261,6 +261,22 @@ TEST(GemmPlanExecute, WorkspacesRecycleThroughTheContextPool) {
   EXPECT_EQ(ctx.pooled_workspaces(), 1u);
   (void)gemm_ex(ctx, Backend::kEgemmTC, a, b, nullptr, {});
   EXPECT_EQ(ctx.pooled_workspaces(), 1u);  // reused, not duplicated
+
+  // A single item above kRegionMaxWork fills its packs whole into one
+  // lease, and its regions, which split nothing, lease no second one. A
+  // warm repeat grows no workspace (debug builds count).
+  static_assert(300 * 260 * 70 > kRegionMaxWork);
+  const auto large = ctx.plan(Backend::kEgemmTC, 300, 260, 70);
+  const Matrix la = random_matrix(300, 70, -1.0f, 1.0f, 63);
+  const Matrix lb = random_matrix(70, 260, -1.0f, 1.0f, 64);
+  Matrix d;
+  large->execute(ctx, la, lb, nullptr, d);
+  EXPECT_EQ(ctx.pooled_workspaces(), 1u);
+  const std::uint64_t before = debug_workspace_allocations();
+  large->execute(ctx, la, lb, nullptr, d);
+  EXPECT_EQ(debug_workspace_allocations(), before)
+      << "a warm whole fill must not grow a workspace";
+  EXPECT_EQ(ctx.pooled_workspaces(), 1u);
 }
 
 TEST(GemmPlanExecute, RegionWorkspacesStayOwnedAndBoundedAndWarm) {

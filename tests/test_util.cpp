@@ -185,56 +185,6 @@ TEST(ThreadPool, InWorkerThreadDistinguishesPools) {
   EXPECT_FALSE(b.in_worker_thread());
 }
 
-TEST(ThreadPool, ParallelFor2dCoversGridExactlyOnce) {
-  ThreadPool pool(4);
-  for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{64},
-                                  std::size_t{100000}}) {
-    constexpr std::size_t kRows = 23, kCols = 17;
-    std::vector<std::atomic<int>> hits(kRows * kCols);
-    pool.parallel_for_2d(
-        kRows, kCols, grain,
-        [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-          EXPECT_LE(r1, kRows);
-          EXPECT_LE(c1, kCols);
-          for (std::size_t r = r0; r < r1; ++r) {
-            for (std::size_t c = c0; c < c1; ++c) {
-              hits[r * kCols + c].fetch_add(1);
-            }
-          }
-        });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "grain=" << grain;
-  }
-}
-
-TEST(ThreadPool, ParallelFor2dDegenerateGrids) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_2d(0, 5, 0,
-                       [&](std::size_t, std::size_t, std::size_t,
-                           std::size_t) { called = true; });
-  pool.parallel_for_2d(5, 0, 0,
-                       [&](std::size_t, std::size_t, std::size_t,
-                           std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-
-  // Single row / single column grids still cover everything.
-  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{1, 40},
-                                   std::pair<std::size_t, std::size_t>{40, 1}}) {
-    std::vector<std::atomic<int>> hits(rows * cols);
-    pool.parallel_for_2d(
-        rows, cols, 3,
-        [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-          for (std::size_t r = r0; r < r1; ++r) {
-            for (std::size_t c = c0; c < c1; ++c) {
-              hits[r * cols + c].fetch_add(1);
-            }
-          }
-        });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
 TEST(ThreadPool, WorkerStatsCountTasksAndBusyTime) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.total_stats().tasks_executed, 0u);
@@ -310,8 +260,7 @@ TEST(ThreadPool, StatsSurviveReentrantInlinePath) {
 
 TEST(ThreadPool, SingleWorkerPoolRunsParallelForInline) {
   // A one-thread pool has no workers, so the whole range must run inline
-  // on the caller -- no dispatched chunks, one inline record -- in both
-  // the 1D and 2D forms.
+  // on the caller: no dispatched chunks, one inline record.
   ThreadPool pool(1);
   std::vector<int> hits(16, 0);
   const auto caller = std::this_thread::get_id();
@@ -323,30 +272,9 @@ TEST(ThreadPool, SingleWorkerPoolRunsParallelForInline) {
   EXPECT_EQ(body_thread, caller);
   for (const int h : hits) EXPECT_EQ(h, 1);
 
-  std::vector<int> cells(4 * 4, 0);
-  pool.parallel_for_2d(
-      4, 4, 1,
-      [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          for (std::size_t c = c0; c < c1; ++c) ++cells[r * 4 + c];
-        }
-      });
-  for (const int h : cells) EXPECT_EQ(h, 1);
-
   const WorkerStats total = pool.total_stats();
   EXPECT_EQ(total.tasks_executed, 0u);
-  EXPECT_EQ(total.inline_tasks, 2u);
-}
-
-TEST(ThreadPool, ParallelFor2dExceptionsPropagate) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for_2d(
-                   8, 8, 1,
-                   [](std::size_t r0, std::size_t, std::size_t c0,
-                      std::size_t) {
-                     if (r0 == 0 && c0 == 0) throw std::runtime_error("boom");
-                   }),
-               std::runtime_error);
+  EXPECT_EQ(total.inline_tasks, 1u);
 }
 
 /// Shared failure-path check: `run(body)` dispatches 16 unit chunks whose
@@ -389,30 +317,23 @@ TEST(ThreadPool, ParallelForThrowLeavesDefinedStateAndPoolReusable) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelFor2dThrowLeavesDefinedStateAndPoolReusable) {
+TEST(ThreadPool, ForEachTaskThrowLeavesDefinedStateAndPoolReusable) {
+  // The GEMM engine's region pass runs through for_each_task: a throwing
+  // task must not leave another still running when the first error
+  // reaches the caller, and the pool must run a full pass afterwards. No
+  // task runs for an empty list.
   ThreadPool pool(4);
   expect_first_error_after_all_chunks([&pool](auto chunk) {
-    // A 4x4 grid at grain 1: sixteen 1x1 blocks, block (r, c) = chunk 4r+c.
-    pool.parallel_for_2d(
-        4, 4, 1,
-        [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-          for (std::size_t r = r0; r < r1; ++r) {
-            for (std::size_t c = c0; c < c1; ++c) chunk(r * 4 + c);
-          }
-        });
+    pool.for_each_task(16, [&](std::size_t task, std::size_t) { chunk(task); });
   });
-  constexpr std::size_t kRows = 23, kCols = 17;
-  std::vector<std::atomic<int>> hits(kRows * kCols);
-  pool.parallel_for_2d(
-      kRows, kCols, 0,
-      [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          for (std::size_t c = c0; c < c1; ++c) {
-            hits[r * kCols + c].fetch_add(1);
-          }
-        }
-      });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::vector<std::atomic<int>> runs(64);
+  pool.for_each_task(runs.size(), [&](std::size_t task, std::size_t) {
+    runs[task].fetch_add(1);
+  });
+  for (const auto& count : runs) EXPECT_EQ(count.load(), 1);
+  bool called = false;
+  pool.for_each_task(0, [&](std::size_t, std::size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 TEST(Cli, ParsesFlagsValuesAndLists) {
