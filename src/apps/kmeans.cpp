@@ -121,7 +121,8 @@ KMeansResult kmeans(const gemm::Matrix& points, const KMeansOptions& opts) {
 
   // Every iteration runs the same (n x dim) x (dim x clusters) GEMM: plan
   // it once, then execute into reused buffers -- after the first pass the
-  // loop performs no heap allocation for the GEMM.
+  // GEMM grows no buffer (each execute still allocates a few small blocks
+  // of bookkeeping).
   gemm::GemmContext& ctx =
       opts.context != nullptr ? *opts.context : gemm::default_context();
 

@@ -1,9 +1,6 @@
 #include "core/split.hpp"
 
 #include <algorithm>
-#ifndef NDEBUG
-#include <atomic>
-#endif
 
 #include "fp/half_batch.hpp"
 #include "obs/metrics.hpp"
@@ -13,22 +10,15 @@ namespace egemm::core {
 
 namespace {
 
-#ifndef NDEBUG
-std::atomic<std::uint64_t> g_split_elements{0};
-#endif
-
 constexpr std::size_t kChunk = 512;  // staging rows live in L1
 
-/// One bookkeeping stop per split call: the debug split-once counter plus
-/// the observability registry (elements, L1-chunk count, and the bytes the
-/// pass moves -- binary32 in, `planes` binary32-stored planes out).
+/// One bookkeeping stop per split call in the observability registry
+/// (elements, L1-chunk count, and the bytes the pass moves -- binary32 in,
+/// `planes` binary32-stored planes out).
 inline void count_split(std::size_t elements, std::size_t planes) noexcept {
-  // Both are unused in NDEBUG builds with observability compiled out.
+  // Both are unused with observability compiled out.
   static_cast<void>(elements);
   static_cast<void>(planes);
-#ifndef NDEBUG
-  g_split_elements.fetch_add(elements, std::memory_order_relaxed);
-#endif
   EGEMM_COUNTER_ADD("split.elements", elements);
   EGEMM_COUNTER_ADD("split.chunks", (elements + kChunk - 1) / kChunk);
   EGEMM_COUNTER_ADD("split.bytes",
@@ -42,14 +32,6 @@ inline fp::Rounding split_rounding(SplitMethod method) noexcept {
 }
 
 }  // namespace
-
-std::uint64_t debug_split_elements() noexcept {
-#ifndef NDEBUG
-  return g_split_elements.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
-}
 
 const char* split_method_name(SplitMethod method) noexcept {
   switch (method) {

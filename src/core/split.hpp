@@ -67,12 +67,6 @@ void split_planes_f32(std::span<const float> input,
 void split_span_f32(std::span<const float> input, std::span<float> hi,
                     std::span<float> lo, SplitMethod method);
 
-/// Debug accounting for the split passes: total elements split so far in
-/// this process (monotone counter; always 0 in NDEBUG builds). The GEMM
-/// drivers assert with it that plane splitting + widening happens exactly
-/// once per input matrix per call -- never per tile.
-std::uint64_t debug_split_elements() noexcept;
-
 /// Worst-case representation error bound |x - (hi + lo)| for |x| <= scale:
 /// 2^-22 * scale for round-split, 2^-21 * scale for truncate-split.
 double split_error_bound(SplitMethod method, double scale) noexcept;

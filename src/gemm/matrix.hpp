@@ -66,7 +66,7 @@ class BasicMatrix {
   /// the new extent exceeds capacity(). Element values are unspecified
   /// afterwards, and grown storage is not written here: a fresh output is
   /// first touched by whichever threads fill it (the execute pipeline's
-  /// prep chunks) instead of being zeroed serially. Plan workspaces
+  /// tiles and prep passes) instead of being zeroed serially. Plan workspaces
   /// (gemm/plan.hpp) rely on this staying allocation-free for repeated
   /// same-shape calls.
   void resize(std::size_t rows, std::size_t cols) {

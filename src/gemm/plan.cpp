@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "gemm/baselines.hpp"
-#include "gemm/prep_rows.hpp"
 #include "gemm/regions.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
@@ -411,33 +410,53 @@ void prep(ItemRun& run, const FillRange& a, const FillRange& b) {
   run.pack_ns.fetch_add(b_fill - b_split, std::memory_order_relaxed);
 }
 
+/// One operand's pass of the whole fill: its source rows cut into fill
+/// units by parallel_for's default split. A lane-rows source's unit is a
+/// 16-lane panel, as the transposing fill starts on panel edges; a k-rows
+/// source's is a k row, as the copying fill cuts anywhere.
+void fill_operand(ItemRun& run, Side side, PackedPlanes& pack) {
+  const GemmPlan& plan = *run.op.plan;
+  const bool a = side == Side::kA;
+  const bool lane_rows =
+      *(a ? run.a_source : run.b_source) == PackSource::kLaneRows;
+  const std::size_t rows = lane_rows ? (a ? plan.m() : plan.n()) : plan.k();
+  const std::size_t unit = lane_rows ? kPackTile : 1;
+  // One capture, so the pool's std::function holds the body inline.
+  const struct {
+    ItemRun& run;
+    bool a;
+    std::size_t unit;
+    FillRange whole;
+  } pass{run, a, unit, {&pack, 0, rows, 0}};
+  util::global_pool().parallel_for(
+      (rows + unit - 1) / unit, [&pass](std::size_t u0, std::size_t u1) {
+        FillRange range = pass.whole;
+        range.r0 = u0 * pass.unit;
+        range.r1 = std::min(range.r1, u1 * pass.unit);
+        if (pass.a) {
+          prep(pass.run, range, {});
+        } else {
+          prep(pass.run, {}, range);
+        }
+      });
+}
+
 /// The whole fill, GemmPlan::keep's and a large item's before its region
 /// pass: splits each operand prep reads into `ws`, sized to the plan, in
-/// one pool pass of PrepRows chunks, and points the item at those packs.
+/// one pool pass per operand (A's, then B's), and points the item at
+/// those packs. The split is element-wise, so the cut changes no bit.
 void fill_whole(ItemRun& run, Workspace& ws) {
   const GemmPlan& plan = *run.op.plan;
   ws.ensure(plan.m(), plan.n(), plan.k(), plan.planes(),
             run.a_source.has_value(), run.b_source.has_value());
-  PackedPlanes* const fill_a = run.a_source ? &ws.packed_a() : nullptr;
-  PackedPlanes* const fill_b = run.b_source ? &ws.packed_b() : nullptr;
-  const auto span = [&plan](const std::optional<PackSource>& source,
-                            std::size_t lanes) {
-    return source ? PrepSpan::of(*source, lanes, plan.k(), plan.planes())
-                  : PrepSpan{};
-  };
-  const PrepRows rows(span(run.a_source, plan.m()),
-                      span(run.b_source, plan.n()));
-  const std::size_t a_rows = rows.a.rows;
-  util::global_pool().parallel_for(
-      rows.chunks, [&](std::size_t c0, std::size_t c1) {
-        const std::size_t u0 = rows.start(c0);
-        const std::size_t u1 = rows.start(c1);
-        prep(run, {fill_a, std::min(u0, a_rows), std::min(u1, a_rows), 0},
-             {fill_b, std::max(u0, a_rows) - a_rows,
-              std::max(u1, a_rows) - a_rows, 0});
-      });
-  if (fill_a != nullptr) run.a_pack = fill_a;
-  if (fill_b != nullptr) run.b_pack = fill_b;
+  if (run.a_source) {
+    fill_operand(run, Side::kA, ws.packed_a());
+    run.a_pack = &ws.packed_a();
+  }
+  if (run.b_source) {
+    fill_operand(run, Side::kB, ws.packed_b());
+    run.b_pack = &ws.packed_b();
+  }
 }
 
 /// Debug builds: each input element must be split exactly as often as the

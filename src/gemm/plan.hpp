@@ -15,9 +15,10 @@
 //                k-tile, or separate passes for cuBLAS-TC-Emulation).
 //                That is everything that decides the bits (the GPU tiling
 //                only decides modeled time; see timing()). execute(ctx, A,
-//                B, C, D) runs it into a caller-owned D with zero per-call
-//                heap allocation once the leased workspace has warmed up
-//                (guarded in debug builds).
+//                B, C, D) runs it into a caller-owned D; once the leased
+//                workspace has warmed up it never grows (guarded in debug
+//                builds), and a call allocates only a few small blocks of
+//                bookkeeping (its region list, a pool body).
 //   GemmContext  owns the reusable workspaces (LIFO free list, so
 //                back-to-back same-shape calls get the same warm buffers)
 //                and an LRU plan cache keyed by (shape, backend, rung).
@@ -84,7 +85,7 @@ struct PlanKeyHash {
 /// plane (the split writes straight into them). ensure() only ever grows
 /// storage; in debug builds every actual growth bumps the process-wide
 /// counter below, which is how the reuse guard test proves a warm
-/// execute() allocates nothing.
+/// execute() grows no workspace.
 class Workspace {
  public:
   /// Sizes the packs prep fills (growing, never shrinking, their storage)
@@ -113,8 +114,9 @@ class Workspace {
 /// dispatching to the pool: under it the pool round-trip costs more than
 /// it buys. This is the measured break-even of serial vs pooled gemm_ex
 /// over the 36 small-stream classes (m, n in {32, 64, 128}, k in
-/// {32..256}) on a 4-vCPU AVX-512 Xeon VM, with workers warm, F16C split
-/// and prep chunked on the pool. Pooled / serial p50 ratio by m*n*k
+/// {32..256}) on a 4-vCPU AVX-512 Xeon VM, with workers warm and F16C
+/// split, before regions (each item's prep then ran as row chunks on the
+/// pool). Pooled / serial p50 ratio by m*n*k
 /// (per-class medians of three alternating runs):
 ///   <= 2^16   1.25-2.09  (pooling loses: too few tiles per thread)
 ///      2^17   0.99-1.10  (median 1.01: break-even, no class wins)
@@ -126,14 +128,14 @@ inline constexpr std::size_t kSmallGemmInlineThreshold =
     std::size_t{64} * 64 * 64;
 
 /// Work (m*n*k multiply-adds) above which a single pooled execute fills
-/// its packs whole (row chunks on the pool) and its regions read them,
-/// instead of cutting its output into one region per pool thread, each
-/// splitting the A rows and B columns it reads on the thread that
-/// multiplies them (DESIGN.md §18). Split regions pay a second split of
-/// each input (a 2 x 2 grid reads every row twice) and have no load
-/// balancing; a whole fill pays a second pool pass and its tiles read
-/// packs other cores wrote. Split / whole p50 ratio of one execute,
-/// round-2term, 4-vCPU AVX-512 Xeon VM, median [quartiles] of 15
+/// its packs whole (one pool pass per operand over its fill units) and
+/// its regions read them, instead of cutting its output into one region
+/// per pool thread, each splitting the A rows and B columns it reads on
+/// the thread that multiplies them (DESIGN.md §18). Split regions pay a
+/// second split of each input (a 2 x 2 grid reads every row twice) and
+/// have no load balancing; a whole fill pays its fill's pool passes and
+/// its tiles read packs other cores wrote. Split / whole p50 ratio of one
+/// execute, round-2term, 4-vCPU AVX-512 Xeon VM, median [quartiles] of 15
 /// alternating rounds:
 ///   2^18  64^3                      0.54 [0.52-0.56]
 ///   2^20  128x128x64                0.65 [0.65-0.67]
@@ -308,17 +310,19 @@ class GemmPlan {
   /// or transposing fill, never copied; a kept pack is read as filled.
   /// Throws std::invalid_argument, before anything is written or counted,
   /// when a kept pack's extents, plane count or split differ from the
-  /// plan's, or the plan is direct. Allocation-free once `d` and the
-  /// context's workspace pool have warmed up. This is the one-item case of
-  /// the pipeline execute_grouped runs.
+  /// plan's, or the plan is direct. Once `d` and the context's workspace
+  /// pool have warmed up it grows no buffer; it still allocates a few
+  /// small blocks of bookkeeping per call (its region list, a pool body).
+  /// This is the one-item case of the pipeline execute_grouped runs.
   void execute(GemmContext& ctx, const Operand& a, const Operand& b,
                const Matrix* c, Matrix& d) const;
 
   /// Fills `pack` with this plan's operand `side` from `source` (op(A),
   /// m x k, or op(B), k x n; not itself a kept pack), split per the
-  /// recipe, in PrepRows chunks on the pool (gemm/prep_rows.hpp): the
-  /// same bits an execute's prep writes. The first fill leases the pack's workspace from `ctx`;
-  /// a refill reuses it. Returns the operand executes of this plan take
+  /// recipe, in one pool pass over its fill units (16-lane panels of a
+  /// lane-rows source, k rows of a k-rows one): the same bits an execute's
+  /// prep writes. The first fill leases the pack's workspace from `ctx`; a
+  /// refill reuses it. Returns the operand executes of this plan take
   /// for `side`: the pack -- or, on a direct plan, which splits nothing
   /// and leaves `pack` as it is, `source` itself.
   Operand keep(GemmContext& ctx, Side side, const Operand& source,

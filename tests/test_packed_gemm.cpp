@@ -26,7 +26,6 @@
 #include "core/split.hpp"
 #include "gemm/egemm.hpp"
 #include "gemm/plan.hpp"
-#include "gemm/prep_rows.hpp"
 #include "gemm/regions.hpp"
 #include "obs/callrec.hpp"
 #include "obs/metrics.hpp"
@@ -222,71 +221,91 @@ struct IsaGuard {
 };
 
 TEST(PackedEngine, PrepChunkingKeepsBitsPooledAndNested) {
-  // A pooled execute cuts each item's prep (the split into the packs) into
-  // row-range chunks and runs them all in one pool pass. These shapes
-  // prep in several chunks: the first two have ragged tails -- m and n off
-  // every multiple of 16, odd k -- the first cut inside A's rows, the
-  // second inside B's; the last two are the smallest pooled small-stream
-  // classes (m*n*k = 2^18), which must fan out too. D must match the
-  // oracle for single and grouped executes, with the chunks on the pool
-  // or, nested inside a pool chunk, inline, under every ISA tier.
+  // The split is element-wise, so no cut of the prep may move a bit. A
+  // pooled execute splits each region's A rows and B columns in its own
+  // task; one single item above kRegionMaxWork fills each operand whole in
+  // its own pool pass over that operand's fill units (16-lane panels for
+  // lane rows, single k rows for k rows). The first two shapes have ragged
+  // tails -- m and n off every multiple of 16, odd k; the next two are the
+  // smallest pooled small-stream classes (m*n*k = 2^18); the last is
+  // ragged and above kRegionMaxWork. Each runs with A and B as given, A
+  // transposed and B transposed, so each side is cut by both units. D
+  // must match the oracle alone (the last shape filled whole), in one
+  // grouped execute (as regions), and nested inside a pool chunk (every
+  // pass inline), under every ISA tier.
   const IsaGuard guard;
-  const Shape shapes[] = {
-      {901, 13, 131}, {13, 61, 1501}, {64, 64, 64}, {32, 32, 256}};
+  const Shape shapes[] = {{901, 13, 131},
+                          {13, 61, 1501},
+                          {64, 64, 64},
+                          {32, 32, 256},
+                          {331, 257, 67}};
+  static_assert(331 * 257 * 67 > kRegionMaxWork);
   constexpr std::size_t kItems = std::size(shapes);
-  for (int level = 0; level < simd::kIsaLevelCount; ++level) {
-    if (!simd::isa_available(static_cast<simd::IsaLevel>(level))) continue;
-    const char* isa =
-        simd::isa_name(simd::force_isa(static_cast<simd::IsaLevel>(level)));
-    for (const core::SchemeId scheme :
-         {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
-      std::vector<Matrix> a, b, c;
-      std::vector<std::shared_ptr<const GemmPlan>> plans;
-      for (std::size_t i = 0; i < kItems; ++i) {
-        const Shape s = shapes[i];
-        const auto seed = static_cast<unsigned>(900 + 10 * i);
-        a.push_back(random_matrix(s.m, s.k, -1, 1, seed));
-        b.push_back(random_matrix(s.k, s.n, -1, 1, seed + 1));
-        c.push_back(random_matrix(s.m, s.n, -1, 1, seed + 2));
-        plans.push_back(default_context().plan_scheme(scheme, s.m, s.n, s.k));
-        if (obs::kEnabled) {
-          // One chunk splits A and B once each; these shapes split more.
-          obs::Counter& splits = obs::registry().counter("split.calls");
-          const std::uint64_t before = splits.value();
-          static_cast<void>(run_packed(*plans[i], a[i], b[i], nullptr));
-          EXPECT_GT(splits.value() - before, 2u) << isa << " shape " << i;
-        }
+  for (const core::SchemeId scheme :
+       {core::SchemeId::kRound2, core::SchemeId::kRecovery3}) {
+    std::vector<Matrix> a, b, at, bt, c;
+    std::vector<std::shared_ptr<const GemmPlan>> plans;
+    for (std::size_t i = 0; i < kItems; ++i) {
+      const Shape s = shapes[i];
+      const auto seed = static_cast<unsigned>(900 + 10 * i);
+      a.push_back(random_matrix(s.m, s.k, -1, 1, seed));
+      b.push_back(random_matrix(s.k, s.n, -1, 1, seed + 1));
+      c.push_back(random_matrix(s.m, s.n, -1, 1, seed + 2));
+      at.push_back(transpose(a.back()));
+      bt.push_back(transpose(b.back()));
+      plans.push_back(default_context().plan_scheme(scheme, s.m, s.n, s.k));
+      if (obs::kEnabled) {
+        // One split call per operand would be one cut; these shapes' preps
+        // are cut into more.
+        obs::Counter& splits = obs::registry().counter("split.calls");
+        const std::uint64_t before = splits.value();
+        static_cast<void>(run_packed(*plans[i], a[i], b[i], nullptr));
+        EXPECT_GT(splits.value() - before, 2u)
+            << core::scheme_name(scheme) << " shape " << i;
       }
-      for (const bool with_c : {false, true}) {
-        std::vector<Matrix> expect;
-        for (std::size_t i = 0; i < kItems; ++i) {
-          expect.push_back(verify::reference_execute(
-              *plans[i], a[i], b[i], with_c ? &c[i] : nullptr));
+    }
+    for (const bool with_c : {false, true}) {
+      std::vector<Matrix> expect;
+      for (std::size_t i = 0; i < kItems; ++i) {
+        expect.push_back(verify::reference_execute(
+            *plans[i], a[i], b[i], with_c ? &c[i] : nullptr));
+      }
+      for (int level = 0; level < simd::kIsaLevelCount; ++level) {
+        if (!simd::isa_available(static_cast<simd::IsaLevel>(level))) {
+          continue;
         }
-        // Each shape alone, then all as one grouped execute.
-        const auto run_all = [&] {
-          std::vector<Matrix> out(2 * kItems);
-          std::vector<GroupedGemm> items;
-          for (std::size_t i = 0; i < kItems; ++i) {
-            const Matrix* ci = with_c ? &c[i] : nullptr;
-            plans[i]->execute(default_context(), a[i], b[i], ci, out[i]);
-            items.push_back({plans[i], &a[i], &b[i], ci, &out[kItems + i]});
+        const char* isa = simd::isa_name(
+            simd::force_isa(static_cast<simd::IsaLevel>(level)));
+        for (const int way : {0, 1, 2}) {
+          // Each shape alone, then all as one grouped execute.
+          const auto run_all = [&] {
+            std::vector<Matrix> out(2 * kItems);
+            std::vector<GroupedGemm> items;
+            for (std::size_t i = 0; i < kItems; ++i) {
+              const Operand ai =
+                  way == 1 ? Operand(at[i], Transpose::kTranspose) : a[i];
+              const Operand bi =
+                  way == 2 ? Operand(bt[i], Transpose::kTranspose) : b[i];
+              const Matrix* ci = with_c ? &c[i] : nullptr;
+              plans[i]->execute(default_context(), ai, bi, ci, out[i]);
+              items.push_back({plans[i], ai, bi, ci, &out[kItems + i]});
+            }
+            default_context().execute_grouped(items);
+            return out;
+          };
+          const std::vector<Matrix> direct = run_all();
+          std::vector<Matrix> nested;
+          util::global_pool().parallel_for(
+              1, [&](std::size_t, std::size_t) { nested = run_all(); });
+          for (std::size_t j = 0; j < direct.size(); ++j) {
+            const std::string where =
+                std::string(isa) + " " + core::scheme_name(scheme) +
+                (with_c ? " +C" : "") + " way " + std::to_string(way) +
+                " output " + std::to_string(j);
+            EXPECT_TRUE(bitwise_equal(direct[j], expect[j % kItems])) << where;
+            EXPECT_TRUE(bitwise_equal(nested[j], expect[j % kItems]))
+                << "nested " << where;
           }
-          default_context().execute_grouped(items);
-          return out;
-        };
-        const std::vector<Matrix> direct = run_all();
-        std::vector<Matrix> nested;
-        util::global_pool().parallel_for(
-            1, [&](std::size_t, std::size_t) { nested = run_all(); });
-        for (std::size_t j = 0; j < direct.size(); ++j) {
-          const std::string where = std::string(isa) + " " +
-                                    core::scheme_name(scheme) +
-                                    (with_c ? " +C" : "") + " output " +
-                                    std::to_string(j);
-          EXPECT_TRUE(bitwise_equal(direct[j], expect[j % kItems])) << where;
-          EXPECT_TRUE(bitwise_equal(nested[j], expect[j % kItems]))
-              << "nested " << where;
         }
       }
     }
@@ -623,57 +642,6 @@ TEST(PackedPlanes, KeptPacksMatchTheLayoutForBothRolesAndOrientations) {
   }
 }
 
-TEST(PackedPlanesA, PrepChunksCutARowsOnBlockEdges) {
-  // Pooled prep chunks run concurrently; a k-major panel interleaves 16
-  // lanes in every line, so a cut in a lane-rows source (A as given, B
-  // transposed) must fall on a panel edge or on its end, while a k-rows
-  // source (B as given, A transposed) may be cut on any row. Every chunk
-  // holds rows: none is an empty pool task. A kept operand has no rows.
-  const Shape shapes[] = {{901, 13, 131},   {13, 61, 1501}, {40, 7, 1025},
-                          {1024, 1024, 1024}, {17, 64, 256}, {128, 128, 16384},
-                          {64, 64, 64},     {1, 1, 1},      {2048, 4096, 128}};
-  const std::optional<PackSource> sources[] = {
-      PackSource::kLaneRows, PackSource::kKRows, std::nullopt};
-  for (const Shape s : shapes) {
-    for (const int planes : {2, 3}) {
-      for (const auto a_source : sources) {
-        for (const auto b_source : sources) {
-          const auto span = [&](const std::optional<PackSource>& source,
-                                std::size_t lanes) {
-            return source ? PrepSpan::of(*source, lanes, s.k, planes)
-                          : PrepSpan{};
-          };
-          const PrepRows rows(span(a_source, s.m), span(b_source, s.n));
-          const std::string where =
-              std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
-              std::to_string(s.k) + " planes " + std::to_string(planes) +
-              " sources " + std::to_string(a_source ? int(*a_source) : -1) +
-              "/" + std::to_string(b_source ? int(*b_source) : -1);
-          EXPECT_EQ(rows.start(0), 0u) << where;
-          EXPECT_EQ(rows.start(rows.chunks), rows.end()) << where;
-          std::size_t a_cuts = 0;
-          for (std::size_t j = 1; j <= rows.chunks; ++j) {
-            const std::size_t start = rows.start(j);
-            if (rows.end() > 0) {
-              EXPECT_LT(rows.start(j - 1), start) << where << " chunk " << j;
-            }
-            const bool in_a = start < rows.a.rows;
-            const PrepSpan& op = in_a ? rows.a : rows.b;
-            const std::size_t row = in_a ? start : start - rows.a.rows;
-            if (row < op.rows) {
-              EXPECT_EQ(row % op.grain, 0u) << where << " chunk " << j;
-              if (in_a) ++a_cuts;
-            }
-          }
-          if (a_source && s.m >= 4 * kPackTile && rows.chunks > 8) {
-            EXPECT_GT(a_cuts, 0u) << where;  // A's rows are cut too
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(PackedEngine, OperandOrientationsAndKeptPacksGiveTheFreshBits) {
   // Every way in for A and B -- as given, transposed (read in place by the
   // other fill), or a kept pack filled either way -- must give the bits of
@@ -853,36 +821,38 @@ TEST(PackedEngine, ConcurrentExecutesShareOneKeptPack) {
   EXPECT_TRUE(same[0] && same[1] && same[2]);
 }
 
-#ifndef NDEBUG
 TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // The plane cache is the point: one split per input element per GEMM
-  // call, no re-splitting anywhere downstream. Each execute also checks
-  // its own count in its own ItemRun (an EGEMM_ENSURES), so the cases
-  // below run that exact check too, concurrent executes included.
+  // call, no re-splitting anywhere downstream, read off the registry's
+  // split.elements counter. Debug builds also check each execute's own
+  // count in its own ItemRun (an EGEMM_ENSURES), so there the cases below
+  // run that exact check too, concurrent executes included.
+  const obs::Counter& split = obs::registry().counter("split.elements");
   const Matrix a = random_matrix(48, 33, -1, 1, 21);
   const Matrix b = random_matrix(33, 50, -1, 1, 22);
-  const std::uint64_t before = core::debug_split_elements();
+  const std::uint64_t before = split.value();
   (void)egemm_multiply(a, b);
-  EXPECT_EQ(core::debug_split_elements() - before,
+  EXPECT_EQ(split.value() - before,
             a.data().size() + b.data().size());
 
   const auto plan3 = default_context().plan_scheme(
       core::SchemeId::kRecovery3, a.rows(), b.cols(), a.cols());
-  const std::uint64_t before3 = core::debug_split_elements();
+  const std::uint64_t before3 = split.value();
   (void)run_packed(*plan3, a, b, nullptr);
-  EXPECT_EQ(core::debug_split_elements() - before3,
+  EXPECT_EQ(split.value() - before3,
             a.data().size() + b.data().size());
 
   // A kept pack is split when it is filled; an execute that reads it
   // splits only the other operand.
   KeptPack kept_a;
-  const std::uint64_t before_keep = core::debug_split_elements();
+  const std::uint64_t before_keep = split.value();
   plan3->keep(default_context(), Side::kA, a, kept_a);
-  EXPECT_EQ(core::debug_split_elements() - before_keep, a.data().size());
-  const std::uint64_t before_kept = core::debug_split_elements();
+  EXPECT_EQ(split.value() - before_keep, a.data().size());
+  const std::uint64_t before_kept = split.value();
   Matrix d;
   plan3->execute(default_context(), kept_a, b, nullptr, d);
-  EXPECT_EQ(core::debug_split_elements() - before_kept, b.data().size());
+  EXPECT_EQ(split.value() - before_kept, b.data().size());
 
   // kMeans splits its points once per call, across every Lloyd iteration,
   // and its centroids (read transposed: 20 lanes, padded to 32) once per
@@ -893,11 +863,11 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   opts.clusters = 20;
   opts.max_iterations = 6;
   opts.tolerance = 0.0;
-  const std::uint64_t before_kmeans = core::debug_split_elements();
+  const std::uint64_t before_kmeans = split.value();
   const apps::KMeansResult result = apps::kmeans(cloud.points, opts);
   ASSERT_GT(result.iterations, 1);
   const std::uint64_t padded_points = (300 + 15) / 16 * 16 * 24;
-  EXPECT_EQ(core::debug_split_elements() - before_kmeans,
+  EXPECT_EQ(split.value() - before_kmeans,
             padded_points + static_cast<std::uint64_t>(result.iterations) *
                                 32 * 24);
 
@@ -912,13 +882,13 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   const Matrix b2 = random_matrix(70, 90, -1, 1, 25);
   const auto plan2 = default_context().plan(Backend::kEgemmTC, 160, 90, 70);
   const RegionGrid grid = region_grid(160, 90, util::global_pool().size());
-  const std::uint64_t before_pair = core::debug_split_elements();
+  const std::uint64_t before_pair = split.value();
   std::thread other([&] {
     for (int i = 0; i < 8; ++i) (void)run_packed(*plan2, a2, b2, nullptr);
   });
   for (int i = 0; i < 8; ++i) (void)run_packed(*plan2, a2, b2, nullptr);
   other.join();
-  EXPECT_EQ(core::debug_split_elements() - before_pair,
+  EXPECT_EQ(split.value() - before_pair,
             16 * (grid.cols * a2.data().size() + grid.rows * b2.data().size()));
 
   // A single item above kRegionMaxWork splits each input once, into packs
@@ -926,9 +896,9 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   const Matrix a3 = random_matrix(300, 70, -1, 1, 26);
   const Matrix b3 = random_matrix(70, 260, -1, 1, 27);
   static_assert(300 * 260 * 70 > kRegionMaxWork);
-  const std::uint64_t before_shared = core::debug_split_elements();
+  const std::uint64_t before_shared = split.value();
   (void)egemm_multiply(a3, b3);
-  EXPECT_EQ(core::debug_split_elements() - before_shared,
+  EXPECT_EQ(split.value() - before_shared,
             (300 + 4) * 70 + b3.data().size());  // A's last panel padded
 
   // A 64-item grouped batch of pooled-size items runs each item as one
@@ -944,12 +914,11 @@ TEST(PackedEngine, SplitsEachInputExactlyOncePerCall) {
   for (std::size_t i = 0; i < 64; ++i) {
     items.push_back({plan64, &as[i], &bs[i], nullptr, &ds[i]});
   }
-  const std::uint64_t before_grouped = core::debug_split_elements();
+  const std::uint64_t before_grouped = split.value();
   ctx.execute_grouped(items);
-  EXPECT_EQ(core::debug_split_elements() - before_grouped,
+  EXPECT_EQ(split.value() - before_grouped,
             64 * std::uint64_t{2} * 64 * 64);
 }
-#endif
 
 }  // namespace
 }  // namespace egemm::gemm
